@@ -105,10 +105,8 @@ def t_action_residual(chain: DegenerateChain, p: RationalPoint,
     cp = chain.site_params(ctx)
     T = transfer_T(cp, p.x, ctx)
     lhs = T.mat @ baxter_vector(p, chain, ctx)
-    pm = RationalPoint(ctx.q_pow(-1) * p.x, (p.l - 1) % ctx.N)
-    pp = RationalPoint(ctx.q_pow(1) * p.x, (p.l - 1) % ctx.N)
-    rhs = baxter_vector(pm, chain, ctx) * delta_pm(p, -1, chain, ctx) \
-        + baxter_vector(pp, chain, ctx) * delta_pm(p, +1, chain, ctx)
+    rhs = sum(baxter_vector(tau(p, s, ctx), chain, ctx) * delta_pm(p, s, chain, ctx)
+              for s in (-1, 1))
     scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
     return float(np.max(np.abs(lhs - rhs))) / scale
 

@@ -44,11 +44,9 @@ class ComplexPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, x: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    def __call__(self, x):
+        """Horner evaluation at a scalar or elementwise over an array."""
+        return np.polyval(self.coeffs[::-1], x)
 
     def array(self) -> np.ndarray:
         return np.asarray(self.coeffs, dtype=complex)
@@ -94,14 +92,10 @@ def rbeq_residual(Q: ComplexPolynomial, Lambda: ComplexPolynomial, m: int,
     npts = len(lhs_coeffs) + chain.L + 2
     xs = 0.9 * np.exp(2j * np.pi * np.arange(npts) / npts)
     scale = max(1.0, float(np.max(np.abs(lhs_coeffs))))
-    worst = 0.0
-    qm, qp = ctx.q_pow(-1), ctx.q_pow(1)
-    for x in xs:
-        lhs = Lambda(x) * Q(x)
-        rhs = ctx.q_pow(-m) * np.polyval(pm[::-1], x) * Q(x * qm) \
-            + ctx.q_pow(m) * np.polyval(pp[::-1], x) * Q(x * qp)
-        worst = max(worst, abs(lhs - rhs))
-    return worst / scale
+    lhs = Lambda(xs) * Q(xs)
+    rhs = ctx.q_pow(-m) * np.polyval(pm[::-1], xs) * Q(xs * ctx.q_pow(-1)) \
+        + ctx.q_pow(m) * np.polyval(pp[::-1], xs) * Q(xs * ctx.q_pow(1))
+    return float(np.max(np.abs(lhs - rhs))) / scale
 
 
 def _coefficient_matrix(lam: complex, m: int, chain: DegenerateChain,
@@ -122,7 +116,7 @@ def _coefficient_matrix(lam: complex, m: int, chain: DegenerateChain,
 
 def _solve_null_Q(lam: complex, m: int, chain: DegenerateChain, deg: int,
                   ctx: Context) -> ComplexPolynomial:
-    """One-dimensional null vector of the coefficient system, Q(0) = 1."""
+    """One-dimensional null vector of the coefficient system, Q(0) = 1, deg Q = deg."""
     G = _coefficient_matrix(lam, m, chain, deg, ctx)
     _, s, vt = np.linalg.svd(G)
     if s[-1] > 1e-8 * max(s[0], 1.0):
@@ -134,7 +128,10 @@ def _solve_null_Q(lam: complex, m: int, chain: DegenerateChain, deg: int,
         raise GenericityError("Q(0) vanishes; cannot normalize")
     v = v / v[0]
     v[0] = 1.0
-    return ComplexPolynomial.from_array(v)
+    Q = ComplexPolynomial.from_array(v)
+    if abs(Q.coeffs[-1]) < 1e-8:
+        raise GenericityError("leading coefficient vanished; degree defect")
+    return Q
 
 
 def _poly_roots(Q: ComplexPolynomial) -> np.ndarray:
@@ -158,28 +155,33 @@ def _ansatz_residuals(roots, m: int, chain: DegenerateChain,
     general L gives exponent L + 2m + deg(Q), which reduces to m + 3/2 at
     L = 3.
     """
-    z = np.asarray(roots, dtype=complex)
-    R = len(z)
+    z = np.asarray(roots, dtype=complex)[:, None]
+    c = np.asarray(chain.c, dtype=complex)
     q = ctx.q_pow(1)
-    pref = ctx.q_pow(chain.L + 2 * m + R)
-    out = []
-    for i, zl in enumerate(z):
-        num_l = 1.0 + 0.0j
-        for cj in chain.c:
-            den = q * zl - cj
-            if abs(den) < 1e-12:
-                raise PoleError(f"Bethe-ansatz pole: q z_l = c_j at root {i}")
-            num_l *= (zl + cj) / den
-        rhs = 1.0 + 0.0j
-        for jn, zn in enumerate(z):
-            if jn == i:
-                continue
-            den = zl - q * zn
-            if abs(den) < 1e-12:
-                raise PoleError(f"Bethe-ansatz pole: z_l = q z_n at roots {i},{jn}")
-            rhs *= (q * zl - zn) / den
-        out.append(float(abs(pref * num_l - rhs)))
-    return tuple(out)
+    pref = ctx.q_pow(chain.L + 2 * m + len(z))
+    den_c = q * z - c
+    hit = np.argwhere(np.abs(den_c) < 1e-12)
+    if len(hit):
+        raise PoleError(f"Bethe-ansatz pole: q z_l = c_j at root {hit[0, 0]}")
+    off = ~np.eye(len(z), dtype=bool)     # the product over n skips n = l
+    den_z = np.where(off, z - q * z.T, 1.0)
+    hit = np.argwhere(off & (np.abs(den_z) < 1e-12))
+    if len(hit):
+        raise PoleError("Bethe-ansatz pole: z_l = q z_n at roots "
+                        f"{hit[0, 0]},{hit[0, 1]}")
+    num = np.prod((z + c) / den_c, axis=1)
+    rhs = np.prod(np.where(off, (q * z - z.T) / den_z, 1.0), axis=1)
+    return tuple(np.abs(pref * num - rhs).tolist())
+
+
+def _solution(m: int, lam: complex, Q: ComplexPolynomial,
+              chain: DegenerateChain, ctx: Context) -> BetheSolution:
+    """Bundle Q with its eigenvalue polynomial, roots and residuals."""
+    Lam = _lambda_poly(lam, m, ctx)
+    roots = tuple(1.0 / r for r in _poly_roots(Q))
+    return BetheSolution(m=m, lam=lam, Lambda_poly=Lam, Q=Q, roots=roots,
+                         rbeq_residual=rbeq_residual(Q, Lam, m, chain, ctx),
+                         ansatz_residuals=_ansatz_residuals(roots, m, chain, ctx))
 
 
 def solve_L1(m: int, c0: complex, ctx: Context) -> BetheSolution:
@@ -197,13 +199,8 @@ def solve_L1(m: int, c0: complex, ctx: Context) -> BetheSolution:
             raise GenericityError(f"degenerate denominator at i={i}")
         prod *= (ctx.q_pow(m + i - 1) - ctx.q_pow(-m - i)) / den
         coeffs.append(prod * c0**i)
-    Q = ComplexPolynomial.from_array(coeffs)
-    chain = DegenerateChain((c0,))
-    Lam = _lambda_poly(0.0, m, ctx)
-    roots = tuple(1.0 / r for r in _poly_roots(Q))
-    return BetheSolution(m=m, lam=0.0, Lambda_poly=Lam, Q=Q, roots=roots,
-                         rbeq_residual=rbeq_residual(Q, Lam, m, chain, ctx),
-                         ansatz_residuals=_ansatz_residuals(roots, m, chain, ctx))
+    return _solution(m, 0.0, ComplexPolynomial.from_array(coeffs),
+                     DegenerateChain((c0,)), ctx)
 
 
 def solve_L2(m: int, mp: int, c0: complex, c1: complex,
@@ -214,14 +211,8 @@ def solve_L2(m: int, mp: int, c0: complex, c1: complex,
         raise ValueError(f"sectors must be in [0, {M}]")
     lam = ctx.q_half_pow(1) * (ctx.q_pow(mp - 1) + ctx.q_pow(-mp - 2)) * c0 * c1
     chain = DegenerateChain((c0, c1))
-    Q = _solve_null_Q(lam, m, chain, M - m + mp, ctx)
-    if abs(Q.array()[-1]) < 1e-8:
-        raise GenericityError("leading coefficient vanished; degree defect")
-    Lam = _lambda_poly(lam, m, ctx)
-    roots = tuple(1.0 / r for r in _poly_roots(Q))
-    return BetheSolution(m=m, lam=lam, Lambda_poly=Lam, Q=Q, roots=roots,
-                         rbeq_residual=rbeq_residual(Q, Lam, m, chain, ctx),
-                         ansatz_residuals=_ansatz_residuals(roots, m, chain, ctx))
+    return _solution(m, lam, _solve_null_Q(lam, m, chain, M - m + mp, ctx),
+                     chain, ctx)
 
 
 @dataclass(frozen=True)
@@ -292,18 +283,9 @@ def solve_L3(m: int, c, ctx: Context) -> list:
             if abs(lams[i] - lams[j]) < EIGEN_GAP:
                 raise GenericityError("matrix_A has near-degenerate eigenvalues")
     chain = DegenerateChain(tuple(c))
-    out = []
-    for lam in lams:
-        Q = _solve_null_Q(lam, m, chain, 3 * M - m, ctx)
-        if abs(Q.array()[-1]) < 1e-8:
-            raise GenericityError("leading coefficient vanished; degree defect")
-        Lam = _lambda_poly(lam, m, ctx)
-        roots = tuple(1.0 / r for r in _poly_roots(Q))
-        out.append(BetheSolution(
-            m=m, lam=lam, Lambda_poly=Lam, Q=Q, roots=roots,
-            rbeq_residual=rbeq_residual(Q, Lam, m, chain, ctx),
-            ansatz_residuals=_ansatz_residuals(roots, m, chain, ctx)))
-    return out
+    return [_solution(m, lam, _solve_null_Q(lam, m, chain, 3 * M - m, ctx),
+                      chain, ctx)
+            for lam in lams]
 
 
 def bethe_ansatz_residuals(sol: BetheSolution, c, ctx: Context) -> list:

@@ -23,6 +23,7 @@ Two fiber conventions are exposed, and they are not interchangeable:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -72,7 +73,6 @@ class HofstadterChain3:
 def abcd_polys(chain: ChainParams, ctx: Context) -> ABCDPolys:
     """Expand the ordered 2x2 product of N-th power site matrices."""
     N = ctx.N
-    zero = np.zeros(1, dtype=complex)
 
     def site(h):
         # each entry: polynomial in y, ascending coefficients
@@ -80,20 +80,12 @@ def abcd_polys(chain: ChainParams, ctx: Context) -> ABCDPolys:
                 [np.array([0.0, h.c**N]), np.array([-h.d**N])]]
 
     def mult(P, Q):
-        out = [[zero, zero], [zero, zero]]
-        for i in range(2):
-            for j in range(2):
-                acc = zero
-                for k in range(2):
-                    term = np.convolve(P[i][k], Q[k][j])
-                    n = max(len(acc), len(term))
-                    acc = np.pad(acc, (0, n - len(acc))) + np.pad(term, (0, n - len(term)))
-                out[i][j] = acc
-        return out
+        poly = np.polynomial.polynomial     # loaded on first use, not at import
+        return [[poly.polyadd(poly.polymul(P[i][0], Q[0][j]),
+                              poly.polymul(P[i][1], Q[1][j]))
+                 for j in range(2)] for i in range(2)]
 
-    prod = site(chain.sites[0])
-    for h in chain.sites[1:]:
-        prod = mult(prod, site(h))
+    prod = reduce(mult, (site(h) for h in chain.sites))
     return ABCDPolys(A_poly=ComplexPolynomial.from_array(-prod[0][0]),
                      B_poly=ComplexPolynomial.from_array(prod[0][1]),
                      C_poly=ComplexPolynomial.from_array(prod[1][0]),
@@ -271,11 +263,9 @@ def epsilon_rank(l: int, points, chain: HofstadterChain3, ctx: Context) -> int:
     N = ctx.N
     if len(points) < N * N:
         raise ValueError(f"need at least N^2 = {N * N} points, got {len(points)}")
-    basis = sector_basis(ctx, 3, l)
-    B = np.column_stack(basis)
-    rows = [B.conj().T @ averaged_baxter(p, chain, ctx, convention="evaluation")
-            for p in points]
-    sv = np.linalg.svd(np.array(rows), compute_uv=False)
+    vecs = np.array([averaged_baxter(p, chain, ctx, convention="evaluation")
+                     for p in points])
+    sv = np.linalg.svd(vecs @ sector_basis(ctx, 3, l).conj().T, compute_uv=False)
     return int(np.sum(sv > RANK_RTOL * sv[0]))
 
 
@@ -284,21 +274,24 @@ def draw_w_points(chain: HofstadterChain3, ctx: Context,
                   radii=(0.5, 2.0), margin: float = 1e-4) -> list:
     """Sample `count` distinct W-points from circles of the given radii."""
     out = []
-    attempts = 0
-    while len(out) < count and attempts < 200:
+    attempts = misses = 0   # misses: x-draws that added no point
+    while len(out) < count and misses < 200:
         attempts += 1
         r = radii[attempts % len(radii)]
         x = r * unit_draws(rng, 1)[0]
         try:
             pts = sample_W(x, chain, ctx)
         except (PoleError, RuntimeError):
+            misses += 1
             continue
         # keep a spread of root choices rather than whole fibers
         idx = rng.permutation(len(pts))
+        before = len(out)
         for i in idx[:max(2, ctx.N)]:
             p = pts[i]
             if abs(p.x * p.xi0) > margin and len(out) < count:
                 out.append(p)
+        misses += len(out) == before
     if len(out) < count:
         raise RuntimeError("failed to sample enough regular W points")
     return out

@@ -10,11 +10,13 @@ in the spectral parameter x.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .weylcore import (Context, Operator, PoleError, identity_op, kron,
-                       sector_basis, weyl_matrices)
+from .weylcore import (Context, Operator, PoleError, global_shift_D,
+                       identity_op, kron, sector_basis, sector_project,
+                       weyl_matrices)
 
 
 @dataclass(frozen=True)
@@ -85,10 +87,8 @@ def local_L(h: SiteParams, x: complex, ctx: Context) -> BlockOperator2x2:
 
 
 def chain_L(chain: ChainParams, x: complex, ctx: Context) -> BlockOperator2x2:
-    blocks = local_L(chain.sites[0], x, ctx)
-    for h in chain.sites[1:]:
-        blocks = blocks.aux_product(local_L(h, x, ctx))
-    return blocks
+    return reduce(BlockOperator2x2.aux_product,
+                  (local_L(h, x, ctx) for h in chain.sites))
 
 
 def r_matrix(x: complex, ctx: Context) -> np.ndarray:
@@ -147,11 +147,9 @@ def gauge_L(h: SiteParams, x: complex, xi: complex, xip: complex,
 def gauge_chain_L(chain: ChainParams, x: complex, xis, ctx: Context) -> BlockOperator2x2:
     """Ordered aux-product of gauge-transformed site operators; xis is cyclic."""
     L = chain.L
-    blocks = gauge_L(chain.sites[0], x, xis[0], xis[1 % L], ctx)
-    for j in range(1, L):
-        blocks = blocks.aux_product(
-            gauge_L(chain.sites[j], x, xis[j], xis[(j + 1) % L], ctx))
-    return blocks
+    return reduce(BlockOperator2x2.aux_product,
+                  (gauge_L(chain.sites[j], x, xis[j], xis[(j + 1) % L], ctx)
+                   for j in range(L)))
 
 
 def transfer_T(chain: ChainParams, x: complex, ctx: Context) -> Operator:
@@ -228,14 +226,13 @@ def heisenberg_UV(ctx: Context) -> dict:
     w = weyl_matrices(ctx)
     X, Z = w["X"], w["Z"]
     I = identity_op(ctx)
-    D = kron([w["Y"]] * 3) * ctx.q_pow(-3)
+    D = global_shift_D(ctx, 3)
     D_half = Operator(np.linalg.matrix_power(D.mat, (M + 1) % N), N, 3)
     D_mhalf = Operator(np.linalg.matrix_power(D.mat, (N - (M + 1)) % N), N, 3)
     U = D_mhalf @ kron([Z, X, I])
     V = D_mhalf @ kron([X, I, Z])
-    U_inv = Operator(np.linalg.inv(U.mat), N, 3)
-    V_inv = Operator(np.linalg.inv(V.mat), N, 3)
-    W = ctx.q * (D_mhalf @ V_inv @ U_inv)
+    # U and V are unitary, so their inverses are adjoints
+    W = ctx.q * (D_mhalf @ Operator(V.mat.conj().T @ U.mat.conj().T, N, 3))
     return {"U": U, "V": V, "D": D, "W": W,
             "D_half": D_half, "D_mhalf": D_mhalf}
 
@@ -246,17 +243,17 @@ def hofstadter_hamiltonian(ctx: Context, mu, nu, rho, alpha, beta, gamma) -> Ope
     Canonical Weyl triple on C^N: U = Z, V = X, W = (ZX)^{-1}, which
     satisfies UV = omega VU, VW = omega WV, WU = omega UW and the N-th
     power identities.  Hermitian for real mu, nu, rho and unit-modulus
-    alpha, beta, gamma.
+    alpha, beta, gamma.  U, V, W are unitary, so (aU)^{-1} = U^H / a.
     """
     if alpha == 0 or beta == 0 or gamma == 0:
         raise ValueError("alpha, beta, gamma must be nonzero")
     w = weyl_matrices(ctx)
     U = w["Z"].mat
     V = w["X"].mat
-    W = np.linalg.inv(w["Y"].mat)
-    H = (mu * (alpha * U + np.linalg.inv(alpha * U))
-         + nu * (beta * V + np.linalg.inv(beta * V))
-         + rho * (gamma * W + np.linalg.inv(gamma * W)))
+    W = w["Y"].mat.conj().T
+    H = (mu * (alpha * U + U.conj().T / alpha)
+         + nu * (beta * V + V.conj().T / beta)
+         + rho * (gamma * W + W.conj().T / gamma))
     return Operator(H, ctx.N, 1)
 
 
@@ -271,6 +268,4 @@ def hofstadter_sector_factor(ctx: Context, l: int) -> complex:
 
 def sector_spectrum(op: Operator, ctx: Context, L: int, l: int) -> np.ndarray:
     """Eigenvalues of op restricted to the q^l sector of D."""
-    basis = sector_basis(ctx, L, l)
-    B = np.column_stack(basis)
-    return np.linalg.eigvals(B.conj().T @ op.mat @ B)
+    return np.linalg.eigvals(sector_project(op, sector_basis(ctx, L, l)))

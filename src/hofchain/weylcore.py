@@ -125,11 +125,8 @@ def weyl_matrices(ctx: Context) -> dict:
     X^N = Z^N = I hold as exact matrix identities up to roundoff.
     """
     N = ctx.N
-    X = np.zeros((N, N), dtype=complex)
-    Z = np.zeros((N, N), dtype=complex)
-    for k in range(N):
-        X[k, (k - 1) % N] = 1.0
-        Z[k, k] = ctx.omega_pow(k)
+    X = np.roll(np.eye(N, dtype=complex), 1, axis=0)
+    Z = np.diag(np.array(ctx._roots))
     return {"X": Operator(X, N, 1), "Z": Operator(Z, N, 1),
             "Y": Operator(Z @ X, N, 1)}
 
@@ -170,43 +167,34 @@ def global_shift_D(ctx: Context, L: int) -> Operator:
     return ctx.q_pow(-L) * kron([Y] * L)
 
 
-def sector_basis(ctx: Context, L: int, l: int) -> list:
-    """Orthonormal basis of the q^l-eigenspace of D, dimension N^(L-1).
+def sector_basis(ctx: Context, L: int, l: int) -> np.ndarray:
+    """Orthonormal basis of the q^l-eigenspace of D, one row per vector.
 
     D acts on basis states by shifting every site index by one with a
     phase, so its eigenvectors are supported on the N-element orbits of
     the diagonal shift; one eigenvector per orbit per eigenvalue.  The
-    construction is exact (no numerical eigensolve).
+    construction is exact (no numerical eigensolve): every amplitude is
+    N^{-1/2} times a lattice phase omega^e.  Returns an N^(L-1) x N^L array.
     """
-    N = ctx.N
+    N, M = ctx.N, ctx.M
     l = int(l) % N
-    basis = []
-    # orbit representatives: multi-indices with first entry 0
-    for rep in range(N ** (L - 1)):
-        digits = [0]
-        r = rep
-        for _ in range(L - 1):
-            digits.append(r % N)
-            r //= N
-        R = sum(digits)
-        v = np.zeros(N ** L, dtype=complex)
-        amp = 1.0 / math.sqrt(N)
-        for t in range(N):
-            idx = 0
-            for d in digits:
-                idx = idx * N + (d + t) % N
-            v[idx] = amp
-            # D|rep + t*1> = phi_t |rep + (t+1)*1>, phi_t = q^{-L} omega^{R + L(t+1)}
-            phi_t = ctx.q_pow(-L) * ctx.omega_pow(R + L * (t + 1))
-            amp = amp * ctx.q_pow(-l) * phi_t
-        basis.append(v)
+    # orbit representatives r: first entry 0, entry i >= 1 is (r // N^(i-1)) % N
+    r = np.arange(N ** (L - 1))[:, None]
+    digits = np.hstack([0 * r, r // N ** np.arange(L - 1) % N])
+    t = np.arange(N)
+    idx = ((digits[:, None, :] + t[:, None]) % N) @ (N ** np.arange(L - 1, -1, -1))
+    # D|rep + t*1> = q^{-L} omega^{R + L(t+1)} |rep + (t+1)*1> (R = |rep|), so
+    # |rep + t*1> has amplitude N^{-1/2} prod_{s<t} q^{-l-L} omega^{R + L(s+1)}
+    R = digits.sum(axis=1, keepdims=True)
+    e = (t * ((M + 1) * (-l - L) + R) + L * t * (t + 1) // 2) % N
+    basis = np.zeros((len(r), N ** L), dtype=complex)
+    basis[r, idx] = np.array(ctx._roots)[e] / math.sqrt(N)
     return basis
 
 
 def sector_project(op: Operator, basis) -> np.ndarray:
-    """Matrix of op restricted to the span of an orthonormal basis."""
-    B = np.column_stack(basis)
-    return B.conj().T @ op.mat @ B
+    """Matrix of op restricted to the span of orthonormal basis rows."""
+    return basis.conj() @ op.mat @ basis.T
 
 
 def unit_draws(rng: np.random.Generator, n: int) -> np.ndarray:

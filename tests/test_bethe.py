@@ -238,6 +238,42 @@ class TestBetheAnsatz:
         res = bethe_ansatz_residuals(bad, c, ctx3)
         assert max(res) > 1e-3
 
+    def test_pole_checks(self, ctx3, rng):
+        from dataclasses import replace
+        from hofchain import PoleError
+        c = unit_draws(rng, 3)
+        sol = solve_L3(1, c, ctx3)[0]
+        q = ctx3.q_pow(1)
+        z = list(sol.roots)
+        on_c = replace(sol, roots=(c[0] / q, *z[1:]))            # q z_0 = c_0
+        with pytest.raises(PoleError, match="q z_l = c_j"):
+            bethe_ansatz_residuals(on_c, c, ctx3)
+        on_root = replace(sol, roots=(q * z[1], *z[1:]))         # z_0 = q z_1
+        with pytest.raises(PoleError, match="z_l = q z_n"):
+            bethe_ansatz_residuals(on_root, c, ctx3)
+
+    def test_matches_scalar_products(self, ctx5, rng):
+        # reference: the relation evaluated root by root in Python complex
+        # arithmetic, at perturbed roots so that the residuals are O(1)
+        from dataclasses import replace
+        c = unit_draws(rng, 3)
+        sol = solve_L3(1, c, ctx5)[0]
+        z = [r + 0.05 * s for r, s in zip(sol.roots, unit_draws(rng, len(sol.roots)))]
+        q = ctx5.q_pow(1)
+        pref = ctx5.q_pow(3 + 2 * sol.m + len(z))
+        ref = []
+        for i, zl in enumerate(z):
+            num = rhs = 1.0
+            for cj in c:
+                num *= (zl + cj) / (q * zl - cj)
+            for n, zn in enumerate(z):
+                if n != i:
+                    rhs *= (q * zl - zn) / (zl - q * zn)
+            ref.append(abs(pref * num - rhs))
+        res = bethe_ansatz_residuals(replace(sol, roots=tuple(z)), c, ctx5)
+        assert min(ref) > 1e-3
+        assert np.allclose(res, ref, rtol=1e-12, atol=0)
+
     def test_L1_L2_general_relation(self, ctx5, rng):
         # the same substitution argument applies at L = 1, 2
         c0, c1 = unit_draws(rng, 2)

@@ -122,6 +122,16 @@ class TestSampleW:
             sample_W(0.0, hof_chain(rng), ctx3)
 
 
+class TestDrawWPoints:
+    def test_many_points_small_n(self, ctx3, rng):
+        # one x-draw adds at most max(2, N) = 3 points, so 700 points need
+        # more than 200 draws; only draws that add nothing may end the search
+        chain = hof_chain(rng)
+        pts = draw_w_points(chain, ctx3, rng, 700)
+        assert len(pts) == 700
+        assert all(max(p.residuals) < 1e-9 for p in pts)
+
+
 class TestAveragedBaxter:
     def test_nonzero_and_finite(self, ctx3, rng):
         chain = hof_chain(rng)

@@ -321,6 +321,20 @@ class TestHofstadterHamiltonian:
         H = hofstadter_hamiltonian(ctx5, 0.7, 1.3, 0.4, a, a**2, a**3).mat
         assert np.max(np.abs(H - H.conj().T)) < 1e-13
 
+    @pytest.mark.parametrize("N", [3, 5])
+    def test_off_unit_circle_phases(self, N):
+        # (aU)^{-1} for |a| != 1, against the definition with explicit inverses
+        ctx = make_context(N)
+        alpha, beta, gamma = 2.0, 0.5j, 1.5
+        w = weyl_matrices(ctx)
+        U, V = w["Z"].mat, w["X"].mat
+        W = np.linalg.inv(w["Y"].mat)
+        expect = (0.7 * (alpha * U + np.linalg.inv(alpha * U))
+                  + 1.3 * (beta * V + np.linalg.inv(beta * V))
+                  + 0.4 * (gamma * W + np.linalg.inv(gamma * W)))
+        H = hofstadter_hamiltonian(ctx, 0.7, 1.3, 0.4, alpha, beta, gamma).mat
+        assert np.max(np.abs(H - expect)) < 1e-13
+
     def test_zero_coefficient_rejected(self, ctx3):
         with pytest.raises(ValueError):
             hofstadter_hamiltonian(ctx3, 1, 1, 1, 0.0, 1.0, 1.0)

@@ -158,6 +158,27 @@ class TestSectorBasis:
         assert B.shape == (27, 27)
         assert np.max(np.abs(B.conj().T @ B - np.eye(27))) < 1e-12
 
+    @pytest.mark.parametrize("N,L,P", [(3, 3, 1), (5, 2, 2), (5, 3, 1), (7, 1, 3)])
+    def test_matches_orbit_walk(self, N, L, P):
+        # reference: walk each orbit of the diagonal shift, multiplying the
+        # amplitude by q^{-l} times the phase D picks up at every step
+        ctx = make_context(N, P)
+        for l in range(N):
+            ref = []
+            for rep in range(N ** (L - 1)):
+                digits = [0] + [rep // N ** i % N for i in range(L - 1)]
+                v = np.zeros(N ** L, dtype=complex)
+                amp = 1 / np.sqrt(N)
+                for t in range(N):
+                    idx = 0
+                    for d in digits:
+                        idx = idx * N + (d + t) % N
+                    v[idx] = amp
+                    amp *= ctx.q_pow(-l) * ctx.q_pow(-L) \
+                        * ctx.omega_pow(sum(digits) + L * (t + 1))
+                ref.append(v)
+            assert np.max(np.abs(sector_basis(ctx, L, l) - np.array(ref))) < 1e-13
+
 
 def test_with_generic_redraw_retries(rng):
     calls = []
