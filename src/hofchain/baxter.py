@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .weylcore import Context, PoleError, pochhammer, unit_draws
-from .transfer import ChainParams, SiteParams, transfer_T
+from .transfer import ChainParams, SiteParams, transfer_apply
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,34 @@ def delta_pm(p: RationalPoint, sign: int, chain: DegenerateChain,
     raise ValueError("sign must be +1 or -1")
 
 
+def _q_pows(ctx: Context, e) -> np.ndarray:
+    """q^e elementwise for an integer array e, from the same root table."""
+    return np.array(ctx._roots)[(ctx.M + 1) * np.asarray(e) % ctx.N]
+
+
+def _baxter_rows(xs, ls, chain: DegenerateChain, ctx: Context) -> np.ndarray:
+    """Baxter vectors |xs[b], ls[b]>, one row each; see `baxter_vector`.
+
+    One `pochhammer` call each for the numerators and the denominators
+    over (rows x sites x k); the tensor product is formed by outer products.
+    """
+    N = ctx.N
+    xc = np.multiply.outer(np.asarray(xs, dtype=complex), np.asarray(chain.c))
+    e = np.asarray(ls)[:, None] + 2
+    k = np.arange(N)
+    den = pochhammer((xc * _q_pows(ctx, e))[..., None], ctx.omega, k)
+    bad = np.argwhere(np.abs(den) < 1e-13)
+    if len(bad):
+        _, j, kk = bad[0]
+        raise PoleError(f"Baxter component pole at site j={j}, k={kk}")
+    num = pochhammer((xc * _q_pows(ctx, -e))[..., None], ctx.omega_pow(-1), k)
+    sites = _q_pows(ctx, k * k) * num / den
+    out = sites[:, 0]
+    for site in sites.transpose(1, 0, 2)[1:]:
+        out = (out[:, :, None] * site[:, None, :]).reshape(len(out), -1)
+    return out
+
+
 def baxter_vector(p: RationalPoint, chain: DegenerateChain,
                   ctx: Context) -> np.ndarray:
     """Components <k|x,l> = q^{|k|^2} prod_j (x c_j q^{-l-2}; w^-1)_{k_j} / (x c_j q^{l+2}; w)_{k_j}.
@@ -80,19 +108,7 @@ def baxter_vector(p: RationalPoint, chain: DegenerateChain,
     Multi-indices k run over (Z_N)^L with non-negative representatives;
     the vector is the tensor product of the per-site columns.
     """
-    N = ctx.N
-    x, l = p.x, int(p.l)
-    out = None
-    for j, cj in enumerate(chain.c):
-        site = np.empty(N, dtype=complex)
-        for k in range(N):
-            den = pochhammer(x * cj * ctx.q_pow(l + 2), ctx.omega, k)
-            if abs(den) < 1e-13:
-                raise PoleError(f"Baxter component pole at site j={j}, k={k}")
-            num = pochhammer(x * cj * ctx.q_pow(-l - 2), ctx.omega_pow(-1), k)
-            site[k] = ctx.q_pow(k * k) * num / den
-        out = site if out is None else np.kron(out, site)
-    return out
+    return _baxter_rows([p.x], [int(p.l)], chain, ctx)[0]
 
 
 def t_action_residual(chain: DegenerateChain, p: RationalPoint,
@@ -102,56 +118,59 @@ def t_action_residual(chain: DegenerateChain, p: RationalPoint,
     Normalized by the larger of 1 and the vector scales so the diagnostic
     stays meaningful when components grow near pole loci.
     """
-    cp = chain.site_params(ctx)
-    T = transfer_T(cp, p.x, ctx)
-    lhs = T.mat @ baxter_vector(p, chain, ctx)
-    rhs = sum(baxter_vector(tau(p, s, ctx), chain, ctx) * delta_pm(p, s, chain, ctx)
-              for s in (-1, 1))
+    pm, pp = tau(p, -1, ctx), tau(p, 1, ctx)
+    v, vm, vp = _baxter_rows([p.x, pm.x, pp.x], [p.l, pm.l, pp.l], chain, ctx)
+    lhs = transfer_apply(chain.site_params(ctx), p.x, ctx, v)
+    rhs = vm * delta_pm(p, -1, chain, ctx) + vp * delta_pm(p, 1, chain, ctx)
     scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
     return float(np.max(np.abs(lhs - rhs))) / scale
 
 
-def f_even(x: complex, n: int, chain: DegenerateChain, ctx: Context) -> complex:
-    out = 1.0 + 0.0j
-    for cj in chain.c:
-        den = pochhammer(x * cj, ctx.omega, n + 1)
-        if abs(den) < 1e-13:
-            raise PoleError("f^e pole")
-        out *= pochhammer(x * cj, ctx.omega_pow(-1), n + 1) / den
-    return out
+def _f_weights(x: complex, n, shift: int, chain: DegenerateChain,
+               ctx: Context):
+    """prod_j (x c_j q^-shift; w^-1)_{n+1} / (x c_j q^shift; w)_{n+1}."""
+    xc = x * np.asarray(chain.c).reshape((-1,) + (1,) * np.ndim(n))
+    n1 = np.asarray(n) + 1
+    den = pochhammer(xc * ctx.q_pow(shift), ctx.omega, n1)
+    if np.any(np.abs(den) < 1e-13):
+        raise PoleError(f"f^{'eo'[shift]} pole")
+    ratio = pochhammer(xc * ctx.q_pow(-shift), ctx.omega_pow(-1), n1) / den
+    out = np.prod(ratio, axis=0)
+    return complex(out) if out.ndim == 0 else out
 
 
-def f_odd(x: complex, n: int, chain: DegenerateChain, ctx: Context) -> complex:
-    out = 1.0 + 0.0j
-    for cj in chain.c:
-        den = pochhammer(x * cj * ctx.q_pow(1), ctx.omega, n + 1)
-        if abs(den) < 1e-13:
-            raise PoleError("f^o pole")
-        out *= pochhammer(x * cj * ctx.q_pow(-1), ctx.omega_pow(-1), n + 1) / den
-    return out
+def f_even(x: complex, n, chain: DegenerateChain, ctx: Context):
+    return _f_weights(x, n, 0, chain, ctx)
+
+
+def f_odd(x: complex, n, chain: DegenerateChain, ctx: Context):
+    return _f_weights(x, n, 1, chain, ctx)
 
 
 def u_weight(x: complex, chain: DegenerateChain, ctx: Context) -> complex:
     """u(x) = prod_j (1 - x^N c_j^N) (x c_j q; q^2)_M."""
     N, M = ctx.N, ctx.M
-    out = 1.0 + 0.0j
-    for cj in chain.c:
-        out *= (1 - x**N * cj**N) * pochhammer(x * cj * ctx.q_pow(1),
-                                               ctx.q_pow(2), M)
-    return out
+    c = np.asarray(chain.c)
+    return complex(np.prod((1 - x**N * c**N)
+                           * pochhammer(x * c * ctx.q_pow(1), ctx.q_pow(2), M)))
 
 
 def sector_vectors(x: complex, l: int, chain: DegenerateChain,
                    ctx: Context) -> dict:
-    """The even/odd phase sums and their weighted combination |x>_l^+."""
+    """The even/odd phase sums and their weighted combination |x>_l^+.
+
+    e = sum_n |x, 2n> f^e(x, n) w^{ln} and o = sum_n |x, 2n+1> f^o(x, n) w^{ln};
+    both sums run over the same N Baxter vectors |x, l'>, l' in Z_N.
+    """
     N = ctx.N
     l = int(l) % N
-    e = sum(baxter_vector(RationalPoint(x, (2 * n) % N), chain, ctx)
-            * f_even(x, n, chain, ctx) * ctx.omega_pow(l * n)
-            for n in range(N))
-    o = sum(baxter_vector(RationalPoint(x, (2 * n + 1) % N), chain, ctx)
-            * f_odd(x, n, chain, ctx) * ctx.omega_pow(l * n)
-            for n in range(N))
+    n = np.arange(N)
+    rows = _baxter_rows(np.full(N, x), n, chain, ctx)
+    phase = np.array(ctx._roots)[l * n % N]
+    e = (rows[2 * n % N] * f_even(x, n, chain, ctx)[:, None]
+         * phase[:, None]).sum(axis=0)
+    o = (rows[(2 * n + 1) % N] * f_odd(x, n, chain, ctx)[:, None]
+         * phase[:, None]).sum(axis=0)
     plus = e * ctx.q_pow(-l) * u_weight(ctx.q_pow(1) * x, chain, ctx) \
         + o * u_weight(x, chain, ctx)
     return {"e_vec": e, "o_vec": o, "plus_vec": plus}
@@ -163,8 +182,8 @@ def theorem1_ii_residual(chain: DegenerateChain, x: complex, l: int,
     plus = sector_vectors(x, l, chain, ctx)["plus_vec"]
     plus_m = sector_vectors(ctx.q_pow(-1) * x, l, chain, ctx)["plus_vec"]
     plus_p = sector_vectors(ctx.q_pow(1) * x, l, chain, ctx)["plus_vec"]
-    T = transfer_T(chain.site_params(ctx), x, ctx)
-    lhs = ctx.q_pow(-int(l)) * (T.mat @ plus)
+    lhs = ctx.q_pow(-int(l)) * transfer_apply(chain.site_params(ctx), x, ctx,
+                                              plus)
     dm = complex(np.prod([1 - x * cj * ctx.q_pow(-1) for cj in chain.c]))
     dp = complex(np.prod([1 + x * cj for cj in chain.c]))
     rhs = plus_m * dm + plus_p * dp

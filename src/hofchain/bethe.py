@@ -20,7 +20,7 @@ import numpy as np
 
 from .weylcore import Context, GenericityError, PoleError
 from .baxter import DegenerateChain
-from .transfer import ChainParams, sector_spectrum, transfer_pencil
+from .transfer import ChainParams, sector_pencil
 
 NULLSPACE_GAP = 1e-6      # second singular value must exceed this times the largest
 EIGEN_GAP = 1e-6          # matrix-A eigenvalues closer than this are nongeneric
@@ -324,19 +324,17 @@ def lambda_M_from_roots(roots, c, ctx: Context) -> complex:
 def oracle_spectrum(chain: ChainParams, l: int, ctx: Context) -> np.ndarray:
     """Brute-force eigenvalues of the x^2 pencil coefficient on sector l.
 
-    Independent of the Bethe machinery: builds the full transfer pencil,
-    projects onto the exact shift-operator sector basis, and diagonalizes
-    the dense N^(L-1) x N^(L-1) block.  For L = 1 the pencil is constant
-    and the coefficient is zero.
+    Independent of the Bethe machinery: applies the transfer pencil to the
+    exact shift-operator sector basis and diagonalizes the dense
+    N^(L-1) x N^(L-1) block.  For L = 1 the pencil is constant and the
+    coefficient is zero.
     """
     if chain.L > 3:
         raise ValueError("oracle supports L <= 3")
-    pencil = transfer_pencil(chain, ctx)
-    if len(pencil.coeffs) == 1:
-        T2 = 0.0 * pencil.coeffs[0]
-    else:
-        T2 = pencil.coeffs[1]
-    return sector_spectrum(T2, ctx, chain.L, l)
+    blocks = sector_pencil(chain, ctx, l)
+    if len(blocks) == 1:
+        return np.zeros(len(blocks[0]), dtype=complex)
+    return np.linalg.eigvals(blocks[1])
 
 
 def cluster_eigenvalues(values, gap: float = 1e-6) -> list:

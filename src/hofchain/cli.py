@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .weylcore import (GenericityError, make_context, sector_basis,
-                       sector_project, unit_draws, with_generic_redraw)
+from .weylcore import (GenericityError, make_context, sector_basis, unit_draws,
+                       with_generic_redraw)
 from .transfer import (ChainParams, SiteParams, commutator_residual,
-                       hofstadter_hamiltonian, rll_residual, transfer_pencil)
+                       hofstadter_hamiltonian, rll_residual, sector_pencil)
 from .baxter import (DegenerateChain, RationalPoint, draw_regular_x,
                      plus_pairing_coeffs, sector_vectors, t_action_residual,
                      theorem1_ii_residual, u_weight)
@@ -144,11 +144,11 @@ def _suite_theorem1(ctx, rng, draws=3):
     return worst
 
 
-def _left_sector_eigvectors(T2, ctx, L, l):
+def _left_sector_eigvectors(chain, ctx, l):
     """Common left eigenvectors of the transfer family in dual sector l."""
-    basis = sector_basis(ctx, L, l)
+    basis = sector_basis(ctx, chain.L, l)
     # e is an eigenvector of the transposed block iff e . conj(basis) is a left one
-    evals, evecs = np.linalg.eig(sector_project(T2, basis).T)
+    evals, evecs = np.linalg.eig(sector_pencil(chain, ctx, l)[1].T)
     return list(zip(evals, evecs.T @ basis.conj()))
 
 
@@ -156,12 +156,11 @@ def _suite_divisibility(ctx, rng):
     """Plus-vector pairings vanish to order m at 0 and on x^N = c_j^{-N}."""
     chain = DegenerateChain(tuple(unit_draws(rng, 3)))
     cp = chain.site_params(ctx)
-    T2 = transfer_pencil(cp, ctx).coeffs[1]
     deg = (3 * ctx.M + 1) * 3
     worst = 0.0
     for m in range(ctx.M + 1):
         for l_sec, label in (((2 * m) % ctx.N, m), ((-2 * m) % ctx.N, (ctx.N - m) % ctx.N)):
-            lam, phi = _left_sector_eigvectors(T2, ctx, 3, l_sec)[0]
+            lam, phi = _left_sector_eigvectors(cp, ctx, l_sec)[0]
             coeffs = plus_pairing_coeffs(phi, label, chain, ctx, rng)
             scale = float(np.max(np.abs(coeffs)))
             if scale < 1e-8:
@@ -203,25 +202,42 @@ VERIFY_SUITES = [
 
 
 def cmd_verify(config: RunConfig) -> int:
+    """Run every suite at every N; a suite that raises fails on its own record.
+
+    PoleError, GenericityError (after its redraws) and the other ValueError
+    and RuntimeError classes become an "error" entry of that suite, and the
+    remaining suites still run.  Each record carries its wall seconds and
+    the peak resident memory of the process when the suite ended.
+    """
+    import resource     # Unix only; imported here, not with the package
+
     t0 = time.time()
     report = {"meta": _meta(config), "suites": [], "pass": True}
     for N in config.n_list:
         ctx = make_context(N, config.P)
         for name, fn in VERIFY_SUITES:
             rng = np.random.default_rng(config.seed)
-            tol = config.tol(name)
+            record = {"suite": name, "N": N, "tolerance": config.tol(name)}
+            start = time.perf_counter()
             try:
                 worst = float(with_generic_redraw(lambda r: fn(ctx, r), rng))
-                ok = worst < tol
-            except GenericityError as exc:
+                ok = worst < record["tolerance"]
+            except (ValueError, RuntimeError) as exc:
                 worst, ok = None, False
-                print(f"FAIL {name} N={N}: {exc}", file=sys.stderr)
-            report["suites"].append({"suite": name, "N": N, "max_residual": worst,
-                                     "tolerance": tol, "pass": bool(ok)})
+                record["error"] = {"class": type(exc).__name__,
+                                   "message": str(exc)}
+                print(f"FAIL {name} N={N}: {type(exc).__name__}: {exc}",
+                      file=sys.stderr)
+            record.update({
+                "max_residual": worst, "pass": bool(ok),
+                "wall_s": time.perf_counter() - start,
+                "peak_rss_mb": resource.getrusage(   # ru_maxrss is in KiB
+                    resource.RUSAGE_SELF).ru_maxrss / 1024})
+            report["suites"].append(record)
             report["pass"] = bool(report["pass"] and ok)
             if not ok and worst is not None:
                 print(f"FAIL invariant {name} at N={N}: "
-                      f"residual {worst} >= {tol}", file=sys.stderr)
+                      f"residual {worst} >= {record['tolerance']}", file=sys.stderr)
     report["wall_time"] = time.time() - t0
     out = config.out or "report-verify.json"
     _write_json(out, report)

@@ -28,7 +28,7 @@ from functools import reduce
 import numpy as np
 
 from .weylcore import Context, PoleError, sector_basis, unit_draws
-from .transfer import ChainParams, SiteParams, transfer_T
+from .transfer import ChainParams, SiteParams, transfer_apply
 from .bethe import ComplexPolynomial
 
 W_TOL = 1e-9
@@ -243,8 +243,8 @@ def tau_W(p: WPoint, sign: int, chain: HofstadterChain3, ctx: Context) -> WPoint
 def descended_t_residual(p: WPoint, chain: HofstadterChain3,
                          ctx: Context) -> float:
     """Defect of x^{-2} T(x)|p> = |tau_- p> Delta~_- + |tau_+ p> Delta~_+."""
-    T = transfer_T(chain.chain_params(), p.x, ctx)
-    lhs = (T.mat @ averaged_baxter(p, chain, ctx)) / p.x**2
+    lhs = transfer_apply(chain.chain_params(), p.x, ctx,
+                         averaged_baxter(p, chain, ctx)) / p.x**2
     rhs = (averaged_baxter(tau_W(p, -1, chain, ctx), chain, ctx)
            * descended_delta(p, -1, chain, ctx)
            + averaged_baxter(tau_W(p, +1, chain, ctx), chain, ctx)

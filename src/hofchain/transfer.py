@@ -173,22 +173,65 @@ class TransferPencil:
         return acc
 
 
-def transfer_pencil(chain: ChainParams, ctx: Context) -> TransferPencil:
-    """Recover the even coefficients by interpolation in x^2.
+def transfer_terms(chain: ChainParams, ctx: Context, rows) -> np.ndarray:
+    """Apply every coefficient of T(x) = sum_k x^k T_k to rows, matrix-free.
 
-    T(x) is even of degree 2*floor(L/2); evaluating at x^2 = 1..K and
-    solving the KxK Vandermonde system is exact at these sizes.
+    The auxiliary trace is a sum over the 2^L closed paths (i_0, ...,
+    i_{L-1}, i_0).  Site j contributes the block (i_j, i_{j+1}) of
+    (aY, bX; cZ, d): a shift k -> k+1 of its index when i_j = 0, the phase
+    omega^k when i_{j+1} = 0, and one power of x per off-diagonal step, so
+    every path lands in exactly one coefficient.  Rows of shape (B, N^L)
+    give shape (L+1, B, N^L); entry k holds T_k applied to each row, and
+    the odd entries vanish.
     """
-    K = chain.L // 2 + 1
-    xsq = np.arange(1, K + 1, dtype=float)
-    V = np.vander(xsq, K, increasing=True)
-    mats = np.array([transfer_T(chain, np.sqrt(s), ctx).mat for s in xsq])
-    flat = mats.reshape(K, -1)
-    sol = np.linalg.solve(V, flat)
-    dim = mats.shape[1]
-    coeffs = tuple(Operator(sol[i].reshape(dim, dim), ctx.N, chain.L)
-                   for i in range(K))
-    return TransferPencil(coeffs)
+    N, L = ctx.N, chain.L
+    rows = np.asarray(rows, dtype=complex)
+    paths = np.indices((2,) * L).reshape(L, -1).T          # (2^L, L)
+    nxt = np.roll(paths, -1, axis=1)
+    blocks = np.array([[[h.a, h.b], [h.c, h.d]] for h in chain.sites],
+                      dtype=complex)
+    weights = blocks[np.arange(L), paths, nxt].prod(axis=1)
+    degrees = np.count_nonzero(paths != nxt, axis=1)
+    digits = np.indices((N,) * L).reshape(L, -1)
+    # (X v)[k] = v[k-1]; for Y = ZX the phase is taken at the target k
+    sources = N ** np.arange(L - 1, -1, -1) @ (
+        (digits - (paths == 0)[:, :, None]) % N)
+    phases = np.array(ctx._roots)[
+        ((nxt == 0)[:, :, None] * digits).sum(axis=1) % N]
+    out = np.zeros((L + 1,) + rows.shape, dtype=complex)
+    for weight, degree, source, phase in zip(weights, degrees, sources, phases):
+        if weight != 0:
+            out[degree] += weight * phase * rows[:, source]
+    return out
+
+
+def transfer_apply(chain: ChainParams, x: complex, ctx: Context,
+                   v: np.ndarray) -> np.ndarray:
+    """T(x) v for one vector v, summed from `transfer_terms`."""
+    terms = transfer_terms(chain, ctx, v[None])[:, 0]
+    return x ** np.arange(len(terms)) @ terms
+
+
+def sector_pencil(chain: ChainParams, ctx: Context, l: int) -> np.ndarray:
+    """Sector-l blocks of the even pencil coefficients [T_0, T_2, ...].
+
+    Block k equals sector_project(T_{2k}, B) for B = sector_basis(ctx, L, l);
+    all rows of B go through `transfer_terms` in one call.  Shape
+    (floor(L/2) + 1, N^(L-1), N^(L-1)).
+    """
+    basis = sector_basis(ctx, chain.L, l)
+    terms = transfer_terms(chain, ctx, basis)[::2]
+    return basis.conj() @ terms.transpose(0, 2, 1)
+
+
+def transfer_pencil(chain: ChainParams, ctx: Context) -> TransferPencil:
+    """The even coefficients of T(x) as dense operators, exact by x-degree.
+
+    Column b of T_k is T_k applied to the basis vector e_b.
+    """
+    terms = transfer_terms(chain, ctx, np.eye(ctx.N ** chain.L))
+    return TransferPencil(tuple(Operator(t.T, ctx.N, chain.L)
+                                for t in terms[::2]))
 
 
 def commutator_residual(chain: ChainParams, x: complex, xp: complex,

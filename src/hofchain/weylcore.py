@@ -147,16 +147,27 @@ def kron(ops) -> Operator:
     return Operator(out, n, sites)
 
 
-def pochhammer(a: complex, rho: complex, n: int) -> complex:
-    """rho-shifted factorial (a; rho)_n = (1-a)(1-a rho)...(1-a rho^(n-1))."""
-    if n < 0:
+def pochhammer(a, rho: complex, n):
+    """rho-shifted factorial (a; rho)_n = (1-a)(1-a rho)...(1-a rho^(n-1)).
+
+    Broadcasts over an array `a` and an integer array `n`; scalar inputs
+    return a complex.  The factors a rho^i are accumulated by repeated
+    multiplication and the partial products by `cumprod`, in the order a
+    scalar loop would take.
+    """
+    a = np.asarray(a, dtype=complex)
+    n = np.asarray(n)
+    if np.any(n < 0):
         raise ValueError(f"pochhammer order must be >= 0, got {n}")
-    out = 1.0 + 0.0j
-    cur = complex(a)
-    for _ in range(n):
-        out *= 1.0 - cur
-        cur *= rho
-    return out
+    top = int(n.max(initial=0))
+    steps = np.full(a.shape + (top,), complex(rho))
+    steps[..., :1] = a[..., None]
+    table = np.ones(a.shape + (top + 1,), dtype=complex)
+    table[..., 1:] = np.cumprod(1.0 - np.cumprod(steps, axis=-1), axis=-1)
+    shape = np.broadcast_shapes(a.shape, n.shape)
+    out = np.take_along_axis(np.broadcast_to(table, shape + (top + 1,)),
+                             np.broadcast_to(n, shape)[..., None], axis=-1)[..., 0]
+    return complex(out) if out.ndim == 0 else out
 
 
 def global_shift_D(ctx: Context, L: int) -> Operator:

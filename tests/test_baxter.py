@@ -3,7 +3,7 @@ import pytest
 
 from hofchain import (DegenerateChain, PoleError, RationalPoint,
                       baxter_vector, delta_pm, f_op, make_context,
-                      sector_vectors, t_action_residual, tau,
+                      pochhammer, sector_vectors, t_action_residual, tau,
                       theorem1_ii_residual)
 from hofchain.baxter import (draw_regular_x, f_even, plus_pairing_coeffs,
                              u_weight)
@@ -92,6 +92,31 @@ class TestBaxterVector:
             assert s[-1] < 1e-10
             assert np.max(np.abs(null - v)) < 1e-9 * np.max(np.abs(v))
 
+    @pytest.mark.parametrize("N,L", [(3, 1), (5, 2), (7, 3)])
+    def test_matches_product_formula(self, N, L, rng):
+        ctx = make_context(N)
+        chain = degenerate_chain(rng, L)
+        x = draw_regular_x(rng, chain, ctx)
+        for l in range(N):
+            want = np.ones(1, dtype=complex)
+            for cj in chain.c:
+                site = [ctx.q_pow(k * k)
+                        * pochhammer(x * cj * ctx.q_pow(-l - 2), ctx.omega_pow(-1), k)
+                        / pochhammer(x * cj * ctx.q_pow(l + 2), ctx.omega, k)
+                        for k in range(N)]
+                want = np.kron(want, site)
+            got = baxter_vector(RationalPoint(x, l), chain, ctx)
+            assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+    def test_pole_locus(self, ctx5, rng):
+        # the denominator (x c_j q^{l+2}; w)_k vanishes for k > i when
+        # x c_j q^{l+2} w^i = 1
+        chain = degenerate_chain(rng, 2)
+        for l, i, j in ((1, 2, 1), (4, 0, 0), (0, 3, 1)):
+            x = 1 / (chain.c[j] * ctx5.q_pow(l + 2) * ctx5.omega_pow(i))
+            with pytest.raises(PoleError):
+                baxter_vector(RationalPoint(x, l), chain, ctx5)
+
     def test_periodic_in_l(self, ctx3, rng):
         chain = degenerate_chain(rng)
         x = draw_regular_x(rng, chain, ctx3)
@@ -167,6 +192,32 @@ class TestSectorVectors:
         expect = sum(baxter_vector(RationalPoint(0.0, (2 * n) % 3), chain, ctx3)
                      * ctx3.omega_pow(2 * n) for n in range(3))
         assert np.max(np.abs(vecs["e_vec"] - expect)) < 1e-12
+
+
+    @pytest.mark.parametrize("N,L", [(3, 3), (5, 2), (7, 1)])
+    def test_matches_explicit_sums_at_generic_x(self, N, L, rng):
+        ctx = make_context(N)
+        chain = degenerate_chain(rng, L)
+        x = draw_regular_x(rng, chain, ctx)
+
+        def f(n, shift):
+            out = 1.0 + 0.0j
+            for cj in chain.c:
+                out *= pochhammer(x * cj * ctx.q_pow(-shift), ctx.omega_pow(-1), n + 1) \
+                    / pochhammer(x * cj * ctx.q_pow(shift), ctx.omega, n + 1)
+            return out
+
+        for l in range(N):
+            vecs = sector_vectors(x, l, chain, ctx)
+            e = sum(baxter_vector(RationalPoint(x, 2 * n), chain, ctx)
+                    * f(n, 0) * ctx.omega_pow(l * n) for n in range(N))
+            o = sum(baxter_vector(RationalPoint(x, 2 * n + 1), chain, ctx)
+                    * f(n, 1) * ctx.omega_pow(l * n) for n in range(N))
+            plus = e * ctx.q_pow(-l) * u_weight(ctx.q * x, chain, ctx) \
+                + o * u_weight(x, chain, ctx)
+            for key, want in (("e_vec", e), ("o_vec", o), ("plus_vec", plus)):
+                err = np.max(np.abs(vecs[key] - want))
+                assert err < 1e-12 * np.max(np.abs(want))
 
 
 class TestTheorem1ii:

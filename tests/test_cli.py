@@ -4,7 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from hofchain import PoleError, make_context, transfer_T
+from hofchain import cli
 from hofchain.cli import main
+from hofchain.weylcore import Operator
+
+from conftest import draw_chain
 
 
 def read_json(path):
@@ -44,6 +49,66 @@ class TestVerify:
     def test_even_N_rejected(self, tmp_path):
         rc = main(["verify", "--N", "4", "--out", str(tmp_path / "x.json")])
         assert rc == 2
+
+
+class TestVerifyReport:
+    SUITES = {"rll", "commutator", "baxter_action", "theorem1",
+              "divisibility", "degeneracy"}
+
+    def test_suite_error_is_recorded(self, tmp_path, monkeypatch, capsys):
+        def pole(ctx, rng):
+            raise PoleError("forced pole")
+
+        monkeypatch.setattr(cli, "VERIFY_SUITES", [
+            (name, pole if name == "theorem1" else fn)
+            for name, fn in cli.VERIFY_SUITES])
+        out = tmp_path / "verify.json"
+        rc = main(["verify", "--N", "3", "--N", "5", "--out", str(out)])
+        assert rc == 1
+        assert "PoleError" in capsys.readouterr().err
+        report = read_json(out)
+        assert report["pass"] is False
+        assert [(s["N"], s["suite"]) for s in report["suites"]] == \
+            [(N, name) for N in (3, 5) for name, _ in cli.VERIFY_SUITES]
+        for s in report["suites"]:
+            if s["suite"] == "theorem1":
+                assert s["error"] == {"class": "PoleError",
+                                      "message": "forced pole"}
+                assert s["max_residual"] is None and s["pass"] is False
+            else:
+                assert "error" not in s and s["pass"] is True
+
+    def test_suite_timing_fields(self, tmp_path):
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--N", "3", "--out", str(out)]) == 0
+        report = read_json(out)
+        assert {s["suite"] for s in report["suites"]} == self.SUITES
+        for s in report["suites"]:
+            assert s["wall_s"] >= 0
+            assert s["peak_rss_mb"] > 0
+
+    def test_fast_paths_build_no_chain_operator(self, tmp_path, monkeypatch,
+                                                rng):
+        # a silent fallback to dense N^L x N^L matrices would build Operators
+        # on two or more sites; make that an error the suites cannot catch
+        original = Operator.__post_init__
+
+        def guarded(self):
+            if self.sites >= 2:
+                raise AssertionError("dense chain operator built")
+            original(self)
+
+        monkeypatch.setattr(Operator, "__post_init__", guarded)
+        with pytest.raises(AssertionError):
+            transfer_T(draw_chain(rng, 2), 1.0, make_context(3))
+        monkeypatch.setattr(cli, "VERIFY_SUITES", [
+            s for s in cli.VERIFY_SUITES
+            if s[0] in ("baxter_action", "theorem1", "divisibility",
+                        "degeneracy")])
+        config = cli.RunConfig(n_list=[5], out=str(tmp_path / "v.json"))
+        assert cli.cmd_verify(config) == 0
+        config = cli.RunConfig(n_list=[3], out=str(tmp_path / "c.json"))
+        assert cli.cmd_curves(config) == 0
 
 
 class TestSolve:

@@ -6,9 +6,11 @@ from hofchain import (ChainParams, PoleError, SiteParams, commutator_residual,
                       local_L, make_context, r_matrix, rll_residual,
                       transfer_T, transfer_pencil, weyl_matrices)
 from hofchain.baxter import DegenerateChain
-from hofchain.transfer import (hofstadter_sector_factor, sector_spectrum,
-                               t2_formula_L3)
-from hofchain.weylcore import identity_op, unit_draws
+from hofchain.curves import HofstadterChain3
+from hofchain.transfer import (hofstadter_sector_factor, sector_pencil,
+                               sector_spectrum, t2_formula_L3, transfer_terms)
+from hofchain.weylcore import (Operator, identity_op, sector_basis,
+                               sector_project, unit_draws)
 
 from conftest import draw_chain, draw_site
 
@@ -338,3 +340,62 @@ class TestHofstadterHamiltonian:
     def test_zero_coefficient_rejected(self, ctx3):
         with pytest.raises(ValueError):
             hofstadter_hamiltonian(ctx3, 1, 1, 1, 0.0, 1.0, 1.0)
+
+
+def dense_even_coeffs(chain, ctx):
+    """[T_0, T_2, ...] by interpolating dense transfer_T in x^2 at 1..K."""
+    K = chain.L // 2 + 1
+    xsq = np.arange(1, K + 1, dtype=float)
+    mats = np.array([transfer_T(chain, np.sqrt(s), ctx).mat for s in xsq])
+    V = np.vander(xsq, K, increasing=True)
+    return np.linalg.solve(V, mats.reshape(K, -1)).reshape(mats.shape)
+
+
+class TestMatrixFree:
+    """transfer_terms and sector_pencil against the dense reference."""
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    @pytest.mark.parametrize("N", [3, 5, 7])
+    def test_terms_match_transfer_T(self, N, L, rng):
+        ctx = make_context(N)
+        frozen = HofstadterChain3(draw_site(rng), draw_site(rng)).h0  # a = d = 0
+        chains = [draw_chain(rng, L),
+                  ChainParams((frozen,) + draw_chain(rng, L - 1).sites
+                              if L > 1 else (frozen,))]
+        rows = rng.standard_normal((4, N**L)) + 1j * rng.standard_normal((4, N**L))
+        for chain in chains:
+            terms = transfer_terms(chain, ctx, rows)
+            assert terms.shape == (L + 1, 4, N**L)
+            assert not np.any(terms[1::2])
+            for x in (0.0, unit_draws(rng, 1)[0], 1.7):
+                want = rows @ transfer_T(chain, x, ctx).mat.T
+                got = np.tensordot(x ** np.arange(L + 1), terms, 1)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("N", [3, 5, 7])
+    def test_sector_blocks_L3(self, N, rng):
+        ctx = make_context(N)
+        chain = draw_chain(rng, 3)
+        T2 = t2_formula_L3(chain, ctx)
+        T0 = Operator(dense_even_coeffs(chain, ctx)[0], N, 3)
+        for l in range(N):
+            basis = sector_basis(ctx, 3, l)
+            blocks = sector_pencil(chain, ctx, l)
+            assert blocks.shape == (2, N * N, N * N)
+            for got, op in zip(blocks, (T0, T2)):
+                want = sector_project(op, basis)
+                assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("L", [1, 2])
+    @pytest.mark.parametrize("N", [3, 5, 7])
+    def test_sector_blocks_small_L(self, N, L, rng):
+        ctx = make_context(N)
+        chain = draw_chain(rng, L)
+        coeffs = dense_even_coeffs(chain, ctx)
+        for l in range(N):
+            basis = sector_basis(ctx, L, l)
+            blocks = sector_pencil(chain, ctx, l)
+            assert blocks.shape == (len(coeffs), N ** (L - 1), N ** (L - 1))
+            for got, c in zip(blocks, coeffs):
+                want = sector_project(Operator(c, N, L), basis)
+                assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))

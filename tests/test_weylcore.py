@@ -117,6 +117,26 @@ class TestPochhammer:
         with pytest.raises(ValueError):
             pochhammer(1.0, 1.0, -1)
 
+    def test_broadcast_matches_scalar_calls(self, rng):
+        a = rng.standard_normal((3, 2, 1)) + 1j * rng.standard_normal((3, 2, 1))
+        n = np.array([0, 1, 4, 7])
+        rho = np.exp(0.7j)
+        got = pochhammer(a, rho, n)
+        assert got.shape == (3, 2, 4)
+        for idx in np.ndindex(got.shape):
+            want = pochhammer(complex(a[idx[:2]][0]), rho, int(n[idx[2]]))
+            assert isinstance(want, complex)
+            assert abs(got[idx] - want) <= 1e-15 * max(1.0, abs(want))
+        # the loop the broadcast replaces
+        loop = 1.0 + 0.0j
+        for i in range(7):
+            loop *= 1 - complex(a[2, 1, 0]) * rho**i
+        assert abs(got[2, 1, 3] - loop) < 1e-13 * abs(loop)
+
+    def test_negative_order_in_array(self):
+        with pytest.raises(ValueError):
+            pochhammer(np.ones(3), 1.0, np.array([2, -1, 0]))
+
 
 class TestGlobalShift:
     @pytest.mark.parametrize("N,L", [(3, 1), (3, 2), (3, 3), (5, 2)])
