@@ -25,9 +25,6 @@ class RationalPoint:
     x: complex
     l: int
 
-    def reduced(self, ctx: Context) -> "RationalPoint":
-        return RationalPoint(self.x, int(self.l) % ctx.N)
-
 
 @dataclass(frozen=True)
 class DegenerateChain:
@@ -192,15 +189,14 @@ def theorem1_ii_residual(chain: DegenerateChain, x: complex, l: int,
 
 
 def draw_regular_x(rng: np.random.Generator, chain: DegenerateChain,
-                   ctx: Context, radius: float = None,
-                   margin: float = 1e-4) -> complex:
-    """Sample x on a circle, rejecting points within `margin` of a pole.
+                   ctx: Context) -> complex:
+    """Sample x on a circle, rejecting points within 1e-4 of a pole.
 
-    Default radius 1/max|c_j| puts samples on the natural scale of the
+    The radius 1/max|c_j| puts samples on the natural scale of the
     pole loci x c_j in mu_N-powers of q.
     """
-    if radius is None:
-        radius = 1.0 / max(abs(cj) for cj in chain.c)
+    radius = 1.0 / max(abs(cj) for cj in chain.c)
+    margin = 1e-4
     for _ in range(1000):
         x = radius * unit_draws(rng, 1)[0]
         ok = True
@@ -216,8 +212,8 @@ def draw_regular_x(rng: np.random.Generator, chain: DegenerateChain,
 
 
 def _fit_nodes(rng: np.random.Generator, chain: DegenerateChain, ctx: Context,
-               count: int, margin: float = 1e-3) -> np.ndarray:
-    """Jittered equally spaced circle nodes, re-jittered away from poles.
+               count: int) -> np.ndarray:
+    """Jittered equally spaced circle nodes, re-jittered 1e-3 away from poles.
 
     Near-uniform angles keep the Vandermonde system close to a DFT, which
     is what makes high-degree interpolation stable here.
@@ -228,7 +224,7 @@ def _fit_nodes(rng: np.random.Generator, chain: DegenerateChain, ctx: Context,
         for _ in range(100):
             theta = 2 * np.pi * (k + 0.6 * rng.random()) / count
             x = radius * np.exp(1j * theta)
-            ok = all(abs(1 - x * cj * ctx.q_pow(e)) > margin
+            ok = all(abs(1 - x * cj * ctx.q_pow(e)) > 1e-3
                      for cj in chain.c for e in range(2 * ctx.N))
             if ok:
                 nodes[k] = x

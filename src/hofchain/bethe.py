@@ -134,19 +134,6 @@ def _solve_null_Q(lam: complex, m: int, chain: DegenerateChain, deg: int,
     return Q
 
 
-def _poly_roots(Q: ComplexPolynomial) -> np.ndarray:
-    """Roots via the companion matrix of the monic normalization."""
-    a = Q.array()
-    if Q.degree == 0:
-        return np.array([], dtype=complex)
-    monic = a / a[-1]
-    n = Q.degree
-    C = np.zeros((n, n), dtype=complex)
-    C[1:, :-1] = np.eye(n - 1)
-    C[:, -1] = -monic[:-1]
-    return np.linalg.eigvals(C)
-
-
 def _ansatz_residuals(roots, m: int, chain: DegenerateChain,
                       ctx: Context) -> tuple:
     """Per-root defect of the product relation obtained at x = 1/z_l.
@@ -178,7 +165,9 @@ def _solution(m: int, lam: complex, Q: ComplexPolynomial,
               chain: DegenerateChain, ctx: Context) -> BetheSolution:
     """Bundle Q with its eigenvalue polynomial, roots and residuals."""
     Lam = _lambda_poly(lam, m, ctx)
-    roots = tuple(1.0 / r for r in _poly_roots(Q))
+    # read highest-first, the ascending coefficients of Q are the reversed
+    # polynomial x^deg Q(1/x), whose roots are the z_l themselves
+    roots = tuple(np.roots(Q.array()))
     return BetheSolution(m=m, lam=lam, Lambda_poly=Lam, Q=Q, roots=roots,
                          rbeq_residual=rbeq_residual(Q, Lam, m, chain, ctx),
                          ansatz_residuals=_ansatz_residuals(roots, m, chain, ctx))

@@ -45,8 +45,6 @@ DEFAULT_TOLERANCES = {
     "divisibility": 1e-7,
     "degeneracy": 1e-8,
     "identity": 1e-10,
-    "eigen": 1e-8,
-    "ansatz": 1e-6,
     "descent": 1e-8,
 }
 
@@ -98,41 +96,55 @@ def _write_json(path: str, payload: dict):
         fh.write("\n")
 
 
+def _attempt(fn, rng, record: dict, label: str):
+    """Return with_generic_redraw(fn, rng), or None after recording the error.
+
+    A ValueError (PoleError among them) or RuntimeError (GenericityError after
+    its redraws) goes to record["error"] and to a FAIL line on stderr.
+    """
+    try:
+        return with_generic_redraw(fn, rng)
+    except (ValueError, RuntimeError) as exc:
+        record["error"] = {"class": type(exc).__name__, "message": str(exc)}
+        print(f"FAIL {label}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return None
+
+
 # ---------------------------------------------------------------- verify
 
-def _suite_rll(ctx, rng, draws=20):
+def _suite_rll(ctx, rng):
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(20):
         a, b, c, d = unit_draws(rng, 4)
         x, xp = unit_draws(rng, 2)
         worst = max(worst, rll_residual(SiteParams(a, b, c, d), x, xp, ctx))
     return worst
 
 
-def _suite_commutator(ctx, rng, draws=6):
+def _suite_commutator(ctx, rng):
     worst = 0.0
     for L in (1, 2, 3):
-        for _ in range(draws):
+        for _ in range(6):
             sites = tuple(SiteParams(*unit_draws(rng, 4)) for _ in range(L))
             x, xp = unit_draws(rng, 2)
             worst = max(worst, commutator_residual(ChainParams(sites), x, xp, ctx))
     return worst
 
 
-def _suite_baxter_action(ctx, rng, draws=4):
+def _suite_baxter_action(ctx, rng):
     chain = DegenerateChain(tuple(unit_draws(rng, 3)))
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(4):
         x = draw_regular_x(rng, chain, ctx)
         for l in range(ctx.N):
             worst = max(worst, t_action_residual(chain, RationalPoint(x, l), ctx))
     return worst
 
 
-def _suite_theorem1(ctx, rng, draws=3):
+def _suite_theorem1(ctx, rng):
     chain = DegenerateChain(tuple(unit_draws(rng, 3)))
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(3):
         x = draw_regular_x(rng, chain, ctx)
         for l in range(ctx.N):
             vecs = sector_vectors(x, l, chain, ctx)
@@ -204,10 +216,7 @@ VERIFY_SUITES = [
 def cmd_verify(config: RunConfig) -> int:
     """Run every suite at every N; a suite that raises fails on its own record.
 
-    PoleError, GenericityError (after its redraws) and the other ValueError
-    and RuntimeError classes become an "error" entry of that suite, and the
-    remaining suites still run.  Each record carries its wall seconds and
-    the peak resident memory of the process when the suite ended.
+    Each record carries its wall seconds and the process's peak memory.
     """
     import resource     # Unix only; imported here, not with the package
 
@@ -216,18 +225,12 @@ def cmd_verify(config: RunConfig) -> int:
     for N in config.n_list:
         ctx = make_context(N, config.P)
         for name, fn in VERIFY_SUITES:
-            rng = np.random.default_rng(config.seed)
             record = {"suite": name, "N": N, "tolerance": config.tol(name)}
             start = time.perf_counter()
-            try:
-                worst = float(with_generic_redraw(lambda r: fn(ctx, r), rng))
-                ok = worst < record["tolerance"]
-            except (ValueError, RuntimeError) as exc:
-                worst, ok = None, False
-                record["error"] = {"class": type(exc).__name__,
-                                   "message": str(exc)}
-                print(f"FAIL {name} N={N}: {type(exc).__name__}: {exc}",
-                      file=sys.stderr)
+            worst = _attempt(lambda r: float(fn(ctx, r)),
+                             np.random.default_rng(config.seed), record,
+                             f"{name} N={N}")
+            ok = worst is not None and worst < record["tolerance"]
             record.update({
                 "max_residual": worst, "pass": bool(ok),
                 "wall_s": time.perf_counter() - start,
@@ -260,6 +263,7 @@ def _solution_record(sol) -> dict:
 
 
 def cmd_solve(config: RunConfig, L: int, m_arg) -> int:
+    """Solve the sectors at every N; an N that raises fails on its own record."""
     t0 = time.time()
     if L not in (1, 2, 3):
         raise ValueError("L must be 1, 2 or 3")
@@ -287,21 +291,20 @@ def cmd_solve(config: RunConfig, L: int, m_arg) -> int:
                         records.append(_solution_record(sol))
             return c, records
 
-        rng = np.random.default_rng(config.seed)
-        try:
-            c, records = with_generic_redraw(run, rng)
-        except GenericityError as exc:
-            report["chains"].append({"N": N, "error": str(exc)})
-            report["pass"] = False
-            continue
-        residuals = [r["rbeq_residual"] for r in records]
-        report["chains"].append({
-            "N": N,
-            "c": [c2j(z) for z in c],
-            "solutions": records,
-            "residual_summary": {"max_rbeq": max(residuals),
-                                 "count": len(records)},
-        })
+        entry = {"N": N}
+        result = _attempt(run, np.random.default_rng(config.seed), entry,
+                          f"solve N={N}")
+        if result is not None:
+            c, records = result
+            entry.update({
+                "c": [c2j(z) for z in c],
+                "solutions": records,
+                "residual_summary": {
+                    "max_rbeq": max(r["rbeq_residual"] for r in records),
+                    "count": len(records)},
+            })
+        report["chains"].append(entry)
+        report["pass"] = report["pass"] and result is not None
     report["wall_time"] = time.time() - t0
     out = config.out or "report-solve.json"
     _write_json(out, report)
@@ -342,8 +345,8 @@ def cmd_butterfly(config: RunConfig, mu, nu, rho, alpha, beta, gamma) -> int:
 
 # ---------------------------------------------------------------- curves
 
-def cmd_curves(config: RunConfig, n_points: int = None,
-               n_descent: int = 20) -> int:
+def cmd_curves(config: RunConfig, n_points: int = None) -> int:
+    """Curve diagnostics at every N; an N that raises fails on its own record."""
     t0 = time.time()
     report = {"meta": _meta(config), "results": [], "pass": True}
     for N in config.n_list:
@@ -357,8 +360,7 @@ def cmd_curves(config: RunConfig, n_points: int = None,
                                      SiteParams(*unit_draws(rng, 4)))
             pts = draw_w_points(chain, ctx, rng, count)
             ranks = {l: epsilon_rank(l, pts, chain, ctx) for l in range(N)}
-            desc = [descended_t_residual(p, chain, ctx)
-                    for p in pts[:n_descent]]
+            desc = [descended_t_residual(p, chain, ctx) for p in pts[:20]]
             # ABCD consistency at L + 1 = 4 sampled y
             p = abcd_polys(chain.chain_params(), ctx)
             worst_abcd = 0.0
@@ -370,27 +372,28 @@ def cmd_curves(config: RunConfig, n_points: int = None,
                 worst_abcd = max(worst_abcd, float(np.max(np.abs(
                     prod - np.array([[-p.A_poly(y), p.B_poly(y)],
                                      [p.C_poly(y), -p.D_poly(y)]])))))
-            return chain, ranks, desc, worst_abcd
+            return ranks, desc, worst_abcd
 
-        rng = np.random.default_rng(config.seed)
-        chain, ranks, desc, worst_abcd = with_generic_redraw(run, rng)
-        ok = all(r == N * N for r in ranks.values()) \
-            and max(desc) < config.tol("descent") \
-            and worst_abcd < config.tol("identity")
-        report["results"].append({
-            "N": N,
-            "epsilon_ranks": {str(l): ranks[l] for l in ranks},
-            "descended_residual_max": max(desc),
-            "descended_residual_count": len(desc),
-            "abcd_max_residual": worst_abcd,
-            "pass": bool(ok),
-        })
-        if not ok:
+        record = {"N": N, "pass": False}
+        result = _attempt(run, np.random.default_rng(config.seed), record,
+                          f"curves N={N}")
+        if result is not None:
+            ranks, desc, worst_abcd = result
+            record.update({
+                "epsilon_ranks": {str(l): ranks[l] for l in ranks},
+                "descended_residual_max": max(desc),
+                "descended_residual_count": len(desc),
+                "abcd_max_residual": worst_abcd,
+                "pass": bool(all(r == N * N for r in ranks.values())
+                             and max(desc) < config.tol("descent")
+                             and worst_abcd < config.tol("identity")),
+            })
             bad = [l for l, r in ranks.items() if r != N * N]
             if bad:
                 print(f"FAIL evaluation-map rank at N={N}, sectors {bad}",
                       file=sys.stderr)
-            report["pass"] = False
+        report["results"].append(record)
+        report["pass"] = report["pass"] and record["pass"]
     report["wall_time"] = time.time() - t0
     out = config.out or "report-curves.json"
     _write_json(out, report)
@@ -424,7 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="odd chain dimension, repeatable")
         p.add_argument("--P", type=int, default=1, help="root exponent")
         p.add_argument("--seed", type=int, default=20240001)
-        p.add_argument("--tol", action="append", metavar="NAME=VALUE")
+        p.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                       help="override a tolerance, repeatable; names: "
+                            + ", ".join(DEFAULT_TOLERANCES))
         p.add_argument("--out", default=None)
 
     common(sub.add_parser("verify", help="run the invariant suites"))

@@ -270,9 +270,9 @@ def epsilon_rank(l: int, points, chain: HofstadterChain3, ctx: Context) -> int:
 
 
 def draw_w_points(chain: HofstadterChain3, ctx: Context,
-                  rng: np.random.Generator, count: int,
-                  radii=(0.5, 2.0), margin: float = 1e-4) -> list:
-    """Sample `count` distinct W-points from circles of the given radii."""
+                  rng: np.random.Generator, count: int) -> list:
+    """Sample `count` distinct W-points from the circles |x| = 0.5 and 2."""
+    radii = (0.5, 2.0)
     out = []
     attempts = misses = 0   # misses: x-draws that added no point
     while len(out) < count and misses < 200:
@@ -289,7 +289,7 @@ def draw_w_points(chain: HofstadterChain3, ctx: Context,
         before = len(out)
         for i in idx[:max(2, ctx.N)]:
             p = pts[i]
-            if abs(p.x * p.xi0) > margin and len(out) < count:
+            if abs(p.x * p.xi0) > 1e-4 and len(out) < count:
                 out.append(p)
         misses += len(out) == before
     if len(out) < count:

@@ -114,8 +114,8 @@ class Operator:
             raise TagMismatchError(f"tags differ: {self.ctx_tag} vs {other.ctx_tag}")
 
 
-def identity_op(ctx: Context, sites: int = 1) -> Operator:
-    return Operator(np.eye(ctx.N ** sites, dtype=complex), ctx.N, sites)
+def identity_op(ctx: Context) -> Operator:
+    return Operator(np.eye(ctx.N, dtype=complex), ctx.N, 1)
 
 
 def weyl_matrices(ctx: Context) -> dict:
@@ -213,10 +213,10 @@ def unit_draws(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.exp(2j * np.pi * rng.random(n))
 
 
-def with_generic_redraw(fn, rng: np.random.Generator, attempts: int = 5):
-    """Run fn(rng) retrying on GenericityError up to `attempts` times."""
+def with_generic_redraw(fn, rng: np.random.Generator):
+    """Run fn(rng), retrying on GenericityError; five attempts in all."""
     last = None
-    for _ in range(attempts):
+    for _ in range(5):
         try:
             return fn(rng)
         except GenericityError as exc:

@@ -228,3 +228,82 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+class TestFailingN:
+    """solve and curves record a failing N the way verify records a suite."""
+
+    def test_solve_pole_is_recorded(self, tmp_path, monkeypatch, capsys):
+        real = cli.solve_L3
+
+        def solve(m, c, ctx):
+            if ctx.N == 5:
+                raise PoleError("forced pole")
+            return real(m, c, ctx)
+
+        monkeypatch.setattr(cli, "solve_L3", solve)
+        out = tmp_path / "solve.json"
+        rc = main(["solve", "--N", "3", "--N", "5", "--L", "3",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "PoleError" in capsys.readouterr().err
+        report = read_json(out)
+        assert report["pass"] is False
+        good, bad = report["chains"]
+        assert bad == {"N": 5, "error": {"class": "PoleError",
+                                         "message": "forced pole"}}
+        assert good["N"] == 3 and "error" not in good
+        assert len(good["solutions"]) == 6
+
+    def test_curves_runtime_error_is_recorded(self, tmp_path, monkeypatch):
+        real = cli.descended_t_residual
+
+        def residual(p, chain, ctx):
+            if ctx.N == 5:
+                raise RuntimeError("forced failure")
+            return real(p, chain, ctx)
+
+        monkeypatch.setattr(cli, "descended_t_residual", residual)
+        out = tmp_path / "curves.json"
+        rc = main(["curves", "--N", "3", "--N", "5", "--out", str(out)])
+        assert rc == 1
+        report = read_json(out)
+        assert report["pass"] is False
+        good, bad = report["results"]
+        assert bad == {"N": 5, "pass": False,
+                       "error": {"class": "RuntimeError",
+                                 "message": "forced failure"}}
+        assert good["N"] == 3 and good["pass"] is True
+        assert good["epsilon_ranks"] == {"0": 9, "1": 9, "2": 9}
+
+
+# the command whose report each declared tolerance gates
+TOLERANCE_READERS = {
+    "rll": "verify", "commutator": "verify", "baxter_action": "verify",
+    "theorem1": "verify", "divisibility": "verify", "degeneracy": "verify",
+    "identity": "curves", "descent": "curves",
+}
+
+
+def test_every_tolerance_has_a_reader():
+    assert set(TOLERANCE_READERS) == set(cli.DEFAULT_TOLERANCES)
+
+
+@pytest.mark.parametrize("name", sorted(TOLERANCE_READERS))
+def test_tolerance_is_enforced(tmp_path, name):
+    # every N = 3 residual at the default seed is nonzero, so 1e-300 fails it
+    out = tmp_path / "report.json"
+    rc = main([TOLERANCE_READERS[name], "--N", "3", "--tol", f"{name}=1e-300",
+               "--out", str(out)])
+    assert rc == 1
+    for s in read_json(out).get("suites", []):
+        assert s["pass"] is (s["suite"] != name)
+
+
+@pytest.mark.parametrize("name", ["eigen", "ansatz"])
+def test_undeclared_tolerance_refused(tmp_path, capsys, name):
+    out = tmp_path / "x.json"
+    assert main(["verify", "--N", "3", "--tol", f"{name}=1",
+                 "--out", str(out)]) == 2
+    assert "unknown tolerance" in capsys.readouterr().err
+    assert not out.exists()
