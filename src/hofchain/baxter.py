@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weylcore import Context, PoleError, pochhammer, unit_draws
+from .weylcore import (Context, PoleError, pochhammer, relative_defect,
+                       unit_draws)
 from .transfer import ChainParams, SiteParams, transfer_apply
 
 
@@ -70,11 +71,6 @@ def delta_pm(p: RationalPoint, sign: int, chain: DegenerateChain,
     raise ValueError("sign must be +1 or -1")
 
 
-def _q_pows(ctx: Context, e) -> np.ndarray:
-    """q^e elementwise for an integer array e, from the same root table."""
-    return np.array(ctx._roots)[(ctx.M + 1) * np.asarray(e) % ctx.N]
-
-
 def _baxter_rows(xs, ls, chain: DegenerateChain, ctx: Context) -> np.ndarray:
     """Baxter vectors |xs[b], ls[b]>, one row each; see `baxter_vector`.
 
@@ -83,15 +79,16 @@ def _baxter_rows(xs, ls, chain: DegenerateChain, ctx: Context) -> np.ndarray:
     """
     N = ctx.N
     xc = np.multiply.outer(np.asarray(xs, dtype=complex), np.asarray(chain.c))
-    e = np.asarray(ls)[:, None] + 2
+    e = (ctx.M + 1) * (np.asarray(ls)[:, None] + 2)     # q^(l+2) = omega^e
     k = np.arange(N)
-    den = pochhammer((xc * _q_pows(ctx, e))[..., None], ctx.omega, k)
+    den = pochhammer((xc * ctx.omega_pows(e))[..., None], ctx.omega, k)
     bad = np.argwhere(np.abs(den) < 1e-13)
     if len(bad):
         _, j, kk = bad[0]
         raise PoleError(f"Baxter component pole at site j={j}, k={kk}")
-    num = pochhammer((xc * _q_pows(ctx, -e))[..., None], ctx.omega_pow(-1), k)
-    sites = _q_pows(ctx, k * k) * num / den
+    num = pochhammer((xc * ctx.omega_pows(-e))[..., None],
+                     ctx.omega_pow(-1), k)
+    sites = ctx.omega_pows((ctx.M + 1) * k * k) * num / den
     out = sites[:, 0]
     for site in sites.transpose(1, 0, 2)[1:]:
         out = (out[:, :, None] * site[:, None, :]).reshape(len(out), -1)
@@ -119,8 +116,7 @@ def t_action_residual(chain: DegenerateChain, p: RationalPoint,
     v, vm, vp = _baxter_rows([p.x, pm.x, pp.x], [p.l, pm.l, pp.l], chain, ctx)
     lhs = transfer_apply(chain.site_params(ctx), p.x, ctx, v)
     rhs = vm * delta_pm(p, -1, chain, ctx) + vp * delta_pm(p, 1, chain, ctx)
-    scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-    return float(np.max(np.abs(lhs - rhs))) / scale
+    return relative_defect(lhs, rhs)
 
 
 def _f_weights(x: complex, n, shift: int, chain: DegenerateChain,
@@ -163,7 +159,7 @@ def sector_vectors(x: complex, l: int, chain: DegenerateChain,
     l = int(l) % N
     n = np.arange(N)
     rows = _baxter_rows(np.full(N, x), n, chain, ctx)
-    phase = np.array(ctx._roots)[l * n % N]
+    phase = ctx.omega_pows(l * n)
     e = (rows[2 * n % N] * f_even(x, n, chain, ctx)[:, None]
          * phase[:, None]).sum(axis=0)
     o = (rows[(2 * n + 1) % N] * f_odd(x, n, chain, ctx)[:, None]
@@ -183,9 +179,7 @@ def theorem1_ii_residual(chain: DegenerateChain, x: complex, l: int,
                                               plus)
     dm = complex(np.prod([1 - x * cj * ctx.q_pow(-1) for cj in chain.c]))
     dp = complex(np.prod([1 + x * cj for cj in chain.c]))
-    rhs = plus_m * dm + plus_p * dp
-    scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-    return float(np.max(np.abs(lhs - rhs))) / scale
+    return relative_defect(lhs, plus_m * dm + plus_p * dp)
 
 
 def draw_regular_x(rng: np.random.Generator, chain: DegenerateChain,
@@ -225,7 +219,7 @@ def _fit_nodes(rng: np.random.Generator, chain: DegenerateChain, ctx: Context,
             theta = 2 * np.pi * (k + 0.6 * rng.random()) / count
             x = radius * np.exp(1j * theta)
             ok = all(abs(1 - x * cj * ctx.q_pow(e)) > 1e-3
-                     for cj in chain.c for e in range(2 * ctx.N))
+                     for cj in chain.c for e in range(ctx.N))
             if ok:
                 nodes[k] = x
                 break

@@ -74,9 +74,8 @@ def _shift_polys(chain: DegenerateChain, ctx: Context):
 
 
 def _lambda_poly(lam: complex, m: int, ctx: Context) -> ComplexPolynomial:
+    # from_array trims the trailing zero, so lam = 0 gives the constant
     lam0 = ctx.q_pow(m) + ctx.q_pow(-m)
-    if lam == 0:
-        return ComplexPolynomial.from_array([lam0])
     return ComplexPolynomial.from_array([lam0, 0.0, lam])
 
 

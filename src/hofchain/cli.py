@@ -59,8 +59,7 @@ class RunConfig:
 
     def __post_init__(self):
         for N in self.n_list:
-            if N % 2 == 0 or N < 3:
-                raise ValueError(f"N values must be odd and >= 3, got {N}")
+            make_context(N, self.P)     # odd N >= 3 and gcd(P, N) = 1
         for name, value in self.tolerances.items():
             if value <= 0:
                 raise ValueError(f"tolerance {name!r} must be positive, got {value}")
@@ -267,13 +266,14 @@ def cmd_solve(config: RunConfig, L: int, m_arg) -> int:
     t0 = time.time()
     if L not in (1, 2, 3):
         raise ValueError("L must be 1, 2 or 3")
+    for N in config.n_list:
+        M = (N - 1) // 2
+        if m_arg != "all" and not 0 <= int(m_arg) <= M:
+            raise ValueError(f"m={m_arg} outside [0, {M}] at N={N}")
     report = {"meta": _meta(config), "L": L, "chains": [], "pass": True}
     for N in config.n_list:
         ctx = make_context(N, config.P)
         sectors = range(ctx.M + 1) if m_arg == "all" else [int(m_arg)]
-        for m in sectors:
-            if not 0 <= m <= ctx.M:
-                raise ValueError(f"m={m} outside [0, {ctx.M}]")
 
         def run(rng):
             c = unit_draws(rng, L)
@@ -348,12 +348,13 @@ def cmd_butterfly(config: RunConfig, mu, nu, rho, alpha, beta, gamma) -> int:
 def cmd_curves(config: RunConfig, n_points: int = None) -> int:
     """Curve diagnostics at every N; an N that raises fails on its own record."""
     t0 = time.time()
+    for N in config.n_list:
+        if n_points is not None and n_points < N * N:
+            raise ValueError(f"need at least N^2 = {N*N} sample points")
     report = {"meta": _meta(config), "results": [], "pass": True}
     for N in config.n_list:
         ctx = make_context(N, config.P)
         count = n_points if n_points is not None else 2 * N * N
-        if count < N * N:
-            raise ValueError(f"need at least N^2 = {N*N} sample points")
 
         def run(rng):
             chain = HofstadterChain3(SiteParams(*unit_draws(rng, 4)),
@@ -422,26 +423,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, flux=True, tol=True):
         p.add_argument("--N", action="append", type=int, required=True,
                        help="odd chain dimension, repeatable")
-        p.add_argument("--P", type=int, default=1, help="root exponent")
+        if flux:
+            p.add_argument("--P", type=int, default=1, help="root exponent")
         p.add_argument("--seed", type=int, default=20240001)
-        p.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                       help="override a tolerance, repeatable; names: "
-                            + ", ".join(DEFAULT_TOLERANCES))
+        if tol:
+            p.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                           help="override a tolerance, repeatable; names: "
+                                + ", ".join(DEFAULT_TOLERANCES))
         p.add_argument("--out", default=None)
 
     common(sub.add_parser("verify", help="run the invariant suites"))
 
     p_solve = sub.add_parser("solve", help="solve the Bethe equation")
-    common(p_solve)
+    common(p_solve, tol=False)
     p_solve.add_argument("--L", type=int, choices=(1, 2, 3), required=True)
     p_solve.add_argument("--m", default="all",
                          help="sector index or 'all' (default)")
 
+    # butterfly sweeps every P coprime to N itself and checks no tolerance
     p_b = sub.add_parser("butterfly", help="emit flux-sweep spectra as CSV")
-    common(p_b)
+    common(p_b, flux=False, tol=False)
     p_b.add_argument("--mu", type=float, default=1.0)
     p_b.add_argument("--nu", type=float, default=1.0)
     p_b.add_argument("--rho", type=float, default=0.0)
@@ -460,8 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(n_list=args.N, P=args.P, seed=args.seed,
-                           tolerances=_parse_tol(args.tol), out=args.out)
+        config = RunConfig(n_list=args.N, P=getattr(args, "P", 1),
+                           seed=args.seed, out=args.out,
+                           tolerances=_parse_tol(getattr(args, "tol", None)))
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

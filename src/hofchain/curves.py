@@ -27,7 +27,8 @@ from functools import reduce
 
 import numpy as np
 
-from .weylcore import Context, PoleError, sector_basis, unit_draws
+from .weylcore import (Context, PoleError, relative_defect, sector_basis,
+                       unit_draws)
 from .transfer import ChainParams, SiteParams, transfer_apply
 from .bethe import ComplexPolynomial
 
@@ -195,19 +196,19 @@ def averaged_baxter(p: WPoint, chain: HofstadterChain3, ctx: Context,
     each one satisfies.
     """
     N = ctx.N
-    acc = np.zeros(N**3, dtype=complex)
     if convention == "descent":
-        for s in range(N):
-            xi1 = ctx.omega_pow(s) / p.xi0
-            v = spectral_baxter(chain, p.x, p.xi0, xi1, p.xi2, ctx)
-            acc += v * ctx.q_pow(-s * (s + 1))
+        def fiber(s):       # (xi_0, xi_1, weight) of the s-th lift
+            return p.xi0, ctx.omega_pow(s) / p.xi0, ctx.q_pow(-s * (s + 1))
     elif convention == "evaluation":
-        for s in range(N):
+        def fiber(s):
             xi0s = ctx.q_pow(s) * p.xi0
-            v = spectral_baxter(chain, p.x, xi0s, 1.0 / xi0s, p.xi2, ctx)
-            acc += v * ctx.q_pow(s * s)
+            return xi0s, 1.0 / xi0s, ctx.q_pow(s * s)
     else:
         raise ValueError(f"unknown convention {convention!r}")
+    acc = np.zeros(N**3, dtype=complex)
+    for s in range(N):
+        xi0, xi1, weight = fiber(s)
+        acc += spectral_baxter(chain, p.x, xi0, xi1, p.xi2, ctx) * weight
     return acc / N
 
 
@@ -249,8 +250,7 @@ def descended_t_residual(p: WPoint, chain: HofstadterChain3,
            * descended_delta(p, -1, chain, ctx)
            + averaged_baxter(tau_W(p, +1, chain, ctx), chain, ctx)
            * descended_delta(p, +1, chain, ctx))
-    scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-    return float(np.max(np.abs(lhs - rhs))) / scale
+    return relative_defect(lhs, rhs)
 
 
 def epsilon_rank(l: int, points, chain: HofstadterChain3, ctx: Context) -> int:

@@ -62,17 +62,10 @@ class BlockOperator2x2:
 
     def aux_product(self, other: "BlockOperator2x2") -> "BlockOperator2x2":
         """Matrix product on aux indices, tensor product on quantum spaces."""
-        rows = []
-        for i in range(2):
-            row = []
-            for j in range(2):
-                acc = None
-                for k in range(2):
-                    term = kron([self.blocks[i][k], other.blocks[k][j]])
-                    acc = term if acc is None else acc + term
-                row.append(acc)
-            rows.append(tuple(row))
-        return BlockOperator2x2(tuple(rows))
+        a, b = self.blocks, other.blocks
+        return BlockOperator2x2(tuple(
+            tuple(kron([a[i][0], b[0][j]]) + kron([a[i][1], b[1][j]])
+                  for j in range(2)) for i in range(2)))
 
     def trace_aux(self) -> Operator:
         return self.blocks[0][0] + self.blocks[1][1]
@@ -196,12 +189,11 @@ def transfer_terms(chain: ChainParams, ctx: Context, rows) -> np.ndarray:
     # (X v)[k] = v[k-1]; for Y = ZX the phase is taken at the target k
     sources = N ** np.arange(L - 1, -1, -1) @ (
         (digits - (paths == 0)[:, :, None]) % N)
-    phases = np.array(ctx._roots)[
-        ((nxt == 0)[:, :, None] * digits).sum(axis=1) % N]
+    clocks = ((nxt == 0)[:, :, None] * digits).sum(axis=1)
     out = np.zeros((L + 1,) + rows.shape, dtype=complex)
-    for weight, degree, source, phase in zip(weights, degrees, sources, phases):
+    for weight, degree, source, clock in zip(weights, degrees, sources, clocks):
         if weight != 0:
-            out[degree] += weight * phase * rows[:, source]
+            out[degree] += weight * ctx.omega_pows(clock) * rows[:, source]
     return out
 
 

@@ -58,6 +58,10 @@ class Context:
         """q**(e/2) as a lattice element: q_half**e."""
         return self._roots[((self.M + 1) * (self.M + 1) * int(e)) % self.N]
 
+    def omega_pows(self, e) -> np.ndarray:
+        """omega**e elementwise for an integer array e; q**e = omega**((M+1) e)."""
+        return np.array(self._roots)[np.asarray(e) % self.N]
+
 
 def make_context(N: int, P: int = 1) -> Context:
     """Build the arithmetic context for odd N >= 3 and gcd(P, N) = 1."""
@@ -126,7 +130,7 @@ def weyl_matrices(ctx: Context) -> dict:
     """
     N = ctx.N
     X = np.roll(np.eye(N, dtype=complex), 1, axis=0)
-    Z = np.diag(np.array(ctx._roots))
+    Z = np.diag(ctx.omega_pows(np.arange(N)))
     return {"X": Operator(X, N, 1), "Z": Operator(Z, N, 1),
             "Y": Operator(Z @ X, N, 1)}
 
@@ -197,15 +201,21 @@ def sector_basis(ctx: Context, L: int, l: int) -> np.ndarray:
     # D|rep + t*1> = q^{-L} omega^{R + L(t+1)} |rep + (t+1)*1> (R = |rep|), so
     # |rep + t*1> has amplitude N^{-1/2} prod_{s<t} q^{-l-L} omega^{R + L(s+1)}
     R = digits.sum(axis=1, keepdims=True)
-    e = (t * ((M + 1) * (-l - L) + R) + L * t * (t + 1) // 2) % N
+    e = t * ((M + 1) * (-l - L) + R) + L * t * (t + 1) // 2
     basis = np.zeros((len(r), N ** L), dtype=complex)
-    basis[r, idx] = np.array(ctx._roots)[e] / math.sqrt(N)
+    basis[r, idx] = ctx.omega_pows(e) / math.sqrt(N)
     return basis
 
 
 def sector_project(op: Operator, basis) -> np.ndarray:
     """Matrix of op restricted to the span of orthonormal basis rows."""
     return basis.conj() @ op.mat @ basis.T
+
+
+def relative_defect(lhs, rhs) -> float:
+    """max|lhs - rhs| over the larger of 1, max|lhs| and max|rhs|."""
+    scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+    return float(np.max(np.abs(lhs - rhs))) / scale
 
 
 def unit_draws(rng: np.random.Generator, n: int) -> np.ndarray:

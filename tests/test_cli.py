@@ -307,3 +307,57 @@ def test_undeclared_tolerance_refused(tmp_path, capsys, name):
                  "--out", str(out)]) == 2
     assert "unknown tolerance" in capsys.readouterr().err
     assert not out.exists()
+
+
+class TestInputCheckedFirst:
+    """Bad input at any N is refused before the first N runs."""
+
+    def test_verify_gcd_at_second_n(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "VERIFY_SUITES", [
+            ("rll", lambda ctx, rng: calls.append(ctx.N) or 0.0)])
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--N", "5", "--N", "9", "--P", "3",
+                     "--out", str(out)]) == 2
+        assert calls == [] and not out.exists()
+
+    def test_solve_sector_at_second_n(self, tmp_path, monkeypatch, capsys):
+        def solve(m, c, ctx):
+            raise AssertionError("solve_L3 called")
+
+        monkeypatch.setattr(cli, "solve_L3", solve)
+        out = tmp_path / "solve.json"
+        assert main(["solve", "--N", "5", "--N", "3", "--L", "3", "--m", "2",
+                     "--out", str(out)]) == 2
+        assert "m=2 outside [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_curves_points_at_second_n(self, tmp_path, monkeypatch):
+        def draw(*args):
+            raise AssertionError("draw_w_points called")
+
+        monkeypatch.setattr(cli, "draw_w_points", draw)
+        out = tmp_path / "curves.json"
+        assert main(["curves", "--N", "3", "--N", "5", "--points", "10",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["butterfly", "--N", "3", "--P", "2"],
+        ["butterfly", "--N", "3", "--tol", "rll=1"],
+        ["solve", "--N", "3", "--L", "3", "--tol", "rll=1"],
+    ])
+    def test_flag_not_read_is_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_solve_and_curves_take_p(self, tmp_path):
+        out = tmp_path / "solve.json"
+        assert main(["solve", "--N", "5", "--P", "2", "--L", "1",
+                     "--out", str(out)]) == 0
+        assert read_json(out)["meta"]["P"] == 2
+        out = tmp_path / "curves.json"
+        assert main(["curves", "--N", "3", "--P", "2", "--out", str(out)]) == 0
+        assert read_json(out)["meta"]["P"] == 2

@@ -4,7 +4,8 @@ import pytest
 from hofchain import (GenericityError, TagMismatchError, global_shift_D,
                       kron, make_context, pochhammer, sector_basis,
                       weyl_matrices)
-from hofchain.weylcore import identity_op, with_generic_redraw
+from hofchain.weylcore import (identity_op, relative_defect,
+                               with_generic_redraw)
 
 
 class TestContext:
@@ -40,6 +41,17 @@ class TestContext:
     def test_invalid_context(self, N, P):
         with pytest.raises(ValueError):
             make_context(N, P)
+
+    @pytest.mark.parametrize("N,P", [(3, 1), (5, 2), (7, 3), (9, 4)])
+    def test_omega_pows_match_scalar_lookups(self, N, P):
+        ctx = make_context(N, P)
+        e = np.arange(-2 * N, 2 * N + 1)
+        h = ctx.M + 1       # q = omega^h, q_half = q^h
+        assert list(ctx.omega_pows(e)) == [ctx.omega_pow(k) for k in e]
+        assert list(ctx.omega_pows(h * e)) == [ctx.q_pow(k) for k in e]
+        assert list(ctx.omega_pows(h * h * e)) == \
+            [ctx.q_half_pow(k) for k in e]
+        assert ctx.omega_pows(e[:6].reshape(2, 3)).shape == (2, 3)
 
 
 class TestWeylMatrices:
@@ -213,3 +225,11 @@ def test_with_generic_redraw_retries(rng):
     assert len(calls) == 3
     with pytest.raises(GenericityError):
         with_generic_redraw(lambda r: (_ for _ in ()).throw(GenericityError("x")), rng)
+
+
+class TestRelativeDefect:
+    def test_scale_is_the_larger_side_or_one(self):
+        assert relative_defect(np.array([0.1]), np.array([0.3])) == \
+            pytest.approx(0.2)
+        assert relative_defect(np.array([4.0, 1j]), np.array([3.0, 0])) == 0.25
+        assert relative_defect(np.array([1.0]), np.array([-8.0])) == 9 / 8
