@@ -312,10 +312,9 @@ def lambda_M_from_roots(roots, c, ctx: Context) -> complex:
 def oracle_spectrum(chain: ChainParams, l: int, ctx: Context) -> np.ndarray:
     """Brute-force eigenvalues of the x^2 pencil coefficient on sector l.
 
-    Independent of the Bethe machinery: applies the transfer pencil to the
-    exact shift-operator sector basis and diagonalizes the dense
-    N^(L-1) x N^(L-1) block.  For L = 1 the pencil is constant and the
-    coefficient is zero.
+    Independent of the Bethe machinery: diagonalizes the dense
+    N^(L-1) x N^(L-1) sector block of `sector_pencil`.  For L = 1 the
+    pencil is constant and the coefficient is zero.
     """
     if chain.L > 3:
         raise ValueError("oracle supports L <= 3")

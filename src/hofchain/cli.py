@@ -7,9 +7,9 @@ solve      solve the Bethe equation for L in {1,2,3}, export solutions
 butterfly  sweep flux P/N and emit the Hamiltonian spectra as CSV
 curves     sample the high-genus curve, rank and descent diagnostics
 
-All randomness is drawn from the configured seed; reports embed N, P,
-seed, tool version and the tolerance set, and complex numbers serialize
-as [re, im] pairs.
+All randomness is drawn from the configured seed; reports embed N, seed,
+tool version, and the P and tolerances their command read, and complex
+numbers serialize as [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .weylcore import (GenericityError, make_context, sector_basis, unit_draws,
-                       with_generic_redraw)
+from .weylcore import (GenericityError, make_context, sector_orbits,
+                       unit_draws, with_generic_redraw)
 from .transfer import (ChainParams, SiteParams, commutator_residual,
                        hofstadter_hamiltonian, rll_residual, sector_pencil)
 from .baxter import (DegenerateChain, RationalPoint, draw_regular_x,
@@ -35,7 +35,7 @@ from .baxter import (DegenerateChain, RationalPoint, draw_regular_x,
 from .bethe import (cluster_eigenvalues, oracle_spectrum, solve_L1, solve_L2,
                     solve_L3)
 from .curves import (HofstadterChain3, abcd_polys, descended_t_residual,
-                     draw_w_points, epsilon_rank)
+                     draw_w_points, evaluation_rank, evaluation_vectors)
 
 DEFAULT_TOLERANCES = {
     "rll": 1e-10,
@@ -73,14 +73,14 @@ def c2j(z) -> list:
     return [z.real, z.imag]
 
 
-def _meta(config: RunConfig) -> dict:
-    return {
-        "tool_version": __version__,
-        "N_list": list(config.n_list),
-        "P": config.P,
-        "seed": config.seed,
-        "tolerances": {k: config.tol(k) for k in sorted(DEFAULT_TOLERANCES)},
-    }
+def _meta(config: RunConfig, tol_names) -> dict:
+    """Echo the inputs a command read; tol_names None: no P, no tolerance."""
+    meta = {"tool_version": __version__, "N_list": list(config.n_list),
+            "seed": config.seed}
+    if tol_names is not None:
+        meta["P"] = config.P
+        meta["tolerances"] = {k: config.tol(k) for k in sorted(tol_names)}
+    return meta
 
 
 def _json_default(o):
@@ -155,14 +155,6 @@ def _suite_theorem1(ctx, rng):
     return worst
 
 
-def _left_sector_eigvectors(chain, ctx, l):
-    """Common left eigenvectors of the transfer family in dual sector l."""
-    basis = sector_basis(ctx, chain.L, l)
-    # e is an eigenvector of the transposed block iff e . conj(basis) is a left one
-    evals, evecs = np.linalg.eig(sector_pencil(chain, ctx, l)[1].T)
-    return list(zip(evals, evecs.T @ basis.conj()))
-
-
 def _suite_divisibility(ctx, rng):
     """Plus-vector pairings vanish to order m at 0 and on x^N = c_j^{-N}."""
     chain = DegenerateChain(tuple(unit_draws(rng, 3)))
@@ -171,7 +163,10 @@ def _suite_divisibility(ctx, rng):
     worst = 0.0
     for m in range(ctx.M + 1):
         for l_sec, label in (((2 * m) % ctx.N, m), ((-2 * m) % ctx.N, (ctx.N - m) % ctx.N)):
-            lam, phi = _left_sector_eigvectors(cp, ctx, l_sec)[0]
+            # a left eigenvector of the family is the scatter of one of block.T
+            orbit, amp = sector_orbits(ctx, cp.L, l_sec)
+            evecs = np.linalg.eig(sector_pencil(cp, ctx, l_sec)[1].T)[1]
+            phi = evecs[orbit, 0] * amp.conj()
             coeffs = plus_pairing_coeffs(phi, label, chain, ctx, rng)
             scale = float(np.max(np.abs(coeffs)))
             if scale < 1e-8:
@@ -220,7 +215,8 @@ def cmd_verify(config: RunConfig) -> int:
     import resource     # Unix only; imported here, not with the package
 
     t0 = time.time()
-    report = {"meta": _meta(config), "suites": [], "pass": True}
+    report = {"meta": _meta(config, [name for name, _ in VERIFY_SUITES]),
+              "suites": [], "pass": True}
     for N in config.n_list:
         ctx = make_context(N, config.P)
         for name, fn in VERIFY_SUITES:
@@ -270,7 +266,7 @@ def cmd_solve(config: RunConfig, L: int, m_arg) -> int:
         M = (N - 1) // 2
         if m_arg != "all" and not 0 <= int(m_arg) <= M:
             raise ValueError(f"m={m_arg} outside [0, {M}] at N={N}")
-    report = {"meta": _meta(config), "L": L, "chains": [], "pass": True}
+    report = {"meta": _meta(config, ()), "L": L, "chains": [], "pass": True}
     for N in config.n_list:
         ctx = make_context(N, config.P)
         sectors = range(ctx.M + 1) if m_arg == "all" else [int(m_arg)]
@@ -334,7 +330,7 @@ def cmd_butterfly(config: RunConfig, mu, nu, rho, alpha, beta, gamma) -> int:
         for row in rows:
             writer.writerow([row[0], row[1], row[2],
                              f"{row[3]:.15g}", f"{row[4]:.15g}"])
-    _write_json(out + ".meta.json", {"meta": _meta(config),
+    _write_json(out + ".meta.json", {"meta": _meta(config, None),
                                      "params": {"mu": c2j(mu), "nu": c2j(nu),
                                                 "rho": c2j(rho),
                                                 "alpha": c2j(alpha),
@@ -351,7 +347,8 @@ def cmd_curves(config: RunConfig, n_points: int = None) -> int:
     for N in config.n_list:
         if n_points is not None and n_points < N * N:
             raise ValueError(f"need at least N^2 = {N*N} sample points")
-    report = {"meta": _meta(config), "results": [], "pass": True}
+    report = {"meta": _meta(config, ("descent", "identity")), "results": [],
+              "pass": True}
     for N in config.n_list:
         ctx = make_context(N, config.P)
         count = n_points if n_points is not None else 2 * N * N
@@ -360,7 +357,8 @@ def cmd_curves(config: RunConfig, n_points: int = None) -> int:
             chain = HofstadterChain3(SiteParams(*unit_draws(rng, 4)),
                                      SiteParams(*unit_draws(rng, 4)))
             pts = draw_w_points(chain, ctx, rng, count)
-            ranks = {l: epsilon_rank(l, pts, chain, ctx) for l in range(N)}
+            vecs = evaluation_vectors(pts, chain, ctx)
+            ranks = {l: evaluation_rank(vecs, l, ctx) for l in range(N)}
             desc = [descended_t_residual(p, chain, ctx) for p in pts[:20]]
             # ABCD consistency at L + 1 = 4 sampled y
             p = abcd_polys(chain.chain_params(), ctx)

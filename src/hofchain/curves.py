@@ -27,7 +27,7 @@ from functools import reduce
 
 import numpy as np
 
-from .weylcore import (Context, PoleError, relative_defect, sector_basis,
+from .weylcore import (Context, PoleError, relative_defect, sector_orbits,
                        unit_draws)
 from .transfer import ChainParams, SiteParams, transfer_apply
 from .bethe import ComplexPolynomial
@@ -253,20 +253,29 @@ def descended_t_residual(p: WPoint, chain: HofstadterChain3,
     return relative_defect(lhs, rhs)
 
 
-def epsilon_rank(l: int, points, chain: HofstadterChain3, ctx: Context) -> int:
-    """Numerical rank of the sector-l evaluation pairing over the points.
+def evaluation_vectors(points, chain: HofstadterChain3, ctx: Context):
+    """Rows: the ``evaluation`` averaged Baxter vectors of the points."""
+    return np.array([averaged_baxter(p, chain, ctx, convention="evaluation")
+                     for p in points])
 
-    Rows are W-points, columns the N^2 sector basis functionals (the dual
-    pairing is the Hermitian product against the D-sector basis).  Uses
-    the ``evaluation`` fiber convention, under which the map is injective.
-    """
+
+def evaluation_rank(vecs: np.ndarray, l: int, ctx: Context) -> int:
+    """Numerical rank of the sector-l pairing of the rows of vecs: column r,
+    the product with the orbit-r eigenvector, gathers vecs * conj(amp)."""
+    orbit, amp = sector_orbits(ctx, 3, l)
+    pairing = np.zeros((len(vecs), ctx.N ** 2), dtype=complex)
+    np.add.at(pairing, (slice(None), orbit), vecs * amp.conj())
+    sv = np.linalg.svd(pairing, compute_uv=False)
+    return int(np.sum(sv > RANK_RTOL * sv[0]))
+
+
+def epsilon_rank(l: int, points, chain: HofstadterChain3, ctx: Context) -> int:
+    """`evaluation_rank` of the points' ``evaluation`` vectors, the fiber
+    convention under which the sector-l evaluation map is injective."""
     N = ctx.N
     if len(points) < N * N:
         raise ValueError(f"need at least N^2 = {N * N} points, got {len(points)}")
-    vecs = np.array([averaged_baxter(p, chain, ctx, convention="evaluation")
-                     for p in points])
-    sv = np.linalg.svd(vecs @ sector_basis(ctx, 3, l).conj().T, compute_uv=False)
-    return int(np.sum(sv > RANK_RTOL * sv[0]))
+    return evaluation_rank(evaluation_vectors(points, chain, ctx), l, ctx)
 
 
 def draw_w_points(chain: HofstadterChain3, ctx: Context,

@@ -15,8 +15,8 @@ from functools import reduce
 import numpy as np
 
 from .weylcore import (Context, Operator, PoleError, global_shift_D,
-                       identity_op, kron, sector_basis, sector_project,
-                       weyl_matrices)
+                       identity_op, kron, sector_basis, sector_orbits,
+                       sector_project, weyl_matrices)
 
 
 @dataclass(frozen=True)
@@ -166,34 +166,40 @@ class TransferPencil:
         return acc
 
 
-def transfer_terms(chain: ChainParams, ctx: Context, rows) -> np.ndarray:
-    """Apply every coefficient of T(x) = sum_k x^k T_k to rows, matrix-free.
+def _closed_paths(chain: ChainParams, ctx: Context, targets) -> tuple:
+    """(weights, degrees, sources, clocks) of the paths of T(x) = sum x^k T_k.
 
     The auxiliary trace is a sum over the 2^L closed paths (i_0, ...,
     i_{L-1}, i_0).  Site j contributes the block (i_j, i_{j+1}) of
     (aY, bX; cZ, d): a shift k -> k+1 of its index when i_j = 0, the phase
-    omega^k when i_{j+1} = 0, and one power of x per off-diagonal step, so
-    every path lands in exactly one coefficient.  Rows of shape (B, N^L)
-    give shape (L+1, B, N^L); entry k holds T_k applied to each row, and
-    the odd entries vanish.
+    omega^k when i_{j+1} = 0, and one power of x per off-diagonal step.  So
+    (T_k v)[targets] = sum_{degree k} weight omega^clock v[source], summed
+    over the paths of nonzero weight.
     """
     N, L = ctx.N, chain.L
-    rows = np.asarray(rows, dtype=complex)
     paths = np.indices((2,) * L).reshape(L, -1).T          # (2^L, L)
     nxt = np.roll(paths, -1, axis=1)
     blocks = np.array([[[h.a, h.b], [h.c, h.d]] for h in chain.sites],
                       dtype=complex)
     weights = blocks[np.arange(L), paths, nxt].prod(axis=1)
     degrees = np.count_nonzero(paths != nxt, axis=1)
-    digits = np.indices((N,) * L).reshape(L, -1)
+    place = N ** np.arange(L - 1, -1, -1)
+    digits = np.asarray(targets) // place[:, None] % N     # digit 0 leading
     # (X v)[k] = v[k-1]; for Y = ZX the phase is taken at the target k
-    sources = N ** np.arange(L - 1, -1, -1) @ (
-        (digits - (paths == 0)[:, :, None]) % N)
+    sources = place @ ((digits - (paths == 0)[:, :, None]) % N)
     clocks = ((nxt == 0)[:, :, None] * digits).sum(axis=1)
-    out = np.zeros((L + 1,) + rows.shape, dtype=complex)
-    for weight, degree, source, clock in zip(weights, degrees, sources, clocks):
-        if weight != 0:
-            out[degree] += weight * ctx.omega_pows(clock) * rows[:, source]
+    keep = weights != 0
+    return weights[keep], degrees[keep], sources[keep], clocks[keep]
+
+
+def transfer_terms(chain: ChainParams, ctx: Context, rows) -> np.ndarray:
+    """Apply every coefficient of T(x) = sum_k x^k T_k to rows, matrix-free:
+    rows (B, N^L) give (L+1, B, N^L), T_k in entry k, the odd ones zero."""
+    rows = np.asarray(rows, dtype=complex)
+    out = np.zeros((chain.L + 1,) + rows.shape, dtype=complex)
+    for weight, degree, source, clock in zip(
+            *_closed_paths(chain, ctx, np.arange(ctx.N ** chain.L))):
+        out[degree] += weight * ctx.omega_pows(clock) * rows[:, source]
     return out
 
 
@@ -207,13 +213,21 @@ def transfer_apply(chain: ChainParams, x: complex, ctx: Context,
 def sector_pencil(chain: ChainParams, ctx: Context, l: int) -> np.ndarray:
     """Sector-l blocks of the even pencil coefficients [T_0, T_2, ...].
 
-    Block k equals sector_project(T_{2k}, B) for B = sector_basis(ctx, L, l);
-    all rows of B go through `transfer_terms` in one call.  Shape
-    (floor(L/2) + 1, N^(L-1), N^(L-1)).
+    Block k equals sector_project(T_{2k}, sector_basis(ctx, L, l)).  T_{2k}
+    commutes with D, so T_{2k} B_r stays in sector l, and its coefficient
+    on B_i is sqrt(N) times its entry at i's representative: only those
+    N^(L-1) rows are formed.  Shape (floor(L/2) + 1, N^(L-1), N^(L-1)).
     """
-    basis = sector_basis(ctx, chain.L, l)
-    terms = transfer_terms(chain, ctx, basis)[::2]
-    return basis.conj() @ terms.transpose(0, 2, 1)
+    N, L = ctx.N, chain.L
+    orbit, amp = sector_orbits(ctx, L, l)
+    reps = np.arange(N ** (L - 1))
+    blocks = np.zeros((L // 2 + 1, len(reps), len(reps)), dtype=complex)
+    for weight, degree, source, clock in zip(*_closed_paths(chain, ctx, reps)):
+        # B_r[source] is amp[source] for r = orbit[source]; a path permutes
+        # the states, so its (row, column) pairs are distinct
+        blocks[degree // 2, orbit[reps], orbit[source]] += (
+            np.sqrt(N) * weight * ctx.omega_pows(clock) * amp[source])
+    return blocks
 
 
 def transfer_pencil(chain: ChainParams, ctx: Context) -> TransferPencil:

@@ -182,28 +182,31 @@ def global_shift_D(ctx: Context, L: int) -> Operator:
     return ctx.q_pow(-L) * kron([Y] * L)
 
 
-def sector_basis(ctx: Context, L: int, l: int) -> np.ndarray:
-    """Orthonormal basis of the q^l-eigenspace of D, one row per vector.
+def sector_orbits(ctx: Context, L: int, l: int) -> tuple:
+    """The q^l-eigenspace of D as a table (orbit, amp) over the N^L states.
 
-    D acts on basis states by shifting every site index by one with a
-    phase, so its eigenvectors are supported on the N-element orbits of
-    the diagonal shift; one eigenvector per orbit per eigenvalue.  The
-    construction is exact (no numerical eigensolve): every amplitude is
-    N^{-1/2} times a lattice phase omega^e.  Returns an N^(L-1) x N^L array.
+    D shifts every site index by one with a phase, so its eigenvectors are
+    supported on the N-element orbits of the diagonal shift, one per orbit
+    per eigenvalue.  State s = rep + t*1 (rep: first digit 0, the states
+    0 .. N^(L-1)-1) lies on orbit[s] = sum_{i>=1} rep_i N^(i-1), with the
+    exact amplitude amp[s] = N^{-1/2} omega^e (no numerical eigensolve).
     """
     N, M = ctx.N, ctx.M
-    l = int(l) % N
-    # orbit representatives r: first entry 0, entry i >= 1 is (r // N^(i-1)) % N
-    r = np.arange(N ** (L - 1))[:, None]
-    digits = np.hstack([0 * r, r // N ** np.arange(L - 1) % N])
-    t = np.arange(N)
-    idx = ((digits[:, None, :] + t[:, None]) % N) @ (N ** np.arange(L - 1, -1, -1))
+    digits = np.indices((N,) * L).reshape(L, -1)       # digit 0 leading
+    t = digits[0]
+    rep = (digits[1:] - t) % N
     # D|rep + t*1> = q^{-L} omega^{R + L(t+1)} |rep + (t+1)*1> (R = |rep|), so
     # |rep + t*1> has amplitude N^{-1/2} prod_{s<t} q^{-l-L} omega^{R + L(s+1)}
-    R = digits.sum(axis=1, keepdims=True)
-    e = t * ((M + 1) * (-l - L) + R) + L * t * (t + 1) // 2
-    basis = np.zeros((len(r), N ** L), dtype=complex)
-    basis[r, idx] = ctx.omega_pows(e) / math.sqrt(N)
+    e = t * ((M + 1) * (-l - L) + rep.sum(axis=0)) + L * t * (t + 1) // 2
+    return N ** np.arange(L - 1) @ rep, ctx.omega_pows(e) / math.sqrt(N)
+
+
+def sector_basis(ctx: Context, L: int, l: int) -> np.ndarray:
+    """Orthonormal basis of the q^l-eigenspace of D, one row per orbit: the
+    dense scatter of `sector_orbits`, kept for `sector_project` and tests."""
+    orbit, amp = sector_orbits(ctx, L, l)
+    basis = np.zeros((ctx.N ** (L - 1), ctx.N ** L), dtype=complex)
+    basis[orbit, np.arange(ctx.N ** L)] = amp
     return basis
 
 

@@ -1,11 +1,12 @@
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from hofchain import PoleError, make_context, transfer_T
-from hofchain import cli
+from hofchain import cli, transfer, weylcore
 from hofchain.cli import main
 from hofchain.weylcore import Operator
 
@@ -105,6 +106,28 @@ class TestVerifyReport:
             s for s in cli.VERIFY_SUITES
             if s[0] in ("baxter_action", "theorem1", "divisibility",
                         "degeneracy")])
+        config = cli.RunConfig(n_list=[5], out=str(tmp_path / "v.json"))
+        assert cli.cmd_verify(config) == 0
+        config = cli.RunConfig(n_list=[3], out=str(tmp_path / "c.json"))
+        assert cli.cmd_curves(config) == 0
+
+    def test_run_paths_build_no_sector_basis(self, tmp_path, monkeypatch):
+        # the sector blocks, the divisibility pairing and the evaluation
+        # ranks read the orbit table; the dense basis is the tests' oracle
+        def refuse(*args):
+            raise AssertionError("dense sector basis built")
+
+        original = weylcore.sector_basis
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "hofchain" and \
+                    getattr(module, "sector_basis", None) is original:
+                monkeypatch.setattr(module, "sector_basis", refuse)
+        with pytest.raises(AssertionError):
+            transfer.sector_spectrum(Operator(np.eye(9), 3, 2),
+                                     make_context(3), 2, 0)
+        monkeypatch.setattr(cli, "VERIFY_SUITES", [
+            s for s in cli.VERIFY_SUITES
+            if s[0] in ("divisibility", "degeneracy")])
         config = cli.RunConfig(n_list=[5], out=str(tmp_path / "v.json"))
         assert cli.cmd_verify(config) == 0
         config = cli.RunConfig(n_list=[3], out=str(tmp_path / "c.json"))
@@ -298,6 +321,23 @@ def test_tolerance_is_enforced(tmp_path, name):
     assert rc == 1
     for s in read_json(out).get("suites", []):
         assert s["pass"] is (s["suite"] != name)
+
+
+@pytest.mark.parametrize("command", ["verify", "solve", "curves"])
+def test_meta_echoes_the_tolerances_read(tmp_path, command):
+    out = tmp_path / "report.json"
+    extra = ["--L", "1"] if command == "solve" else []
+    assert main([command, "--N", "3", "--out", str(out)] + extra) == 0
+    assert set(read_json(out)["meta"]["tolerances"]) == \
+        {name for name, cmd in TOLERANCE_READERS.items() if cmd == command}
+
+
+def test_butterfly_sidecar_echoes_no_flux_or_tolerance(tmp_path):
+    out = tmp_path / "b.csv"
+    assert main(["butterfly", "--N", "3", "--N", "5", "--out", str(out)]) == 0
+    meta = read_json(str(out) + ".meta.json")["meta"]
+    assert "P" not in meta and "tolerances" not in meta
+    assert meta["N_list"] == [3, 5]
 
 
 @pytest.mark.parametrize("name", ["eigen", "ansatz"])

@@ -10,7 +10,7 @@ from hofchain.curves import HofstadterChain3
 from hofchain.transfer import (hofstadter_sector_factor, sector_pencil,
                                sector_spectrum, t2_formula_L3, transfer_terms)
 from hofchain.weylcore import (Operator, identity_op, sector_basis,
-                               sector_project, unit_draws)
+                               sector_orbits, sector_project, unit_draws)
 
 from conftest import draw_chain, draw_site
 
@@ -399,3 +399,27 @@ class TestMatrixFree:
             for got, c in zip(blocks, coeffs):
                 want = sector_project(Operator(c, N, L), basis)
                 assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("N,L", [(3, 4), (5, 4), (3, 5)])
+def test_sector_blocks_large_L(N, L, rng):
+    # the orbit table and the blocks read from it, against the dense oracle
+    # beyond the L <= 3 the solvers reach
+    ctx = make_context(N)
+    for l in range(N):
+        orbit, amp = sector_orbits(ctx, L, l)
+        assert np.array_equal(np.bincount(orbit), np.full(N ** (L - 1), N))
+        assert np.max(np.abs(np.abs(amp) - N ** -0.5)) < 1e-15
+        assert sorted(orbit[:N ** (L - 1)]) == list(range(N ** (L - 1)))
+    frozen = HofstadterChain3(draw_site(rng), draw_site(rng)).h0  # a = d = 0
+    chain = draw_chain(rng, L)
+    for chain in (chain, ChainParams((frozen,) + chain.sites[1:])):
+        coeffs = dense_even_coeffs(chain, ctx)
+        for l in range(N):
+            basis = sector_basis(ctx, L, l)
+            # the frozen site zeroes T_0, so the scale is the whole pencil's
+            want = np.array([sector_project(Operator(c, N, L), basis)
+                             for c in coeffs])
+            got = sector_pencil(chain, ctx, l)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
