@@ -24,6 +24,7 @@ from .transfer import ChainParams, sector_pencil
 
 NULLSPACE_GAP = 1e-6      # second singular value must exceed this times the largest
 EIGEN_GAP = 1e-6          # matrix-A eigenvalues closer than this are nongeneric
+CLUSTER_GAP = 1e-6        # oracle eigenvalues closer than this form one cluster
 
 
 @dataclass(frozen=True)
@@ -324,12 +325,12 @@ def oracle_spectrum(chain: ChainParams, l: int, ctx: Context) -> np.ndarray:
     return np.linalg.eigvals(blocks[1])
 
 
-def cluster_eigenvalues(values, gap: float = 1e-6) -> list:
+def cluster_eigenvalues(values) -> list:
     """Group a multiset of eigenvalues into (value, multiplicity) clusters."""
     vals = sorted(values, key=lambda z: (z.real, z.imag))
     clusters = []
     for v in vals:
-        if clusters and abs(v - clusters[-1][0] / clusters[-1][1]) < gap:
+        if clusters and abs(v - clusters[-1][0] / clusters[-1][1]) < CLUSTER_GAP:
             s, k = clusters[-1]
             clusters[-1] = (s + v, k + 1)
         else:
@@ -337,11 +338,11 @@ def cluster_eigenvalues(values, gap: float = 1e-6) -> list:
     return [(s / k, k) for s, k in clusters]
 
 
-def multiset_match(a, b, tol: float = 1e-8) -> float:
+def multiset_match(a, b) -> float:
     """Greedy nearest-neighbor matching distance between equal-size multisets.
 
     Returns the largest matched distance; raises if sizes differ.  Callers
-    compare the result against `tol`.
+    compare the result against their own tolerance.
     """
     a = list(a)
     b = list(b)

@@ -187,7 +187,7 @@ def _suite_degeneracy(ctx, rng):
     worst = 0.0
     for m in range(ctx.M + 1):
         spec = oracle_spectrum(cp, (2 * m) % ctx.N, ctx)
-        clusters = cluster_eigenvalues(spec, gap=1e-6)
+        clusters = cluster_eigenvalues(spec)
         if any(k != ctx.N for _, k in clusters):
             raise GenericityError(
                 f"multiplicities {[k for _, k in clusters]} != {ctx.N}")
@@ -310,17 +310,20 @@ def cmd_solve(config: RunConfig, L: int, m_arg) -> int:
 # ------------------------------------------------------------- butterfly
 
 def cmd_butterfly(config: RunConfig, mu, nu, rho, alpha, beta, gamma) -> int:
+    # H is Hermitian for real mu, nu, rho and unit alpha, beta, gamma; 4 eps
+    # admits exp(2 pi i r), which rounds one ulp off the unit circle
+    hermitian = (all(complex(v).imag == 0 for v in (mu, nu, rho)) and all(
+        abs(abs(v) - 1) <= 4 * np.finfo(float).eps for v in (alpha, beta, gamma)))
     rows = []
     for N in sorted(config.n_list):
-        for P in range(1, N):
-            if math.gcd(P, N) != 1:
-                print(f"warning: skipping non-coprime flux pair "
-                      f"(N, P) = ({N}, {P})", file=sys.stderr)
-                continue
+        for P in [p for p in range(1, N) if math.gcd(p, N) == 1]:
             ctx = make_context(N, P)
             H = hofstadter_hamiltonian(ctx, mu, nu, rho, alpha, beta, gamma)
-            evals = np.linalg.eigvals(H.mat)
-            evals = evals[np.lexsort((evals.imag, evals.real))]
+            if hermitian:
+                evals = np.linalg.eigvalsh(H.mat)   # ascending, real
+            else:
+                evals = np.linalg.eigvals(H.mat)
+                evals = evals[np.lexsort((evals.imag, evals.real))]
             for idx, e in enumerate(evals):
                 rows.append((N, P, idx, e.real, e.imag))
     out = config.out or "butterfly.csv"
@@ -335,7 +338,8 @@ def cmd_butterfly(config: RunConfig, mu, nu, rho, alpha, beta, gamma) -> int:
                                                 "rho": c2j(rho),
                                                 "alpha": c2j(alpha),
                                                 "beta": c2j(beta),
-                                                "gamma": c2j(gamma)}})
+                                                "gamma": c2j(gamma),
+                                                "hermitian": hermitian}})
     return 0
 
 

@@ -161,7 +161,7 @@ def test_criterion_07_three_site():
                 worst_res = max(worst_res, sol.rbeq_residual)
             lams = [sol.lam for sol in sols]
             spec = ctx.q_pow(-m) * oracle_spectrum(chain, (2 * m) % N, ctx)
-            clusters = cluster_eigenvalues(spec, gap=1e-6)
+            clusters = cluster_eigenvalues(spec)
             assert all(k == N for _, k in clusters)
             worst_match = max(worst_match,
                               multiset_match(lams, [v for v, _ in clusters]))

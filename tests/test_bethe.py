@@ -206,7 +206,7 @@ class TestSolveL3:
             for l, scale in (((2 * m) % N, ctx.q_pow(-m)),
                              ((-2 * m) % N, ctx.q_pow(m))):
                 spec = scale * oracle_spectrum(chain, l, ctx)
-                clusters = cluster_eigenvalues(spec, gap=1e-6)
+                clusters = cluster_eigenvalues(spec)
                 assert all(k == N for _, k in clusters)
                 assert multiset_match(lams, [v for v, _ in clusters]) < 1e-8
 
@@ -316,7 +316,7 @@ class TestOracle:
         chain = DegenerateChain(tuple(unit_draws(rng, 3))).site_params(ctx3)
         spec = oracle_spectrum(chain, 2, ctx3)
         assert len(spec) == 9
-        clusters = cluster_eigenvalues(spec, gap=1e-6)
+        clusters = cluster_eigenvalues(spec)
         assert sorted(k for _, k in clusters) == [3, 3, 3]
 
     def test_sector_union_is_full_spectrum(self, ctx3, rng):
@@ -327,7 +327,7 @@ class TestOracle:
         full = np.linalg.eigvals(T2.mat)
         union = np.concatenate([oracle_spectrum(chain, l, ctx3)
                                 for l in range(3)])
-        assert multiset_match(full, union, tol=1e-8) < 1e-8
+        assert multiset_match(full, union) < 1e-8
 
     def test_conjugation_symmetry_real_parameters(self):
         # real c_j: conjugating the sector-l spectrum lands on the same
@@ -339,7 +339,7 @@ class TestOracle:
             for l in range(N):
                 a = np.conj(oracle_spectrum(chain.site_params(ctx), l, ctx))
                 b = oracle_spectrum(chain.site_params(ctx_conj), l, ctx_conj)
-                assert multiset_match(a, b, tol=1e-9) < 1e-9
+                assert multiset_match(a, b) < 1e-9
 
     def test_L1_zero_coefficient(self, ctx3, rng):
         chain = ChainParams((DegenerateChain(tuple(unit_draws(rng, 1)))

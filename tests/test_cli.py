@@ -221,6 +221,60 @@ class TestButterfly:
             first = fh.readline()
         assert first == b"N,P,index,energy_re,energy_im\r\n"
 
+    @staticmethod
+    def run_counting_eigvalsh(monkeypatch, tmp_path, n_list, params):
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def eigvalsh(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        out = tmp_path / "b.csv"
+        assert cli.cmd_butterfly(cli.RunConfig(n_list, out=str(out)), *params) == 0
+        with open(out, "rb") as fh:
+            data = fh.read()
+        return calls, data, read_json(str(out) + ".meta.json")["params"]
+
+    @pytest.mark.parametrize("alpha", [1.0, np.exp(2j * np.pi * 0.12428327649956394)])
+    def test_hermitian_path(self, monkeypatch, tmp_path, capsys, alpha):
+        # exp(2 pi i r) rounds to |alpha| one ulp below 1; it still counts as
+        # unit modulus, and eigvalsh runs once per coprime P
+        if alpha != 1.0:
+            assert abs(alpha) != 1
+        params = (1.3, 0.8, 0.5, alpha, np.exp(0.7j), np.exp(-2.1j))
+        calls, data, sidecar = self.run_counting_eigvalsh(
+            monkeypatch, tmp_path, [5, 9], params)
+        assert calls == [(5, 5)] * 4 + [(9, 9)] * 6   # 3 and 6 skipped at N = 9
+        assert capsys.readouterr().err == ""
+        assert sidecar["hermitian"] is True
+        rows = list(csv.DictReader(data.decode("utf-8").splitlines()))
+        assert all(float(r["energy_im"]) == 0.0 for r in rows)
+        for N in (5, 9):
+            for P in [p for p in range(1, N) if np.gcd(p, N) == 1]:
+                got = [float(r["energy_re"]) for r in rows
+                       if r["N"] == str(N) and r["P"] == str(P)]
+                H = transfer.hofstadter_hamiltonian(make_context(N, P), *params).mat
+                want = np.sort(np.linalg.eigvals(H).real)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_non_hermitian_path(self, monkeypatch, tmp_path):
+        # |alpha| = 2: the general eigensolver, rows sorted by (re, im)
+        params = (1.0, 1.0, 0.0, 2.0, 1.0, 1.0)
+        calls, data, sidecar = self.run_counting_eigvalsh(
+            monkeypatch, tmp_path, [3, 5], params)
+        assert calls == []
+        assert sidecar["hermitian"] is False
+        want = ["N,P,index,energy_re,energy_im"]
+        for N, P in ((3, 1), (3, 2), (5, 1), (5, 2), (5, 3), (5, 4)):
+            H = transfer.hofstadter_hamiltonian(make_context(N, P), *params).mat
+            evals = np.linalg.eigvals(H)
+            evals = evals[np.lexsort((evals.imag, evals.real))]
+            want += [f"{N},{P},{i},{e.real:.15g},{e.imag:.15g}"
+                     for i, e in enumerate(evals)]
+        assert data == "".join(line + "\r\n" for line in want).encode("utf-8")
+
 
 class TestCurvesCmd:
     def test_default_ranks(self, tmp_path):

@@ -46,6 +46,6 @@ def test_solve_L3_oracle_other_roots(N, P, rng):
     for m in (0, ctx.M):
         lams = [sol.lam for sol in solve_L3(m, c, ctx)]
         spec = ctx.q_pow(-m) * oracle_spectrum(chain, (2 * m) % N, ctx)
-        clusters = cluster_eigenvalues(spec, gap=1e-6)
+        clusters = cluster_eigenvalues(spec)
         assert all(k == N for _, k in clusters)
         assert multiset_match(lams, [v for v, _ in clusters]) < 1e-8

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from hofchain import (ChainParams, PoleError, SiteParams, commutator_residual,
                       f_op, heisenberg_UV, hofstadter_hamiltonian, kron,
                       local_L, make_context, r_matrix, rll_residual,
                       transfer_T, transfer_pencil, weyl_matrices)
+from hofchain import cli
 from hofchain.baxter import DegenerateChain
 from hofchain.curves import HofstadterChain3
 from hofchain.transfer import (hofstadter_sector_factor, sector_pencil,
@@ -340,6 +343,31 @@ class TestHofstadterHamiltonian:
     def test_zero_coefficient_rejected(self, ctx3):
         with pytest.raises(ValueError):
             hofstadter_hamiltonian(ctx3, 1, 1, 1, 0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("N, P, mu, nu", [(5, 1, 1.3, 0.8),
+                                              (7, 3, 0.7, 1.1),
+                                              (11, 2, 1.2, 0.9)])
+    def test_chambers_relation_on_exported_spectra(self, tmp_path, N, P, mu, nu):
+        # Chambers (Phys. Rev. 140, A135, 1965): at rho = 0,
+        # det(E - H) = prod_i (E - e_i) is affine in alpha^N + alpha^-N with
+        # slope -mu^N, so det(E - H) + mu^N (alpha^N + alpha^-N) is constant
+        # in alpha; e_i are the butterfly CSV energies of flux P/N.
+        E = 0.37 + 0.11j
+        alphas = np.exp(2j * np.pi * np.array([0.05, 0.23, 0.41, 0.77]))
+        dets = []
+        for alpha in alphas:
+            out = tmp_path / "b.csv"
+            assert cli.cmd_butterfly(cli.RunConfig([N], out=str(out)), mu, nu,
+                                     0.0, complex(alpha), np.exp(0.3j), 1.0) == 0
+            with open(out, newline="", encoding="utf-8") as fh:
+                energies = [float(r["energy_re"]) for r in csv.DictReader(fh)
+                            if int(r["P"]) == P]
+            assert len(energies) == N
+            dets.append(np.prod(E - np.array(energies)))
+        dets = np.array(dets)
+        shifted = dets + mu**N * (alphas**N + alphas**-N)
+        defect = np.max(np.abs(shifted - shifted.mean())) / np.max(np.abs(dets))
+        assert defect < 1e-12
 
 
 def dense_even_coeffs(chain, ctx):
