@@ -165,17 +165,20 @@ def sample_W(x: complex, chain: HofstadterChain3, ctx: Context) -> list:
     return points
 
 
-def _site_null_vector(h: SiteParams, x: complex, xi: complex, xip: complex,
-                      ctx: Context) -> np.ndarray:
-    """Null vector of F_h(x, xi, xi') by the ratio recursion, <0|p> = 1."""
+def _site_null_vector(h: SiteParams, x, xi, xip, ctx: Context) -> np.ndarray:
+    """Null vectors of F_h(x, xi, xi') by the ratio recursion, <0|p> = 1, one
+    per entry of the broadcast x, xi, xip; a pole in any one of them raises."""
     N = ctx.N
-    v = np.empty(N, dtype=complex)
-    v[0] = 1.0
+    w = ctx.omega_pows(np.arange(1, N))
+    x, xi, xip = (np.asarray(z, dtype=complex)[..., None] for z in (x, xi, xip))
+    den = -xi * (xip * x * h.c * w - h.d)
+    pole = np.nonzero(np.abs(den) < 1e-13)[-1]
+    if pole.size:
+        raise PoleError(f"null-vector ratio pole at component {1 + pole.min()}")
+    num = xip * h.a * w - x * h.b
+    v = np.ones(den.shape[:-1] + (N,), dtype=complex)
     for k in range(1, N):
-        den = -xi * (xip * x * h.c * ctx.omega_pow(k) - h.d)
-        if abs(den) < 1e-13:
-            raise PoleError(f"null-vector ratio pole at component {k}")
-        v[k] = v[k - 1] * (xip * h.a * ctx.omega_pow(k) - x * h.b) / den
+        v[..., k] = v[..., k - 1] * num[..., k - 1] / den[..., k - 1]
     return v
 
 
@@ -188,28 +191,35 @@ def spectral_baxter(chain: HofstadterChain3, x: complex, xi0: complex,
     return np.kron(np.kron(v0, v1), v2)
 
 
-def averaged_baxter(p: WPoint, chain: HofstadterChain3, ctx: Context,
-                    convention: str = "descent") -> np.ndarray:
-    """Fiber-averaged Baxter vector |p> = (1/N) sum_s |p, s> weight(s).
-
-    See the module docstring for the two conventions and which identity
-    each one satisfies.
-    """
-    N = ctx.N
-    if convention == "descent":
-        def fiber(s):       # (xi_0, xi_1, weight) of the s-th lift
-            return p.xi0, ctx.omega_pow(s) / p.xi0, ctx.q_pow(-s * (s + 1))
-    elif convention == "evaluation":
-        def fiber(s):
-            xi0s = ctx.q_pow(s) * p.xi0
-            return xi0s, 1.0 / xi0s, ctx.q_pow(s * s)
+def _averaged_rows(points, chain: HofstadterChain3, ctx: Context,
+                   convention: str = "descent") -> np.ndarray:
+    """`averaged_baxter` of each point, one row each: the (point, lift) array
+    of coordinates runs each site's recursion once, and the lift sum
+    sum_s (w_s / N) v0_s (x) v1_s (x) v2_s is one batched matrix product."""
+    N, s = ctx.N, np.arange(ctx.N)
+    x, xi0, xi2 = (np.array([[getattr(p, c)] for p in points], dtype=complex)
+                   for c in ("x", "xi0", "xi2"))
+    if convention == "descent":       # xi_1 = omega^s / xi_0, q^{-s(s+1)}
+        xi1 = ctx.omega_pows(s) / xi0
+        weight = ctx.omega_pows(-(ctx.M + 1) * s * (s + 1))
+    elif convention == "evaluation":  # xi_0 -> q^s xi_0, xi_1 = 1/xi_0, q^{s^2}
+        xi0 = ctx.omega_pows((ctx.M + 1) * s) * xi0
+        xi1 = 1.0 / xi0
+        weight = ctx.omega_pows((ctx.M + 1) * s * s)
     else:
         raise ValueError(f"unknown convention {convention!r}")
-    acc = np.zeros(N**3, dtype=complex)
-    for s in range(N):
-        xi0, xi1, weight = fiber(s)
-        acc += spectral_baxter(chain, p.x, xi0, xi1, p.xi2, ctx) * weight
-    return acc / N
+    v0 = _site_null_vector(chain.h0, x, xi0, xi1, ctx) * (weight / N)[:, None]
+    v1 = _site_null_vector(chain.h1, x, xi1, xi2, ctx)
+    v2 = np.broadcast_to(_site_null_vector(chain.h2, x, xi2, xi0, ctx), v1.shape)
+    v01 = v0.transpose(0, 2, 1)[:, :, None] * v1.transpose(0, 2, 1)[:, None]
+    return (v01.reshape(len(points), N * N, N) @ v2).reshape(len(points), N ** 3)
+
+
+def averaged_baxter(p: WPoint, chain: HofstadterChain3, ctx: Context,
+                    convention: str = "descent") -> np.ndarray:
+    """Fiber-averaged Baxter vector |p> = (1/N) sum_s |p, s> weight(s); the
+    module docstring gives the two conventions and what each satisfies."""
+    return _averaged_rows([p], chain, ctx, convention)[0]
 
 
 def descended_delta(p: WPoint, sign: int, chain: HofstadterChain3,
@@ -244,19 +254,17 @@ def tau_W(p: WPoint, sign: int, chain: HofstadterChain3, ctx: Context) -> WPoint
 def descended_t_residual(p: WPoint, chain: HofstadterChain3,
                          ctx: Context) -> float:
     """Defect of x^{-2} T(x)|p> = |tau_- p> Delta~_- + |tau_+ p> Delta~_+."""
-    lhs = transfer_apply(chain.chain_params(), p.x, ctx,
-                         averaged_baxter(p, chain, ctx)) / p.x**2
-    rhs = (averaged_baxter(tau_W(p, -1, chain, ctx), chain, ctx)
-           * descended_delta(p, -1, chain, ctx)
-           + averaged_baxter(tau_W(p, +1, chain, ctx), chain, ctx)
-           * descended_delta(p, +1, chain, ctx))
+    v, vm, vp = _averaged_rows([p, tau_W(p, -1, chain, ctx),
+                                tau_W(p, +1, chain, ctx)], chain, ctx)
+    lhs = transfer_apply(chain.chain_params(), p.x, ctx, v) / p.x**2
+    rhs = (vm * descended_delta(p, -1, chain, ctx)
+           + vp * descended_delta(p, +1, chain, ctx))
     return relative_defect(lhs, rhs)
 
 
 def evaluation_vectors(points, chain: HofstadterChain3, ctx: Context):
     """Rows: the ``evaluation`` averaged Baxter vectors of the points."""
-    return np.array([averaged_baxter(p, chain, ctx, convention="evaluation")
-                     for p in points])
+    return _averaged_rows(points, chain, ctx, convention="evaluation")
 
 
 def evaluation_rank(vecs: np.ndarray, l: int, ctx: Context) -> int:

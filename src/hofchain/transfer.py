@@ -292,18 +292,20 @@ def hofstadter_hamiltonian(ctx: Context, mu, nu, rho, alpha, beta, gamma) -> Ope
     Canonical Weyl triple on C^N: U = Z, V = X, W = (ZX)^{-1}, which
     satisfies UV = omega VU, VW = omega WV, WU = omega UW and the N-th
     power identities.  Hermitian for real mu, nu, rho and unit-modulus
-    alpha, beta, gamma.  U, V, W are unitary, so (aU)^{-1} = U^H / a.
+    alpha, beta, gamma.  U, V, W are unitary, so (aU)^{-1} = U^H / a.  H has
+    three nonzero cyclic diagonals: U on the main one, V and W^H = ZX below,
+    V^H and W above.  Each entry is the dense sum's expression in numpy
+    arithmetic (np.divide: Python's complex division rounds differently).
     """
     if alpha == 0 or beta == 0 or gamma == 0:
         raise ValueError("alpha, beta, gamma must be nonzero")
-    w = weyl_matrices(ctx)
-    U = w["Z"].mat
-    V = w["X"].mat
-    W = w["Y"].mat.conj().T
-    H = (mu * (alpha * U + U.conj().T / alpha)
-         + nu * (beta * V + V.conj().T / beta)
-         + rho * (gamma * W + W.conj().T / gamma))
-    return Operator(H, ctx.N, 1)
+    N, k = ctx.N, np.arange(ctx.N)
+    u, y = ctx.omega_pows(k), ctx.omega_pows(k + 1)   # Z at (k, k), ZX at (k+1, k)
+    H = np.zeros((N, N), dtype=complex)
+    H[k, k] = mu * (alpha * u + u.conj() / alpha)
+    H[(k + 1) % N, k] = nu * beta + rho * (y / gamma)
+    H[k, (k + 1) % N] = nu * np.divide(1, beta) + rho * (gamma * y.conj())
+    return Operator(H, N, 1)
 
 
 def hofstadter_sector_factor(ctx: Context, l: int) -> complex:

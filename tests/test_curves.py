@@ -150,6 +150,83 @@ class TestAveragedBaxter:
             averaged_baxter(p, chain, ctx3, convention="bogus")
 
 
+def scalar_null_vector(h, x, xi, xip, ctx):
+    """The ratio recursion one component at a time, as a scalar loop."""
+    v = np.empty(ctx.N, dtype=complex)
+    v[0] = 1.0
+    for k in range(1, ctx.N):
+        den = -xi * (xip * x * h.c * ctx.omega_pow(k) - h.d)
+        if abs(den) < 1e-13:
+            raise PoleError(f"null-vector ratio pole at component {k}")
+        v[k] = v[k - 1] * (xip * h.a * ctx.omega_pow(k) - x * h.b) / den
+    return v
+
+
+def lift_by_lift(p, chain, ctx, convention):
+    """(1/N) sum_s weight_s v0_s (x) v1_s (x) v2_s, one kron per lift."""
+    acc = np.zeros(ctx.N ** 3, dtype=complex)
+    for s in range(ctx.N):
+        if convention == "descent":
+            xi0, xi1, weight = p.xi0, ctx.omega_pow(s) / p.xi0, ctx.q_pow(-s * (s + 1))
+        else:
+            xi0 = ctx.q_pow(s) * p.xi0
+            xi1, weight = 1.0 / xi0, ctx.q_pow(s * s)
+        v0 = scalar_null_vector(chain.h0, p.x, xi0, xi1, ctx)
+        v1 = scalar_null_vector(chain.h1, p.x, xi1, p.xi2, ctx)
+        v2 = scalar_null_vector(chain.h2, p.x, p.xi2, xi0, ctx)
+        acc += np.kron(np.kron(v0, v1), v2) * weight
+    return acc / ctx.N
+
+
+class TestBatchedAverages:
+    """All lifts and points in one array pass, against the lift-by-lift sum."""
+
+    @pytest.mark.parametrize("N", [3, 5, 7])
+    @pytest.mark.parametrize("convention", ["descent", "evaluation"])
+    def test_matches_lift_by_lift(self, N, convention, rng):
+        from hofchain.curves import _averaged_rows
+        ctx = make_context(N)
+        chain = hof_chain(rng)
+        pts = draw_w_points(chain, ctx, rng, 6)
+        rows = _averaged_rows(pts, chain, ctx, convention)
+        assert rows.shape == (6, N ** 3)
+        for p, row in zip(pts, rows):
+            ref = lift_by_lift(p, chain, ctx, convention)
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(row - ref)) / scale < 1e-13
+            single = averaged_baxter(p, chain, ctx, convention=convention)
+            assert np.max(np.abs(single - ref)) / scale < 1e-13
+
+    def test_one_lift_on_a_pole_raises(self, ctx5, rng):
+        # rows are the five lifts; only lift 2 meets x xi' c omega^3 = d
+        from hofchain.curves import _site_null_vector
+        h = draw_site(rng)
+        x = 0.7 * unit_draws(rng, 1)[0]
+        xi = unit_draws(rng, 5)
+        xip = unit_draws(rng, 5)
+        xip[2] = h.d / (x * h.c * ctx5.omega_pow(3))
+        for s in (0, 1, 3, 4):
+            scalar_null_vector(h, x, xi[s], xip[s], ctx5)      # regular
+        with pytest.raises(PoleError, match="component 3"):
+            scalar_null_vector(h, x, xi[2], xip[2], ctx5)
+        with pytest.raises(PoleError, match="component 3"):
+            _site_null_vector(h, x, xi, xip, ctx5)
+
+    def test_one_point_on_a_pole_raises(self, ctx3, rng):
+        # an off-curve point whose xi_2 puts site 1 on its pole, among regular
+        # points: the batch raises as the point alone does
+        from hofchain.curves import WPoint, evaluation_vectors
+        chain = hof_chain(rng)
+        pts = draw_w_points(chain, ctx3, rng, 4)
+        h1, x = chain.h1, pts[0].x
+        bad = WPoint(x, pts[0].xi0, h1.d / (x * h1.c * ctx3.omega_pow(1)),
+                     (0.0, 0.0))
+        evaluation_vectors(pts, chain, ctx3)
+        for batch in ([bad], pts[:2] + [bad] + pts[2:]):
+            with pytest.raises(PoleError):
+                evaluation_vectors(batch, chain, ctx3)
+
+
 class TestDescendedRelation:
     def test_residual_small(self, ctx3, rng):
         chain = hof_chain(rng)

@@ -340,6 +340,29 @@ class TestHofstadterHamiltonian:
         H = hofstadter_hamiltonian(ctx, 0.7, 1.3, 0.4, alpha, beta, gamma).mat
         assert np.max(np.abs(H - expect)) < 1e-13
 
+    @pytest.mark.parametrize("N", [3, 5, 7, 9, 11])
+    @pytest.mark.parametrize("cast", [complex, np.complex128])
+    def test_three_diagonals_equal_weyl_sum(self, N, cast):
+        # bit for bit against the dense Weyl-matrix sum; the CLI passes
+        # Python complex phases, numpy callers numpy scalars
+        rng = np.random.default_rng(N)
+        k = np.arange(N)
+        band = np.zeros((N, N), dtype=bool)
+        band[k, k] = band[(k + 1) % N, k] = band[k, (k + 1) % N] = True
+        for P in [p for p in range(1, N) if np.gcd(p, N) == 1]:
+            ctx = make_context(N, P)
+            w = weyl_matrices(ctx)
+            U, V, W = w["Z"].mat, w["X"].mat, w["Y"].mat.conj().T
+            for _ in range(4):
+                mu, nu, rho = (float(v) for v in rng.normal(size=3))
+                alpha, beta, gamma = (cast(z) for z in unit_draws(rng, 3))
+                expect = (mu * (alpha * U + U.conj().T / alpha)
+                          + nu * (beta * V + V.conj().T / beta)
+                          + rho * (gamma * W + W.conj().T / gamma))
+                H = hofstadter_hamiltonian(ctx, mu, nu, rho, alpha, beta, gamma).mat
+                assert np.array_equal(H, expect)
+                assert not np.any(H[~band])
+
     def test_zero_coefficient_rejected(self, ctx3):
         with pytest.raises(ValueError):
             hofstadter_hamiltonian(ctx3, 1, 1, 1, 0.0, 1.0, 1.0)
