@@ -119,67 +119,75 @@ def t_action_residual(chain: DegenerateChain, p: RationalPoint,
     return relative_defect(lhs, rhs)
 
 
-def _f_weights(x: complex, n, shift: int, chain: DegenerateChain,
-               ctx: Context):
-    """prod_j (x c_j q^-shift; w^-1)_{n+1} / (x c_j q^shift; w)_{n+1}."""
-    xc = x * np.asarray(chain.c).reshape((-1,) + (1,) * np.ndim(n))
-    n1 = np.asarray(n) + 1
+def _f_weights(x, n, shift: int, chain: DegenerateChain, ctx: Context):
+    """prod_j (x c_j q^-shift; w^-1)_{n+1} / (x c_j q^shift; w)_{n+1}; x, n broadcast."""
+    xc = np.asarray(x, dtype=complex)[..., None] * np.asarray(chain.c)
+    n1 = np.asarray(n)[..., None] + 1
     den = pochhammer(xc * ctx.q_pow(shift), ctx.omega, n1)
     if np.any(np.abs(den) < 1e-13):
         raise PoleError(f"f^{'eo'[shift]} pole")
     ratio = pochhammer(xc * ctx.q_pow(-shift), ctx.omega_pow(-1), n1) / den
-    out = np.prod(ratio, axis=0)
+    out = np.prod(ratio, axis=-1)
     return complex(out) if out.ndim == 0 else out
 
 
-def f_even(x: complex, n, chain: DegenerateChain, ctx: Context):
+def f_even(x, n, chain: DegenerateChain, ctx: Context):
     return _f_weights(x, n, 0, chain, ctx)
 
 
-def f_odd(x: complex, n, chain: DegenerateChain, ctx: Context):
+def f_odd(x, n, chain: DegenerateChain, ctx: Context):
     return _f_weights(x, n, 1, chain, ctx)
 
 
-def u_weight(x: complex, chain: DegenerateChain, ctx: Context) -> complex:
-    """u(x) = prod_j (1 - x^N c_j^N) (x c_j q; q^2)_M."""
+def u_weight(x, chain: DegenerateChain, ctx: Context):
+    """u(x) = prod_j (1 - x^N c_j^N) (x c_j q; q^2)_M, elementwise in x."""
     N, M = ctx.N, ctx.M
+    x = np.asarray(x, dtype=complex)[..., None]
     c = np.asarray(chain.c)
-    return complex(np.prod((1 - x**N * c**N)
-                           * pochhammer(x * c * ctx.q_pow(1), ctx.q_pow(2), M)))
+    out = np.prod((1 - x**N * c**N)
+                  * pochhammer(x * c * ctx.q_pow(1), ctx.q_pow(2), M), axis=-1)
+    return complex(out) if out.ndim == 0 else out
 
 
-def sector_vectors(x: complex, l: int, chain: DegenerateChain,
-                   ctx: Context) -> dict:
+def sector_vectors(x, l, chain: DegenerateChain, ctx: Context) -> dict:
     """The even/odd phase sums and their weighted combination |x>_l^+.
 
     e = sum_n |x, 2n> f^e(x, n) w^{ln} and o = sum_n |x, 2n+1> f^o(x, n) w^{ln};
-    both sums run over the same N Baxter vectors |x, l'>, l' in Z_N.
+    both sums run over the same N Baxter vectors |x, l'>, l' in Z_N, built once
+    per entry of x.  x and l broadcast to a shape S; each vector has shape
+    S + (N^L,), and all three are one weighted contraction over l'.
     """
-    N = ctx.N
-    l = int(l) % N
+    N, M = ctx.N, ctx.M
+    x = np.asarray(x, dtype=complex)
+    l = np.asarray(l) % N
     n = np.arange(N)
-    rows = _baxter_rows(np.full(N, x), n, chain, ctx)
-    phase = ctx.omega_pows(l * n)
-    e = (rows[2 * n % N] * f_even(x, n, chain, ctx)[:, None]
-         * phase[:, None]).sum(axis=0)
-    o = (rows[(2 * n + 1) % N] * f_odd(x, n, chain, ctx)[:, None]
-         * phase[:, None]).sum(axis=0)
-    plus = e * ctx.q_pow(-l) * u_weight(ctx.q_pow(1) * x, chain, ctx) \
-        + o * u_weight(x, chain, ctx)
+    rows = _baxter_rows(np.repeat(x.ravel(), N), np.tile(n, x.size), chain,
+                        ctx).reshape(x.shape + (N, -1))
+    # the weight of |x, l'> is term n = l'/2 of e and n = (l'-1)/2 of o (mod N)
+    phase = ctx.omega_pows(np.multiply.outer(l, n))
+    we = (f_even(x[..., None], n, chain, ctx) * phase)[..., (M + 1) * n % N]
+    wo = (f_odd(x[..., None], n, chain, ctx) * phase)[..., (M + 1) * (n - 1) % N]
+    a = ctx.omega_pows(-(M + 1) * l[..., None]) \
+        * u_weight(ctx.q_pow(1) * x[..., None], chain, ctx)
+    b = u_weight(x[..., None], chain, ctx)
+    weights = np.stack([we, wo, we * a + wo * b], axis=-2)
+    e, o, plus = np.moveaxis(weights @ rows, -2, 0)
     return {"e_vec": e, "o_vec": o, "plus_vec": plus}
 
 
-def theorem1_ii_residual(chain: DegenerateChain, x: complex, l: int,
+def theorem1_ii_residual(chain: DegenerateChain, x: complex, l,
                          ctx: Context) -> float:
-    """Defect of q^{-l} T(x)|x>_l^+ = |q^{-1}x>_l^+ D_-(x,-1) + |qx>_l^+ D_+(x,0)."""
-    plus = sector_vectors(x, l, chain, ctx)["plus_vec"]
-    plus_m = sector_vectors(ctx.q_pow(-1) * x, l, chain, ctx)["plus_vec"]
-    plus_p = sector_vectors(ctx.q_pow(1) * x, l, chain, ctx)["plus_vec"]
-    lhs = ctx.q_pow(-int(l)) * transfer_apply(chain.site_params(ctx), x, ctx,
-                                              plus)
+    """Defect of q^{-l} T(x)|x>_l^+ = |q^{-1}x>_l^+ D_-(x,-1) + |qx>_l^+ D_+(x,0);
+    the largest over one sector l or an array of them, each on its own scale."""
+    l = np.atleast_1d(l)
+    xs = np.array([x, ctx.q_pow(-1) * x, ctx.q_pow(1) * x])[:, None]
+    plus, plus_m, plus_p = sector_vectors(xs, l, chain, ctx)["plus_vec"]
+    lhs = ctx.omega_pows(-(ctx.M + 1) * l)[:, None] * transfer_apply(
+        chain.site_params(ctx), x, ctx, plus)
     dm = complex(np.prod([1 - x * cj * ctx.q_pow(-1) for cj in chain.c]))
     dp = complex(np.prod([1 + x * cj for cj in chain.c]))
-    return relative_defect(lhs, plus_m * dm + plus_p * dp)
+    return max(relative_defect(a, b)
+               for a, b in zip(lhs, plus_m * dm + plus_p * dp))
 
 
 def draw_regular_x(rng: np.random.Generator, chain: DegenerateChain,
@@ -191,16 +199,13 @@ def draw_regular_x(rng: np.random.Generator, chain: DegenerateChain,
     """
     radius = 1.0 / max(abs(cj) for cj in chain.c)
     margin = 1e-4
+    c = np.asarray(chain.c)[:, None]
+    e = np.arange(ctx.N)
+    qe, oe = ctx.omega_pows((ctx.M + 1) * e), ctx.omega_pows(e)
     for _ in range(1000):
         x = radius * unit_draws(rng, 1)[0]
-        ok = True
-        for cj in chain.c:
-            for e in range(ctx.N):
-                if abs(1 - x * cj * ctx.q_pow(e)) < margin:
-                    ok = False
-                if abs(1 - x * x * cj * cj * ctx.omega_pow(e)) < margin:
-                    ok = False
-        if ok:
+        near = np.minimum(np.abs(1 - x * c * qe), np.abs(1 - x * x * c * c * oe))
+        if np.all(near >= margin):
             return x
     raise RuntimeError("could not draw a pole-free sample point")
 
@@ -213,14 +218,14 @@ def _fit_nodes(rng: np.random.Generator, chain: DegenerateChain, ctx: Context,
     is what makes high-degree interpolation stable here.
     """
     radius = 1.0 / max(abs(cj) for cj in chain.c)
+    c = np.asarray(chain.c)[:, None]
+    qe = ctx.omega_pows((ctx.M + 1) * np.arange(ctx.N))
     nodes = np.empty(count, dtype=complex)
     for k in range(count):
         for _ in range(100):
             theta = 2 * np.pi * (k + 0.6 * rng.random()) / count
             x = radius * np.exp(1j * theta)
-            ok = all(abs(1 - x * cj * ctx.q_pow(e)) > 1e-3
-                     for cj in chain.c for e in range(ctx.N))
-            if ok:
+            if np.all(np.abs(1 - x * c * qe) > 1e-3):
                 nodes[k] = x
                 break
         else:
@@ -237,8 +242,7 @@ def plus_pairing_coeffs(phi: np.ndarray, label: int, chain: DegenerateChain,
     """
     deg = (3 * ctx.M + 1) * chain.L
     xs = _fit_nodes(rng, chain, ctx, deg + 6)
-    vals = np.array([phi @ sector_vectors(x, label, chain, ctx)["plus_vec"]
-                     for x in xs])
+    vals = sector_vectors(xs, label, chain, ctx)["plus_vec"] @ phi
     V = np.vander(xs, deg + 1, increasing=True)
     coeffs, *_ = np.linalg.lstsq(V, vals, rcond=None)
     return coeffs

@@ -48,6 +48,9 @@ DEFAULT_TOLERANCES = {
     "descent": 1e-8,
 }
 
+# largest dense N^3 x N^3 commutator matrix: N = 15 (182 MB) runs, 17 (386 MB) not
+DENSE_BYTES_MAX = 2**28
+
 
 @dataclass
 class RunConfig:
@@ -98,15 +101,19 @@ def _write_json(path: str, payload: dict):
 def _attempt(fn, rng, record: dict, label: str):
     """Return with_generic_redraw(fn, rng), or None after recording the error.
 
+    On success record["attempts"] counts the calls of fn, redraws included.
     A ValueError (PoleError among them) or RuntimeError (GenericityError after
     its redraws) goes to record["error"] and to a FAIL line on stderr.
     """
+    calls = []
     try:
-        return with_generic_redraw(fn, rng)
+        out = with_generic_redraw(lambda r: calls.append(r) or fn(r), rng)
     except (ValueError, RuntimeError) as exc:
         record["error"] = {"class": type(exc).__name__, "message": str(exc)}
         print(f"FAIL {label}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return None
+    record["attempts"] = len(calls)
+    return out
 
 
 # ---------------------------------------------------------------- verify
@@ -142,16 +149,17 @@ def _suite_baxter_action(ctx, rng):
 
 def _suite_theorem1(ctx, rng):
     chain = DegenerateChain(tuple(unit_draws(rng, 3)))
+    ls = np.arange(ctx.N)
     worst = 0.0
     for _ in range(3):
         x = draw_regular_x(rng, chain, ctx)
-        for l in range(ctx.N):
-            vecs = sector_vectors(x, l, chain, ctx)
-            ident = vecs["e_vec"] * u_weight(ctx.q_pow(1) * x, chain, ctx) \
-                - vecs["o_vec"] * ctx.q_pow(l) * u_weight(x, chain, ctx)
-            scale = max(1.0, float(np.max(np.abs(vecs["plus_vec"]))))
-            worst = max(worst, float(np.max(np.abs(ident))) / scale)
-            worst = max(worst, theorem1_ii_residual(chain, x, l, ctx))
+        vecs = sector_vectors(x, ls, chain, ctx)    # one row per sector l
+        ident = vecs["e_vec"] * u_weight(ctx.q_pow(1) * x, chain, ctx) \
+            - vecs["o_vec"] * (ctx.omega_pows((ctx.M + 1) * ls)
+                               * u_weight(x, chain, ctx))[:, None]
+        scale = np.maximum(1.0, np.max(np.abs(vecs["plus_vec"]), axis=1))
+        worst = max(worst, float(np.max(np.max(np.abs(ident), axis=1) / scale)),
+                    theorem1_ii_residual(chain, x, ls, ctx))
     return worst
 
 
@@ -210,10 +218,16 @@ VERIFY_SUITES = [
 def cmd_verify(config: RunConfig) -> int:
     """Run every suite at every N; a suite that raises fails on its own record.
 
-    Each record carries its wall seconds and the process's peak memory.
+    Each record carries its wall seconds and the process's peak memory.  An
+    N whose dense commutator matrices pass DENSE_BYTES_MAX is refused first.
     """
     import resource     # Unix only; imported here, not with the package
 
+    for N in config.n_list:
+        if 16 * N**6 > DENSE_BYTES_MAX:
+            raise ValueError(f"verify at N={N} needs dense {N**3} x {N**3} "
+                             f"matrices of {16 * N**6 / 1e9:.3g} GB each (limit "
+                             f"{DENSE_BYTES_MAX / 1e9:.3g} GB)")
     t0 = time.time()
     report = {"meta": _meta(config, [name for name, _ in VERIFY_SUITES]),
               "suites": [], "pass": True}

@@ -205,9 +205,11 @@ def transfer_terms(chain: ChainParams, ctx: Context, rows) -> np.ndarray:
 
 def transfer_apply(chain: ChainParams, x: complex, ctx: Context,
                    v: np.ndarray) -> np.ndarray:
-    """T(x) v for one vector v, summed from `transfer_terms`."""
-    terms = transfer_terms(chain, ctx, v[None])[:, 0]
-    return x ** np.arange(len(terms)) @ terms
+    """T(x) v for one vector v or each row of a (B, N^L) stack, summed from
+    `transfer_terms`."""
+    terms = transfer_terms(chain, ctx, np.reshape(v, (-1, np.shape(v)[-1])))
+    return (x ** np.arange(len(terms))
+            @ terms.reshape(len(terms), -1)).reshape(np.shape(v))
 
 
 def sector_pencil(chain: ChainParams, ctx: Context, l: int) -> np.ndarray:

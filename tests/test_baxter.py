@@ -5,8 +5,8 @@ from hofchain import (DegenerateChain, PoleError, RationalPoint,
                       baxter_vector, delta_pm, f_op, make_context,
                       pochhammer, sector_vectors, t_action_residual, tau,
                       theorem1_ii_residual)
-from hofchain.baxter import (draw_regular_x, f_even, plus_pairing_coeffs,
-                             u_weight)
+from hofchain.baxter import (_fit_nodes, draw_regular_x, f_even, f_odd,
+                             plus_pairing_coeffs, u_weight)
 from hofchain.transfer import gauge_chain_L, transfer_pencil
 from hofchain.weylcore import sector_basis, unit_draws
 
@@ -256,3 +256,147 @@ class TestDivisibility:
                                 for k in range(N)])
                 V = np.vander(bad, deg + 1, increasing=True)
                 assert np.max(np.abs(V @ coeffs)) / scale < 1e-7
+
+
+def reference_sector_vectors(x, l, chain, ctx):
+    """|x>_l^e, |x>_l^o and |x>_l^+ for one (x, l), term by term."""
+    N = ctx.N
+    bax = [baxter_vector(RationalPoint(x, lp), chain, ctx) for lp in range(N)]
+    e = sum(bax[2 * n % N] * f_even(x, n, chain, ctx) * ctx.omega_pow(l * n)
+            for n in range(N))
+    o = sum(bax[(2 * n + 1) % N] * f_odd(x, n, chain, ctx) * ctx.omega_pow(l * n)
+            for n in range(N))
+    plus = e * ctx.q_pow(-l) * u_weight(ctx.q * x, chain, ctx) \
+        + o * u_weight(x, chain, ctx)
+    return {"e_vec": e, "o_vec": o, "plus_vec": plus}
+
+
+def loop_fit_nodes(rng, chain, ctx, count):
+    """_fit_nodes with its pole test written as a loop over (c_j, e); also
+    returns how many candidates the test rejected."""
+    radius = 1.0 / max(abs(cj) for cj in chain.c)
+    nodes = np.empty(count, dtype=complex)
+    rejected = 0
+    for k in range(count):
+        while True:
+            theta = 2 * np.pi * (k + 0.6 * rng.random()) / count
+            x = radius * np.exp(1j * theta)
+            if all(abs(1 - x * cj * ctx.q_pow(e)) > 1e-3
+                   for cj in chain.c for e in range(ctx.N)):
+                nodes[k] = x
+                break
+            rejected += 1
+    return nodes, rejected
+
+
+def loop_draw_regular_x(rng, chain, ctx):
+    """draw_regular_x with its pole test written as a loop over (c_j, e); also
+    counts the candidates rejected by the linear test and by the quadratic
+    test alone (near x c_j q^e = -1)."""
+    radius = 1.0 / max(abs(cj) for cj in chain.c)
+    rejected = np.zeros(2, dtype=int)
+    while True:
+        x = radius * unit_draws(rng, 1)[0]
+        near = [any(abs(1 - x * cj * ctx.q_pow(e)) < 1e-4
+                    for cj in chain.c for e in range(ctx.N)),
+                any(abs(1 - x * x * cj * cj * ctx.omega_pow(e)) < 1e-4
+                    for cj in chain.c for e in range(ctx.N))]
+        if not any(near):
+            return x, rejected
+        rejected += [near[0], near[1] and not near[0]]
+
+
+BATCH_SIZES = [(N, L) for N in (3, 5, 7, 9) for L in (2, 3)]
+
+
+class TestBatchedSectorVectors:
+    """sector_vectors over arrays of x and l against the scalar pieces."""
+
+    @pytest.mark.parametrize("N,L", BATCH_SIZES)
+    def test_rows_match_scalar_reference(self, N, L, rng):
+        ctx = make_context(N)
+        chain = degenerate_chain(rng, L)
+        xs = np.array([draw_regular_x(rng, chain, ctx) for _ in range(3)])
+        ls = np.arange(N)
+        paired_ls = ls[[0, -1, 2 % N]]
+        grid = sector_vectors(xs[:, None], ls, chain, ctx)
+        pairs = sector_vectors(xs, paired_ls, chain, ctx)
+        for key in ("e_vec", "o_vec", "plus_vec"):
+            assert grid[key].shape == (3, N, N ** L)
+            assert pairs[key].shape == (3, N ** L)
+        for i, x in enumerate(xs):
+            for l in ls:
+                want = reference_sector_vectors(x, l, chain, ctx)
+                for key, w in want.items():
+                    err = np.max(np.abs(grid[key][i, l] - w))
+                    assert err <= 1e-13 * np.max(np.abs(w))
+            want = reference_sector_vectors(x, paired_ls[i], chain, ctx)
+            err = np.max(np.abs(pairs["plus_vec"][i] - want["plus_vec"]))
+            assert err <= 1e-13 * np.max(np.abs(want["plus_vec"]))
+
+    @pytest.mark.parametrize("N,L", BATCH_SIZES)
+    def test_theorem1_over_sectors_is_max_of_scalar_calls(self, N, L, rng):
+        ctx = make_context(N)
+        chain = degenerate_chain(rng, L)
+        x = draw_regular_x(rng, chain, ctx)
+        scalar = [theorem1_ii_residual(chain, x, l, ctx) for l in range(N)]
+        assert theorem1_ii_residual(chain, x, np.arange(N), ctx) == max(scalar)
+
+    @pytest.mark.parametrize("N,L", BATCH_SIZES)
+    def test_plus_pairing_matches_node_loop(self, N, L, rng):
+        ctx = make_context(N)
+        chain = degenerate_chain(rng, L)
+        phi = rng.standard_normal(N ** L) + 1j * rng.standard_normal(N ** L)
+        label = N - 1
+        coeffs = plus_pairing_coeffs(phi, label, chain, ctx,
+                                     np.random.default_rng(5))
+        deg = (3 * ctx.M + 1) * L
+        xs = _fit_nodes(np.random.default_rng(5), chain, ctx, deg + 6)
+        vals = [phi @ reference_sector_vectors(x, label, chain, ctx)["plus_vec"]
+                for x in xs]
+        want = np.linalg.lstsq(np.vander(xs, deg + 1, increasing=True), vals,
+                               rcond=None)[0]
+        assert np.max(np.abs(coeffs - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_one_pole_in_a_regular_batch_raises(self, ctx5, rng):
+        chain = degenerate_chain(rng, 3)
+        xs = np.array([draw_regular_x(rng, chain, ctx5) for _ in range(4)])
+        sector_vectors(xs[:, None], np.arange(5), chain, ctx5)
+        xs[2] = ctx5.omega_pow(3) / chain.c[1]    # a Baxter component pole
+        with pytest.raises(PoleError):
+            sector_vectors(xs[:, None], np.arange(5), chain, ctx5)
+        with pytest.raises(PoleError):
+            sector_vectors(xs, 0, chain, ctx5)
+        with pytest.raises(PoleError):
+            theorem1_ii_residual(chain, xs[2], np.arange(5), ctx5)
+
+
+class TestPoleTestDraws:
+    """The array pole test accepts and rejects what the loop did."""
+
+    @pytest.mark.parametrize("N,L", [(5, 3), (9, 3), (11, 2)])
+    def test_fit_nodes_bit_for_bit(self, N, L):
+        ctx = make_context(N)
+        rejected = 0
+        for seed in range(4):
+            chain = DegenerateChain(tuple(unit_draws(np.random.default_rng(seed), L)))
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            nodes = _fit_nodes(a, chain, ctx, 60)
+            want, r = loop_fit_nodes(b, chain, ctx, 60)
+            assert np.array_equal(nodes, want)
+            assert a.bit_generator.state == b.bit_generator.state
+            rejected += r
+        assert rejected > 0      # the rejection branch ran
+
+    @pytest.mark.parametrize("N,L", [(7, 3), (9, 3)])
+    def test_draw_regular_x_bit_for_bit(self, N, L):
+        ctx = make_context(N)
+        chain = DegenerateChain(tuple(unit_draws(np.random.default_rng(N), L)))
+        a, b = np.random.default_rng(1), np.random.default_rng(1)
+        rejected = 0
+        for _ in range(2600):   # both branches reject by then at these seeds
+            want, r = loop_draw_regular_x(b, chain, ctx)
+            assert draw_regular_x(a, chain, ctx) == want
+            rejected = rejected + r
+        assert a.bit_generator.state == b.bit_generator.state
+        assert np.all(rejected > 0)     # both rejection branches ran

@@ -8,7 +8,7 @@ import pytest
 from hofchain import PoleError, make_context, transfer_T
 from hofchain import cli, transfer, weylcore
 from hofchain.cli import main
-from hofchain.weylcore import Operator
+from hofchain.weylcore import GenericityError, Operator
 
 from conftest import draw_chain
 
@@ -436,6 +436,19 @@ class TestInputCheckedFirst:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_oversized_dense_verify_at_second_n(self, tmp_path, monkeypatch,
+                                                 capsys):
+        calls = []
+        monkeypatch.setattr(cli, "VERIFY_SUITES", [
+            ("rll", lambda ctx, rng: calls.append(ctx.N) or 0.0)])
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--N", "5", "--N", "31", "--out", str(out)]) == 2
+        assert "N=31 needs dense 29791 x 29791" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+        # the largest size the dense commutator still runs at
+        assert main(["verify", "--N", "13", "--out", str(out)]) == 0
+        assert calls == [13]
+
     @pytest.mark.parametrize("argv", [
         ["butterfly", "--N", "3", "--P", "2"],
         ["butterfly", "--N", "3", "--tol", "rll=1"],
@@ -455,3 +468,33 @@ class TestInputCheckedFirst:
         out = tmp_path / "curves.json"
         assert main(["curves", "--N", "3", "--P", "2", "--out", str(out)]) == 0
         assert read_json(out)["meta"]["P"] == 2
+
+
+class TestAttempts:
+    """Each record counts the calls its body took, redraws included."""
+
+    def test_one_redraw_counts_two_attempts(self, tmp_path, monkeypatch):
+        calls = []
+
+        def flaky(ctx, rng):
+            calls.append(ctx.N)
+            if len(calls) == 1:
+                raise GenericityError("forced degeneracy")
+            return 0.0
+
+        monkeypatch.setattr(cli, "VERIFY_SUITES", [("rll", flaky)])
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--N", "3", "--out", str(out)]) == 0
+        (rec,) = read_json(out)["suites"]
+        assert rec["attempts"] == 2 and rec["pass"] is True
+
+    def test_every_command_records_attempts(self, tmp_path):
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--N", "3", "--out", str(out)]) == 0
+        assert [s["attempts"] for s in read_json(out)["suites"]] == [1] * 6
+        out = tmp_path / "solve.json"
+        assert main(["solve", "--N", "3", "--L", "1", "--out", str(out)]) == 0
+        assert read_json(out)["chains"][0]["attempts"] == 1
+        out = tmp_path / "curves.json"
+        assert main(["curves", "--N", "3", "--out", str(out)]) == 0
+        assert read_json(out)["results"][0]["attempts"] == 1
