@@ -7,8 +7,8 @@ solve      solve the Bethe equation for L in {1,2,3}, export solutions
 butterfly  sweep flux P/N and emit the Hamiltonian spectra as CSV
 curves     sample the high-genus curve, rank and descent diagnostics
 
-All randomness is drawn from the configured seed; reports embed N, seed,
-tool version, and the P and tolerances their command read, and complex
+All randomness is drawn from the configured seed; reports embed the tool
+version, N and the seed, P and tolerances their command read, and complex
 numbers serialize as [re, im] pairs.
 """
 
@@ -64,8 +64,9 @@ class RunConfig:
         for N in self.n_list:
             make_context(N, self.P)     # odd N >= 3 and gcd(P, N) = 1
         for name, value in self.tolerances.items():
-            if value <= 0:
-                raise ValueError(f"tolerance {name!r} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"tolerance {name!r} must be positive and "
+                                 f"finite, got {value}")
 
     def tol(self, name: str) -> float:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
@@ -76,14 +77,23 @@ def c2j(z) -> list:
     return [z.real, z.imag]
 
 
-def _meta(config: RunConfig, tol_names) -> dict:
-    """Echo the inputs a command read; tol_names None: no P, no tolerance."""
-    meta = {"tool_version": __version__, "N_list": list(config.n_list),
-            "seed": config.seed}
-    if tol_names is not None:
-        meta["P"] = config.P
-        meta["tolerances"] = {k: config.tol(k) for k in sorted(tol_names)}
-    return meta
+# the tolerances each command gates on: --tol accepts and meta echoes these
+# names and no others.  verify's are its suite names, looked up when it runs,
+# because a caller may narrow VERIFY_SUITES
+TOLERANCES_READ = {
+    "verify": lambda: [name for name, _ in VERIFY_SUITES],
+    "solve": lambda: [],
+    "butterfly": lambda: [],
+    "curves": lambda: ["descent", "identity"],
+}
+
+
+def _meta(config: RunConfig, command: str) -> dict:
+    """Echo the inputs a command read: the seed, P and its tolerances."""
+    return {"tool_version": __version__, "N_list": list(config.n_list),
+            "seed": config.seed, "P": config.P,
+            "tolerances": {k: config.tol(k)
+                           for k in sorted(TOLERANCES_READ[command]())}}
 
 
 def _json_default(o):
@@ -98,21 +108,36 @@ def _write_json(path: str, payload: dict):
         fh.write("\n")
 
 
-def _attempt(fn, rng, record: dict, label: str):
-    """Return with_generic_redraw(fn, rng), or None after recording the error.
+def _finish(config: RunConfig, command: str, report: dict, t0: float) -> int:
+    """Write report-<command>.json (or --out); exit 0 iff the report passed."""
+    report["wall_time"] = time.time() - t0
+    _write_json(config.out or f"report-{command}.json", report)
+    return 0 if report["pass"] else 1
 
-    On success record["attempts"] counts the calls of fn, redraws included.
-    A ValueError (PoleError among them) or RuntimeError (GenericityError after
-    its redraws) goes to record["error"] and to a FAIL line on stderr.
+
+def _attempt(fn, config: RunConfig, record: dict, label: str):
+    """Return with_generic_redraw(fn, rng) at the config's seed, or None.
+
+    record gets attempts (the calls of fn, redraws included) on success, the
+    error of a ValueError or RuntimeError (and a FAIL line on stderr) on
+    failure, and wall_s and peak_rss_mb (the process peak) either way.
     """
+    import resource     # Unix only; imported here, not with the package
+
     calls = []
+    start = time.perf_counter()
     try:
-        out = with_generic_redraw(lambda r: calls.append(r) or fn(r), rng)
+        out = with_generic_redraw(lambda r: calls.append(r) or fn(r),
+                                  np.random.default_rng(config.seed))
     except (ValueError, RuntimeError) as exc:
         record["error"] = {"class": type(exc).__name__, "message": str(exc)}
         print(f"FAIL {label}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return None
-    record["attempts"] = len(calls)
+        out = None
+    else:
+        record["attempts"] = len(calls)
+    record.update(wall_s=time.perf_counter() - start,
+                  peak_rss_mb=resource.getrusage(   # ru_maxrss is in KiB
+                      resource.RUSAGE_SELF).ru_maxrss / 1024)
     return out
 
 
@@ -218,42 +243,29 @@ VERIFY_SUITES = [
 def cmd_verify(config: RunConfig) -> int:
     """Run every suite at every N; a suite that raises fails on its own record.
 
-    Each record carries its wall seconds and the process's peak memory.  An
-    N whose dense commutator matrices pass DENSE_BYTES_MAX is refused first.
+    An N whose dense commutator matrices pass DENSE_BYTES_MAX is refused first.
     """
-    import resource     # Unix only; imported here, not with the package
-
     for N in config.n_list:
         if 16 * N**6 > DENSE_BYTES_MAX:
             raise ValueError(f"verify at N={N} needs dense {N**3} x {N**3} "
                              f"matrices of {16 * N**6 / 1e9:.3g} GB each (limit "
                              f"{DENSE_BYTES_MAX / 1e9:.3g} GB)")
     t0 = time.time()
-    report = {"meta": _meta(config, [name for name, _ in VERIFY_SUITES]),
-              "suites": [], "pass": True}
+    report = {"meta": _meta(config, "verify"), "suites": [], "pass": True}
     for N in config.n_list:
         ctx = make_context(N, config.P)
         for name, fn in VERIFY_SUITES:
             record = {"suite": name, "N": N, "tolerance": config.tol(name)}
-            start = time.perf_counter()
-            worst = _attempt(lambda r: float(fn(ctx, r)),
-                             np.random.default_rng(config.seed), record,
+            worst = _attempt(lambda r: float(fn(ctx, r)), config, record,
                              f"{name} N={N}")
             ok = worst is not None and worst < record["tolerance"]
-            record.update({
-                "max_residual": worst, "pass": bool(ok),
-                "wall_s": time.perf_counter() - start,
-                "peak_rss_mb": resource.getrusage(   # ru_maxrss is in KiB
-                    resource.RUSAGE_SELF).ru_maxrss / 1024})
+            record.update({"max_residual": worst, "pass": bool(ok)})
             report["suites"].append(record)
             report["pass"] = bool(report["pass"] and ok)
             if not ok and worst is not None:
                 print(f"FAIL invariant {name} at N={N}: "
                       f"residual {worst} >= {record['tolerance']}", file=sys.stderr)
-    report["wall_time"] = time.time() - t0
-    out = config.out or "report-verify.json"
-    _write_json(out, report)
-    return 0 if report["pass"] else 1
+    return _finish(config, "verify", report, t0)
 
 
 # ----------------------------------------------------------------- solve
@@ -280,7 +292,8 @@ def cmd_solve(config: RunConfig, L: int, m_arg) -> int:
         M = (N - 1) // 2
         if m_arg != "all" and not 0 <= int(m_arg) <= M:
             raise ValueError(f"m={m_arg} outside [0, {M}] at N={N}")
-    report = {"meta": _meta(config, ()), "L": L, "chains": [], "pass": True}
+    report = {"meta": _meta(config, "solve"), "L": L, "chains": [],
+              "pass": True}
     for N in config.n_list:
         ctx = make_context(N, config.P)
         sectors = range(ctx.M + 1) if m_arg == "all" else [int(m_arg)]
@@ -302,8 +315,7 @@ def cmd_solve(config: RunConfig, L: int, m_arg) -> int:
             return c, records
 
         entry = {"N": N}
-        result = _attempt(run, np.random.default_rng(config.seed), entry,
-                          f"solve N={N}")
+        result = _attempt(run, config, entry, f"solve N={N}")
         if result is not None:
             c, records = result
             entry.update({
@@ -315,10 +327,7 @@ def cmd_solve(config: RunConfig, L: int, m_arg) -> int:
             })
         report["chains"].append(entry)
         report["pass"] = report["pass"] and result is not None
-    report["wall_time"] = time.time() - t0
-    out = config.out or "report-solve.json"
-    _write_json(out, report)
-    return 0 if report["pass"] else 1
+    return _finish(config, "solve", report, t0)
 
 
 # ------------------------------------------------------------- butterfly
@@ -347,34 +356,28 @@ def cmd_butterfly(config: RunConfig, mu, nu, rho, alpha, beta, gamma) -> int:
         for row in rows:
             writer.writerow([row[0], row[1], row[2],
                              f"{row[3]:.15g}", f"{row[4]:.15g}"])
-    _write_json(out + ".meta.json", {"meta": _meta(config, None),
-                                     "params": {"mu": c2j(mu), "nu": c2j(nu),
-                                                "rho": c2j(rho),
-                                                "alpha": c2j(alpha),
-                                                "beta": c2j(beta),
-                                                "gamma": c2j(gamma),
-                                                "hermitian": hermitian}})
+    # the sidecar echoes no seed, P or tolerance: butterfly reads none
+    _write_json(out + ".meta.json", {
+        "meta": {"tool_version": __version__, "N_list": list(config.n_list)},
+        "params": {"mu": c2j(mu), "nu": c2j(nu), "rho": c2j(rho),
+                   "alpha": c2j(alpha), "beta": c2j(beta),
+                   "gamma": c2j(gamma), "hermitian": hermitian}})
     return 0
 
 
 # ---------------------------------------------------------------- curves
 
-def cmd_curves(config: RunConfig, n_points: int = None) -> int:
-    """Curve diagnostics at every N; an N that raises fails on its own record."""
+def cmd_curves(config: RunConfig) -> int:
+    """Curve diagnostics on 2N^2 W-points per N; an N that raises fails alone."""
     t0 = time.time()
-    for N in config.n_list:
-        if n_points is not None and n_points < N * N:
-            raise ValueError(f"need at least N^2 = {N*N} sample points")
-    report = {"meta": _meta(config, ("descent", "identity")), "results": [],
-              "pass": True}
+    report = {"meta": _meta(config, "curves"), "results": [], "pass": True}
     for N in config.n_list:
         ctx = make_context(N, config.P)
-        count = n_points if n_points is not None else 2 * N * N
 
         def run(rng):
             chain = HofstadterChain3(SiteParams(*unit_draws(rng, 4)),
                                      SiteParams(*unit_draws(rng, 4)))
-            pts = draw_w_points(chain, ctx, rng, count)
+            pts = draw_w_points(chain, ctx, rng, 2 * N * N)
             vecs = evaluation_vectors(pts, chain, ctx)
             ranks = {l: evaluation_rank(vecs, l, ctx) for l in range(N)}
             desc = [descended_t_residual(p, chain, ctx) for p in pts[:20]]
@@ -392,8 +395,7 @@ def cmd_curves(config: RunConfig, n_points: int = None) -> int:
             return ranks, desc, worst_abcd
 
         record = {"N": N, "pass": False}
-        result = _attempt(run, np.random.default_rng(config.seed), record,
-                          f"curves N={N}")
+        result = _attempt(run, config, record, f"curves N={N}")
         if result is not None:
             ranks, desc, worst_abcd = result
             record.update({
@@ -411,22 +413,19 @@ def cmd_curves(config: RunConfig, n_points: int = None) -> int:
                       file=sys.stderr)
         report["results"].append(record)
         report["pass"] = report["pass"] and record["pass"]
-    report["wall_time"] = time.time() - t0
-    out = config.out or "report-curves.json"
-    _write_json(out, report)
-    return 0 if report["pass"] else 1
+    return _finish(config, "curves", report, t0)
 
 
 # ------------------------------------------------------------------ main
 
-def _parse_tol(items) -> dict:
+def _parse_tol(items, command: str) -> dict:
     out = {}
     for item in items or []:
         name, _, value = item.partition("=")
         if not value:
             raise ValueError(f"--tol expects name=value, got {item!r}")
-        if name not in DEFAULT_TOLERANCES:
-            raise ValueError(f"unknown tolerance {name!r}")
+        if name not in TOLERANCES_READ[command]():
+            raise ValueError(f"unknown tolerance {name!r} for {command}")
         out[name] = float(value)
     return out
 
@@ -439,29 +438,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, flux=True, tol=True):
+    def common(p, command, draws=True):
         p.add_argument("--N", action="append", type=int, required=True,
                        help="odd chain dimension, repeatable")
-        if flux:
+        if draws:
             p.add_argument("--P", type=int, default=1, help="root exponent")
-        p.add_argument("--seed", type=int, default=20240001)
-        if tol:
+            p.add_argument("--seed", type=int, default=20240001)
+        if TOLERANCES_READ[command]():
             p.add_argument("--tol", action="append", metavar="NAME=VALUE",
                            help="override a tolerance, repeatable; names: "
-                                + ", ".join(DEFAULT_TOLERANCES))
+                                + ", ".join(TOLERANCES_READ[command]()))
         p.add_argument("--out", default=None)
 
-    common(sub.add_parser("verify", help="run the invariant suites"))
+    common(sub.add_parser("verify", help="run the invariant suites"), "verify")
 
     p_solve = sub.add_parser("solve", help="solve the Bethe equation")
-    common(p_solve, tol=False)
+    common(p_solve, "solve")
     p_solve.add_argument("--L", type=int, choices=(1, 2, 3), required=True)
     p_solve.add_argument("--m", default="all",
                          help="sector index or 'all' (default)")
 
-    # butterfly sweeps every P coprime to N itself and checks no tolerance
+    # butterfly sweeps every P coprime to N itself and draws nothing
     p_b = sub.add_parser("butterfly", help="emit flux-sweep spectra as CSV")
-    common(p_b, flux=False, tol=False)
+    common(p_b, "butterfly", draws=False)
     p_b.add_argument("--mu", type=float, default=1.0)
     p_b.add_argument("--nu", type=float, default=1.0)
     p_b.add_argument("--rho", type=float, default=0.0)
@@ -469,20 +468,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--beta", type=complex, default=1.0 + 0j)
     p_b.add_argument("--gamma", type=complex, default=1.0 + 0j)
 
-    p_c = sub.add_parser("curves", help="high-genus curve diagnostics")
-    common(p_c)
-    p_c.add_argument("--points", type=int, default=None,
-                     help="W points per N (default 2N^2)")
-
+    common(sub.add_parser("curves", help="high-genus curve diagnostics"),
+           "curves")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(n_list=args.N, P=getattr(args, "P", 1),
-                           seed=args.seed, out=args.out,
-                           tolerances=_parse_tol(getattr(args, "tol", None)))
+        config = RunConfig(
+            n_list=args.N, out=args.out,
+            tolerances=_parse_tol(getattr(args, "tol", None), args.command),
+            **{k: v for k, v in vars(args).items() if k in ("P", "seed")})
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -495,7 +492,7 @@ def main(argv=None) -> int:
             return cmd_butterfly(config, args.mu, args.nu, args.rho,
                                  args.alpha, args.beta, args.gamma)
         if args.command == "curves":
-            return cmd_curves(config, n_points=args.points)
+            return cmd_curves(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

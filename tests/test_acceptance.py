@@ -24,6 +24,8 @@ from hofchain.cli import main
 from hofchain.curves import descended_t_residual, draw_w_points, epsilon_rank
 from hofchain.weylcore import unit_draws
 
+from conftest import strip_timing
+
 
 def report(name, detail):
     print(f"PASS {name}: {detail}")
@@ -250,10 +252,8 @@ def test_criterion_11_determinism(tmp_path):
     args = ["solve", "--N", "3", "--L", "3", "--m", "all", "--seed", "11"]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
-    ra = json.loads(a.read_text())
-    rb = json.loads(b.read_text())
-    ra.pop("wall_time")
-    rb.pop("wall_time")
+    ra = strip_timing(json.loads(a.read_text()))
+    rb = strip_timing(json.loads(b.read_text()))
     assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
     report("criterion 11 (determinism)",
            "identical numerical content across repeated runs")

@@ -1,16 +1,19 @@
+import argparse
 import csv
 import json
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hofchain import PoleError, make_context, transfer_T
+from hofchain import PoleError, __version__, make_context, transfer_T
 from hofchain import cli, transfer, weylcore
 from hofchain.cli import main
 from hofchain.weylcore import GenericityError, Operator
 
-from conftest import draw_chain
+from conftest import draw_chain, strip_timing
 
 
 def read_json(path):
@@ -172,9 +175,7 @@ class TestSolve:
         b = tmp_path / "b.json"
         assert main(["solve", "--N", "3", "--L", "3", "--out", str(a)]) == 0
         assert main(["solve", "--N", "3", "--L", "3", "--out", str(b)]) == 0
-        ra, rb = read_json(a), read_json(b)
-        ra.pop("wall_time")
-        rb.pop("wall_time")
+        ra, rb = strip_timing(read_json(a)), strip_timing(read_json(b))
         assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
 
     def test_bad_sector(self, tmp_path):
@@ -210,9 +211,9 @@ class TestButterfly:
 
     def test_meta_sidecar(self, tmp_path):
         out = tmp_path / "b.csv"
-        main(["butterfly", "--N", "3", "--seed", "42", "--out", str(out)])
+        main(["butterfly", "--N", "3", "--out", str(out)])
         meta = read_json(str(out) + ".meta.json")
-        assert meta["meta"]["seed"] == 42
+        assert meta["meta"] == {"tool_version": __version__, "N_list": [3]}
 
     def test_rfc4180_header(self, tmp_path):
         out = tmp_path / "b.csv"
@@ -287,11 +288,6 @@ class TestCurvesCmd:
         assert res["descended_residual_max"] < 1e-8
         assert res["abcd_max_residual"] < 1e-10
 
-    def test_insufficient_points(self, tmp_path):
-        rc = main(["curves", "--N", "3", "--points", "4",
-                   "--out", str(tmp_path / "x.json")])
-        assert rc == 2
-
     def test_seed_robust_ranks(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -299,6 +295,17 @@ class TestCurvesCmd:
         main(["curves", "--N", "3", "--seed", "8", "--out", str(b)])
         ra, rb = read_json(a), read_json(b)
         assert ra["results"][0]["epsilon_ranks"] == rb["results"][0]["epsilon_ranks"]
+
+    def test_deterministic(self, tmp_path):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        args = ["curves", "--N", "3", "--N", "5", "--seed", "7"]
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--out", str(b)]) == 0
+        ra, rb = read_json(a), read_json(b)
+        for rec, kept in zip(ra["results"], strip_timing(ra)["results"]):
+            assert set(rec) - set(kept) == {"wall_s", "peak_rss_mb"}
+        assert strip_timing(ra) == strip_timing(rb)
 
 
 def test_version_flag(capsys):
@@ -327,6 +334,7 @@ class TestFailingN:
         report = read_json(out)
         assert report["pass"] is False
         good, bad = report["chains"]
+        assert bad.pop("wall_s") >= 0 and bad.pop("peak_rss_mb") > 0
         assert bad == {"N": 5, "error": {"class": "PoleError",
                                          "message": "forced pole"}}
         assert good["N"] == 3 and "error" not in good
@@ -347,6 +355,7 @@ class TestFailingN:
         report = read_json(out)
         assert report["pass"] is False
         good, bad = report["results"]
+        assert bad.pop("wall_s") >= 0 and bad.pop("peak_rss_mb") > 0
         assert bad == {"N": 5, "pass": False,
                        "error": {"class": "RuntimeError",
                                  "message": "forced failure"}}
@@ -391,6 +400,7 @@ def test_butterfly_sidecar_echoes_no_flux_or_tolerance(tmp_path):
     assert main(["butterfly", "--N", "3", "--N", "5", "--out", str(out)]) == 0
     meta = read_json(str(out) + ".meta.json")["meta"]
     assert "P" not in meta and "tolerances" not in meta
+    assert "seed" not in meta
     assert meta["N_list"] == [3, 5]
 
 
@@ -401,6 +411,60 @@ def test_undeclared_tolerance_refused(tmp_path, capsys, name):
                  "--out", str(out)]) == 2
     assert "unknown tolerance" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,name", [
+    (cmd, name) for cmd in ("verify", "curves")
+    for name in sorted(TOLERANCE_READERS) if TOLERANCE_READERS[name] != cmd])
+def test_tolerance_of_another_command_refused(tmp_path, capsys, command, name):
+    out = tmp_path / "x.json"
+    assert main([command, "--N", "3", "--tol", f"{name}=1e-300",
+                 "--out", str(out)]) == 2
+    assert "unknown tolerance" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command,name", [("verify", "rll"),
+                                          ("curves", "descent")])
+def test_non_finite_tolerance_refused(tmp_path, capsys, command, name, value):
+    out = tmp_path / "x.json"
+    assert main([command, "--N", "3", "--tol", f"{name}={value}",
+                 "--out", str(out)]) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def readme_flag_table() -> dict:
+    """The README's CLI flag table as {command: set of option strings}."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in readme.read_text(encoding="utf-8").splitlines()
+            if line.startswith("| ")]
+    header = next(r for r in rows if r[0] == "flag")
+    table = rows[rows.index(header) + 1:]
+    table = table[:next((i for i, r in enumerate(table)
+                         if len(r) != len(header)), len(table))]
+    flags = {cmd.strip("`"): set() for cmd in header[1:]}
+    for row in table:
+        (flag,) = re.findall(r"`(--\w+)", row[0]) or [None]
+        for cmd, cell in zip(flags, row[1:]):
+            if flag is None:        # the row of each command's own flags
+                flags[cmd].update(re.findall(r"`(--\w+)`", cell))
+            elif cell == "yes":
+                flags[cmd].add(flag)
+            else:
+                assert cell == "—", (flag, cmd, cell)
+    return flags
+
+
+def test_readme_flag_table_matches_parser():
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    parsed = {cmd: {o for a in p._actions for o in a.option_strings
+                    if o not in ("-h", "--help")}
+              for cmd, p in sub.choices.items()}
+    assert readme_flag_table() == parsed
 
 
 class TestInputCheckedFirst:
@@ -426,16 +490,6 @@ class TestInputCheckedFirst:
         assert "m=2 outside [0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_curves_points_at_second_n(self, tmp_path, monkeypatch):
-        def draw(*args):
-            raise AssertionError("draw_w_points called")
-
-        monkeypatch.setattr(cli, "draw_w_points", draw)
-        out = tmp_path / "curves.json"
-        assert main(["curves", "--N", "3", "--N", "5", "--points", "10",
-                     "--out", str(out)]) == 2
-        assert not out.exists()
-
     def test_oversized_dense_verify_at_second_n(self, tmp_path, monkeypatch,
                                                  capsys):
         calls = []
@@ -453,6 +507,8 @@ class TestInputCheckedFirst:
         ["butterfly", "--N", "3", "--P", "2"],
         ["butterfly", "--N", "3", "--tol", "rll=1"],
         ["solve", "--N", "3", "--L", "3", "--tol", "rll=1"],
+        ["butterfly", "--N", "3", "--seed", "1"],
+        ["curves", "--N", "3", "--points", "20"],
     ])
     def test_flag_not_read_is_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -494,7 +550,11 @@ class TestAttempts:
         assert [s["attempts"] for s in read_json(out)["suites"]] == [1] * 6
         out = tmp_path / "solve.json"
         assert main(["solve", "--N", "3", "--L", "1", "--out", str(out)]) == 0
-        assert read_json(out)["chains"][0]["attempts"] == 1
+        (entry,) = read_json(out)["chains"]
+        assert entry["attempts"] == 1
+        assert entry["wall_s"] >= 0 and entry["peak_rss_mb"] > 0
         out = tmp_path / "curves.json"
         assert main(["curves", "--N", "3", "--out", str(out)]) == 0
-        assert read_json(out)["results"][0]["attempts"] == 1
+        (result,) = read_json(out)["results"]
+        assert result["attempts"] == 1
+        assert result["wall_s"] >= 0 and result["peak_rss_mb"] > 0
