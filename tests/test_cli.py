@@ -288,6 +288,15 @@ class TestCurvesCmd:
         assert res["descended_residual_max"] < 1e-8
         assert res["abcd_max_residual"] < 1e-10
 
+    def test_insufficient_points(self, tmp_path, capsys):
+        # curves always samples 2N^2 points; --points is no setting of it
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["curves", "--N", "3", "--points", "4", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --points 4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_robust_ranks(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -490,6 +499,19 @@ class TestInputCheckedFirst:
         assert "m=2 outside [0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_curves_points_at_second_n(self, tmp_path, monkeypatch, capsys):
+        def draw(*args):
+            raise AssertionError("draw_w_points called")
+
+        monkeypatch.setattr(cli, "draw_w_points", draw)
+        out = tmp_path / "curves.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["curves", "--N", "3", "--N", "5", "--points", "10",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oversized_dense_verify_at_second_n(self, tmp_path, monkeypatch,
                                                  capsys):
         calls = []
@@ -508,7 +530,6 @@ class TestInputCheckedFirst:
         ["butterfly", "--N", "3", "--tol", "rll=1"],
         ["solve", "--N", "3", "--L", "3", "--tol", "rll=1"],
         ["butterfly", "--N", "3", "--seed", "1"],
-        ["curves", "--N", "3", "--points", "20"],
     ])
     def test_flag_not_read_is_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
