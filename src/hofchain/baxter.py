@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weylcore import (Context, PoleError, pochhammer, relative_defect,
-                       unit_draws)
+from .weylcore import (POLE_TOL, Context, PoleError, pochhammer,
+                       relative_defect, unit_draws)
 from .transfer import ChainParams, SiteParams, transfer_apply
 
 
@@ -64,7 +64,7 @@ def delta_pm(p: RationalPoint, sign: int, chain: DegenerateChain,
         out = 1.0 + 0.0j
         for j, cj in enumerate(chain.c):
             den = 1 - x * cj * ctx.q_pow(-l)
-            if abs(den) < 1e-13:
+            if abs(den) < POLE_TOL:
                 raise PoleError(f"Delta_+ pole at site j={j}: x = q^l / c_j")
             out *= (1 - x * x * cj * cj) / den
         return out
@@ -77,18 +77,16 @@ def _baxter_rows(xs, ls, chain: DegenerateChain, ctx: Context) -> np.ndarray:
     One `pochhammer` call each for the numerators and the denominators
     over (rows x sites x k); the tensor product is formed by outer products.
     """
-    N = ctx.N
     xc = np.multiply.outer(np.asarray(xs, dtype=complex), np.asarray(chain.c))
-    e = (ctx.M + 1) * (np.asarray(ls)[:, None] + 2)     # q^(l+2) = omega^e
-    k = np.arange(N)
-    den = pochhammer((xc * ctx.omega_pows(e))[..., None], ctx.omega, k)
-    bad = np.argwhere(np.abs(den) < 1e-13)
+    l2 = np.asarray(ls)[:, None] + 2
+    k = np.arange(ctx.N)
+    den = pochhammer((xc * ctx.q_pow(l2))[..., None], ctx.omega, k)
+    bad = np.argwhere(np.abs(den) < POLE_TOL)
     if len(bad):
         _, j, kk = bad[0]
         raise PoleError(f"Baxter component pole at site j={j}, k={kk}")
-    num = pochhammer((xc * ctx.omega_pows(-e))[..., None],
-                     ctx.omega_pow(-1), k)
-    sites = ctx.omega_pows((ctx.M + 1) * k * k) * num / den
+    num = pochhammer((xc * ctx.q_pow(-l2))[..., None], ctx.omega_pow(-1), k)
+    sites = ctx.q_pow(k * k) * num / den
     out = sites[:, 0]
     for site in sites.transpose(1, 0, 2)[1:]:
         out = (out[:, :, None] * site[:, None, :]).reshape(len(out), -1)
@@ -124,7 +122,7 @@ def _f_weights(x, n, shift: int, chain: DegenerateChain, ctx: Context):
     xc = np.asarray(x, dtype=complex)[..., None] * np.asarray(chain.c)
     n1 = np.asarray(n)[..., None] + 1
     den = pochhammer(xc * ctx.q_pow(shift), ctx.omega, n1)
-    if np.any(np.abs(den) < 1e-13):
+    if np.any(np.abs(den) < POLE_TOL):
         raise PoleError(f"f^{'eo'[shift]} pole")
     ratio = pochhammer(xc * ctx.q_pow(-shift), ctx.omega_pow(-1), n1) / den
     out = np.prod(ratio, axis=-1)
@@ -164,11 +162,11 @@ def sector_vectors(x, l, chain: DegenerateChain, ctx: Context) -> dict:
     rows = _baxter_rows(np.repeat(x.ravel(), N), np.tile(n, x.size), chain,
                         ctx).reshape(x.shape + (N, -1))
     # the weight of |x, l'> is term n = l'/2 of e and n = (l'-1)/2 of o (mod N)
-    phase = ctx.omega_pows(np.multiply.outer(l, n))
+    phase = ctx.omega_pow(np.multiply.outer(l, n))
     we = (f_even(x[..., None], n, chain, ctx) * phase)[..., (M + 1) * n % N]
     wo = (f_odd(x[..., None], n, chain, ctx) * phase)[..., (M + 1) * (n - 1) % N]
-    a = ctx.omega_pows(-(M + 1) * l[..., None]) \
-        * u_weight(ctx.q_pow(1) * x[..., None], chain, ctx)
+    a = ctx.q_pow(-l[..., None]) * u_weight(ctx.q_pow(1) * x[..., None],
+                                            chain, ctx)
     b = u_weight(x[..., None], chain, ctx)
     weights = np.stack([we, wo, we * a + wo * b], axis=-2)
     e, o, plus = np.moveaxis(weights @ rows, -2, 0)
@@ -182,7 +180,7 @@ def theorem1_ii_residual(chain: DegenerateChain, x: complex, l,
     l = np.atleast_1d(l)
     xs = np.array([x, ctx.q_pow(-1) * x, ctx.q_pow(1) * x])[:, None]
     plus, plus_m, plus_p = sector_vectors(xs, l, chain, ctx)["plus_vec"]
-    lhs = ctx.omega_pows(-(ctx.M + 1) * l)[:, None] * transfer_apply(
+    lhs = ctx.q_pow(-l)[:, None] * transfer_apply(
         chain.site_params(ctx), x, ctx, plus)
     dm = complex(np.prod([1 - x * cj * ctx.q_pow(-1) for cj in chain.c]))
     dp = complex(np.prod([1 + x * cj for cj in chain.c]))
@@ -201,7 +199,7 @@ def draw_regular_x(rng: np.random.Generator, chain: DegenerateChain,
     margin = 1e-4
     c = np.asarray(chain.c)[:, None]
     e = np.arange(ctx.N)
-    qe, oe = ctx.omega_pows((ctx.M + 1) * e), ctx.omega_pows(e)
+    qe, oe = ctx.q_pow(e), ctx.omega_pow(e)
     for _ in range(1000):
         x = radius * unit_draws(rng, 1)[0]
         near = np.minimum(np.abs(1 - x * c * qe), np.abs(1 - x * x * c * c * oe))
@@ -219,7 +217,7 @@ def _fit_nodes(rng: np.random.Generator, chain: DegenerateChain, ctx: Context,
     """
     radius = 1.0 / max(abs(cj) for cj in chain.c)
     c = np.asarray(chain.c)[:, None]
-    qe = ctx.omega_pows((ctx.M + 1) * np.arange(ctx.N))
+    qe = ctx.q_pow(np.arange(ctx.N))
     nodes = np.empty(count, dtype=complex)
     for k in range(count):
         for _ in range(100):

@@ -32,8 +32,8 @@ from .transfer import (ChainParams, SiteParams, commutator_residual,
 from .baxter import (DegenerateChain, RationalPoint, draw_regular_x,
                      plus_pairing_coeffs, sector_vectors, t_action_residual,
                      theorem1_ii_residual, u_weight)
-from .bethe import (cluster_eigenvalues, oracle_spectrum, solve_L1, solve_L2,
-                    solve_L3)
+from .bethe import (CLUSTER_GAP, cluster_eigenvalues, oracle_spectrum,
+                    solve_L1, solve_L2, solve_L3)
 from .curves import (HofstadterChain3, abcd_polys, descended_t_residual,
                      draw_w_points, evaluation_rank, evaluation_vectors)
 
@@ -89,11 +89,15 @@ TOLERANCES_READ = {
 
 
 def _meta(config: RunConfig, command: str) -> dict:
-    """Echo the inputs a command read: the seed, P and its tolerances."""
+    """Echo the inputs a command read: the seed, P and its tolerances.  Every
+    command calls it before its first N, refusing a tolerance it does not read."""
+    read = TOLERANCES_READ[command]()
+    for name in config.tolerances:
+        if name not in read:
+            raise ValueError(f"unknown tolerance {name!r} for {command}")
     return {"tool_version": __version__, "N_list": list(config.n_list),
             "seed": config.seed, "P": config.P,
-            "tolerances": {k: config.tol(k)
-                           for k in sorted(TOLERANCES_READ[command]())}}
+            "tolerances": {k: config.tol(k) for k in sorted(read)}}
 
 
 def _json_default(o):
@@ -180,8 +184,7 @@ def _suite_theorem1(ctx, rng):
         x = draw_regular_x(rng, chain, ctx)
         vecs = sector_vectors(x, ls, chain, ctx)    # one row per sector l
         ident = vecs["e_vec"] * u_weight(ctx.q_pow(1) * x, chain, ctx) \
-            - vecs["o_vec"] * (ctx.omega_pows((ctx.M + 1) * ls)
-                               * u_weight(x, chain, ctx))[:, None]
+            - vecs["o_vec"] * (ctx.q_pow(ls) * u_weight(x, chain, ctx))[:, None]
         scale = np.maximum(1.0, np.max(np.abs(vecs["plus_vec"]), axis=1))
         worst = max(worst, float(np.max(np.max(np.abs(ident), axis=1) / scale)),
                     theorem1_ii_residual(chain, x, ls, ctx))
@@ -193,6 +196,9 @@ def _suite_divisibility(ctx, rng):
     chain = DegenerateChain(tuple(unit_draws(rng, 3)))
     cp = chain.site_params(ctx)
     deg = (3 * ctx.M + 1) * 3
+    bad = np.array([ctx.omega_pow(k) / cj for cj in chain.c
+                    for k in range(ctx.N)])
+    V = np.vander(bad, deg + 1, increasing=True)
     worst = 0.0
     for m in range(ctx.M + 1):
         for l_sec, label in (((2 * m) % ctx.N, m), ((-2 * m) % ctx.N, (ctx.N - m) % ctx.N)):
@@ -206,9 +212,6 @@ def _suite_divisibility(ctx, rng):
                 raise GenericityError("pairing degenerated to zero")
             if m > 0:
                 worst = max(worst, float(np.max(np.abs(coeffs[:m]))) / scale)
-            bad = np.array([ctx.omega_pow(k) / cj for cj in chain.c
-                            for k in range(ctx.N)])
-            V = np.vander(bad, deg + 1, increasing=True)
             worst = max(worst, float(np.max(np.abs(V @ coeffs))) / scale)
     return worst
 
@@ -224,7 +227,7 @@ def _suite_degeneracy(ctx, rng):
         if any(k != ctx.N for _, k in clusters):
             raise GenericityError(
                 f"multiplicities {[k for _, k in clusters]} != {ctx.N}")
-        spread = max(max(abs(v - mu) for v in spec if abs(v - mu) < 1e-6)
+        spread = max(max(abs(v - mu) for v in spec if abs(v - mu) < CLUSTER_GAP)
                      for mu, _ in clusters)
         worst = max(worst, spread)
     return worst
@@ -337,6 +340,7 @@ def cmd_butterfly(config: RunConfig, mu, nu, rho, alpha, beta, gamma) -> int:
     # admits exp(2 pi i r), which rounds one ulp off the unit circle
     hermitian = (all(complex(v).imag == 0 for v in (mu, nu, rho)) and all(
         abs(abs(v) - 1) <= 4 * np.finfo(float).eps for v in (alpha, beta, gamma)))
+    meta = _meta(config, "butterfly")
     rows = []
     for N in sorted(config.n_list):
         for P in [p for p in range(1, N) if math.gcd(p, N) == 1]:
@@ -347,18 +351,16 @@ def cmd_butterfly(config: RunConfig, mu, nu, rho, alpha, beta, gamma) -> int:
             else:
                 evals = np.linalg.eigvals(H.mat)
                 evals = evals[np.lexsort((evals.imag, evals.real))]
-            for idx, e in enumerate(evals):
-                rows.append((N, P, idx, e.real, e.imag))
+            rows.extend((N, P, i, f"{e.real:.15g}", f"{e.imag:.15g}")
+                        for i, e in enumerate(evals))
     out = config.out or "butterfly.csv"
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["N", "P", "index", "energy_re", "energy_im"])
-        for row in rows:
-            writer.writerow([row[0], row[1], row[2],
-                             f"{row[3]:.15g}", f"{row[4]:.15g}"])
+        writer.writerows(rows)
     # the sidecar echoes no seed, P or tolerance: butterfly reads none
     _write_json(out + ".meta.json", {
-        "meta": {"tool_version": __version__, "N_list": list(config.n_list)},
+        "meta": {k: meta[k] for k in ("tool_version", "N_list")},
         "params": {"mu": c2j(mu), "nu": c2j(nu), "rho": c2j(rho),
                    "alpha": c2j(alpha), "beta": c2j(beta),
                    "gamma": c2j(gamma), "hermitian": hermitian}})
@@ -418,14 +420,12 @@ def cmd_curves(config: RunConfig) -> int:
 
 # ------------------------------------------------------------------ main
 
-def _parse_tol(items, command: str) -> dict:
+def _parse_tol(items) -> dict:
     out = {}
     for item in items or []:
         name, _, value = item.partition("=")
         if not value:
             raise ValueError(f"--tol expects name=value, got {item!r}")
-        if name not in TOLERANCES_READ[command]():
-            raise ValueError(f"unknown tolerance {name!r} for {command}")
         out[name] = float(value)
     return out
 
@@ -478,7 +478,7 @@ def main(argv=None) -> int:
     try:
         config = RunConfig(
             n_list=args.N, out=args.out,
-            tolerances=_parse_tol(getattr(args, "tol", None), args.command),
+            tolerances=_parse_tol(getattr(args, "tol", None)),
             **{k: v for k, v in vars(args).items() if k in ("P", "seed")})
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

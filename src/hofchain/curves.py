@@ -27,8 +27,8 @@ from functools import reduce
 
 import numpy as np
 
-from .weylcore import (Context, PoleError, relative_defect, sector_orbits,
-                       unit_draws)
+from .weylcore import (POLE_TOL, Context, PoleError, relative_defect,
+                       sector_orbits, unit_draws)
 from .transfer import ChainParams, SiteParams, transfer_apply
 from .bethe import ComplexPolynomial
 
@@ -76,14 +76,12 @@ def abcd_polys(chain: ChainParams, ctx: Context) -> ABCDPolys:
     N = ctx.N
 
     def site(h):
-        # each entry: polynomial in y, ascending coefficients
-        return [[np.array([-h.a**N]), np.array([0.0, h.b**N])],
-                [np.array([0.0, h.c**N]), np.array([-h.d**N])]]
+        # each entry: polynomial in y, ascending coefficients, degree 1
+        return [[np.array([-h.a**N, 0.0]), np.array([0.0, h.b**N])],
+                [np.array([0.0, h.c**N]), np.array([-h.d**N, 0.0])]]
 
     def mult(P, Q):
-        poly = np.polynomial.polynomial     # loaded on first use, not at import
-        return [[poly.polyadd(poly.polymul(P[i][0], Q[0][j]),
-                              poly.polymul(P[i][1], Q[1][j]))
+        return [[np.convolve(P[i][0], Q[0][j]) + np.convolve(P[i][1], Q[1][j])
                  for j in range(2)] for i in range(2)]
 
     prod = reduce(mult, (site(h) for h in chain.sites))
@@ -115,7 +113,7 @@ def w_residuals(x: complex, xi0: complex, xi2: complex,
     y = x**N
     den1 = y * xi2**N * h1.c**N - h1.d**N
     den2 = y * xi0**N * h2.c**N - h2.d**N
-    if abs(den1) < 1e-13 or abs(den2) < 1e-13:
+    if abs(den1) < POLE_TOL or abs(den2) < POLE_TOL:
         raise PoleError("W defining-equation denominator vanishes")
     rhs1 = (-xi2**N * h1.a**N + y * h1.b**N) / den1
     rhs2 = (-xi0**N * h2.a**N + y * h2.b**N) / den2
@@ -147,10 +145,10 @@ def sample_W(x: complex, chain: HofstadterChain3, ctx: Context) -> list:
     points = []
     for eta in (e1, e2):
         den = y * eta * h2.c**N - h2.d**N
-        if abs(den) < 1e-13:
+        if abs(den) < POLE_TOL:
             raise PoleError("xi_2^N denominator vanishes")
         xi2N = (-eta * h2.a**N + y * h2.b**N) / den
-        if abs(eta) < 1e-13 or abs(xi2N) < 1e-13:
+        if abs(eta) < POLE_TOL or abs(xi2N) < POLE_TOL:
             raise PoleError("degenerate N-th power coordinate")
         xi0_base = _principal_root(eta, N)
         xi2_base = _principal_root(xi2N, N)
@@ -169,10 +167,10 @@ def _site_null_vector(h: SiteParams, x, xi, xip, ctx: Context) -> np.ndarray:
     """Null vectors of F_h(x, xi, xi') by the ratio recursion, <0|p> = 1, one
     per entry of the broadcast x, xi, xip; a pole in any one of them raises."""
     N = ctx.N
-    w = ctx.omega_pows(np.arange(1, N))
+    w = ctx.omega_pow(np.arange(1, N))
     x, xi, xip = (np.asarray(z, dtype=complex)[..., None] for z in (x, xi, xip))
     den = -xi * (xip * x * h.c * w - h.d)
-    pole = np.nonzero(np.abs(den) < 1e-13)[-1]
+    pole = np.nonzero(np.abs(den) < POLE_TOL)[-1]
     if pole.size:
         raise PoleError(f"null-vector ratio pole at component {1 + pole.min()}")
     num = xip * h.a * w - x * h.b
@@ -200,12 +198,12 @@ def _averaged_rows(points, chain: HofstadterChain3, ctx: Context,
     x, xi0, xi2 = (np.array([[getattr(p, c)] for p in points], dtype=complex)
                    for c in ("x", "xi0", "xi2"))
     if convention == "descent":       # xi_1 = omega^s / xi_0, q^{-s(s+1)}
-        xi1 = ctx.omega_pows(s) / xi0
-        weight = ctx.omega_pows(-(ctx.M + 1) * s * (s + 1))
+        xi1 = ctx.omega_pow(s) / xi0
+        weight = ctx.q_pow(-s * (s + 1))
     elif convention == "evaluation":  # xi_0 -> q^s xi_0, xi_1 = 1/xi_0, q^{s^2}
-        xi0 = ctx.omega_pows((ctx.M + 1) * s) * xi0
+        xi0 = ctx.q_pow(s) * xi0
         xi1 = 1.0 / xi0
-        weight = ctx.omega_pows((ctx.M + 1) * s * s)
+        weight = ctx.q_pow(s * s)
     else:
         raise ValueError(f"unknown convention {convention!r}")
     v0 = _site_null_vector(chain.h0, x, xi0, xi1, ctx) * (weight / N)[:, None]
@@ -228,12 +226,12 @@ def descended_delta(p: WPoint, sign: int, chain: HofstadterChain3,
     x, xi0, xi2 = p.x, p.xi0, p.xi2
     h1, h2 = chain.h1, chain.h2
     if sign == -1:
-        if abs(x * xi0) < 1e-13:
+        if abs(x * xi0) < POLE_TOL:
             raise PoleError("Delta~_- pole at x xi_0 = 0")
         return ((x * xi2 * h1.c - h1.d) * (x * xi0 * h2.c - h2.d)) / (-x * xi0)
     if sign == 1:
         den = x * (xi2 * h1.a - x * h1.b) * (xi0 * h2.a - x * h2.b)
-        if abs(den) < 1e-13:
+        if abs(den) < POLE_TOL:
             raise PoleError("Delta~_+ pole")
         return (xi2 * (h1.a * h1.d - x**2 * h1.b * h1.c)
                 * (h2.a * h2.d - x**2 * h2.b * h2.c)) / den

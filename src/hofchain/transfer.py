@@ -199,7 +199,7 @@ def transfer_terms(chain: ChainParams, ctx: Context, rows) -> np.ndarray:
     out = np.zeros((chain.L + 1,) + rows.shape, dtype=complex)
     for weight, degree, source, clock in zip(
             *_closed_paths(chain, ctx, np.arange(ctx.N ** chain.L))):
-        out[degree] += weight * ctx.omega_pows(clock) * rows[:, source]
+        out[degree] += weight * ctx.omega_pow(clock) * rows[:, source]
     return out
 
 
@@ -228,7 +228,7 @@ def sector_pencil(chain: ChainParams, ctx: Context, l: int) -> np.ndarray:
         # B_r[source] is amp[source] for r = orbit[source]; a path permutes
         # the states, so its (row, column) pairs are distinct
         blocks[degree // 2, orbit[reps], orbit[source]] += (
-            np.sqrt(N) * weight * ctx.omega_pows(clock) * amp[source])
+            np.sqrt(N) * weight * ctx.omega_pow(clock) * amp[source])
     return blocks
 
 
@@ -302,7 +302,7 @@ def hofstadter_hamiltonian(ctx: Context, mu, nu, rho, alpha, beta, gamma) -> Ope
     if alpha == 0 or beta == 0 or gamma == 0:
         raise ValueError("alpha, beta, gamma must be nonzero")
     N, k = ctx.N, np.arange(ctx.N)
-    u, y = ctx.omega_pows(k), ctx.omega_pows(k + 1)   # Z at (k, k), ZX at (k+1, k)
+    u, y = ctx.omega_pow(k), ctx.omega_pow(k + 1)   # Z at (k, k), ZX at (k+1, k)
     H = np.zeros((N, N), dtype=complex)
     H[k, k] = mu * (alpha * u + u.conj() / alpha)
     H[(k + 1) % N, k] = nu * beta + rho * (y / gamma)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+POLE_TOL = 1e-13    # a denominator below this in modulus is a pole: PoleError
+
 
 class PoleError(ValueError):
     """A formula was evaluated at one of its explicit pole loci."""
@@ -46,21 +48,19 @@ class Context:
     omega: complex
     q: complex
     q_half: complex
-    _roots: tuple = field(repr=False)
+    _roots: np.ndarray = field(repr=False, compare=False)   # read-only
 
-    def omega_pow(self, e: int) -> complex:
-        return self._roots[int(e) % self.N]
+    # each lookup takes an int or an integer array (elementwise, same shape)
+    def omega_pow(self, e):
+        return self._roots[e % self.N]
 
-    def q_pow(self, e: int) -> complex:
-        return self._roots[((self.M + 1) * int(e)) % self.N]
+    def q_pow(self, e):
+        """q**e = omega**((M+1) e)."""
+        return self._roots[(self.M + 1) * e % self.N]
 
-    def q_half_pow(self, e: int) -> complex:
-        """q**(e/2) as a lattice element: q_half**e."""
-        return self._roots[((self.M + 1) * (self.M + 1) * int(e)) % self.N]
-
-    def omega_pows(self, e) -> np.ndarray:
-        """omega**e elementwise for an integer array e; q**e = omega**((M+1) e)."""
-        return np.array(self._roots)[np.asarray(e) % self.N]
+    def q_half_pow(self, e):
+        """q**(e/2) as a lattice element: q_half**e = omega**((M+1)^2 e)."""
+        return self._roots[(self.M + 1) ** 2 * e % self.N]
 
 
 def make_context(N: int, P: int = 1) -> Context:
@@ -70,7 +70,9 @@ def make_context(N: int, P: int = 1) -> Context:
     if math.gcd(P, N) != 1:
         raise ValueError(f"P must be coprime to N, got gcd({P}, {N}) != 1")
     M = (N - 1) // 2
-    roots = tuple(np.exp(2j * np.pi * P * j / N) for j in range(N))
+    # arguments in Python arithmetic: numpy's complex division rounds differently
+    roots = np.exp([2j * np.pi * P * j / N for j in range(N)])
+    roots.flags.writeable = False
     return Context(N=N, P=P, M=M, omega=roots[1 % N], q=roots[(M + 1) % N],
                    q_half=roots[((M + 1) * (M + 1)) % N], _roots=roots)
 
@@ -130,7 +132,7 @@ def weyl_matrices(ctx: Context) -> dict:
     """
     N = ctx.N
     X = np.roll(np.eye(N, dtype=complex), 1, axis=0)
-    Z = np.diag(ctx.omega_pows(np.arange(N)))
+    Z = np.diag(ctx.omega_pow(np.arange(N)))
     return {"X": Operator(X, N, 1), "Z": Operator(Z, N, 1),
             "Y": Operator(Z @ X, N, 1)}
 
@@ -198,7 +200,7 @@ def sector_orbits(ctx: Context, L: int, l: int) -> tuple:
     # D|rep + t*1> = q^{-L} omega^{R + L(t+1)} |rep + (t+1)*1> (R = |rep|), so
     # |rep + t*1> has amplitude N^{-1/2} prod_{s<t} q^{-l-L} omega^{R + L(s+1)}
     e = t * ((M + 1) * (-l - L) + rep.sum(axis=0)) + L * t * (t + 1) // 2
-    return N ** np.arange(L - 1) @ rep, ctx.omega_pows(e) / math.sqrt(N)
+    return N ** np.arange(L - 1) @ rep, ctx.omega_pow(e) / math.sqrt(N)
 
 
 def sector_basis(ctx: Context, L: int, l: int) -> np.ndarray:

@@ -433,6 +433,29 @@ def test_tolerance_of_another_command_refused(tmp_path, capsys, command, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "solve", "curves", "butterfly"])
+def test_library_call_refuses_unknown_tolerance(tmp_path, command):
+    # the same refusal as --tol, for a RunConfig built in code
+    out = tmp_path / "x.out"
+    name = "rll" if command == "curves" else "descent"
+    config = cli.RunConfig(n_list=[3], tolerances={name: 1e-300}, out=str(out))
+    run = {"verify": cli.cmd_verify, "curves": cli.cmd_curves,
+           "solve": lambda c: cli.cmd_solve(c, 1, "all"),
+           "butterfly": lambda c: cli.cmd_butterfly(c, 1.0, 1.0, 0.0, 1, 1, 1)}
+    with pytest.raises(ValueError, match="unknown tolerance"):
+        run[command](config)
+    assert not out.exists()
+
+
+def test_refused_butterfly_input_writes_no_file(tmp_path):
+    out = tmp_path / "b.csv"
+    config = cli.RunConfig(n_list=[3, 5], out=str(out))
+    with pytest.raises(ValueError):
+        cli.cmd_butterfly(config, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0)
+    assert not out.exists()
+    assert not Path(str(out) + ".meta.json").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("command,name", [("verify", "rll"),
                                           ("curves", "descent")])

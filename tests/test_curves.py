@@ -39,6 +39,29 @@ class TestABCD:
                                 [p.C_poly(y), -p.D_poly(y)]])
             assert np.max(np.abs(prod - rebuilt)) < 1e-10
 
+    @pytest.mark.parametrize("N", [3, 5, 7, 9, 15])
+    def test_matches_numpy_polynomial_product(self, rng, N):
+        # the reference: the same ordered product in numpy.polynomial
+        poly = np.polynomial.polynomial
+        ctx = make_context(N)
+        for L in (1, 2, 3, 4):
+            chain = draw_chain(rng, L)
+            ref = None
+            for h in chain.sites:
+                site = [[[-h.a**N], [0.0, h.b**N]], [[0.0, h.c**N], [-h.d**N]]]
+                ref = site if ref is None else [
+                    [poly.polyadd(poly.polymul(ref[i][0], site[0][j]),
+                                  poly.polymul(ref[i][1], site[1][j]))
+                     for j in range(2)] for i in range(2)]
+            p = abcd_polys(chain, ctx)
+            got = [[p.A_poly, p.B_poly], [p.C_poly, p.D_poly]]
+            for i in range(2):
+                for j in range(2):
+                    sign = -1 if i == j else 1
+                    want = np.trim_zeros(sign * np.asarray(ref[i][j],
+                                                           dtype=complex), "b")
+                    assert got[i][j].coeffs == tuple(want), (L, i, j)
+
     def test_hofstadter_curve_coefficients(self, ctx3, rng):
         # after factoring y, the eta quadratic reads
         # (y^2 b1 c2 + a1 a2) eta^2 + (c1 a2 + d1 c2 - a1 b2 - b1 d2) y eta

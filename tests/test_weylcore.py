@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -44,14 +46,33 @@ class TestContext:
 
     @pytest.mark.parametrize("N,P", [(3, 1), (5, 2), (7, 3), (9, 4)])
     def test_omega_pows_match_scalar_lookups(self, N, P):
+        # each lookup takes an integer array, keeps its shape and agrees
+        # with its scalar values
         ctx = make_context(N, P)
         e = np.arange(-2 * N, 2 * N + 1)
+        for lookup in (ctx.omega_pow, ctx.q_pow, ctx.q_half_pow):
+            assert list(lookup(e)) == [lookup(int(k)) for k in e]
+            assert lookup(e[:6].reshape(2, 3)).shape == (2, 3)
         h = ctx.M + 1       # q = omega^h, q_half = q^h
-        assert list(ctx.omega_pows(e)) == [ctx.omega_pow(k) for k in e]
-        assert list(ctx.omega_pows(h * e)) == [ctx.q_pow(k) for k in e]
-        assert list(ctx.omega_pows(h * h * e)) == \
-            [ctx.q_half_pow(k) for k in e]
-        assert ctx.omega_pows(e[:6].reshape(2, 3)).shape == (2, 3)
+        assert list(ctx.q_pow(e)) == list(ctx.omega_pow(h * e))
+        assert list(ctx.q_half_pow(e)) == list(ctx.omega_pow(h * h * e))
+
+    def test_root_table_matches_scalar_exp(self):
+        # bit for bit the scalar exp(2 pi i P j / N), every coprime P, N <= 101
+        for N in range(3, 102, 2):
+            for P in (p for p in range(1, N) if math.gcd(p, N) == 1):
+                ref = [np.exp(2j * np.pi * P * j / N) for j in range(N)]
+                got = make_context(N, P).omega_pow(np.arange(N))
+                assert got.tobytes() == np.array(ref).tobytes(), (N, P)
+
+    def test_equality_hash_and_read_only_table(self):
+        ctx = make_context(7, 3)
+        assert ctx == make_context(7, 3) and ctx != make_context(7, 2)
+        assert hash(ctx) == hash(make_context(7, 3))
+        assert len({ctx, make_context(7, 3), make_context(7, 2)}) == 2
+        with pytest.raises(ValueError):
+            ctx._roots[0] = 0
+        assert "_roots" not in repr(ctx)
 
 
 class TestWeylMatrices:
