@@ -5,7 +5,8 @@ spectral curve collapses to copies of the x-line indexed by l in Z_N, and
 the Baxter vector has explicit q-shifted-factorial components.  The
 transfer matrix acts on it by the two-term shift relation with the
 rational functions Delta_-,+; even/odd sector combinations turn that
-action into the polynomial Bethe equation.
+action into the polynomial Bethe equation, whose two shift polynomials
+`shift_polys` builds for `bethe`.
 """
 
 from __future__ import annotations
@@ -69,6 +70,16 @@ def delta_pm(p: RationalPoint, sign: int, chain: DegenerateChain,
             out *= (1 - x * x * cj * cj) / den
         return out
     raise ValueError("sign must be +1 or -1")
+
+
+def shift_polys(chain: DegenerateChain, ctx: Context):
+    """Ascending coefficients (pm, pp) of Delta_-(x, -1) = prod(1 - x c_j q^{-1})
+    and of Delta_+(x, 0) = prod(1 + x c_j), its removable pole cancelled."""
+    pm = pp = np.array([1.0 + 0.0j])
+    for cj in chain.c:
+        pm = np.convolve(pm, np.array([1.0, -cj * ctx.q_pow(-1)]))
+        pp = np.convolve(pp, np.array([1.0, cj]))
+    return pm, pp
 
 
 def _baxter_rows(xs, ls, chain: DegenerateChain, ctx: Context) -> np.ndarray:
@@ -182,8 +193,7 @@ def theorem1_ii_residual(chain: DegenerateChain, x: complex, l,
     plus, plus_m, plus_p = sector_vectors(xs, l, chain, ctx)["plus_vec"]
     lhs = ctx.q_pow(-l)[:, None] * transfer_apply(
         chain.site_params(ctx), x, ctx, plus)
-    dm = complex(np.prod([1 - x * cj * ctx.q_pow(-1) for cj in chain.c]))
-    dp = complex(np.prod([1 + x * cj for cj in chain.c]))
+    dm, dp = (np.polyval(d[::-1], x) for d in shift_polys(chain, ctx))
     return max(relative_defect(a, b)
                for a, b in zip(lhs, plus_m * dm + plus_p * dp))
 

@@ -7,8 +7,10 @@ The functional equation
 
 is solved in closed form for L = 1, by a one-dimensional null-space solve
 at the admissible eigenvalues for L = 2, and through the banded NxN matrix
-whose eigenvalues are the admissible x^2 coefficients for L = 3.  Every
-solution is cross-checked against brute-force diagonalization of the
+whose eigenvalues are the admissible x^2 coefficients for L = 3.  The two
+shift polynomials come from `baxter.shift_polys`.  The solvers check no
+solution against diagonalization at run time: the tests and `perfbench`
+compare them with `oracle_spectrum`, the brute-force spectrum of the
 transfer pencil restricted to the shift-operator sectors.
 """
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .weylcore import Context, GenericityError, PoleError
-from .baxter import DegenerateChain
+from .baxter import DegenerateChain, shift_polys
 from .transfer import ChainParams, sector_pencil
 
 NULLSPACE_GAP = 1e-6      # second singular value must exceed this times the largest
@@ -64,16 +66,6 @@ class BetheSolution:
     ansatz_residuals: tuple = field(default=())
 
 
-def _shift_polys(chain: DegenerateChain, ctx: Context):
-    """Coefficients of prod(1 - x c_j q^{-1}) and prod(1 + x c_j)."""
-    pm = np.array([1.0 + 0.0j])
-    pp = np.array([1.0 + 0.0j])
-    for cj in chain.c:
-        pm = np.convolve(pm, np.array([1.0, -cj * ctx.q_pow(-1)]))
-        pp = np.convolve(pp, np.array([1.0, cj]))
-    return pm, pp
-
-
 def _lambda_poly(lam: complex, m: int, ctx: Context) -> ComplexPolynomial:
     # from_array trims the trailing zero, so lam = 0 gives the constant
     lam0 = ctx.q_pow(m) + ctx.q_pow(-m)
@@ -87,7 +79,7 @@ def rbeq_residual(Q: ComplexPolynomial, Lambda: ComplexPolynomial, m: int,
     Evaluated on a circle with more points than deg(LHS), normalized by
     the largest coefficient magnitude of the left-hand side.
     """
-    pm, pp = _shift_polys(chain, ctx)
+    pm, pp = shift_polys(chain, ctx)
     lhs_coeffs = np.convolve(Lambda.array(), Q.array())
     npts = len(lhs_coeffs) + chain.L + 2
     xs = 0.9 * np.exp(2j * np.pi * np.arange(npts) / npts)
@@ -98,31 +90,34 @@ def rbeq_residual(Q: ComplexPolynomial, Lambda: ComplexPolynomial, m: int,
     return float(np.max(np.abs(lhs - rhs))) / scale
 
 
-def _coefficient_matrix(lam: complex, m: int, chain: DegenerateChain,
+def _coefficient_matrix(Lam: ComplexPolynomial, m: int, chain: DegenerateChain,
                         deg: int, ctx: Context) -> np.ndarray:
-    """Exact coefficient-matching system G Q = 0 including top-degree rows."""
-    L = chain.L
-    pm, pp = _shift_polys(chain, ctx)
-    lam0 = ctx.q_pow(m) + ctx.q_pow(-m)
-    G = np.zeros((deg + max(L, 2) + 1, deg + 1), dtype=complex)
-    for k in range(deg + 1):
-        G[k, k] += lam0
-        G[k + 2, k] += lam
-        for i in range(L + 1):
-            G[k + i, k] -= ctx.q_pow(-m) * pm[i] * ctx.q_pow(-k) \
-                + ctx.q_pow(m) * pp[i] * ctx.q_pow(k)
+    """Exact coefficient-matching system G Q = 0 including top-degree rows.
+
+    Column k holds the coefficients of Lambda x^k - q^{-m-k} Delta_- x^k
+    - q^{m+k} Delta_+ x^k, one shifted diagonal per polynomial coefficient.
+    """
+    pm, pp = shift_polys(chain, ctx)
+    k = np.arange(deg + 1)
+    G = np.zeros((deg + max(chain.L, Lam.degree) + 1, deg + 1), dtype=complex)
+    for i, a in enumerate(Lam.coeffs):
+        G[k + i, k] += a
+    for i in range(chain.L + 1):
+        G[k + i, k] -= ctx.q_pow(-m) * pm[i] * ctx.q_pow(-k) \
+            + ctx.q_pow(m) * pp[i] * ctx.q_pow(k)
     return G
 
 
-def _solve_null_Q(lam: complex, m: int, chain: DegenerateChain, deg: int,
-                  ctx: Context) -> ComplexPolynomial:
+def _solve_null_Q(Lam: ComplexPolynomial, m: int, chain: DegenerateChain,
+                  deg: int, ctx: Context) -> ComplexPolynomial:
     """One-dimensional null vector of the coefficient system, Q(0) = 1, deg Q = deg."""
-    G = _coefficient_matrix(lam, m, chain, deg, ctx)
+    G = _coefficient_matrix(Lam, m, chain, deg, ctx)
     _, s, vt = np.linalg.svd(G)
     if s[-1] > 1e-8 * max(s[0], 1.0):
-        raise GenericityError(f"no polynomial solution at lambda={lam}")
+        raise GenericityError(f"no polynomial solution at Lambda={Lam.array()}")
     if len(s) > 1 and s[-2] < NULLSPACE_GAP * s[0]:
-        raise GenericityError(f"null space not one-dimensional at lambda={lam}")
+        raise GenericityError("null space not one-dimensional at "
+                              f"Lambda={Lam.array()}")
     v = vt[-1].conj()
     if abs(v[0]) < 1e-10:
         raise GenericityError("Q(0) vanishes; cannot normalize")
@@ -161,10 +156,10 @@ def _ansatz_residuals(roots, m: int, chain: DegenerateChain,
     return tuple(np.abs(pref * num - rhs).tolist())
 
 
-def _solution(m: int, lam: complex, Q: ComplexPolynomial,
-              chain: DegenerateChain, ctx: Context) -> BetheSolution:
+def _solution(m: int, lam: complex, Lam: ComplexPolynomial,
+              Q: ComplexPolynomial, chain: DegenerateChain,
+              ctx: Context) -> BetheSolution:
     """Bundle Q with its eigenvalue polynomial, roots and residuals."""
-    Lam = _lambda_poly(lam, m, ctx)
     # read highest-first, the ascending coefficients of Q are the reversed
     # polynomial x^deg Q(1/x), whose roots are the z_l themselves
     roots = tuple(np.roots(Q.array()))
@@ -188,7 +183,8 @@ def solve_L1(m: int, c0: complex, ctx: Context) -> BetheSolution:
             raise GenericityError(f"degenerate denominator at i={i}")
         prod *= (ctx.q_pow(m + i - 1) - ctx.q_pow(-m - i)) / den
         coeffs.append(prod * c0**i)
-    return _solution(m, 0.0, ComplexPolynomial.from_array(coeffs),
+    return _solution(m, 0.0, _lambda_poly(0.0, m, ctx),
+                     ComplexPolynomial.from_array(coeffs),
                      DegenerateChain((c0,)), ctx)
 
 
@@ -199,8 +195,9 @@ def solve_L2(m: int, mp: int, c0: complex, c1: complex,
     if not (0 <= m <= M and 0 <= mp <= M):
         raise ValueError(f"sectors must be in [0, {M}]")
     lam = ctx.q_half_pow(1) * (ctx.q_pow(mp - 1) + ctx.q_pow(-mp - 2)) * c0 * c1
+    Lam = _lambda_poly(lam, m, ctx)
     chain = DegenerateChain((c0, c1))
-    return _solution(m, lam, _solve_null_Q(lam, m, chain, M - m + mp, ctx),
+    return _solution(m, lam, Lam, _solve_null_Q(Lam, m, chain, M - m + mp, ctx),
                      chain, ctx)
 
 
@@ -219,37 +216,19 @@ class MatrixA:
 def matrix_A(m: int, c, ctx: Context) -> MatrixA:
     if len(c) != 3:
         raise ValueError("matrix_A takes exactly three chain parameters")
-    if any(cj == 0 for cj in c):
-        raise ValueError("all c_j must be nonzero")
-    N = ctx.N
-    s1 = c[0] + c[1] + c[2]
-    s2 = c[0] * c[1] + c[1] * c[2] + c[2] * c[0]
-    s3 = c[0] * c[1] * c[2]
+    s1, s2, s3 = shift_polys(DegenerateChain(tuple(c)), ctx)[1][1:]
     qh = ctx.q_half_pow
-
-    def w_(k):  # q^{k+3/2} + q^{-k-3/2} - q^m - q^{-m}
-        return ctx.q_pow(k + 1) * qh(1) + ctx.q_pow(-k - 1) * qh(-1) \
-            - ctx.q_pow(m) - ctx.q_pow(-m)
-
-    def v_(k):  # (q^{k+1/2} - q^{-k-3/2}) s1
-        return (ctx.q_pow(k) * qh(1) - ctx.q_pow(-k - 1) * qh(-1)) * s1
-
-    def d_(k):  # (q^{k-1/2} + q^{-k-3/2}) s2
-        return (ctx.q_pow(k) * qh(-1) + ctx.q_pow(-k - 1) * qh(-1)) * s2
-
-    def u_(k):  # (q^{k-3/2} - q^{-k-3/2}) s3
-        return (ctx.q_pow(k - 1) * qh(-1) - ctx.q_pow(-k - 1) * qh(-1)) * s3
-
-    A = np.zeros((N, N), dtype=complex)
-    for r in range(N):
-        k = N - 1 - r
-        A[r, r] = d_(k)
-        if r + 1 < N:
-            A[r, r + 1] = u_(k)
-        if r >= 1:
-            A[r, r - 1] = v_(k)
-        if r >= 2:
-            A[r, r - 2] = w_(k)
+    k = np.arange(ctx.N)[::-1]      # row r carries k = N - 1 - r
+    # w'_k = q^{k+3/2} + q^{-k-3/2} - q^m - q^{-m}
+    w = ctx.q_pow(k + 1) * qh(1) + ctx.q_pow(-k - 1) * qh(-1) \
+        - ctx.q_pow(m) - ctx.q_pow(-m)
+    # v'_k = (q^{k+1/2} - q^{-k-3/2}) s1
+    v = (ctx.q_pow(k) * qh(1) - ctx.q_pow(-k - 1) * qh(-1)) * s1
+    # delta'_k = (q^{k-1/2} + q^{-k-3/2}) s2
+    d = (ctx.q_pow(k) * qh(-1) + ctx.q_pow(-k - 1) * qh(-1)) * s2
+    # u'_k = (q^{k-3/2} - q^{-k-3/2}) s3
+    u = (ctx.q_pow(k - 1) * qh(-1) - ctx.q_pow(-k - 1) * qh(-1)) * s3
+    A = np.diag(d) + np.diag(u[:-1], 1) + np.diag(v[1:], -1) + np.diag(w[2:], -2)
     return MatrixA(mat=A, m=m)
 
 
@@ -267,14 +246,13 @@ def solve_L3(m: int, c, ctx: Context) -> list:
     lams = np.linalg.eigvals(A.mat)
     order = np.lexsort((lams.imag, lams.real))
     lams = lams[order]
-    for i in range(len(lams)):
-        for j in range(i + 1, len(lams)):
-            if abs(lams[i] - lams[j]) < EIGEN_GAP:
-                raise GenericityError("matrix_A has near-degenerate eigenvalues")
+    if np.triu(np.abs(lams[:, None] - lams) < EIGEN_GAP, 1).any():
+        raise GenericityError("matrix_A has near-degenerate eigenvalues")
     chain = DegenerateChain(tuple(c))
-    return [_solution(m, lam, _solve_null_Q(lam, m, chain, 3 * M - m, ctx),
+    Lams = [_lambda_poly(lam, m, ctx) for lam in lams]
+    return [_solution(m, lam, Lam, _solve_null_Q(Lam, m, chain, 3 * M - m, ctx),
                       chain, ctx)
-            for lam in lams]
+            for lam, Lam in zip(lams, Lams)]
 
 
 def bethe_ansatz_residuals(sol: BetheSolution, c, ctx: Context) -> list:
@@ -292,16 +270,16 @@ def lambda_M_from_roots(roots, c, ctx: Context) -> complex:
     """Sector-M eigenvalue from the symmetric functions of the root reciprocals.
 
     s1, s2 are the first and second elementary symmetric polynomials of
-    (c_0, c_1, c_2).  The x coefficient carries (q^{-3/2} - q^{1/2}); the
-    x^2-coefficient comparison of the Bethe equation fixes this sign.
+    (c_0, c_1, c_2), the x and x^2 coefficients of Delta_+(x, 0).  The x
+    coefficient carries (q^{-3/2} - q^{1/2}); the x^2-coefficient
+    comparison of the Bethe equation fixes this sign.
     """
     if len(c) != 3:
         raise ValueError("three chain parameters required")
     z = np.asarray(roots, dtype=complex)
     if len(z) != 2 * ctx.M:
         raise ValueError(f"sector M has 2M = {2 * ctx.M} roots, got {len(z)}")
-    s1 = c[0] + c[1] + c[2]
-    s2 = c[0] * c[1] + c[1] * c[2] + c[2] * c[0]
+    s1, s2 = shift_polys(DegenerateChain(tuple(c)), ctx)[1][1:3]
     e1 = complex(np.sum(z))
     e2 = complex((np.sum(z)**2 - np.sum(z * z)) / 2.0)
     qh = ctx.q_half_pow

@@ -6,7 +6,7 @@ from hofchain import (DegenerateChain, PoleError, RationalPoint,
                       pochhammer, sector_vectors, t_action_residual, tau,
                       theorem1_ii_residual)
 from hofchain.baxter import (_fit_nodes, draw_regular_x, f_even, f_odd,
-                             plus_pairing_coeffs, u_weight)
+                             plus_pairing_coeffs, shift_polys, u_weight)
 from hofchain.transfer import gauge_chain_L, transfer_pencil
 from hofchain.weylcore import sector_basis, unit_draws
 
@@ -55,6 +55,40 @@ class TestDelta:
         # x = q^l / c_0 with l = 0
         with pytest.raises(PoleError):
             delta_pm(RationalPoint(1.0, 0), +1, chain, ctx3)
+
+
+class TestShiftPolys:
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_values_match_products(self, L, ctx5, rng):
+        # Delta_-(x, -1) = prod(1 - x c_j q^{-1}), Delta_+(x, 0) = prod(1 + x c_j)
+        chain = degenerate_chain(rng, L)
+        pm, pp = shift_polys(chain, ctx5)
+        assert len(pm) == len(pp) == L + 1
+        for x in 1.5 * unit_draws(rng, 8) * rng.random(8):
+            dm = dp = 1.0 + 0.0j
+            for cj in chain.c:
+                dm *= 1 - x * cj / ctx5.q
+                dp *= 1 + x * cj
+            assert abs(np.polyval(pm[::-1], x) - dm) <= 1e-14 * max(abs(dm), 1)
+            assert abs(np.polyval(pp[::-1], x) - dp) <= 1e-14 * max(abs(dp), 1)
+
+    def test_plus_coefficients_are_symmetric_functions(self, ctx5, rng):
+        c = unit_draws(rng, 3)
+        s1 = c[0] + c[1] + c[2]
+        s2 = c[0] * c[1] + c[1] * c[2] + c[2] * c[0]
+        s3 = c[0] * c[1] * c[2]
+        _, pp = shift_polys(DegenerateChain(tuple(c)), ctx5)
+        assert np.allclose(pp, [1, s1, s2, s3], rtol=1e-14, atol=0)
+
+    def test_delta_pm_at_the_bethe_shifts(self, ctx7, rng):
+        # the general-l two-term functions reduce to them at l = -1 and l = 0
+        chain = degenerate_chain(rng, 3)
+        pm, pp = shift_polys(chain, ctx7)
+        x = 0.3 + 0.4j
+        dm = delta_pm(RationalPoint(x, ctx7.N - 1), -1, chain, ctx7)
+        dp = delta_pm(RationalPoint(x, 0), +1, chain, ctx7)
+        assert abs(np.polyval(pm[::-1], x) - dm) < 1e-14
+        assert abs(np.polyval(pp[::-1], x) - dp) < 1e-14
 
 
 class TestBaxterVector:

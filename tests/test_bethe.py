@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from hofchain import (ChainParams, DegenerateChain, ComplexPolynomial,
-                      bethe_ansatz_residuals, lambda_M_from_roots,
+                      GenericityError, bethe_ansatz_residuals,
+                      lambda_M_from_roots,
                       make_context, matrix_A, oracle_spectrum, rbeq_residual,
                       solve_L1, solve_L2, solve_L3)
-from hofchain.bethe import (_lambda_poly, cluster_eigenvalues, multiset_match)
+from hofchain.bethe import (EIGEN_GAP, _coefficient_matrix, _lambda_poly,
+                            cluster_eigenvalues, multiset_match)
 from hofchain.weylcore import unit_draws
 
 
@@ -42,6 +44,35 @@ class TestRbeqResidual:
         Q = ComplexPolynomial.from_array(unit_draws(rng, 4))
         lam = _lambda_poly(unit_draws(rng, 1)[0], 1, ctx3)
         assert rbeq_residual(Q, lam, 1, chain, ctx3) > 1e-3
+
+
+class TestCoefficientMatrix:
+    @pytest.mark.parametrize("N", [5, 7])
+    def test_L4_lambda_with_every_coefficient(self, N, rng):
+        # G Q lists the coefficients of Lambda Q - q^{-m} Delta_- Q(x/q)
+        # - q^m Delta_+ Q(qx), here for a degree-4 Lambda at L = 4
+        ctx = make_context(N)
+        chain = DegenerateChain(tuple(unit_draws(rng, 4)))
+        Lam = ComplexPolynomial.from_array(unit_draws(rng, 5))
+        q, m, deg = ctx.q, 1, 6
+        Q = unit_draws(rng, deg + 1)
+        dm = dp = np.array([1.0 + 0.0j])
+        for cj in chain.c:
+            dm = np.convolve(dm, [1.0, -cj / q])
+            dp = np.convolve(dp, [1.0, cj])
+        k = np.arange(deg + 1)
+        ref = (np.convolve(Lam.array(), Q)
+               - q**-m * np.convolve(dm, Q * q**-k)
+               - q**m * np.convolve(dp, Q * q**k))
+        G = _coefficient_matrix(Lam, m, chain, deg, ctx)
+        assert G.shape == (deg + 5, deg + 1)
+        assert np.max(np.abs(G @ Q - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_row_count_follows_lambda(self, ctx5, rng):
+        # a constant Lambda at L = 3 keeps the L + 1 shift rows
+        chain = DegenerateChain(tuple(unit_draws(rng, 3)))
+        G = _coefficient_matrix(_lambda_poly(0.0, 1, ctx5), 1, chain, 4, ctx5)
+        assert G.shape == (4 + 3 + 1, 5)
 
 
 class TestSolveL1:
@@ -140,6 +171,35 @@ class TestMatrixA:
             [w_(0), v_(0), d_(0)]])
         assert np.max(np.abs(A - expect)) < 1e-14
 
+    @pytest.mark.parametrize("N", [5, 7, 11, 15])
+    def test_entries_match_paper(self, N, rng):
+        # w'_k, v'_k, delta'_k, u'_k on row r = N - 1 - k, each q power
+        # read as one half-power lookup: q^{n/2} = q_half_pow(n)
+        ctx = make_context(N)
+        c = unit_draws(rng, 3)
+        s1 = c[0] + c[1] + c[2]
+        s2 = c[0] * c[1] + c[1] * c[2] + c[2] * c[0]
+        s3 = c[0] * c[1] * c[2]
+        qh = ctx.q_half_pow
+        for m in range(ctx.M + 1):
+            A = matrix_A(m, c, ctx).mat
+            expect = np.zeros((N, N), dtype=complex)
+            for r in range(N):
+                k = N - 1 - r
+                expect[r, r] = (qh(2 * k - 1) + qh(-2 * k - 3)) * s2
+                if r + 1 < N:
+                    expect[r, r + 1] = (qh(2 * k - 3) - qh(-2 * k - 3)) * s3
+                if r >= 1:
+                    expect[r, r - 1] = (qh(2 * k + 1) - qh(-2 * k - 3)) * s1
+                if r >= 2:
+                    expect[r, r - 2] = (qh(2 * k + 3) + qh(-2 * k - 3)
+                                        - qh(2 * m) - qh(-2 * m))
+            assert np.max(np.abs(A - expect)) < 1e-14
+
+    def test_zero_parameter_refused(self, ctx5):
+        with pytest.raises(ValueError, match="nonzero"):
+            matrix_A(0, (1.0, 0.0, 0.5), ctx5)
+
     def test_band_structure(self, ctx7, rng):
         c = unit_draws(rng, 3)
         A = matrix_A(2, c, ctx7).mat
@@ -190,6 +250,18 @@ class TestSolveL3:
                 assert sol.rbeq_residual < 1e-8
                 assert abs(sol.Lambda_poly(0.0)
                            - (ctx.q_pow(m) + ctx.q_pow(-m))) < 1e-12
+
+    def test_near_degenerate_eigenvalues_refused(self, ctx5, rng, monkeypatch):
+        eigvals = np.linalg.eigvals
+
+        def close_pair(a):
+            lams = eigvals(a)
+            lams[1] = lams[0] + 0.5 * EIGEN_GAP
+            return lams
+
+        monkeypatch.setattr(np.linalg, "eigvals", close_pair)
+        with pytest.raises(GenericityError, match="near-degenerate"):
+            solve_L3(1, unit_draws(rng, 3), ctx5)
 
     def test_n3_m1_degree_two(self, ctx3, rng):
         sols = solve_L3(1, unit_draws(rng, 3), ctx3)

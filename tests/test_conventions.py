@@ -1,13 +1,32 @@
 """The package decides its arithmetic conventions in `weylcore` alone: one
-root-of-unity table, one pole threshold, one polynomial product."""
+root-of-unity table, one pole threshold, one polynomial product.  The
+rational-slice shift polynomials have one home too, `baxter.shift_polys`."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+from hofchain import baxter, bethe
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "hofchain"
 MODULES = sorted(SRC.glob("*.py"))
+
+
+def _indexed_product(node):
+    """The base of a product of constant-index subscripts x[0] * x[1] ..., else None."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        left, right = _indexed_product(node.left), _indexed_product(node.right)
+        return left if left is not None and left == right else None
+    if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+        return ast.unparse(node.value)
+    return None
+
+
+def _sum_terms(node):
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _sum_terms(node.left) + _sum_terms(node.right)
+    return [node]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -26,3 +45,23 @@ def test_conventions_stay_in_one_place(path):
         elif isinstance(node, ast.Constant) and node.value == 1e-13:
             # the pole threshold is weylcore.POLE_TOL
             assert path.name == "weylcore.py", node.lineno
+
+
+def test_shift_polynomials_have_one_home():
+    assert bethe.shift_polys is baxter.shift_polys
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(isinstance(node, ast.FunctionDef)
+                       and node.name == "_shift_polys"
+                       for node in ast.walk(tree)), path.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_hand_written_symmetric_sums(path):
+    # c[0] + c[1] + c[2] and c[0] * c[1] + ... are coefficients of
+    # Delta_+(x, 0); `shift_polys` gives them
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            bases = {_indexed_product(t) for t in _sum_terms(node)}
+            assert len(bases) > 1 or None in bases, (path.name, node.lineno)
