@@ -198,59 +198,44 @@ def theorem1_ii_residual(chain: DegenerateChain, x: complex, l,
                for a, b in zip(lhs, plus_m * dm + plus_p * dp))
 
 
-def draw_regular_x(rng: np.random.Generator, chain: DegenerateChain,
-                   ctx: Context) -> complex:
-    """Sample x on a circle, rejecting points within 1e-4 of a pole.
+def _regular_rotation(rng: np.random.Generator, chain: DegenerateChain,
+                      ctx: Context, nodes: np.ndarray) -> complex:
+    """Seeded x0 on the circle of radius 1/max|c_j| such that every x0 * nodes
+    is at least 1e-4 from the pole loci x c_j q^e = 1 and x^2 c_j^2 w^e = 1.
 
-    The radius 1/max|c_j| puts samples on the natural scale of the
-    pole loci x c_j in mu_N-powers of q.
+    The radius puts samples on the natural scale of the pole loci x c_j in
+    mu_N-powers of q; the test runs elementwise over the nodes.
     """
     radius = 1.0 / max(abs(cj) for cj in chain.c)
-    margin = 1e-4
     c = np.asarray(chain.c)[:, None]
     e = np.arange(ctx.N)
     qe, oe = ctx.q_pow(e), ctx.omega_pow(e)
     for _ in range(1000):
-        x = radius * unit_draws(rng, 1)[0]
+        x0 = radius * unit_draws(rng, 1)[0]
+        x = (x0 * nodes)[:, None, None]
         near = np.minimum(np.abs(1 - x * c * qe), np.abs(1 - x * x * c * c * oe))
-        if np.all(near >= margin):
-            return x
+        if np.all(near >= 1e-4):
+            return x0
     raise RuntimeError("could not draw a pole-free sample point")
 
 
-def _fit_nodes(rng: np.random.Generator, chain: DegenerateChain, ctx: Context,
-               count: int) -> np.ndarray:
-    """Jittered equally spaced circle nodes, re-jittered 1e-3 away from poles.
-
-    Near-uniform angles keep the Vandermonde system close to a DFT, which
-    is what makes high-degree interpolation stable here.
-    """
-    radius = 1.0 / max(abs(cj) for cj in chain.c)
-    c = np.asarray(chain.c)[:, None]
-    qe = ctx.q_pow(np.arange(ctx.N))
-    nodes = np.empty(count, dtype=complex)
-    for k in range(count):
-        for _ in range(100):
-            theta = 2 * np.pi * (k + 0.6 * rng.random()) / count
-            x = radius * np.exp(1j * theta)
-            if np.all(np.abs(1 - x * c * qe) > 1e-3):
-                nodes[k] = x
-                break
-        else:
-            raise RuntimeError("could not place a pole-free fit node")
-    return nodes
+def draw_regular_x(rng: np.random.Generator, chain: DegenerateChain,
+                   ctx: Context) -> complex:
+    """Sample x on the pole-radius circle, rejecting points within 1e-4 of a pole."""
+    return _regular_rotation(rng, chain, ctx, np.ones(1))
 
 
 def plus_pairing_coeffs(phi: np.ndarray, label: int, chain: DegenerateChain,
                         ctx: Context, rng: np.random.Generator) -> np.ndarray:
-    """Least-squares polynomial coefficients of x -> phi . |x>_label^+.
+    """Ascending coefficients of x -> phi . |x>_label^+, of degree <= (3M+1)L.
 
     The pairing is bilinear (phi is a left eigenvector of the transfer
-    family).  The pairing is a polynomial of degree at most (3M+1)L.
+    family).  Its values at the n = deg + 1 nodes x0 w_n^j, equispaced on
+    the pole-radius circle with a seeded rotation x0 that keeps every node
+    regular, determine it exactly: a_k = DFT(values)_k / (n x0^k).
     """
-    deg = (3 * ctx.M + 1) * chain.L
-    xs = _fit_nodes(rng, chain, ctx, deg + 6)
-    vals = sector_vectors(xs, label, chain, ctx)["plus_vec"] @ phi
-    V = np.vander(xs, deg + 1, increasing=True)
-    coeffs, *_ = np.linalg.lstsq(V, vals, rcond=None)
-    return coeffs
+    n = (3 * ctx.M + 1) * chain.L + 1
+    nodes = np.exp(2j * np.pi * np.arange(n) / n)
+    x0 = _regular_rotation(rng, chain, ctx, nodes)
+    vals = sector_vectors(x0 * nodes, label, chain, ctx)["plus_vec"] @ phi
+    return np.fft.fft(vals) / n / x0 ** np.arange(n)

@@ -304,15 +304,23 @@ def oracle_spectrum(chain: ChainParams, l: int, ctx: Context) -> np.ndarray:
 
 
 def cluster_eigenvalues(values) -> list:
-    """Group a multiset of eigenvalues into (value, multiplicity) clusters."""
+    """Group a multiset of eigenvalues into (value, multiplicity) clusters.
+
+    Values are visited in (re, im) order and each joins the nearest cluster
+    whose running mean lies within CLUSTER_GAP.  Clusters whose real parts
+    agree to roundoff interleave in that order, so every cluster is compared,
+    not only the last one opened.
+    """
     vals = sorted(values, key=lambda z: (z.real, z.imag))
-    clusters = []
+    clusters = []       # [sum, count], in order of first member
     for v in vals:
-        if clusters and abs(v - clusters[-1][0] / clusters[-1][1]) < CLUSTER_GAP:
-            s, k = clusters[-1]
-            clusters[-1] = (s + v, k + 1)
+        dist, i = min(((abs(v - s / k), i) for i, (s, k) in enumerate(clusters)),
+                      default=(CLUSTER_GAP, None))
+        if dist < CLUSTER_GAP:
+            clusters[i][0] += v
+            clusters[i][1] += 1
         else:
-            clusters.append((v, 1))
+            clusters.append([v, 1])
     return [(s / k, k) for s, k in clusters]
 
 

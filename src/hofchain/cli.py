@@ -61,6 +61,8 @@ class RunConfig:
     out: str = None
 
     def __post_init__(self):
+        if not self.n_list:
+            raise ValueError("n_list is empty: give at least one N")
         for N in self.n_list:
             make_context(N, self.P)     # odd N >= 3 and gcd(P, N) = 1
         for name, value in self.tolerances.items():
@@ -195,24 +197,25 @@ def _suite_divisibility(ctx, rng):
     """Plus-vector pairings vanish to order m at 0 and on x^N = c_j^{-N}."""
     chain = DegenerateChain(tuple(unit_draws(rng, 3)))
     cp = chain.site_params(ctx)
-    deg = (3 * ctx.M + 1) * 3
     bad = np.array([ctx.omega_pow(k) / cj for cj in chain.c
                     for k in range(ctx.N)])
-    V = np.vander(bad, deg + 1, increasing=True)
+    # sector 2m with label m and sector -2m with label -m; m = 0 gives one pair
+    pairs = {((s * 2 * m) % ctx.N, (s * m) % ctx.N): m
+             for m in range(ctx.M + 1) for s in (1, -1)}
     worst = 0.0
-    for m in range(ctx.M + 1):
-        for l_sec, label in (((2 * m) % ctx.N, m), ((-2 * m) % ctx.N, (ctx.N - m) % ctx.N)):
-            # a left eigenvector of the family is the scatter of one of block.T
-            orbit, amp = sector_orbits(ctx, cp.L, l_sec)
-            evecs = np.linalg.eig(sector_pencil(cp, ctx, l_sec)[1].T)[1]
-            phi = evecs[orbit, 0] * amp.conj()
-            coeffs = plus_pairing_coeffs(phi, label, chain, ctx, rng)
-            scale = float(np.max(np.abs(coeffs)))
-            if scale < 1e-8:
-                raise GenericityError("pairing degenerated to zero")
-            if m > 0:
-                worst = max(worst, float(np.max(np.abs(coeffs[:m]))) / scale)
-            worst = max(worst, float(np.max(np.abs(V @ coeffs))) / scale)
+    for (l_sec, label), m in pairs.items():
+        # a left eigenvector of the family is the scatter of one of block.T
+        orbit, amp = sector_orbits(ctx, cp.L, l_sec)
+        evecs = np.linalg.eig(sector_pencil(cp, ctx, l_sec)[1].T)[1]
+        phi = evecs[orbit, 0] * amp.conj()
+        coeffs = plus_pairing_coeffs(phi, label, chain, ctx, rng)
+        scale = float(np.max(np.abs(coeffs)))
+        if scale < 1e-8:
+            raise GenericityError("pairing degenerated to zero")
+        if m > 0:
+            worst = max(worst, float(np.max(np.abs(coeffs[:m]))) / scale)
+        worst = max(worst, float(np.max(np.abs(
+            np.polyval(coeffs[::-1], bad)))) / scale)
     return worst
 
 

@@ -5,7 +5,7 @@ from hofchain import (DegenerateChain, PoleError, RationalPoint,
                       baxter_vector, delta_pm, f_op, make_context,
                       pochhammer, sector_vectors, t_action_residual, tau,
                       theorem1_ii_residual)
-from hofchain.baxter import (_fit_nodes, draw_regular_x, f_even, f_odd,
+from hofchain.baxter import (_regular_rotation, draw_regular_x, f_even, f_odd,
                              plus_pairing_coeffs, shift_polys, u_weight)
 from hofchain.transfer import gauge_chain_L, transfer_pencil
 from hofchain.weylcore import sector_basis, unit_draws
@@ -305,38 +305,22 @@ def reference_sector_vectors(x, l, chain, ctx):
     return {"e_vec": e, "o_vec": o, "plus_vec": plus}
 
 
-def loop_fit_nodes(rng, chain, ctx, count):
-    """_fit_nodes with its pole test written as a loop over (c_j, e); also
-    returns how many candidates the test rejected."""
-    radius = 1.0 / max(abs(cj) for cj in chain.c)
-    nodes = np.empty(count, dtype=complex)
-    rejected = 0
-    for k in range(count):
-        while True:
-            theta = 2 * np.pi * (k + 0.6 * rng.random()) / count
-            x = radius * np.exp(1j * theta)
-            if all(abs(1 - x * cj * ctx.q_pow(e)) > 1e-3
-                   for cj in chain.c for e in range(ctx.N)):
-                nodes[k] = x
-                break
-            rejected += 1
-    return nodes, rejected
-
-
-def loop_draw_regular_x(rng, chain, ctx):
-    """draw_regular_x with its pole test written as a loop over (c_j, e); also
-    counts the candidates rejected by the linear test and by the quadratic
-    test alone (near x c_j q^e = -1)."""
+def loop_draw_regular_x(rng, chain, ctx, nodes=(1,)):
+    """draw_regular_x with its pole test written as a loop over (node, c_j, e);
+    with nodes, the first draw x0 whose every x0 * node passes.  Also counts
+    the candidates rejected by the linear test and by the quadratic test
+    alone (near x c_j q^e = -1)."""
     radius = 1.0 / max(abs(cj) for cj in chain.c)
     rejected = np.zeros(2, dtype=int)
     while True:
-        x = radius * unit_draws(rng, 1)[0]
+        x0 = radius * unit_draws(rng, 1)[0]
+        xs = [x0 * node for node in nodes]
         near = [any(abs(1 - x * cj * ctx.q_pow(e)) < 1e-4
-                    for cj in chain.c for e in range(ctx.N)),
+                    for x in xs for cj in chain.c for e in range(ctx.N)),
                 any(abs(1 - x * x * cj * cj * ctx.omega_pow(e)) < 1e-4
-                    for cj in chain.c for e in range(ctx.N))]
+                    for x in xs for cj in chain.c for e in range(ctx.N))]
         if not any(near):
-            return x, rejected
+            return x0, rejected
         rejected += [near[0], near[1] and not near[0]]
 
 
@@ -378,19 +362,20 @@ class TestBatchedSectorVectors:
 
     @pytest.mark.parametrize("N,L", BATCH_SIZES)
     def test_plus_pairing_matches_node_loop(self, N, L, rng):
+        # the coefficients reproduce the pairing, formed point by point from
+        # the scalar reference, at fresh points between the fit nodes; a
+        # wrong degree bound or too few nodes (aliasing) fails here
         ctx = make_context(N)
         chain = degenerate_chain(rng, L)
         phi = rng.standard_normal(N ** L) + 1j * rng.standard_normal(N ** L)
         label = N - 1
-        coeffs = plus_pairing_coeffs(phi, label, chain, ctx,
-                                     np.random.default_rng(5))
-        deg = (3 * ctx.M + 1) * L
-        xs = _fit_nodes(np.random.default_rng(5), chain, ctx, deg + 6)
-        vals = [phi @ reference_sector_vectors(x, label, chain, ctx)["plus_vec"]
-                for x in xs]
-        want = np.linalg.lstsq(np.vander(xs, deg + 1, increasing=True), vals,
-                               rcond=None)[0]
-        assert np.max(np.abs(coeffs - want)) <= 1e-12 * np.max(np.abs(want))
+        coeffs = plus_pairing_coeffs(phi, label, chain, ctx, rng)
+        assert len(coeffs) == (3 * ctx.M + 1) * L + 1
+        xs = np.array([draw_regular_x(rng, chain, ctx) for _ in range(4)])
+        want = np.array([phi @ reference_sector_vectors(x, label, chain, ctx)
+                         ["plus_vec"] for x in xs])
+        err = np.max(np.abs(np.polyval(coeffs[::-1], xs) - want))
+        assert err <= 1e-12 * np.max(np.abs(want))
 
     def test_one_pole_in_a_regular_batch_raises(self, ctx5, rng):
         chain = degenerate_chain(rng, 3)
@@ -408,20 +393,6 @@ class TestBatchedSectorVectors:
 class TestPoleTestDraws:
     """The array pole test accepts and rejects what the loop did."""
 
-    @pytest.mark.parametrize("N,L", [(5, 3), (9, 3), (11, 2)])
-    def test_fit_nodes_bit_for_bit(self, N, L):
-        ctx = make_context(N)
-        rejected = 0
-        for seed in range(4):
-            chain = DegenerateChain(tuple(unit_draws(np.random.default_rng(seed), L)))
-            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            nodes = _fit_nodes(a, chain, ctx, 60)
-            want, r = loop_fit_nodes(b, chain, ctx, 60)
-            assert np.array_equal(nodes, want)
-            assert a.bit_generator.state == b.bit_generator.state
-            rejected += r
-        assert rejected > 0      # the rejection branch ran
-
     @pytest.mark.parametrize("N,L", [(7, 3), (9, 3)])
     def test_draw_regular_x_bit_for_bit(self, N, L):
         ctx = make_context(N)
@@ -434,3 +405,20 @@ class TestPoleTestDraws:
             rejected = rejected + r
         assert a.bit_generator.state == b.bit_generator.state
         assert np.all(rejected > 0)     # both rejection branches ran
+
+    @pytest.mark.parametrize("N,L", [(5, 3), (9, 3), (11, 3)])
+    def test_rotation_keeps_every_node_regular(self, N, L):
+        # plus_pairing_coeffs' rotation: every node passes draw_regular_x's test
+        ctx = make_context(N)
+        n = (3 * ctx.M + 1) * L + 1
+        nodes = np.exp(2j * np.pi * np.arange(n) / n)
+        rejected = 0
+        for seed in range(4):
+            chain = DegenerateChain(tuple(unit_draws(np.random.default_rng(seed), L)))
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(60):
+                want, r = loop_draw_regular_x(b, chain, ctx, nodes)
+                assert _regular_rotation(a, chain, ctx, nodes) == want
+                rejected += r.sum()
+            assert a.bit_generator.state == b.bit_generator.state
+        assert rejected > 0      # the rejection branch ran

@@ -391,6 +391,15 @@ class TestOracle:
         clusters = cluster_eigenvalues(spec)
         assert sorted(k for _, k in clusters) == [3, 3, 3]
 
+    def test_clusters_with_equal_real_parts(self):
+        # two clusters whose real parts agree to roundoff interleave in
+        # (re, im) order; each value joins its own cluster, not the last one
+        vals = [1 + 1j + 1e-13, 1 + 1j - 1e-13, 1 + 1j,
+                1 - 1j + 2e-13, 1 - 1j - 2e-13, 1 - 1j]
+        clusters = cluster_eigenvalues(vals)
+        assert [k for _, k in clusters] == [3, 3]
+        assert multiset_match([mu for mu, _ in clusters], [1 - 1j, 1 + 1j]) < 1e-15
+
     def test_sector_union_is_full_spectrum(self, ctx3, rng):
         from conftest import draw_chain
         chain = draw_chain(rng, 3)

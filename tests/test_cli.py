@@ -447,6 +447,18 @@ def test_library_call_refuses_unknown_tolerance(tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "solve", "curves", "butterfly"])
+def test_library_call_refuses_empty_n_list(tmp_path, command):
+    # with no N a command would write "pass": true over no records
+    out = tmp_path / "x.out"
+    run = {"verify": cli.cmd_verify, "curves": cli.cmd_curves,
+           "solve": lambda c: cli.cmd_solve(c, 1, "all"),
+           "butterfly": lambda c: cli.cmd_butterfly(c, 1.0, 1.0, 0.0, 1, 1, 1)}
+    with pytest.raises(ValueError, match="n_list is empty"):
+        run[command](cli.RunConfig(n_list=[], out=str(out)))
+    assert not out.exists()
+
+
 def test_refused_butterfly_input_writes_no_file(tmp_path):
     out = tmp_path / "b.csv"
     config = cli.RunConfig(n_list=[3, 5], out=str(out))

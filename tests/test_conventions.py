@@ -1,6 +1,7 @@
 """The package decides its arithmetic conventions in `weylcore` alone: one
 root-of-unity table, one pole threshold, one polynomial product.  The
-rational-slice shift polynomials have one home too, `baxter.shift_polys`."""
+rational-slice shift polynomials have one home too, `baxter.shift_polys`,
+and the package's one polynomial fit is the DFT of `baxter.plus_pairing_coeffs`."""
 
 import ast
 from pathlib import Path
@@ -65,3 +66,17 @@ def test_no_hand_written_symmetric_sums(path):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
             bases = {_indexed_product(t) for t in _sum_terms(node)}
             assert len(bases) > 1 or None in bases, (path.name, node.lineno)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_least_squares_fit(path):
+    # plus_pairing_coeffs interpolates exactly on equispaced nodes; no
+    # Vandermonde matrix, least-squares solve or separate node sampler
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in ("lstsq", "vander"), node.lineno
+        elif isinstance(node, ast.Name):
+            assert node.id not in ("lstsq", "vander"), node.lineno
+        elif isinstance(node, ast.FunctionDef):
+            assert node.name != "_fit_nodes", node.lineno
