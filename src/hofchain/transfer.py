@@ -70,6 +70,10 @@ class BlockOperator2x2:
     def trace_aux(self) -> Operator:
         return self.blocks[0][0] + self.blocks[1][1]
 
+    def stacked(self) -> np.ndarray:
+        """The blocks as one (2, 2, dim, dim) array."""
+        return np.array([[b.mat for b in row] for row in self.blocks])
+
 
 def local_L(h: SiteParams, x: complex, ctx: Context) -> BlockOperator2x2:
     """Single-site L-operator (aY, xbX; xcZ, d)."""
@@ -146,8 +150,22 @@ def gauge_chain_L(chain: ChainParams, x: complex, xis, ctx: Context) -> BlockOpe
 
 
 def transfer_T(chain: ChainParams, x: complex, ctx: Context) -> Operator:
-    """Transfer matrix: auxiliary trace of the ordered chain product."""
-    return chain_L(chain, x, ctx).trace_aux()
+    """Transfer matrix: auxiliary trace of the ordered chain product.
+
+    Only the trace of the last aux product is formed: T = sum_{i,j}
+    head[i,j] (x) last[j,i], with head the chain of the first L-1 sites.
+    """
+    N, L = ctx.N, chain.L
+    last = local_L(chain.sites[-1], x, ctx).stacked()            # (j, i, c, e)
+    head = (chain_L(ChainParams(chain.sites[:-1]), x, ctx).stacked() if L > 1
+            else np.eye(2).reshape(2, 2, 1, 1))                  # (i, j, a, b)
+    # T[aN + c, bN + e] = sum_k head[a, b, k] last[c, k, e] over k = (i, j):
+    # one (b, k) @ (k, e) product for each (a, c)
+    n = N ** (L - 1)
+    rows = head.transpose(2, 3, 0, 1).reshape(n, n, 4)
+    cols = last.transpose(2, 1, 0, 3).reshape(N, 4, N)
+    return Operator(np.matmul(rows[:, None], cols[None]).reshape(n * N, n * N),
+                    N, L)
 
 
 @dataclass(frozen=True)
@@ -242,11 +260,47 @@ def transfer_pencil(chain: ChainParams, ctx: Context) -> TransferPencil:
                                 for t in terms[::2]))
 
 
+def _nonzeros(mat: np.ndarray) -> tuple:
+    """(row pointers, columns, values) of the nonzeros of a square matrix,
+    in row-major order."""
+    n = len(mat)
+    flat = np.flatnonzero(mat != 0)   # on complex input it takes twice as long
+    rows, cols = np.divmod(flat, n)
+    return np.searchsorted(rows, np.arange(n + 1)), cols, mat.ravel()[flat]
+
+
+def _sparse_product(A: tuple, B: tuple) -> tuple:
+    """AB for A, B given by `_nonzeros`: (flat indices, values) on the sorted
+    support, each entry the bincount of its terms A[i,k] B[k,j]."""
+    ptr_a, col_a, val_a = A
+    ptr_b, col_b, val_b = B
+    n = len(ptr_a) - 1
+    row_a = np.repeat(np.arange(n), np.diff(ptr_a))
+    # term t pairs A's nonzero a[t] with a nonzero b[t] of B's row col_a[a[t]]
+    counts = np.diff(ptr_b)[col_a]
+    a = np.repeat(np.arange(len(col_a)), counts)
+    b = np.arange(len(a)) + np.repeat(ptr_b[col_a] - np.cumsum(counts) + counts,
+                                      counts)
+    keys, inv = np.unique(row_a[a] * n + col_b[b], return_inverse=True)
+    terms = val_a[a] * val_b[b]
+    return keys, (np.bincount(inv, terms.real, len(keys))
+                  + 1j * np.bincount(inv, terms.imag, len(keys)))
+
+
 def commutator_residual(chain: ChainParams, x: complex, xp: complex,
                         ctx: Context) -> float:
-    A = transfer_T(chain, x, ctx).mat
-    B = transfer_T(chain, xp, ctx).mat
-    return float(np.max(np.abs(A @ B - B @ A)))
+    """max |[T(x), T(x')]| over the entries, from the nonzeros of the dense
+    `transfer_T` matrices (at most 2^L per row); no dense product is formed."""
+    A = _nonzeros(transfer_T(chain, x, ctx).mat)
+    B = _nonzeros(transfer_T(chain, xp, ctx).mat)
+    ab_keys, ab = _sparse_product(A, B)
+    ba_keys, ba = _sparse_product(B, A)
+    # the union of the two supports; each key occurs once in each product
+    keys, at = np.unique(np.concatenate([ab_keys, ba_keys]), return_inverse=True)
+    diff = np.zeros(len(keys), dtype=complex)
+    diff[at[:len(ab)]] = ab
+    diff[at[len(ab):]] -= ba
+    return float(np.max(np.abs(diff), initial=0.0))
 
 
 def t2_formula_L3(chain: ChainParams, ctx: Context) -> Operator:

@@ -1,7 +1,8 @@
 """The package decides its arithmetic conventions in `weylcore` alone: one
 root-of-unity table, one pole threshold, one polynomial product.  The
 rational-slice shift polynomials have one home too, `baxter.shift_polys`,
-and the package's one polynomial fit is the DFT of `baxter.plus_pairing_coeffs`."""
+and the package's one polynomial fit is the DFT of `baxter.plus_pairing_coeffs`.
+The commutator check multiplies T(x) through its nonzeros, never densely."""
 
 import ast
 from pathlib import Path
@@ -80,3 +81,31 @@ def test_no_least_squares_fit(path):
             assert node.id not in ("lstsq", "vander"), node.lineno
         elif isinstance(node, ast.FunctionDef):
             assert node.name != "_fit_nodes", node.lineno
+
+
+def _called_names(fn):
+    return {node.func.id for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+def test_commutator_check_forms_no_dense_product():
+    # commutator_residual and the transfer helpers it reaches, other than
+    # the dense builder transfer_T, which they must read and not bypass
+    tree = ast.parse((SRC / "transfer.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    assert "transfer_T" in _called_names(defs["commutator_residual"])
+    checked, todo = set(), ["commutator_residual"]
+    while todo:
+        name = todo.pop()
+        checked.add(name)
+        todo += (_called_names(defs[name]) & defs.keys()) - checked - {"transfer_T"}
+    assert len(checked) > 1, checked
+    for name in checked:
+        for node in ast.walk(defs[name]):
+            assert not (isinstance(node, ast.BinOp)
+                        and isinstance(node.op, ast.MatMult)), (name, node.lineno)
+            ref = (node.attr if isinstance(node, ast.Attribute)
+                   else node.id if isinstance(node, ast.Name) else None)
+            assert ref not in ("dot", "matmul", "tensordot", "einsum",
+                               "_closed_paths", "transfer_terms"), (name, node.lineno)

@@ -10,12 +10,17 @@ from hofchain import (ChainParams, PoleError, SiteParams, commutator_residual,
 from hofchain import cli
 from hofchain.baxter import DegenerateChain
 from hofchain.curves import HofstadterChain3
-from hofchain.transfer import (hofstadter_sector_factor, sector_pencil,
+from hofchain.transfer import (_nonzeros, _sparse_product, chain_L,
+                               hofstadter_sector_factor, sector_pencil,
                                sector_spectrum, t2_formula_L3, transfer_terms)
 from hofchain.weylcore import (Operator, identity_op, sector_basis,
                                sector_orbits, sector_project, unit_draws)
 
 from conftest import draw_chain, draw_site
+
+# N <= 7, L <= 4 but not N = 7, L = 4: its dense oracles (2401 wide) would
+# hold about 0.5 GB
+SMALL_CHAINS = [(N, L) for N in (3, 5, 7) for L in (1, 2, 3, 4) if N ** L < 2401]
 
 
 class TestLocalL:
@@ -144,6 +149,18 @@ class TestTransfer:
         Tm = transfer_T(chain, -x, ctx3).mat
         assert np.max(np.abs(Tp - Tm)) < 1e-10
 
+    @pytest.mark.parametrize("N,L", SMALL_CHAINS)
+    def test_equals_full_aux_trace(self, N, L, rng):
+        # T is formed from the diagonal aux blocks only; the full chain
+        # product's trace is the reference
+        ctx = make_context(N)
+        chain = draw_chain(rng, L)
+        for x in (0.0, unit_draws(rng, 1)[0], 1.7 - 0.4j):
+            got = transfer_T(chain, x, ctx)
+            want = chain_L(chain, x, ctx).trace_aux()
+            assert got.ctx_tag == want.ctx_tag
+            assert np.max(np.abs(got.mat - want.mat)) < 1e-14 * max(1, abs(x)) ** L
+
 
 class TestPencil:
     def test_L1_single_coefficient(self, ctx3, rng):
@@ -211,6 +228,43 @@ class TestCommutingFamily:
         chain = draw_chain(rng, 2)
         x = unit_draws(rng, 1)[0]
         assert commutator_residual(chain, x, x, ctx3) == 0.0
+
+    @pytest.mark.parametrize("N,L", SMALL_CHAINS)
+    def test_matches_dense_oracle(self, N, L, rng):
+        ctx = make_context(N)
+        chain = draw_chain(rng, L)
+        h = chain.sites[0]
+        sparse = ChainParams((SiteParams(h.a, 0, h.c, h.d),) + chain.sites[1:])
+        for chain in (chain, sparse):   # the second has vanishing paths
+            x, xp = unit_draws(rng, 2)
+            A = transfer_T(chain, x, ctx).mat
+            B = transfer_T(chain, xp, ctx).mat
+            dense = np.max(np.abs(A @ B - B @ A))
+            assert abs(commutator_residual(chain, x, xp, ctx) - dense) < 1e-14
+
+
+def test_sparse_product_matches_dense():
+    rng = np.random.default_rng(7)
+    # rows with 2, 0, 5, 1 and 3 nonzeros; B's row 2 vanishes too
+    mask_a = np.array([[1, 0, 0, 1, 0], [0, 0, 0, 0, 0], [1, 1, 1, 1, 1],
+                       [0, 0, 1, 0, 0], [0, 1, 0, 1, 1]], dtype=bool)
+    mask_b = np.array([[0, 1, 0, 0, 0], [1, 1, 1, 0, 1], [0, 0, 0, 0, 0],
+                       [1, 0, 0, 0, 1], [0, 0, 1, 1, 0]], dtype=bool)
+    A, B = (mask * (rng.standard_normal((5, 5))
+                    + 1j * rng.standard_normal((5, 5)))
+            for mask in (mask_a, mask_b))
+    ptr, cols, vals = _nonzeros(A)
+    assert list(np.diff(ptr)) == [2, 0, 5, 1, 3]
+    assert np.array_equal(A[np.nonzero(A)], vals)
+    for P, Q in ((A, B), (B, A), (A, A)):
+        keys, prod = _sparse_product(_nonzeros(P), _nonzeros(Q))
+        assert np.all(np.diff(keys) > 0)
+        got = np.zeros(25, dtype=complex)
+        got[keys] = prod
+        assert np.max(np.abs(got.reshape(5, 5) - P @ Q)) < 1e-14
+    empty = _nonzeros(np.zeros((5, 5), dtype=complex))
+    keys, prod = _sparse_product(empty, _nonzeros(B))
+    assert len(keys) == len(prod) == 0
 
 
 class TestHeisenberg:
