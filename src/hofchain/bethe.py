@@ -7,8 +7,11 @@ The functional equation
 
 is solved in closed form for L = 1, by a one-dimensional null-space solve
 at the admissible eigenvalues for L = 2, and through the banded NxN matrix
-whose eigenvalues are the admissible x^2 coefficients for L = 3.  The two
-shift polynomials come from `baxter.shift_polys`.  The solvers check no
+whose eigenvalues are the admissible x^2 coefficients for L = 3.  The N
+solutions of an L = 3 sector are solved as one stack (one SVD, one root
+eigensolve), with the same floating-point operations, and so the same bits,
+as one solution at a time.  The two shift polynomials come from
+`baxter.shift_polys`, built once per solve.  The solvers check no
 solution against diagonalization at run time: the tests and `perfbench`
 compare them with `oracle_spectrum`, the brute-force spectrum of the
 transfer pencil restricted to the shift-operator sectors.
@@ -19,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .weylcore import Context, GenericityError, PoleError
 from .baxter import DegenerateChain, shift_polys
@@ -72,32 +76,51 @@ def _lambda_poly(lam: complex, m: int, ctx: Context) -> ComplexPolynomial:
     return ComplexPolynomial.from_array([lam0, 0.0, lam])
 
 
+def _rbeq_residuals(lam_rows: np.ndarray, q_rows: np.ndarray, m: int,
+                    chain: DegenerateChain, ctx: Context, shifts) -> np.ndarray:
+    """Sampled defect of the rational-degenerate Bethe equation, per row pair.
+
+    Rows hold the ascending coefficients of Lambda and Q.  Evaluated on a
+    circle with more points than deg(LHS), normalized by the largest
+    coefficient magnitude of the left-hand side.
+    """
+    pm, pp = shifts
+    # LHS coefficients by np.convolve's own dot products: it correlates the
+    # longer factor with the reversed shorter one, and a 1 x n by n x 1
+    # matmul makes the same dot call; the zero padding adds exact zeros
+    a, b = lam_rows, q_rows
+    if b.shape[1] > a.shape[1]:
+        a, b = b, a
+    pad = np.zeros((len(a), b.shape[1] - 1), dtype=complex)
+    win = sliding_window_view(np.hstack([pad, a, pad]), b.shape[1], axis=1)
+    rev = np.ascontiguousarray(b[:, None, ::-1, None])
+    lhs_coeffs = (win[:, :, None] @ rev)[..., 0, 0]
+    npts = lhs_coeffs.shape[1] + chain.L + 2
+    xs = 0.9 * np.exp(2j * np.pi * np.arange(npts) / npts)
+    scale = np.maximum(1.0, np.max(np.abs(lhs_coeffs), axis=1))
+    # np.polyval over coefficient columns, one entry per row: the same steps
+    lam_p, q_p = (rows.T[::-1, :, None] for rows in (lam_rows, q_rows))
+    lhs = np.polyval(lam_p, xs) * np.polyval(q_p, xs)
+    rhs = ctx.q_pow(-m) * np.polyval(pm[::-1], xs) * np.polyval(q_p, xs * ctx.q_pow(-1)) \
+        + ctx.q_pow(m) * np.polyval(pp[::-1], xs) * np.polyval(q_p, xs * ctx.q_pow(1))
+    return np.max(np.abs(lhs - rhs), axis=1) / scale
+
+
 def rbeq_residual(Q: ComplexPolynomial, Lambda: ComplexPolynomial, m: int,
                   chain: DegenerateChain, ctx: Context) -> float:
-    """Sampled defect of the rational-degenerate Bethe equation.
-
-    Evaluated on a circle with more points than deg(LHS), normalized by
-    the largest coefficient magnitude of the left-hand side.
-    """
-    pm, pp = shift_polys(chain, ctx)
-    lhs_coeffs = np.convolve(Lambda.array(), Q.array())
-    npts = len(lhs_coeffs) + chain.L + 2
-    xs = 0.9 * np.exp(2j * np.pi * np.arange(npts) / npts)
-    scale = max(1.0, float(np.max(np.abs(lhs_coeffs))))
-    lhs = Lambda(xs) * Q(xs)
-    rhs = ctx.q_pow(-m) * np.polyval(pm[::-1], xs) * Q(xs * ctx.q_pow(-1)) \
-        + ctx.q_pow(m) * np.polyval(pp[::-1], xs) * Q(xs * ctx.q_pow(1))
-    return float(np.max(np.abs(lhs - rhs))) / scale
+    """Sampled defect of the rational-degenerate Bethe equation; see `_rbeq_residuals`."""
+    return float(_rbeq_residuals(Lambda.array()[None], Q.array()[None], m,
+                                 chain, ctx, shift_polys(chain, ctx))[0])
 
 
 def _coefficient_matrix(Lam: ComplexPolynomial, m: int, chain: DegenerateChain,
-                        deg: int, ctx: Context) -> np.ndarray:
+                        deg: int, ctx: Context, shifts=None) -> np.ndarray:
     """Exact coefficient-matching system G Q = 0 including top-degree rows.
 
     Column k holds the coefficients of Lambda x^k - q^{-m-k} Delta_- x^k
     - q^{m+k} Delta_+ x^k, one shifted diagonal per polynomial coefficient.
     """
-    pm, pp = shift_polys(chain, ctx)
+    pm, pp = shifts or shift_polys(chain, ctx)
     k = np.arange(deg + 1)
     G = np.zeros((deg + max(chain.L, Lam.degree) + 1, deg + 1), dtype=complex)
     for i, a in enumerate(Lam.coeffs):
@@ -108,64 +131,87 @@ def _coefficient_matrix(Lam: ComplexPolynomial, m: int, chain: DegenerateChain,
     return G
 
 
-def _solve_null_Q(Lam: ComplexPolynomial, m: int, chain: DegenerateChain,
-                  deg: int, ctx: Context) -> ComplexPolynomial:
-    """One-dimensional null vector of the coefficient system, Q(0) = 1, deg Q = deg."""
-    G = _coefficient_matrix(Lam, m, chain, deg, ctx)
+def _solve_null_Q(lams, m: int, chain: DegenerateChain, deg: int,
+                  ctx: Context, shifts) -> tuple:
+    """Null vectors Q of the coefficient systems at each lam, Q(0) = 1, deg Q = deg.
+
+    The systems differ only by lam on the x^2 diagonal and share one SVD.
+    Returns the Q rows (ascending) before the first lam that fails a check,
+    and that lam's GenericityError, or None.
+    """
+    k = np.arange(deg + 1)
+    G = _coefficient_matrix(_lambda_poly(0.0, m, ctx), m, chain, deg, ctx, shifts)
+    G = np.repeat(G[None], len(lams), axis=0)
+    G[:, k + 2, k] += np.asarray(lams)[:, None]
     _, s, vt = np.linalg.svd(G)
-    if s[-1] > 1e-8 * max(s[0], 1.0):
-        raise GenericityError(f"no polynomial solution at Lambda={Lam.array()}")
-    if len(s) > 1 and s[-2] < NULLSPACE_GAP * s[0]:
-        raise GenericityError("null space not one-dimensional at "
-                              f"Lambda={Lam.array()}")
-    v = vt[-1].conj()
-    if abs(v[0]) < 1e-10:
-        raise GenericityError("Q(0) vanishes; cannot normalize")
-    v = v / v[0]
-    v[0] = 1.0
-    Q = ComplexPolynomial.from_array(v)
-    if abs(Q.coeffs[-1]) < 1e-8:
-        raise GenericityError("leading coefficient vanished; degree defect")
-    return Q
+    v = vt[:, -1].conj()
+    q0 = np.abs(v[:, 0]) < 1e-10
+    v = v / np.where(q0, 1.0, v[:, 0])[:, None]
+    v[:, 0] = 1.0
+    checks = {      # in the order a lam-by-lam solve raises them
+        "no polynomial solution at Lambda={}": s[:, -1] > 1e-8 * np.maximum(s[:, 0], 1.0),
+        "null space not one-dimensional at Lambda={}":
+            s[:, -2] < NULLSPACE_GAP * s[:, 0] if deg else np.zeros_like(q0),
+        "Q(0) vanishes; cannot normalize": q0,
+        # on the untrimmed row: an exact zero must not pass as a lower degree
+        "leading coefficient vanished; degree defect": np.abs(v[:, deg]) < 1e-8}
+    fails = np.array(list(checks.values()))
+    bad = np.flatnonzero(fails.any(axis=0))
+    if not len(bad):
+        return v, None
+    i = bad[0]
+    msg = list(checks)[np.argmax(fails[:, i])]
+    return v[:i], GenericityError(msg.format(_lambda_poly(lams[i], m, ctx).array()))
 
 
-def _ansatz_residuals(roots, m: int, chain: DegenerateChain,
-                      ctx: Context) -> tuple:
+def _ansatz_residuals(z, m: int, chain: DegenerateChain,
+                      ctx: Context) -> np.ndarray:
     """Per-root defect of the product relation obtained at x = 1/z_l.
 
-    The L=3 form carries prefactor q^{m+3/2}; the same substitution for
-    general L gives exponent L + 2m + deg(Q), which reduces to m + 3/2 at
-    L = 3.
+    One row of roots per solution; the first row with a pole raises.  The
+    L=3 form carries prefactor q^{m+3/2}; the same substitution for general
+    L gives exponent L + 2m + deg(Q), which reduces to m + 3/2 at L = 3.
     """
-    z = np.asarray(roots, dtype=complex)[:, None]
+    z = np.asarray(z, dtype=complex)[:, :, None]
+    zt = np.swapaxes(z, 1, 2)
     c = np.asarray(chain.c, dtype=complex)
     q = ctx.q_pow(1)
-    pref = ctx.q_pow(chain.L + 2 * m + len(z))
+    pref = ctx.q_pow(chain.L + 2 * m + z.shape[1])
     den_c = q * z - c
-    hit = np.argwhere(np.abs(den_c) < 1e-12)
-    if len(hit):
-        raise PoleError(f"Bethe-ansatz pole: q z_l = c_j at root {hit[0, 0]}")
-    off = ~np.eye(len(z), dtype=bool)     # the product over n skips n = l
-    den_z = np.where(off, z - q * z.T, 1.0)
-    hit = np.argwhere(off & (np.abs(den_z) < 1e-12))
-    if len(hit):
+    off = ~np.eye(z.shape[1], dtype=bool)     # the product over n skips n = l
+    den_z = np.where(off, z - q * zt, 1.0)
+    hit_c = np.argwhere(np.abs(den_c) < 1e-12)
+    hit_z = np.argwhere(off & (np.abs(den_z) < 1e-12))
+    if len(hit_c) and (not len(hit_z) or hit_c[0, 0] <= hit_z[0, 0]):
+        raise PoleError(f"Bethe-ansatz pole: q z_l = c_j at root {hit_c[0, 1]}")
+    if len(hit_z):
         raise PoleError("Bethe-ansatz pole: z_l = q z_n at roots "
-                        f"{hit[0, 0]},{hit[0, 1]}")
-    num = np.prod((z + c) / den_c, axis=1)
-    rhs = np.prod(np.where(off, (q * z - z.T) / den_z, 1.0), axis=1)
-    return tuple(np.abs(pref * num - rhs).tolist())
+                        f"{hit_z[0, 1]},{hit_z[0, 2]}")
+    num = np.prod((z + c) / den_c, axis=2)
+    rhs = np.prod(np.where(off, (q * z - zt) / den_z, 1.0), axis=2)
+    return np.abs(pref * num - rhs)
 
 
-def _solution(m: int, lam: complex, Lam: ComplexPolynomial,
-              Q: ComplexPolynomial, chain: DegenerateChain,
-              ctx: Context) -> BetheSolution:
-    """Bundle Q with its eigenvalue polynomial, roots and residuals."""
-    # read highest-first, the ascending coefficients of Q are the reversed
-    # polynomial x^deg Q(1/x), whose roots are the z_l themselves
-    roots = tuple(np.roots(Q.array()))
-    return BetheSolution(m=m, lam=lam, Lambda_poly=Lam, Q=Q, roots=roots,
-                         rbeq_residual=rbeq_residual(Q, Lam, m, chain, ctx),
-                         ansatz_residuals=_ansatz_residuals(roots, m, chain, ctx))
+def _solution(m: int, lams, Q: np.ndarray, chain: DegenerateChain,
+              ctx: Context, shifts, error=None) -> list:
+    """Bundle each row of Q, the solution at lams[i], with its Lambda, roots
+    and residuals.  `error` belongs to the lam after the last row, so a pole
+    in a row raises first, as in a lam-by-lam solve."""
+    # read highest-first, a row of Q is x^deg Q(1/x), whose roots are the z_l
+    # themselves; np.roots's companion matrix, which strips nothing here
+    # because Q(0) = 1 and the top coefficient is nonzero
+    comp = np.repeat(np.eye(Q.shape[1] - 1, k=-1, dtype=complex)[None], len(Q), 0)
+    comp[:, :1] = -Q[:, None, 1:] / Q[:, None, :1]
+    roots = np.linalg.eigvals(comp)
+    ansatz = _ansatz_residuals(roots, m, chain, ctx)
+    if error is not None:
+        raise error
+    Lams = [_lambda_poly(lam, m, ctx) for lam in lams]
+    rbeq = _rbeq_residuals(np.array([Lam.coeffs for Lam in Lams]), Q, m, chain,
+                           ctx, shifts)
+    return [BetheSolution(m, lam, Lam, ComplexPolynomial.from_array(q), tuple(zs),
+                          float(r), tuple(a.tolist()))
+            for lam, Lam, q, zs, r, a in zip(lams, Lams, Q, roots, rbeq, ansatz)]
 
 
 def solve_L1(m: int, c0: complex, ctx: Context) -> BetheSolution:
@@ -183,9 +229,9 @@ def solve_L1(m: int, c0: complex, ctx: Context) -> BetheSolution:
             raise GenericityError(f"degenerate denominator at i={i}")
         prod *= (ctx.q_pow(m + i - 1) - ctx.q_pow(-m - i)) / den
         coeffs.append(prod * c0**i)
-    return _solution(m, 0.0, _lambda_poly(0.0, m, ctx),
-                     ComplexPolynomial.from_array(coeffs),
-                     DegenerateChain((c0,)), ctx)
+    chain = DegenerateChain((c0,))
+    Q = ComplexPolynomial.from_array(coeffs).array()[None]
+    return _solution(m, [0.0], Q, chain, ctx, shift_polys(chain, ctx))[0]
 
 
 def solve_L2(m: int, mp: int, c0: complex, c1: complex,
@@ -195,10 +241,10 @@ def solve_L2(m: int, mp: int, c0: complex, c1: complex,
     if not (0 <= m <= M and 0 <= mp <= M):
         raise ValueError(f"sectors must be in [0, {M}]")
     lam = ctx.q_half_pow(1) * (ctx.q_pow(mp - 1) + ctx.q_pow(-mp - 2)) * c0 * c1
-    Lam = _lambda_poly(lam, m, ctx)
     chain = DegenerateChain((c0, c1))
-    return _solution(m, lam, Lam, _solve_null_Q(Lam, m, chain, M - m + mp, ctx),
-                     chain, ctx)
+    shifts = shift_polys(chain, ctx)
+    Q, error = _solve_null_Q([lam], m, chain, M - m + mp, ctx, shifts)
+    return _solution(m, [lam], Q, chain, ctx, shifts, error)[0]
 
 
 @dataclass(frozen=True)
@@ -213,10 +259,11 @@ class MatrixA:
     m: int
 
 
-def matrix_A(m: int, c, ctx: Context) -> MatrixA:
+def matrix_A(m: int, c, ctx: Context, shifts=None) -> MatrixA:
+    """The matrix of sector m; `shifts` is `shift_polys` of c, if already built."""
     if len(c) != 3:
         raise ValueError("matrix_A takes exactly three chain parameters")
-    s1, s2, s3 = shift_polys(DegenerateChain(tuple(c)), ctx)[1][1:]
+    s1, s2, s3 = (shifts or shift_polys(DegenerateChain(tuple(c)), ctx))[1][1:]
     qh = ctx.q_half_pow
     k = np.arange(ctx.N)[::-1]      # row r carries k = N - 1 - r
     # w'_k = q^{k+3/2} + q^{-k-3/2} - q^m - q^{-m}
@@ -237,22 +284,22 @@ def solve_L3(m: int, c, ctx: Context) -> list:
 
     One solution per eigenvalue lambda of matrix_A; each Q has exact
     degree 3M - m with Q(0) = 1, certified by a one-dimensional null
-    space of the coefficient system.
+    space of the coefficient system.  The N solutions are solved as one
+    stack, in lambda order, and a failure raises for the first lambda
+    that has one.
     """
     M = ctx.M
     if not 0 <= m <= M:
         raise ValueError(f"sector m must be in [0, {M}]")
-    A = matrix_A(m, c, ctx)
+    chain = DegenerateChain(tuple(c))
+    shifts = shift_polys(chain, ctx)
+    A = matrix_A(m, c, ctx, shifts)
     lams = np.linalg.eigvals(A.mat)
-    order = np.lexsort((lams.imag, lams.real))
-    lams = lams[order]
+    lams = lams[np.lexsort((lams.imag, lams.real))]
     if np.triu(np.abs(lams[:, None] - lams) < EIGEN_GAP, 1).any():
         raise GenericityError("matrix_A has near-degenerate eigenvalues")
-    chain = DegenerateChain(tuple(c))
-    Lams = [_lambda_poly(lam, m, ctx) for lam in lams]
-    return [_solution(m, lam, Lam, _solve_null_Q(Lam, m, chain, 3 * M - m, ctx),
-                      chain, ctx)
-            for lam, Lam in zip(lams, Lams)]
+    Q, error = _solve_null_Q(lams, m, chain, 3 * M - m, ctx, shifts)
+    return _solution(m, lams, Q, chain, ctx, shifts, error)
 
 
 def bethe_ansatz_residuals(sol: BetheSolution, c, ctx: Context) -> list:
@@ -263,7 +310,7 @@ def bethe_ansatz_residuals(sol: BetheSolution, c, ctx: Context) -> list:
     expected = 3 * ctx.M - sol.m
     if len(sol.roots) != expected:
         raise ValueError(f"expected {expected} roots, got {len(sol.roots)}")
-    return list(_ansatz_residuals(sol.roots, sol.m, chain, ctx))
+    return _ansatz_residuals([sol.roots], sol.m, chain, ctx)[0].tolist()
 
 
 def lambda_M_from_roots(roots, c, ctx: Context) -> complex:

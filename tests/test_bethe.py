@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from hofchain import (ChainParams, DegenerateChain, ComplexPolynomial,
-                      GenericityError, bethe_ansatz_residuals,
+                      GenericityError, PoleError, bethe_ansatz_residuals,
                       lambda_M_from_roots,
                       make_context, matrix_A, oracle_spectrum, rbeq_residual,
                       solve_L1, solve_L2, solve_L3)
-from hofchain.bethe import (EIGEN_GAP, _coefficient_matrix, _lambda_poly,
+from hofchain import bethe
+from hofchain.bethe import (EIGEN_GAP, NULLSPACE_GAP, BetheSolution,
+                            _coefficient_matrix, _lambda_poly,
                             cluster_eigenvalues, multiset_match)
 from hofchain.weylcore import unit_draws
 
@@ -281,6 +283,135 @@ class TestSolveL3:
                 clusters = cluster_eigenvalues(spec)
                 assert all(k == N for _, k in clusters)
                 assert multiset_match(lams, [v for v, _ in clusters]) < 1e-8
+
+
+def per_solution_L3(m, c, ctx):
+    """Reference: solve_L3 one eigenvalue at a time, each with its own
+    coefficient matrix, SVD and np.roots, checks in the same order (the
+    degree check reads the top coefficient before trimming)."""
+    chain = DegenerateChain(tuple(c))
+    lams = np.linalg.eigvals(matrix_A(m, c, ctx).mat)
+    lams = lams[np.lexsort((lams.imag, lams.real))]
+    if np.triu(np.abs(lams[:, None] - lams) < EIGEN_GAP, 1).any():
+        raise GenericityError("matrix_A has near-degenerate eigenvalues")
+    sols = []
+    for lam in lams:
+        Lam = _lambda_poly(lam, m, ctx)
+        _, s, vt = np.linalg.svd(_coefficient_matrix(Lam, m, chain,
+                                                     3 * ctx.M - m, ctx))
+        if s[-1] > 1e-8 * max(s[0], 1.0):
+            raise GenericityError(f"no polynomial solution at Lambda={Lam.array()}")
+        if s[-2] < NULLSPACE_GAP * s[0]:
+            raise GenericityError("null space not one-dimensional at "
+                                  f"Lambda={Lam.array()}")
+        v = vt[-1].conj()
+        if abs(v[0]) < 1e-10:
+            raise GenericityError("Q(0) vanishes; cannot normalize")
+        v = v / v[0]
+        v[0] = 1.0
+        if abs(v[-1]) < 1e-8:
+            raise GenericityError("leading coefficient vanished; degree defect")
+        Q = ComplexPolynomial.from_array(v)
+        sol = BetheSolution(m=m, lam=lam, Lambda_poly=Lam, Q=Q,
+                            roots=tuple(np.roots(Q.array())),
+                            rbeq_residual=rbeq_residual(Q, Lam, m, chain, ctx))
+        sols.append((sol, bethe_ansatz_residuals(sol, c, ctx)))
+    return sols
+
+
+def outcome(solve, *args):
+    try:
+        return solve(*args)
+    except (GenericityError, PoleError) as e:
+        return type(e), str(e)
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("N", [3, 5, 7, 9, 11, 15])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bit_identical_to_per_solution(self, N, seed):
+        ctx = make_context(N)
+        c = unit_draws(np.random.default_rng(seed), 3)
+        for m in range(ctx.M + 1):
+            sols = solve_L3(m, c, ctx)
+            ref = per_solution_L3(m, c, ctx)
+            assert len(sols) == len(ref) == N
+            for sol, (r, ansatz) in zip(sols, ref):
+                assert sol.lam == r.lam
+                assert sol.Lambda_poly == r.Lambda_poly
+                assert sol.Q == r.Q
+                assert sol.roots == r.roots
+                assert sol.rbeq_residual == r.rbeq_residual
+                assert list(sol.ansatz_residuals) == ansatz
+
+    @pytest.mark.parametrize("N, seed", [(21, 26), (25, 2), (31, 5)])
+    def test_failing_sectors_raise_as_per_solution(self, N, seed):
+        # the stack raises the error that the first failing lambda raises
+        ctx = make_context(N)
+        c = unit_draws(np.random.default_rng(seed), 3)
+        raised = 0
+        for m in range(ctx.M + 1):
+            got = outcome(solve_L3, m, c, ctx)
+            ref = outcome(per_solution_L3, m, c, ctx)
+            if isinstance(ref, tuple):
+                raised += 1
+                assert got == ref
+            else:
+                assert [s.Q for s in got] == [s.Q for s, _ in ref]
+        assert raised > 0
+
+    def test_one_svd_one_shift_build_two_eigensolves(self, ctx5, rng,
+                                                     monkeypatch):
+        # one sector is one stack: no per-eigenvalue loop of LAPACK calls
+        calls = {"svd": 0, "eigvals": 0, "shift_polys": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            counted("eigvals", np.linalg.eigvals))
+        monkeypatch.setattr(bethe, "shift_polys",
+                            counted("shift_polys", bethe.shift_polys))
+        assert len(solve_L3(1, unit_draws(rng, 3), ctx5)) == 5
+        assert calls == {"svd": 1, "eigvals": 2, "shift_polys": 1}
+
+    def test_zero_top_coefficient_is_a_degree_defect(self, ctx5, rng,
+                                                     monkeypatch):
+        # a null vector whose x^deg coefficient is exactly zero must not
+        # pass as a solution of lower degree
+        svd = np.linalg.svd
+
+        def zero_top(a):
+            u, s, vt = svd(a)
+            vt[..., -1, -1] = 0.0
+            return u, s, vt
+
+        monkeypatch.setattr(np.linalg, "svd", zero_top)
+        with pytest.raises(GenericityError, match="leading coefficient"):
+            solve_L3(1, unit_draws(rng, 3), ctx5)
+        with pytest.raises(GenericityError, match="leading coefficient"):
+            solve_L2(1, 1, *unit_draws(rng, 2), ctx5)
+
+    def test_rbeq_residual_matches_polyval_formula(self, ctx5, rng):
+        # the row-wise residual makes the same floating-point operations as
+        # np.convolve and np.polyval on one solution
+        chain = DegenerateChain(tuple(unit_draws(rng, 3)))
+        pm, pp = bethe.shift_polys(chain, ctx5)
+        for deg in (0, 1, 2, 6):
+            Q = ComplexPolynomial.from_array(unit_draws(rng, deg + 1))
+            Lam = _lambda_poly(unit_draws(rng, 1)[0], 1, ctx5)
+            lhs_coeffs = np.convolve(Lam.array(), Q.array())
+            npts = len(lhs_coeffs) + 5
+            xs = 0.9 * np.exp(2j * np.pi * np.arange(npts) / npts)
+            scale = max(1.0, float(np.max(np.abs(lhs_coeffs))))
+            rhs = ctx5.q_pow(-1) * np.polyval(pm[::-1], xs) * Q(xs * ctx5.q_pow(-1)) \
+                + ctx5.q_pow(1) * np.polyval(pp[::-1], xs) * Q(xs * ctx5.q_pow(1))
+            expect = float(np.max(np.abs(Lam(xs) * Q(xs) - rhs))) / scale
+            assert rbeq_residual(Q, Lam, 1, chain, ctx5) == expect
 
 
 class TestBetheAnsatz:
