@@ -35,7 +35,7 @@ from .baxter import (DegenerateChain, RationalPoint, draw_regular_x,
 from .bethe import (CLUSTER_GAP, cluster_eigenvalues, oracle_spectrum,
                     solve_L1, solve_L2, solve_L3)
 from .curves import (HofstadterChain3, abcd_polys, descended_t_residual,
-                     draw_w_points, evaluation_rank, evaluation_vectors)
+                     draw_w_points, evaluation_ranks, evaluation_vectors)
 
 DEFAULT_TOLERANCES = {
     "rll": 1e-10,
@@ -149,50 +149,46 @@ def _attempt(fn, config: RunConfig, record: dict, label: str):
     return out
 
 
+def _worst(residuals) -> float:
+    """The largest of the residuals (0.0 for none), NaN if any is NaN: Python's
+    max drops a NaN that does not come first."""
+    return float(np.max(np.fromiter(residuals, float), initial=0.0))
+
+
 # ---------------------------------------------------------------- verify
 
 def _suite_rll(ctx, rng):
-    worst = 0.0
-    for _ in range(20):
-        a, b, c, d = unit_draws(rng, 4)
-        x, xp = unit_draws(rng, 2)
-        worst = max(worst, rll_residual(SiteParams(a, b, c, d), x, xp, ctx))
-    return worst
+    # arguments are evaluated in order: a, b, c, d are drawn before x, x'
+    return _worst(rll_residual(SiteParams(*unit_draws(rng, 4)),
+                               *unit_draws(rng, 2), ctx) for _ in range(20))
 
 
 def _suite_commutator(ctx, rng):
-    worst = 0.0
-    for L in (1, 2, 3):
-        for _ in range(6):
-            sites = tuple(SiteParams(*unit_draws(rng, 4)) for _ in range(L))
-            x, xp = unit_draws(rng, 2)
-            worst = max(worst, commutator_residual(ChainParams(sites), x, xp, ctx))
-    return worst
+    return _worst(commutator_residual(
+        ChainParams(tuple(SiteParams(*unit_draws(rng, 4)) for _ in range(L))),
+        *unit_draws(rng, 2), ctx) for L in (1, 2, 3) for _ in range(6))
 
 
 def _suite_baxter_action(ctx, rng):
     chain = DegenerateChain(tuple(unit_draws(rng, 3)))
-    worst = 0.0
-    for _ in range(4):
-        x = draw_regular_x(rng, chain, ctx)
-        for l in range(ctx.N):
-            worst = max(worst, t_action_residual(chain, RationalPoint(x, l), ctx))
-    return worst
+    xs = [draw_regular_x(rng, chain, ctx) for _ in range(4)]
+    return _worst(t_action_residual(chain, RationalPoint(x, l), ctx)
+                  for x in xs for l in range(ctx.N))
 
 
 def _suite_theorem1(ctx, rng):
     chain = DegenerateChain(tuple(unit_draws(rng, 3)))
     ls = np.arange(ctx.N)
-    worst = 0.0
+    res = []
     for _ in range(3):
         x = draw_regular_x(rng, chain, ctx)
         vecs = sector_vectors(x, ls, chain, ctx)    # one row per sector l
         ident = vecs["e_vec"] * u_weight(ctx.q_pow(1) * x, chain, ctx) \
             - vecs["o_vec"] * (ctx.q_pow(ls) * u_weight(x, chain, ctx))[:, None]
         scale = np.maximum(1.0, np.max(np.abs(vecs["plus_vec"]), axis=1))
-        worst = max(worst, float(np.max(np.max(np.abs(ident), axis=1) / scale)),
-                    theorem1_ii_residual(chain, x, ls, ctx))
-    return worst
+        res += [float(np.max(np.max(np.abs(ident), axis=1) / scale)),
+                theorem1_ii_residual(chain, x, ls, ctx)]
+    return _worst(res)
 
 
 def _suite_divisibility(ctx, rng):
@@ -204,7 +200,7 @@ def _suite_divisibility(ctx, rng):
     # sector 2m with label m and sector -2m with label -m; m = 0 gives one pair
     pairs = {((s * 2 * m) % ctx.N, (s * m) % ctx.N): m
              for m in range(ctx.M + 1) for s in (1, -1)}
-    worst = 0.0
+    res = []
     for (l_sec, label), m in pairs.items():
         # a left eigenvector of the family is the scatter of one of block.T
         orbit, amp = sector_orbits(ctx, cp.L, l_sec)
@@ -215,27 +211,25 @@ def _suite_divisibility(ctx, rng):
         if scale < 1e-8:
             raise GenericityError("pairing degenerated to zero")
         if m > 0:
-            worst = max(worst, float(np.max(np.abs(coeffs[:m]))) / scale)
-        worst = max(worst, float(np.max(np.abs(
-            np.polyval(coeffs[::-1], bad)))) / scale)
-    return worst
+            res.append(float(np.max(np.abs(coeffs[:m]))) / scale)
+        res.append(float(np.max(np.abs(np.polyval(coeffs[::-1], bad)))) / scale)
+    return _worst(res)
 
 
 def _suite_degeneracy(ctx, rng):
     """Every sector-2m oracle eigenvalue has multiplicity exactly N (L = 3)."""
     chain = DegenerateChain(tuple(unit_draws(rng, 3)))
     cp = chain.site_params(ctx)
-    worst = 0.0
+    res = []
     for m in range(ctx.M + 1):
         spec = oracle_spectrum(cp, (2 * m) % ctx.N, ctx)
         clusters = cluster_eigenvalues(spec)
         if any(k != ctx.N for _, k in clusters):
             raise GenericityError(
                 f"multiplicities {[k for _, k in clusters]} != {ctx.N}")
-        spread = max(max(abs(v - mu) for v in spec if abs(v - mu) < CLUSTER_GAP)
-                     for mu, _ in clusters)
-        worst = max(worst, spread)
-    return worst
+        res += [abs(v - mu) for mu, _ in clusters for v in spec
+                if abs(v - mu) < CLUSTER_GAP]
+    return _worst(res)
 
 
 VERIFY_SUITES = [
@@ -385,36 +379,35 @@ def cmd_curves(config: RunConfig) -> int:
             chain = HofstadterChain3(SiteParams(*unit_draws(rng, 4)),
                                      SiteParams(*unit_draws(rng, 4)))
             pts = draw_w_points(chain, ctx, rng, 2 * N * N)
-            vecs = evaluation_vectors(pts, chain, ctx)
-            ranks = {l: evaluation_rank(vecs, l, ctx) for l in range(N)}
-            desc = [descended_t_residual(p, chain, ctx) for p in pts[:20]]
+            ranks = evaluation_ranks(evaluation_vectors(pts, chain, ctx), ctx)
+            desc = descended_t_residual(pts[:20], chain, ctx)
             # ABCD consistency at L + 1 = 4 sampled y
             p = abcd_polys(chain.chain_params(), ctx)
-            worst_abcd = 0.0
+            abcd = []
             for y in (1.0, 2.0, 3.0, 0.5):
                 prod = np.eye(2, dtype=complex)
                 for h in chain.chain_params().sites:
                     prod = prod @ np.array([[-h.a**N, y * h.b**N],
                                             [y * h.c**N, -h.d**N]])
-                worst_abcd = max(worst_abcd, float(np.max(np.abs(
+                abcd.append(float(np.max(np.abs(
                     prod - np.array([[-p.A_poly(y), p.B_poly(y)],
                                      [p.C_poly(y), -p.D_poly(y)]])))))
-            return ranks, desc, worst_abcd
+            return ranks, _worst(desc), len(desc), _worst(abcd)
 
         record = {"N": N, "pass": False}
         result = _attempt(run, config, record, f"curves N={N}")
         if result is not None:
-            ranks, desc, worst_abcd = result
+            ranks, worst_desc, count, worst_abcd = result
             record.update({
-                "epsilon_ranks": {str(l): ranks[l] for l in ranks},
-                "descended_residual_max": max(desc),
-                "descended_residual_count": len(desc),
+                "epsilon_ranks": {str(l): r for l, r in enumerate(ranks)},
+                "descended_residual_max": worst_desc,
+                "descended_residual_count": count,
                 "abcd_max_residual": worst_abcd,
-                "pass": bool(all(r == N * N for r in ranks.values())
-                             and max(desc) < config.tol("descent")
+                "pass": bool(all(r == N * N for r in ranks)
+                             and worst_desc < config.tol("descent")
                              and worst_abcd < config.tol("identity")),
             })
-            bad = [l for l, r in ranks.items() if r != N * N]
+            bad = [l for l, r in enumerate(ranks) if r != N * N]
             if bad:
                 print(f"FAIL evaluation-map rank at N={N}, sectors {bad}",
                       file=sys.stderr)

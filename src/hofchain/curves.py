@@ -27,9 +27,9 @@ from functools import reduce
 
 import numpy as np
 
-from .weylcore import (POLE_TOL, Context, PoleError, relative_defect,
-                       sector_orbits, unit_draws)
-from .transfer import ChainParams, SiteParams, transfer_apply
+from .weylcore import (POLE_TOL, Context, PoleError, sector_orbits,
+                       unit_draws)
+from .transfer import ChainParams, SiteParams, transfer_terms
 from .bethe import ComplexPolynomial
 
 W_TOL = 1e-9
@@ -48,7 +48,8 @@ class ABCDPolys:
 
 @dataclass(frozen=True)
 class WPoint:
-    """A point (x, xi_0, xi_2) on W with its defining-equation residuals."""
+    """A point (x, xi_0, xi_2) on W with its defining-equation residuals; the
+    stack of B points has 1-d coordinate arrays of length B (`_stack`)."""
 
     x: complex
     xi0: complex
@@ -91,9 +92,10 @@ def abcd_polys(chain: ChainParams, ctx: Context) -> ABCDPolys:
                      D_poly=ComplexPolynomial.from_array(-prod[1][1]))
 
 
-def eta_roots(y: complex, chain: ChainParams, ctx: Context):
-    """Roots of C(y) eta^2 + (A(y) - D(y)) eta - B(y) = 0."""
-    p = abcd_polys(chain, ctx)
+def eta_roots(y: complex, chain: ChainParams, ctx: Context, _polys=None):
+    """Roots of C(y) eta^2 + (A(y) - D(y)) eta - B(y) = 0; `_polys`: the
+    chain's `abcd_polys`, if built."""
+    p = _polys or abcd_polys(chain, ctx)
     Cv = p.C_poly(y)
     mid = p.A_poly(y) - p.D_poly(y)
     Bv = p.B_poly(y)
@@ -105,62 +107,59 @@ def eta_roots(y: complex, chain: ChainParams, ctx: Context):
     return complex(r[0]), complex(r[1])
 
 
-def w_residuals(x: complex, xi0: complex, xi2: complex,
-                chain: HofstadterChain3, ctx: Context) -> tuple:
-    """Relative defects of the two defining equations of W."""
+def w_residuals(x, xi0, xi2, chain: HofstadterChain3, ctx: Context) -> tuple:
+    """Relative defects (r1, r2) of the two defining equations of W, elementwise
+    over the broadcast coordinates; a pole in any entry raises before division."""
     N = ctx.N
     h1, h2 = chain.h1, chain.h2
-    y = x**N
-    den1 = y * xi2**N * h1.c**N - h1.d**N
-    den2 = y * xi0**N * h2.c**N - h2.d**N
-    if abs(den1) < POLE_TOL or abs(den2) < POLE_TOL:
+    y, xi0N, xi2N = np.power(x, N), np.power(xi0, N), np.power(xi2, N)
+    den1 = y * xi2N * h1.c**N - h1.d**N
+    den2 = y * xi0N * h2.c**N - h2.d**N
+    if any(np.any(np.abs(d) < POLE_TOL) for d in (den1, den2, xi0N)):
         raise PoleError("W defining-equation denominator vanishes")
-    rhs1 = (-xi2**N * h1.a**N + y * h1.b**N) / den1
-    rhs2 = (-xi0**N * h2.a**N + y * h2.b**N) / den2
-    lhs1 = xi0**(-N)
-    lhs2 = xi2**N
-    r1 = abs(lhs1 - rhs1) / max(1.0, abs(lhs1), abs(rhs1))
-    r2 = abs(lhs2 - rhs2) / max(1.0, abs(lhs2), abs(rhs2))
-    return (float(r1), float(r2))
+    rhs1 = (-xi2N * h1.a**N + y * h1.b**N) / den1
+    rhs2 = (-xi0N * h2.a**N + y * h2.b**N) / den2
+    return tuple(np.abs(lhs - rhs) / np.maximum(np.maximum(1.0, np.abs(lhs)),
+                                                np.abs(rhs))
+                 for lhs, rhs in ((1.0 / xi0N, rhs1), (xi2N, rhs2)))
 
 
 def _principal_root(z: complex, N: int) -> complex:
     return complex(np.exp(np.log(z) / N))
 
 
-def sample_W(x: complex, chain: HofstadterChain3, ctx: Context) -> list:
+def sample_W(x: complex, chain: HofstadterChain3, ctx: Context,
+             _polys=None) -> list:
     """All W-points over a given x: 2 eta branches x N x N root choices.
 
     eta = xi_0^N solves the fiber quadratic; xi_2^N follows from the
     second defining equation; both N-th root fibers are enumerated from
-    the principal root.  Every returned point is residual-checked.
+    the principal root.  The grid is residual-checked in one array call.
     """
     N = ctx.N
     if x == 0:
         raise PoleError("x = 0 is a pole of the W machinery")
     y = x**N
-    cp = chain.chain_params()
-    h1, h2 = chain.h1, chain.h2
-    e1, e2 = eta_roots(y, cp, ctx)
-    points = []
-    for eta in (e1, e2):
+    h2 = chain.h2
+    roots = ctx.omega_pow(np.arange(N))
+    grids = []
+    for eta in eta_roots(y, chain.chain_params(), ctx, _polys):
         den = y * eta * h2.c**N - h2.d**N
         if abs(den) < POLE_TOL:
             raise PoleError("xi_2^N denominator vanishes")
         xi2N = (-eta * h2.a**N + y * h2.b**N) / den
         if abs(eta) < POLE_TOL or abs(xi2N) < POLE_TOL:
             raise PoleError("degenerate N-th power coordinate")
-        xi0_base = _principal_root(eta, N)
-        xi2_base = _principal_root(xi2N, N)
-        for s in range(N):
-            for t in range(N):
-                xi0 = xi0_base * ctx.omega_pow(s)
-                xi2 = xi2_base * ctx.omega_pow(t)
-                res = w_residuals(x, xi0, xi2, chain, ctx)
-                if max(res) > W_TOL:
-                    raise RuntimeError(f"inconsistent W point: residuals {res}")
-                points.append(WPoint(x=x, xi0=xi0, xi2=xi2, residuals=res))
-    return points
+        # scalar products: numpy's array multiply rounds differently
+        grids.append([[b * w for w in roots] for b in (
+            _principal_root(eta, N), _principal_root(xi2N, N))])
+    xi0, xi2 = np.array(grids).transpose(1, 0, 2)     # (branch, root) each
+    xi0, xi2 = np.broadcast_arrays(xi0[:, :, None], xi2[:, None, :])
+    r1, r2 = w_residuals(x, xi0, xi2, chain, ctx)
+    if not np.all(np.maximum(r1, r2) <= W_TOL):
+        raise RuntimeError(f"inconsistent W point: residual {np.max([r1, r2])}")
+    return [WPoint(x=x, xi0=a, xi2=b, residuals=r) for a, b, r in zip(
+        xi0.ravel(), xi2.ravel(), zip(r1.ravel().tolist(), r2.ravel().tolist()))]
 
 
 def _site_null_vector(h: SiteParams, x, xi, xip, ctx: Context) -> np.ndarray:
@@ -189,14 +188,20 @@ def spectral_baxter(chain: HofstadterChain3, x: complex, xi0: complex,
     return np.kron(np.kron(v0, v1), v2)
 
 
+def _stack(points) -> WPoint:
+    """The points as one stack; a stack among them stands for its points."""
+    return WPoint(*(np.array([getattr(p, c) for p in points], complex).ravel()
+                    for c in ("x", "xi0", "xi2")), residuals=None)
+
+
 def _averaged_rows(points, chain: HofstadterChain3, ctx: Context,
                    convention: str = "descent") -> np.ndarray:
     """`averaged_baxter` of each point, one row each: the (point, lift) array
     of coordinates runs each site's recursion once, and the lift sum
     sum_s (w_s / N) v0_s (x) v1_s (x) v2_s is one batched matrix product."""
     N, s = ctx.N, np.arange(ctx.N)
-    x, xi0, xi2 = (np.array([[getattr(p, c)] for p in points], dtype=complex)
-                   for c in ("x", "xi0", "xi2"))
+    pts = _stack(points)
+    x, xi0, xi2 = pts.x[:, None], pts.xi0[:, None], pts.xi2[:, None]
     if convention == "descent":       # xi_1 = omega^s / xi_0, q^{-s(s+1)}
         xi1 = ctx.omega_pow(s) / xi0
         weight = ctx.q_pow(-s * (s + 1))
@@ -210,7 +215,7 @@ def _averaged_rows(points, chain: HofstadterChain3, ctx: Context,
     v1 = _site_null_vector(chain.h1, x, xi1, xi2, ctx)
     v2 = np.broadcast_to(_site_null_vector(chain.h2, x, xi2, xi0, ctx), v1.shape)
     v01 = v0.transpose(0, 2, 1)[:, :, None] * v1.transpose(0, 2, 1)[:, None]
-    return (v01.reshape(len(points), N * N, N) @ v2).reshape(len(points), N ** 3)
+    return (v01.reshape(len(x), N * N, N) @ v2).reshape(len(x), N ** 3)
 
 
 def averaged_baxter(p: WPoint, chain: HofstadterChain3, ctx: Context,
@@ -222,16 +227,17 @@ def averaged_baxter(p: WPoint, chain: HofstadterChain3, ctx: Context,
 
 def descended_delta(p: WPoint, sign: int, chain: HofstadterChain3,
                     ctx: Context) -> complex:
-    """The functions Delta~_+- of the descended transfer relation on W."""
+    """The functions Delta~_+- of the descended transfer relation on W, at a
+    point or elementwise over a stack."""
     x, xi0, xi2 = p.x, p.xi0, p.xi2
     h1, h2 = chain.h1, chain.h2
     if sign == -1:
-        if abs(x * xi0) < POLE_TOL:
+        if np.any(np.abs(x * xi0) < POLE_TOL):
             raise PoleError("Delta~_- pole at x xi_0 = 0")
         return ((x * xi2 * h1.c - h1.d) * (x * xi0 * h2.c - h2.d)) / (-x * xi0)
     if sign == 1:
         den = x * (xi2 * h1.a - x * h1.b) * (xi0 * h2.a - x * h2.b)
-        if abs(den) < POLE_TOL:
+        if np.any(np.abs(den) < POLE_TOL):
             raise PoleError("Delta~_+ pole")
         return (xi2 * (h1.a * h1.d - x**2 * h1.b * h1.c)
                 * (h2.a * h2.d - x**2 * h2.b * h2.c)) / den
@@ -239,25 +245,34 @@ def descended_delta(p: WPoint, sign: int, chain: HofstadterChain3,
 
 
 def tau_W(p: WPoint, sign: int, chain: HofstadterChain3, ctx: Context) -> WPoint:
-    """tau_+- on W: (q^{+-1} x, q^{-1} xi_0, q^{-1} xi_2), revalidated."""
+    """tau_+- on W: (q^{+-1} x, q^{-1} xi_0, q^{-1} xi_2), revalidated; of a
+    point or of each point of a stack."""
     x = ctx.q_pow(sign) * p.x
     xi0 = ctx.q_pow(-1) * p.xi0
     xi2 = ctx.q_pow(-1) * p.xi2
     res = w_residuals(x, xi0, xi2, chain, ctx)
-    if max(res) > W_TOL:
-        raise RuntimeError(f"tau image left the curve: residuals {res}")
+    if not np.all(np.maximum(*res) <= W_TOL):
+        raise RuntimeError(f"tau image left the curve: residual {np.max(res)}")
     return WPoint(x=x, xi0=xi0, xi2=xi2, residuals=res)
 
 
-def descended_t_residual(p: WPoint, chain: HofstadterChain3,
-                         ctx: Context) -> float:
-    """Defect of x^{-2} T(x)|p> = |tau_- p> Delta~_- + |tau_+ p> Delta~_+."""
-    v, vm, vp = _averaged_rows([p, tau_W(p, -1, chain, ctx),
-                                tau_W(p, +1, chain, ctx)], chain, ctx)
-    lhs = transfer_apply(chain.chain_params(), p.x, ctx, v) / p.x**2
-    rhs = (vm * descended_delta(p, -1, chain, ctx)
-           + vp * descended_delta(p, +1, chain, ctx))
-    return relative_defect(lhs, rhs)
+def descended_t_residual(p, chain: HofstadterChain3, ctx: Context):
+    """Defect of x^{-2} T(x)|p> = |tau_- p> Delta~_- + |tau_+ p> Delta~_+ at
+    one WPoint (a float) or at each of a sequence of points (an array): one
+    fiber average of every p, tau_- p and tau_+ p, one `transfer_terms` call
+    whose coefficients each row sums with its own powers of x."""
+    P = _stack([p] if isinstance(p, WPoint) else p)
+    taus = [tau_W(P, sign, chain, ctx) for sign in (-1, +1)]
+    v, vm, vp = _averaged_rows([P] + taus, chain, ctx).reshape(3, len(P.x), -1)
+    cp = chain.chain_params()
+    lhs = (P.x[:, None, None] ** np.arange(cp.L + 1) @ transfer_terms(
+        cp, ctx, v).transpose(1, 0, 2))[:, 0] / (P.x**2)[:, None]
+    rhs = (vm * descended_delta(P, -1, chain, ctx)[:, None]
+           + vp * descended_delta(P, +1, chain, ctx)[:, None])
+    # relative_defect of each row
+    res = np.max(np.abs(lhs - rhs), axis=1) / np.maximum(1.0, np.maximum(
+        np.max(np.abs(lhs), axis=1), np.max(np.abs(rhs), axis=1)))
+    return float(res[0]) if isinstance(p, WPoint) else res
 
 
 def evaluation_vectors(points, chain: HofstadterChain3, ctx: Context):
@@ -265,29 +280,36 @@ def evaluation_vectors(points, chain: HofstadterChain3, ctx: Context):
     return _averaged_rows(points, chain, ctx, convention="evaluation")
 
 
-def evaluation_rank(vecs: np.ndarray, l: int, ctx: Context) -> int:
-    """Numerical rank of the sector-l pairing of the rows of vecs: column r,
-    the product with the orbit-r eigenvector, gathers vecs * conj(amp)."""
-    orbit, amp = sector_orbits(ctx, 3, l)
-    pairing = np.zeros((len(vecs), ctx.N ** 2), dtype=complex)
-    np.add.at(pairing, (slice(None), orbit), vecs * amp.conj())
-    sv = np.linalg.svd(pairing, compute_uv=False)
-    return int(np.sum(sv > RANK_RTOL * sv[0]))
+def evaluation_ranks(vecs: np.ndarray, ctx: Context) -> list:
+    """Numerical rank of the sector-l pairing of the rows of vecs, for each l.
+    Column r of a pairing is the product with the orbit-r eigenvector.  The
+    orbit table does not depend on l and amp_l = amp_0 q^{-l t} at digit 0 =
+    t, so pairing l is one gather of vecs * conj(amp_0) into (row, orbit, t)
+    times column l of the N x N DFT table (in turn: N at once cost memory)."""
+    N = ctx.N
+    orbit, amp = sector_orbits(ctx, 3, 0)
+    states = np.argsort(orbit * N + np.arange(N ** 3) // N ** 2).reshape(N * N, N)
+    gathered = vecs[:, states]
+    gathered *= amp.conj()[states]
+    svs = (np.linalg.svd(gathered @ ctx.q_pow(l * np.arange(N)), compute_uv=False)
+           for l in range(N))
+    return [int(np.sum(sv > RANK_RTOL * sv[0])) for sv in svs]
 
 
 def epsilon_rank(l: int, points, chain: HofstadterChain3, ctx: Context) -> int:
-    """`evaluation_rank` of the points' ``evaluation`` vectors, the fiber
-    convention under which the sector-l evaluation map is injective."""
+    """Entry l of `evaluation_ranks` of the points' ``evaluation`` vectors,
+    the fiber convention under which the sector-l evaluation map is injective."""
     N = ctx.N
     if len(points) < N * N:
         raise ValueError(f"need at least N^2 = {N * N} points, got {len(points)}")
-    return evaluation_rank(evaluation_vectors(points, chain, ctx), l, ctx)
+    return evaluation_ranks(evaluation_vectors(points, chain, ctx), ctx)[l]
 
 
 def draw_w_points(chain: HofstadterChain3, ctx: Context,
                   rng: np.random.Generator, count: int) -> list:
     """Sample `count` distinct W-points from the circles |x| = 0.5 and 2."""
     radii = (0.5, 2.0)
+    polys = abcd_polys(chain.chain_params(), ctx)
     out = []
     attempts = misses = 0   # misses: x-draws that added no point
     while len(out) < count and misses < 200:
@@ -295,7 +317,7 @@ def draw_w_points(chain: HofstadterChain3, ctx: Context,
         r = radii[attempts % len(radii)]
         x = r * unit_draws(rng, 1)[0]
         try:
-            pts = sample_W(x, chain, ctx)
+            pts = sample_W(x, chain, ctx, _polys=polys)
         except (PoleError, RuntimeError):
             misses += 1
             continue

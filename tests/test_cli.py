@@ -3,6 +3,7 @@ import csv
 import json
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -614,3 +615,77 @@ class TestAttempts:
         (result,) = read_json(out)["results"]
         assert result["attempts"] == 1
         assert result["wall_s"] >= 0 and result["peak_rss_mb"] > 0
+
+
+class TestCurvesBatched:
+    """cmd_curves checks descent in one batch per attempt."""
+
+    def test_one_fiber_average_one_transfer_pass(self, tmp_path, monkeypatch):
+        from hofchain import curves
+        calls = []
+
+        def counting(name, real):
+            def wrapped(*args, **kwargs):
+                calls.append((name, kwargs.get("convention", "descent")
+                              if name == "rows" else None))
+                return real(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(curves, "_averaged_rows",
+                            counting("rows", curves._averaged_rows))
+        monkeypatch.setattr(curves, "transfer_terms",
+                            counting("terms", curves.transfer_terms))
+        out = tmp_path / "curves.json"
+        assert main(["curves", "--N", "3", "--N", "5", "--out", str(out)]) == 0
+        attempts = sum(r["attempts"] for r in read_json(out)["results"])
+        assert attempts == 2
+        assert Counter(calls) == {("rows", "descent"): attempts,
+                                  ("rows", "evaluation"): attempts,
+                                  ("terms", None): attempts}
+
+
+class TestNaNResidual:
+    """A NaN residual fails its record wherever it falls."""
+
+    def test_verify_suite(self, tmp_path, monkeypatch):
+        real, calls = cli.rll_residual, []
+
+        def residual(*args):
+            calls.append(1)
+            return float("nan") if len(calls) == 2 else real(*args)
+
+        monkeypatch.setattr(cli, "rll_residual", residual)
+        monkeypatch.setattr(cli, "VERIFY_SUITES", [("rll", cli._suite_rll)])
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--N", "3", "--out", str(out)]) == 1
+        (rec,) = read_json(out)["suites"]
+        assert rec["pass"] is False and np.isnan(rec["max_residual"])
+        assert len(calls) == 20
+
+    @pytest.mark.parametrize("where", ["descent", "abcd"])
+    def test_curves(self, where, tmp_path, monkeypatch):
+        if where == "descent":
+            real = cli.descended_t_residual
+
+            def residual(points, chain, ctx):
+                out = real(points, chain, ctx)
+                out[1] = np.nan          # the second point's residual
+                return out
+
+            monkeypatch.setattr(cli, "descended_t_residual", residual)
+        else:
+            real = cli.abcd_polys
+
+            def polys(chain, ctx):
+                from dataclasses import replace
+                p = real(chain, ctx)
+                nan = type(p.A_poly).from_array(np.array([np.nan + 0j]))
+                return replace(p, A_poly=nan)
+
+            monkeypatch.setattr(cli, "abcd_polys", polys)
+        out = tmp_path / "curves.json"
+        assert main(["curves", "--N", "3", "--out", str(out)]) == 1
+        (rec,) = read_json(out)["results"]
+        key = {"descent": "descended_residual_max",
+               "abcd": "abcd_max_residual"}[where]
+        assert rec["pass"] is False and np.isnan(rec[key])

@@ -351,3 +351,132 @@ class TestEpsilonRank:
         pts = draw_w_points(chain, ctx3, rng, 5)
         with pytest.raises(ValueError):
             epsilon_rank(0, pts, chain, ctx3)
+
+
+def scatter_ranks(vecs, ctx):
+    """Each sector's pairing scattered from its own `sector_orbits` table."""
+    from hofchain.curves import RANK_RTOL
+    from hofchain.weylcore import sector_orbits
+    ranks = []
+    for l in range(ctx.N):
+        orbit, amp = sector_orbits(ctx, 3, l)
+        pairing = np.zeros((len(vecs), ctx.N ** 2), dtype=complex)
+        np.add.at(pairing, (slice(None), orbit), vecs * amp.conj())
+        sv = np.linalg.svd(pairing, compute_uv=False)
+        ranks.append(int(np.sum(sv > RANK_RTOL * sv[0])))
+    return ranks
+
+
+class TestEvaluationRanks:
+    """All sectors' ranks from one gather and one DFT, against the scatter."""
+
+    @pytest.mark.parametrize("N", [3, 5, 7])
+    def test_matches_scatter(self, N, rng):
+        from hofchain.curves import _averaged_rows, evaluation_ranks
+        ctx = make_context(N)
+        chain = hof_chain(rng)
+        pts = draw_w_points(chain, ctx, rng, 2 * N * N)
+        k = N * N - 2
+        deficient = ((rng.normal(size=(2 * N * N, k))
+                      + 1j * rng.normal(size=(2 * N * N, k)))
+                     @ (rng.normal(size=(k, N ** 3))
+                        + 1j * rng.normal(size=(k, N ** 3))))
+        for vecs, want in ((_averaged_rows(pts, chain, ctx, "evaluation"), N * N),
+                           (_averaged_rows(pts, chain, ctx, "descent"), N),
+                           (deficient, k)):
+            ranks = evaluation_ranks(vecs, ctx)
+            assert ranks == scatter_ranks(vecs, ctx) == [want] * N
+            assert all(type(r) is int for r in ranks)
+
+
+def sample_W_loop(x, chain, ctx, _polys=None):
+    """One root choice at a time, each checked with a scalar residual call."""
+    from hofchain.curves import W_TOL, WPoint
+    from hofchain.weylcore import POLE_TOL
+    N, h2 = ctx.N, chain.h2
+    y = x**N
+    points = []
+    for eta in eta_roots(y, chain.chain_params(), ctx):
+        den = y * eta * h2.c**N - h2.d**N
+        if abs(den) < POLE_TOL:
+            raise PoleError("xi_2^N denominator vanishes")
+        xi2N = (-eta * h2.a**N + y * h2.b**N) / den
+        xi0_base = complex(np.exp(np.log(eta) / N))
+        xi2_base = complex(np.exp(np.log(xi2N) / N))
+        for s in range(N):
+            for t in range(N):
+                xi0 = xi0_base * ctx.omega_pow(s)
+                xi2 = xi2_base * ctx.omega_pow(t)
+                res = w_residuals(x, xi0, xi2, chain, ctx)
+                if max(res) > W_TOL:
+                    raise RuntimeError(f"inconsistent W point: {res}")
+                points.append(WPoint(x, xi0, xi2, res))
+    return points
+
+
+def coords(points):
+    return [(complex(p.x), complex(p.xi0), complex(p.xi2)) for p in points]
+
+
+class TestSampleWArrays:
+    """The root grid as arrays gives the loop's points, bit for bit."""
+
+    @pytest.mark.parametrize("N", [3, 5, 7])
+    def test_matches_loop(self, N, rng):
+        ctx = make_context(N)
+        chain = hof_chain(rng)
+        for r in (0.5, 2.0, 0.5, 2.0):
+            x = r * unit_draws(rng, 1)[0]
+            pts, ref = sample_W(x, chain, ctx), sample_W_loop(x, chain, ctx)
+            assert coords(pts) == coords(ref)
+            assert np.allclose([p.residuals for p in pts],
+                               [p.residuals for p in ref], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("N", [3, 7])
+    def test_draw_w_points_same_points(self, N, monkeypatch):
+        from hofchain import curves
+        ctx = make_context(N)
+        chain = hof_chain(np.random.default_rng(N))
+        pts = draw_w_points(chain, ctx, np.random.default_rng(1), 2 * N * N)
+        monkeypatch.setattr(curves, "sample_W", sample_W_loop)
+        ref = draw_w_points(chain, ctx, np.random.default_rng(1), 2 * N * N)
+        assert coords(pts) == coords(ref)
+
+    @pytest.mark.parametrize("coord", ["xi2", "xi0"])
+    def test_one_pole_in_an_array_raises(self, coord, ctx5, rng):
+        # one entry on a pole among regular ones: den1 = 0 through xi_2,
+        # or xi_0 = 0, where xi_0^{-N} would divide by zero
+        import warnings
+        chain = hof_chain(rng)
+        N, h1 = 5, chain.h1
+        x = 0.7 * unit_draws(rng, 1)[0]
+        xi0, xi2 = unit_draws(rng, 6), unit_draws(rng, 6)
+        if coord == "xi2":
+            xi2[3] = (h1.d**N / (x**N * h1.c**N)) ** (1 / N)
+        else:
+            xi0[3] = 0.0
+        w_residuals(x, np.delete(xi0, 3), np.delete(xi2, 3), chain, ctx5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PoleError):
+                w_residuals(x, xi0, xi2, chain, ctx5)
+
+
+class TestDescendedBatch:
+    def test_batch_equals_per_point(self, ctx5, rng):
+        chain = hof_chain(rng)
+        pts = draw_w_points(chain, ctx5, rng, 12)
+        batch = descended_t_residual(pts, chain, ctx5)
+        single = [descended_t_residual(p, chain, ctx5) for p in pts]
+        assert all(type(r) is float for r in single)
+        assert batch.shape == (12,) and batch.tolist() == single
+        assert np.max(batch) < 1e-8
+
+    def test_one_bad_point_raises(self, ctx3, rng):
+        # an off-curve point among regular ones: its tau image is checked
+        from dataclasses import replace
+        chain = hof_chain(rng)
+        pts = draw_w_points(chain, ctx3, rng, 4)
+        bad = replace(pts[1], xi0=pts[1].xi0 * (1 + 1e-3))
+        with pytest.raises(RuntimeError, match="tau image left the curve"):
+            descended_t_residual(pts[:1] + [bad] + pts[2:], chain, ctx3)
