@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .weylcore import (POLE_TOL, Context, PoleError, pochhammer,
-                       relative_defect, unit_draws)
+                       relative_defect, unit_draws, worst)
 from .transfer import ChainParams, SiteParams, transfer_apply
 
 
@@ -194,8 +194,7 @@ def theorem1_ii_residual(chain: DegenerateChain, x: complex, l,
     lhs = ctx.q_pow(-l)[:, None] * transfer_apply(
         chain.site_params(ctx), x, ctx, plus)
     dm, dp = (np.polyval(d[::-1], x) for d in shift_polys(chain, ctx))
-    return max(relative_defect(a, b)
-               for a, b in zip(lhs, plus_m * dm + plus_p * dp))
+    return worst(relative_defect(lhs, plus_m * dm + plus_p * dp))
 
 
 def _regular_rotation(rng: np.random.Generator, chain: DegenerateChain,
@@ -206,7 +205,7 @@ def _regular_rotation(rng: np.random.Generator, chain: DegenerateChain,
     The radius puts samples on the natural scale of the pole loci x c_j in
     mu_N-powers of q; the test runs elementwise over the nodes.
     """
-    radius = 1.0 / max(abs(cj) for cj in chain.c)
+    radius = 1.0 / np.max([abs(cj) for cj in chain.c])
     c = np.asarray(chain.c)[:, None]
     e = np.arange(ctx.N)
     qe, oe = ctx.q_pow(e), ctx.omega_pow(e)

@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .weylcore import Context, GenericityError, PoleError
+from .weylcore import Context, GenericityError, PoleError, worst
 from .baxter import DegenerateChain, shift_polys
 from .transfer import ChainParams, sector_pencil
 
@@ -85,16 +84,7 @@ def _rbeq_residuals(lam_rows: np.ndarray, q_rows: np.ndarray, m: int,
     coefficient magnitude of the left-hand side.
     """
     pm, pp = shifts
-    # LHS coefficients by np.convolve's own dot products: it correlates the
-    # longer factor with the reversed shorter one, and a 1 x n by n x 1
-    # matmul makes the same dot call; the zero padding adds exact zeros
-    a, b = lam_rows, q_rows
-    if b.shape[1] > a.shape[1]:
-        a, b = b, a
-    pad = np.zeros((len(a), b.shape[1] - 1), dtype=complex)
-    win = sliding_window_view(np.hstack([pad, a, pad]), b.shape[1], axis=1)
-    rev = np.ascontiguousarray(b[:, None, ::-1, None])
-    lhs_coeffs = (win[:, :, None] @ rev)[..., 0, 0]
+    lhs_coeffs = np.array([np.convolve(a, b) for a, b in zip(lam_rows, q_rows)])
     npts = lhs_coeffs.shape[1] + chain.L + 2
     xs = 0.9 * np.exp(2j * np.pi * np.arange(npts) / npts)
     scale = np.maximum(1.0, np.max(np.abs(lhs_coeffs), axis=1))
@@ -374,16 +364,15 @@ def cluster_eigenvalues(values) -> list:
 def multiset_match(a, b) -> float:
     """Greedy nearest-neighbor matching distance between equal-size multisets.
 
-    Returns the largest matched distance; raises if sizes differ.  Callers
-    compare the result against their own tolerance.
+    Returns the largest matched distance, NaN if any is NaN; raises if
+    sizes differ.  Callers compare the result against their own tolerance.
     """
     a = list(a)
     b = list(b)
     if len(a) != len(b):
         raise ValueError(f"multiset sizes differ: {len(a)} vs {len(b)}")
-    worst = 0.0
+    dists = []
     for va in a:
         j = int(np.argmin([abs(va - vb) for vb in b]))
-        worst = max(worst, abs(va - b[j]))
-        b.pop(j)
-    return worst
+        dists.append(abs(va - b.pop(j)))
+    return worst(dists)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .weylcore import (GenericityError, make_context, sector_orbits,
-                       unit_draws, with_generic_redraw)
+                       unit_draws, with_generic_redraw, worst)
 from .transfer import (ChainParams, SiteParams, commutator_residual,
                        hofstadter_hamiltonian, rll_residual, sector_pencil)
 from .baxter import (DegenerateChain, RationalPoint, draw_regular_x,
@@ -127,8 +127,9 @@ def _attempt(fn, config: RunConfig, record: dict, label: str):
     """Return with_generic_redraw(fn, rng) at the config's seed, or None.
 
     record gets attempts (the calls of fn, redraws included) on success, the
-    error of a ValueError or RuntimeError (and a FAIL line on stderr) on
-    failure, and wall_s and peak_rss_mb (the process peak) either way.
+    error of a ValueError, RuntimeError or MemoryError (and a FAIL line on
+    stderr) on failure, and wall_s and peak_rss_mb (the process peak) either
+    way.  Only a GenericityError is retried.
     """
     import resource     # Unix only; imported here, not with the package
 
@@ -137,7 +138,7 @@ def _attempt(fn, config: RunConfig, record: dict, label: str):
     try:
         out = with_generic_redraw(lambda r: calls.append(r) or fn(r),
                                   np.random.default_rng(config.seed))
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, MemoryError) as exc:
         record["error"] = {"class": type(exc).__name__, "message": str(exc)}
         print(f"FAIL {label}: {type(exc).__name__}: {exc}", file=sys.stderr)
         out = None
@@ -149,22 +150,16 @@ def _attempt(fn, config: RunConfig, record: dict, label: str):
     return out
 
 
-def _worst(residuals) -> float:
-    """The largest of the residuals (0.0 for none), NaN if any is NaN: Python's
-    max drops a NaN that does not come first."""
-    return float(np.max(np.fromiter(residuals, float), initial=0.0))
-
-
 # ---------------------------------------------------------------- verify
 
 def _suite_rll(ctx, rng):
     # arguments are evaluated in order: a, b, c, d are drawn before x, x'
-    return _worst(rll_residual(SiteParams(*unit_draws(rng, 4)),
-                               *unit_draws(rng, 2), ctx) for _ in range(20))
+    return worst(rll_residual(SiteParams(*unit_draws(rng, 4)),
+                              *unit_draws(rng, 2), ctx) for _ in range(20))
 
 
 def _suite_commutator(ctx, rng):
-    return _worst(commutator_residual(
+    return worst(commutator_residual(
         ChainParams(tuple(SiteParams(*unit_draws(rng, 4)) for _ in range(L))),
         *unit_draws(rng, 2), ctx) for L in (1, 2, 3) for _ in range(6))
 
@@ -172,8 +167,8 @@ def _suite_commutator(ctx, rng):
 def _suite_baxter_action(ctx, rng):
     chain = DegenerateChain(tuple(unit_draws(rng, 3)))
     xs = [draw_regular_x(rng, chain, ctx) for _ in range(4)]
-    return _worst(t_action_residual(chain, RationalPoint(x, l), ctx)
-                  for x in xs for l in range(ctx.N))
+    return worst(t_action_residual(chain, RationalPoint(x, l), ctx)
+                 for x in xs for l in range(ctx.N))
 
 
 def _suite_theorem1(ctx, rng):
@@ -188,7 +183,7 @@ def _suite_theorem1(ctx, rng):
         scale = np.maximum(1.0, np.max(np.abs(vecs["plus_vec"]), axis=1))
         res += [float(np.max(np.max(np.abs(ident), axis=1) / scale)),
                 theorem1_ii_residual(chain, x, ls, ctx)]
-    return _worst(res)
+    return worst(res)
 
 
 def _suite_divisibility(ctx, rng):
@@ -213,7 +208,7 @@ def _suite_divisibility(ctx, rng):
         if m > 0:
             res.append(float(np.max(np.abs(coeffs[:m]))) / scale)
         res.append(float(np.max(np.abs(np.polyval(coeffs[::-1], bad)))) / scale)
-    return _worst(res)
+    return worst(res)
 
 
 def _suite_degeneracy(ctx, rng):
@@ -229,7 +224,7 @@ def _suite_degeneracy(ctx, rng):
                 f"multiplicities {[k for _, k in clusters]} != {ctx.N}")
         res += [abs(v - mu) for mu, _ in clusters for v in spec
                 if abs(v - mu) < CLUSTER_GAP]
-    return _worst(res)
+    return worst(res)
 
 
 VERIFY_SUITES = [
@@ -258,15 +253,15 @@ def cmd_verify(config: RunConfig) -> int:
         ctx = make_context(N, config.P)
         for name, fn in VERIFY_SUITES:
             record = {"suite": name, "N": N, "tolerance": config.tol(name)}
-            worst = _attempt(lambda r: float(fn(ctx, r)), config, record,
-                             f"{name} N={N}")
-            ok = worst is not None and worst < record["tolerance"]
-            record.update({"max_residual": worst, "pass": bool(ok)})
+            res = _attempt(lambda r: float(fn(ctx, r)), config, record,
+                           f"{name} N={N}")
+            ok = res is not None and res < record["tolerance"]
+            record.update({"max_residual": res, "pass": bool(ok)})
             report["suites"].append(record)
             report["pass"] = bool(report["pass"] and ok)
-            if not ok and worst is not None:
+            if not ok and res is not None:
                 print(f"FAIL invariant {name} at N={N}: "
-                      f"residual {worst} >= {record['tolerance']}", file=sys.stderr)
+                      f"residual {res} >= {record['tolerance']}", file=sys.stderr)
     return _finish(config, "verify", report, t0)
 
 
@@ -324,7 +319,7 @@ def cmd_solve(config: RunConfig, L: int, m_arg) -> int:
                 "c": [c2j(z) for z in c],
                 "solutions": records,
                 "residual_summary": {
-                    "max_rbeq": max(r["rbeq_residual"] for r in records),
+                    "max_rbeq": worst(r["rbeq_residual"] for r in records),
                     "count": len(records)},
             })
         report["chains"].append(entry)
@@ -392,7 +387,7 @@ def cmd_curves(config: RunConfig) -> int:
                 abcd.append(float(np.max(np.abs(
                     prod - np.array([[-p.A_poly(y), p.B_poly(y)],
                                      [p.C_poly(y), -p.D_poly(y)]])))))
-            return ranks, _worst(desc), len(desc), _worst(abcd)
+            return ranks, worst(desc), len(desc), worst(abcd)
 
         record = {"N": N, "pass": False}
         result = _attempt(run, config, record, f"curves N={N}")

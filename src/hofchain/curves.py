@@ -27,8 +27,8 @@ from functools import reduce
 
 import numpy as np
 
-from .weylcore import (POLE_TOL, Context, PoleError, sector_orbits,
-                       unit_draws)
+from .weylcore import (POLE_TOL, Context, PoleError, relative_defect,
+                       sector_orbits, unit_draws)
 from .transfer import ChainParams, SiteParams, transfer_terms
 from .bethe import ComplexPolynomial
 
@@ -269,9 +269,7 @@ def descended_t_residual(p, chain: HofstadterChain3, ctx: Context):
         cp, ctx, v).transpose(1, 0, 2))[:, 0] / (P.x**2)[:, None]
     rhs = (vm * descended_delta(P, -1, chain, ctx)[:, None]
            + vp * descended_delta(P, +1, chain, ctx)[:, None])
-    # relative_defect of each row
-    res = np.max(np.abs(lhs - rhs), axis=1) / np.maximum(1.0, np.maximum(
-        np.max(np.abs(lhs), axis=1), np.max(np.abs(rhs), axis=1)))
+    res = relative_defect(lhs, rhs)
     return float(res[0]) if isinstance(p, WPoint) else res
 
 

@@ -217,10 +217,19 @@ def sector_project(op: Operator, basis) -> np.ndarray:
     return basis.conj() @ op.mat @ basis.T
 
 
-def relative_defect(lhs, rhs) -> float:
-    """max|lhs - rhs| over the larger of 1, max|lhs| and max|rhs|."""
-    scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-    return float(np.max(np.abs(lhs - rhs))) / scale
+def relative_defect(lhs, rhs):
+    """max|lhs - rhs| over the larger of 1, max|lhs| and max|rhs|, along the
+    last axis: a float for vectors, one defect per row for a stack."""
+    scale = np.maximum(1.0, np.maximum(np.max(np.abs(lhs), axis=-1),
+                                       np.max(np.abs(rhs), axis=-1)))
+    out = np.max(np.abs(lhs - rhs), axis=-1) / scale
+    return float(out) if out.ndim == 0 else out
+
+
+def worst(residuals) -> float:
+    """The largest of the residuals (0.0 for none), NaN if any is NaN: Python's
+    max drops a NaN that does not come first."""
+    return float(np.max(np.fromiter(residuals, float), initial=0.0))
 
 
 def unit_draws(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -559,3 +559,13 @@ class TestOracle:
         spec = oracle_spectrum(chain, 0, ctx3)
         assert len(spec) == 1
         assert abs(spec[0]) < 1e-12
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_multiset_match_nan_is_nan(side):
+    # a NaN eigenvalue, matched first or last, must not pass as a match
+    a, b = [1 + 1j, np.nan, 2.0], [2.0, 1 + 1j, 3.0]
+    if side == "b":
+        a, b = b, a
+    assert np.isnan(multiset_match(a, b))
+    assert multiset_match([1.0, 2.0], [2.0, 1.0]) == 0.0

@@ -689,3 +689,72 @@ class TestNaNResidual:
         key = {"descent": "descended_residual_max",
                "abcd": "abcd_max_residual"}[where]
         assert rec["pass"] is False and np.isnan(rec[key])
+
+
+class TestNaNRows:
+    """A NaN in one row of a stacked residual fails its record too."""
+
+    def test_theorem1_second_sector(self, tmp_path, monkeypatch):
+        from hofchain import baxter
+        real = baxter.transfer_apply
+
+        def apply(*args):
+            out = real(*args)
+            if out.ndim == 2:
+                out[1] = np.nan             # the second sector row
+            return out
+
+        monkeypatch.setattr(baxter, "transfer_apply", apply)
+        monkeypatch.setattr(cli, "VERIFY_SUITES",
+                            [("theorem1", cli._suite_theorem1)])
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--N", "5", "--seed", "1",
+                     "--out", str(out)]) == 1
+        (rec,) = read_json(out)["suites"]
+        assert rec["pass"] is False and np.isnan(rec["max_residual"])
+
+    def test_solve_max_rbeq(self, tmp_path, monkeypatch):
+        real, calls = cli._solution_record, []
+
+        def record(sol):
+            calls.append(1)
+            rec = real(sol)
+            if len(calls) == 2:
+                rec["rbeq_residual"] = float("nan")
+            return rec
+
+        monkeypatch.setattr(cli, "_solution_record", record)
+        out = tmp_path / "solve.json"
+        main(["solve", "--N", "3", "--L", "3", "--out", str(out)])
+        (entry,) = read_json(out)["chains"]
+        assert np.isnan(entry["residual_summary"]["max_rbeq"])
+        assert entry["residual_summary"]["count"] == len(calls) == 6
+
+
+class TestMemoryError:
+    """An allocation refused at one N fails that N's record alone."""
+
+    @pytest.mark.parametrize("command", ["solve", "curves"])
+    def test_recorded_not_retried(self, command, tmp_path, monkeypatch, capsys):
+        name = {"solve": "solve_L3", "curves": "evaluation_vectors"}[command]
+        real, calls = getattr(cli, name), []
+
+        def refuse(*args):
+            if args[-1].N == 5:
+                calls.append(1)
+                raise MemoryError("Unable to allocate 27.1 GiB")
+            return real(*args)
+
+        monkeypatch.setattr(cli, name, refuse)
+        out = tmp_path / f"{command}.json"
+        extra = ["--L", "3"] if command == "solve" else []
+        assert main([command, "--N", "3", "--N", "5", *extra,
+                     "--out", str(out)]) == 1
+        assert "MemoryError" in capsys.readouterr().err
+        report = read_json(out)
+        good, bad = report["chains" if command == "solve" else "results"]
+        assert report["pass"] is False and len(calls) == 1
+        assert bad["error"] == {"class": "MemoryError",
+                                "message": "Unable to allocate 27.1 GiB"}
+        assert "attempts" not in bad
+        assert good["N"] == 3 and "error" not in good and good["attempts"] == 1

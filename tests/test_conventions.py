@@ -109,3 +109,25 @@ def test_commutator_check_forms_no_dense_product():
                    else node.id if isinstance(node, ast.Name) else None)
             assert ref not in ("dot", "matmul", "tensordot", "einsum",
                                "_closed_paths", "transfer_terms"), (name, node.lineno)
+
+
+def test_no_max_or_min_over_a_bare_generator():
+    # max(r for r in ...) drops a NaN that does not come first; residuals
+    # go through weylcore.worst, which returns NaN if any residual is NaN
+    sites = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sites += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id in ("max", "min")
+                  and len(node.args) == 1 and not node.keywords
+                  and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp,
+                                                ast.SetComp))]
+    assert sites == []
+
+
+def test_one_worst_reduction():
+    from hofchain import cli, weylcore
+    assert not hasattr(cli, "_worst")
+    assert cli.worst is weylcore.worst and bethe.worst is weylcore.worst

@@ -7,7 +7,7 @@ from hofchain import (GenericityError, TagMismatchError, global_shift_D,
                       kron, make_context, pochhammer, sector_basis,
                       weyl_matrices)
 from hofchain.weylcore import (identity_op, relative_defect,
-                               with_generic_redraw)
+                               with_generic_redraw, worst)
 
 
 class TestContext:
@@ -254,3 +254,39 @@ class TestRelativeDefect:
             pytest.approx(0.2)
         assert relative_defect(np.array([4.0, 1j]), np.array([3.0, 0])) == 0.25
         assert relative_defect(np.array([1.0]), np.array([-8.0])) == 9 / 8
+
+
+class TestRelativeDefectRows:
+    """relative_defect reduces along the last axis."""
+
+    def test_stack_equals_the_per_row_calls(self, rng):
+        lhs = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
+        rhs = lhs + 1e-3 * rng.normal(size=(5, 7))
+        lhs[2] *= 1e-3                  # one row on the scale of 1
+        rows = relative_defect(lhs, rhs)
+        assert rows.shape == (5,)
+        assert rows.tolist() == [relative_defect(a, b) for a, b in zip(lhs, rhs)]
+        assert type(relative_defect(lhs[0], rhs[0])) is float
+
+    def test_nan_stays_in_its_row(self):
+        lhs = np.ones((3, 4), dtype=complex)
+        rhs = lhs.copy()
+        rhs[1, 2] = np.nan
+        out = relative_defect(lhs, rhs)
+        assert np.isnan(out[1]) and out[0] == out[2] == 0.0
+
+
+class TestWorst:
+    def test_none_is_zero(self):
+        assert worst([]) == 0.0 and worst(r for r in ()) == 0.0
+
+    def test_largest_of_finite_residuals(self):
+        assert worst([3e-16, 2e-12, 1e-15]) == 2e-12
+        assert worst(np.array([1e-9, 4e-9])) == 4e-9
+        assert type(worst([1e-9])) is float
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_nan_anywhere_is_nan(self, at):
+        res = [1e-15, 2e-15, 3e-15]
+        res[at] = float("nan")
+        assert np.isnan(worst(res)) and np.isnan(worst(iter(res)))
