@@ -158,6 +158,28 @@ def u_weight(x, chain: DegenerateChain, ctx: Context):
     return complex(out) if out.ndim == 0 else out
 
 
+def _plus_weights(x, l, chain: DegenerateChain, ctx: Context) -> np.ndarray:
+    """The weights of |x, l'>, l' in Z_N, in `sector_vectors`' e, o and
+    |x>_l^+; x and l broadcast to S, the shape is S + (3, N)."""
+    N, M = ctx.N, ctx.M
+    n = np.arange(N)
+    # the weight of |x, l'> is term n = l'/2 of e and n = (l'-1)/2 of o (mod N)
+    phase = ctx.omega_pow(np.multiply.outer(l, n))
+    we = (f_even(x[..., None], n, chain, ctx) * phase)[..., (M + 1) * n % N]
+    wo = (f_odd(x[..., None], n, chain, ctx) * phase)[..., (M + 1) * (n - 1) % N]
+    a = ctx.q_pow(-l[..., None]) * u_weight(ctx.q_pow(1) * x[..., None],
+                                            chain, ctx)
+    b = u_weight(x[..., None], chain, ctx)
+    return np.stack([we, wo, we * a + wo * b], axis=-2)
+
+
+def _node_rows(x, chain: DegenerateChain, ctx: Context) -> np.ndarray:
+    """|x, l'> for each entry of x and each l' in Z_N: x.shape + (N, N^L)."""
+    N = ctx.N
+    return _baxter_rows(np.repeat(x.ravel(), N), np.tile(np.arange(N), x.size),
+                        chain, ctx).reshape(x.shape + (N, -1))
+
+
 def sector_vectors(x, l, chain: DegenerateChain, ctx: Context) -> dict:
     """The even/odd phase sums and their weighted combination |x>_l^+.
 
@@ -166,21 +188,9 @@ def sector_vectors(x, l, chain: DegenerateChain, ctx: Context) -> dict:
     per entry of x.  x and l broadcast to a shape S; each vector has shape
     S + (N^L,), and all three are one weighted contraction over l'.
     """
-    N, M = ctx.N, ctx.M
     x = np.asarray(x, dtype=complex)
-    l = np.asarray(l) % N
-    n = np.arange(N)
-    rows = _baxter_rows(np.repeat(x.ravel(), N), np.tile(n, x.size), chain,
-                        ctx).reshape(x.shape + (N, -1))
-    # the weight of |x, l'> is term n = l'/2 of e and n = (l'-1)/2 of o (mod N)
-    phase = ctx.omega_pow(np.multiply.outer(l, n))
-    we = (f_even(x[..., None], n, chain, ctx) * phase)[..., (M + 1) * n % N]
-    wo = (f_odd(x[..., None], n, chain, ctx) * phase)[..., (M + 1) * (n - 1) % N]
-    a = ctx.q_pow(-l[..., None]) * u_weight(ctx.q_pow(1) * x[..., None],
-                                            chain, ctx)
-    b = u_weight(x[..., None], chain, ctx)
-    weights = np.stack([we, wo, we * a + wo * b], axis=-2)
-    e, o, plus = np.moveaxis(weights @ rows, -2, 0)
+    weights = _plus_weights(x, np.asarray(l), chain, ctx)
+    e, o, plus = np.moveaxis(weights @ _node_rows(x, chain, ctx), -2, 0)
     return {"e_vec": e, "o_vec": o, "plus_vec": plus}
 
 
@@ -224,17 +234,23 @@ def draw_regular_x(rng: np.random.Generator, chain: DegenerateChain,
     return _regular_rotation(rng, chain, ctx, np.ones(1))
 
 
-def plus_pairing_coeffs(phi: np.ndarray, label: int, chain: DegenerateChain,
+def plus_pairing_coeffs(phi: np.ndarray, label, chain: DegenerateChain,
                         ctx: Context, rng: np.random.Generator) -> np.ndarray:
     """Ascending coefficients of x -> phi . |x>_label^+, of degree <= (3M+1)L.
 
     The pairing is bilinear (phi is a left eigenvector of the transfer
     family).  Its values at the n = deg + 1 nodes x0 w_n^j, equispaced on
     the pole-radius circle with a seeded rotation x0 that keeps every node
-    regular, determine it exactly: a_k = DFT(values)_k / (n x0^k).
+    regular, determine it exactly: a_k = DFT(values)_k / (n x0^k).  A stack
+    (K, N^L) of phi with K labels gives (K, deg + 1) coefficients: one x0, and
+    each phi paired with the one table of node rows before its label's weights.
     """
     n = (3 * ctx.M + 1) * chain.L + 1
     nodes = np.exp(2j * np.pi * np.arange(n) / n)
     x0 = _regular_rotation(rng, chain, ctx, nodes)
-    vals = sector_vectors(x0 * nodes, label, chain, ctx)["plus_vec"] @ phi
-    return np.fft.fft(vals) / n / x0 ** np.arange(n)
+    paired = _node_rows(x0 * nodes, chain, ctx) @ np.atleast_2d(phi).T
+    weights = _plus_weights(x0 * nodes[:, None], np.atleast_1d(label), chain,
+                            ctx)[..., 2, :]
+    vals = np.einsum("nkl,nlk->kn", weights, paired)
+    coeffs = np.fft.fft(vals) / n / x0 ** np.arange(n)
+    return coeffs if np.ndim(phi) == 2 else coeffs[0]

@@ -48,10 +48,15 @@ DEFAULT_TOLERANCES = {
     "descent": 1e-8,
 }
 
-# one dense N^3 x N^3 transfer matrix: N = 15 (182 MB) runs, 17 (386 MB) not.
-# The commutator suite holds one at a time; on 2 shared vCPUs, 1 BLAS thread,
-# verify --N 13 took 2.2 s at a 116 MB peak and --N 15 4.7 s at 229 MB
+# a command refuses, before its first N runs, an N whose largest complex array
+# would pass this: verify's one dense N^3 x N^3 transfer matrix (the commutator
+# suite holds one at a time), curves' fiber-average outer product, and solve
+# --L 3's N coefficient systems of sector 0 beside their SVD's U
 DENSE_BYTES_MAX = 2**28
+LARGEST_ARRAY = {"verify": lambda N: (N**3, N**3),                 # N <= 15
+                 "curves": lambda N: (2 * N * N, N, N, N),         # N <= 23
+                 "solve": lambda N: (N, (3 * N + 5) // 2, 3 * N + 2)}    # 153
+EIGVEC_GATE = 1e-10     # largest ||Bv - lam v|| / max|B| of a dominant pair
 
 
 @dataclass
@@ -123,6 +128,17 @@ def _finish(config: RunConfig, command: str, report: dict, t0: float) -> int:
     return 0 if report["pass"] else 1
 
 
+def _refuse_oversized(command: str, n_list):
+    """Refuse an N whose LARGEST_ARRAY would pass DENSE_BYTES_MAX."""
+    for N in n_list:
+        shape = LARGEST_ARRAY[command](N)
+        if 16 * math.prod(shape) > DENSE_BYTES_MAX:
+            raise ValueError(f"{command} at N={N} needs dense "
+                             f"{' x '.join(map(str, shape))} arrays of "
+                             f"{16 * math.prod(shape) / 1e9:.3g} GB (limit "
+                             f"{DENSE_BYTES_MAX / 1e9:.3g} GB)")
+
+
 def _attempt(fn, config: RunConfig, record: dict, label: str):
     """Return with_generic_redraw(fn, rng) at the config's seed, or None.
 
@@ -186,6 +202,42 @@ def _suite_theorem1(ctx, rng):
     return worst(res)
 
 
+def dominant_eigenvector(B: np.ndarray) -> tuple:
+    """(lam, v), |v| = 1: the eigenpair of the square B of largest |lam|.
+
+    Arnoldi from a fixed start stops at the first step whose largest-|mu| Ritz
+    pair has residual |h_{k+1,k} y_k| within the gate: at most d steps if B has
+    d distinct eigenvalues, of any multiplicities.  One inverse-iteration solve
+    at mu polishes the Ritz vector; GenericityError if it fails the gate."""
+    n, gate = len(B), EIGVEC_GATE * np.max(np.abs(B))
+    Q, H = np.zeros((2, n + 1, n), dtype=complex)   # Q: orthonormal rows
+    Q[0] = np.exp(1j * np.arange(n) ** 2) / math.sqrt(n)    # fixed, aperiodic
+    for k in range(n):
+        w = B @ Q[k]
+        for _ in range(2):      # one Gram-Schmidt pass loses orthogonality
+            h = Q[:k + 1].conj() @ w
+            w -= h @ Q[:k + 1]
+            H[:k + 1, k] += h
+        H[k + 1, k] = np.linalg.norm(w)
+        ritz = np.linalg.eigvals(H[:k + 1, :k + 1])
+        mu = ritz[np.argmax(np.abs(ritz))]
+        y = np.linalg.svd(H[:k + 1, :k + 1] - mu * np.eye(k + 1))[2][-1].conj()
+        if abs(H[k + 1, k] * y[-1]) <= gate:
+            break
+        Q[k + 1] = w / H[k + 1, k]
+    try:
+        v = np.linalg.solve(B - mu * np.eye(n), y @ Q[:k + 1])
+    except np.linalg.LinAlgError:   # mu is an eigenvalue to the last bit
+        v = y @ Q[:k + 1]
+    v /= np.linalg.norm(v)
+    lam = np.vdot(v, B @ v)
+    res = np.linalg.norm(B @ v - lam * v)
+    if not res <= gate:
+        raise GenericityError(f"dominant eigenvector did not converge: "
+                              f"residual {res:.3g} > gate {gate:.3g}")
+    return lam, v
+
+
 def _suite_divisibility(ctx, rng):
     """Plus-vector pairings vanish to order m at 0 and on x^N = c_j^{-N}."""
     chain = DegenerateChain(tuple(unit_draws(rng, 3)))
@@ -195,19 +247,28 @@ def _suite_divisibility(ctx, rng):
     # sector 2m with label m and sector -2m with label -m; m = 0 gives one pair
     pairs = {((s * 2 * m) % ctx.N, (s * m) % ctx.N): m
              for m in range(ctx.M + 1) for s in (1, -1)}
-    res = []
-    for (l_sec, label), m in pairs.items():
-        # a left eigenvector of the family is the scatter of one of block.T
+    phis = []
+    for l_sec, label in pairs:
+        # T_0 is a scalar on the sector, so an eigenvector of the T_2 block is
+        # one of the family; a left one is the scatter of one of block.T
         orbit, amp = sector_orbits(ctx, cp.L, l_sec)
-        evecs = np.linalg.eig(sector_pencil(cp, ctx, l_sec)[1].T)[1]
-        phi = evecs[orbit, 0] * amp.conj()
-        coeffs = plus_pairing_coeffs(phi, label, chain, ctx, rng)
-        scale = float(np.max(np.abs(coeffs)))
+        try:
+            v = dominant_eigenvector(sector_pencil(cp, ctx, l_sec)[1].T)[1]
+        except GenericityError as exc:
+            raise GenericityError(
+                f"(l_sec, label) = ({l_sec}, {label}): {exc}") from exc
+        phis.append(v[orbit] * amp.conj())
+    coeffs = plus_pairing_coeffs(np.array(phis), [lab for _, lab in pairs],
+                                 chain, ctx, rng)
+    res = []
+    for ((l_sec, label), m), c in zip(pairs.items(), coeffs):
+        scale = float(np.max(np.abs(c)))
         if scale < 1e-8:
-            raise GenericityError("pairing degenerated to zero")
+            raise GenericityError(f"(l_sec, label) = ({l_sec}, {label}): "
+                                  "pairing degenerated to zero")
         if m > 0:
-            res.append(float(np.max(np.abs(coeffs[:m]))) / scale)
-        res.append(float(np.max(np.abs(np.polyval(coeffs[::-1], bad)))) / scale)
+            res.append(float(np.max(np.abs(c[:m]))) / scale)
+        res.append(float(np.max(np.abs(np.polyval(c[::-1], bad)))) / scale)
     return worst(res)
 
 
@@ -240,13 +301,9 @@ VERIFY_SUITES = [
 def cmd_verify(config: RunConfig) -> int:
     """Run every suite at every N; a suite that raises fails on its own record.
 
-    An N whose dense transfer matrices pass DENSE_BYTES_MAX is refused first.
+    An N whose arrays would pass DENSE_BYTES_MAX is refused first.
     """
-    for N in config.n_list:
-        if 16 * N**6 > DENSE_BYTES_MAX:
-            raise ValueError(f"verify at N={N} needs dense {N**3} x {N**3} "
-                             f"matrices of {16 * N**6 / 1e9:.3g} GB each (limit "
-                             f"{DENSE_BYTES_MAX / 1e9:.3g} GB)")
+    _refuse_oversized("verify", config.n_list)
     t0 = time.time()
     report = {"meta": _meta(config, "verify"), "suites": [], "pass": True}
     for N in config.n_list:
@@ -289,6 +346,8 @@ def cmd_solve(config: RunConfig, L: int, m_arg) -> int:
         M = (N - 1) // 2
         if m_arg != "all" and not 0 <= int(m_arg) <= M:
             raise ValueError(f"m={m_arg} outside [0, {M}] at N={N}")
+    if L == 3:
+        _refuse_oversized("solve", config.n_list)
     report = {"meta": _meta(config, "solve"), "L": L, "chains": [],
               "pass": True}
     for N in config.n_list:
@@ -365,6 +424,7 @@ def cmd_butterfly(config: RunConfig, mu, nu, rho, alpha, beta, gamma) -> int:
 
 def cmd_curves(config: RunConfig) -> int:
     """Curve diagnostics on 2N^2 W-points per N; an N that raises fails alone."""
+    _refuse_oversized("curves", config.n_list)
     t0 = time.time()
     report = {"meta": _meta(config, "curves"), "results": [], "pass": True}
     for N in config.n_list:

@@ -377,6 +377,24 @@ class TestBatchedSectorVectors:
         err = np.max(np.abs(np.polyval(coeffs[::-1], xs) - want))
         assert err <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("N,L", BATCH_SIZES)
+    def test_stacked_pairing_matches_single_calls(self, N, L, rng):
+        # one x0 and one table of Baxter rows for K labels: each row equals
+        # a single call drawn from the same generator state
+        ctx = make_context(N)
+        chain = degenerate_chain(rng, L)
+        labels = [0, 1, N - 1, 2 % N]
+        phis = rng.standard_normal((4, N ** L)) + 1j * rng.standard_normal((4, N ** L))
+        state = rng.bit_generator.state
+        stacked = plus_pairing_coeffs(phis, labels, chain, ctx, rng)
+        assert stacked.shape == (4, (3 * ctx.M + 1) * L + 1)
+        for phi, label, row in zip(phis, labels, stacked):
+            single = np.random.default_rng()
+            single.bit_generator.state = state
+            want = plus_pairing_coeffs(phi, label, chain, ctx, single)
+            assert single.bit_generator.state == rng.bit_generator.state
+            assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_one_pole_in_a_regular_batch_raises(self, ctx5, rng):
         chain = degenerate_chain(rng, 3)
         xs = np.array([draw_regular_x(rng, chain, ctx5) for _ in range(4)])

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hofchain import PoleError, __version__, make_context, transfer_T
+from hofchain import (DegenerateChain, PoleError, __version__, make_context,
+                      transfer_T)
 from hofchain import cli, transfer, weylcore
 from hofchain.cli import main
 from hofchain.weylcore import GenericityError, Operator
@@ -136,6 +137,92 @@ class TestVerifyReport:
         assert cli.cmd_verify(config) == 0
         config = cli.RunConfig(n_list=[3], out=str(tmp_path / "c.json"))
         assert cli.cmd_curves(config) == 0
+
+
+class TestDivisibility:
+    """The suite's one eigenvector per sector, its gates and its residual."""
+
+    @pytest.mark.parametrize("N", [3, 5, 7])
+    def test_dominant_eigenvector_matches_eig(self, N, rng):
+        ctx = make_context(N)
+        cp = DegenerateChain(tuple(weylcore.unit_draws(rng, 3))).site_params(ctx)
+        for l in range(N):
+            T0, T2 = transfer.sector_pencil(cp, ctx, l)
+            B = T2.T
+            lam, v = cli.dominant_eigenvector(B)
+            evals = np.linalg.eig(B)[0]
+            want = evals[np.argmax(np.abs(evals))]
+            assert abs(lam - want) <= 1e-12 * abs(want)
+            assert abs(np.linalg.norm(v) - 1) < 1e-14
+            assert np.linalg.norm(B @ v - lam * v) <= \
+                cli.EIGVEC_GATE * np.max(np.abs(B))
+            # so v is an eigenvector of the whole family: T_0 is a scalar
+            assert np.max(np.abs(T0 - T0[0, 0] * np.eye(len(T0)))) < 1e-13
+
+    def test_stops_within_n_steps(self, rng):
+        # at N = 13 the Arnoldi space of an N-fold spectrum does not break
+        # down to the gate in floating point; the Ritz pair's residual stops
+        # it at N steps or fewer (two more products form lam and the gate)
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                calls.append(1)
+                return np.asarray(self) @ other
+
+        ctx = make_context(13)
+        cp = DegenerateChain(tuple(weylcore.unit_draws(rng, 3))).site_params(ctx)
+        for l in range(13):
+            calls = []
+            cli.dominant_eigenvector(
+                transfer.sector_pencil(cp, ctx, l)[1].T.view(Counted))
+            assert len(calls) <= 13 + 2, l
+
+    def test_shift_at_an_exact_eigenvalue(self, monkeypatch):
+        # a Ritz value can be an eigenvalue to the last bit; rounding makes it
+        # so here, and the solve that would polish the Ritz vector then meets
+        # a singular matrix
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda H: np.round(eigvals(H), 12))
+        B = np.diag(np.repeat([3.0 + 0j, 1.0], 5))
+        lam, v = cli.dominant_eigenvector(B)
+        assert abs(lam - 3.0) < 1e-15 and np.max(np.abs(v[5:])) < 1e-15
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(B - 3.0 * np.eye(10), v)
+
+    @pytest.mark.parametrize("N", [5, 7, 9])
+    def test_default_seed_residual(self, N, rng):
+        assert cli._suite_divisibility(make_context(N), rng) <= 1e-12
+
+    @pytest.mark.parametrize("target,fake,message", [
+        ("dominant_eigenvector", None,
+         "(l_sec, label) = (0, 0): dominant eigenvector did not converge"),
+        ("plus_pairing_coeffs", lambda phi, *args: np.zeros((len(phi), 7)),
+         "(l_sec, label) = (0, 0): pairing degenerated to zero"),
+    ])
+    def test_gate_errors_name_the_sector(self, tmp_path, monkeypatch, target,
+                                         fake, message):
+        def no_convergence(B):
+            raise GenericityError("dominant eigenvector did not converge")
+
+        monkeypatch.setattr(cli, target, fake or no_convergence)
+        monkeypatch.setattr(cli, "VERIFY_SUITES", [
+            s for s in cli.VERIFY_SUITES if s[0] == "divisibility"])
+        out = tmp_path / "v.json"
+        assert main(["verify", "--N", "3", "--out", str(out)]) == 1
+        (record,) = read_json(out)["suites"]
+        assert record["error"]["class"] == "GenericityError"
+        assert record["error"]["message"].startswith(message)
+
+    def test_run_path_calls_no_eig(self, tmp_path, monkeypatch):
+        # a full eigensolve of each sector block is the tests' oracle
+        def refuse(*args):
+            raise AssertionError("np.linalg.eig called")
+
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        monkeypatch.setattr(cli, "VERIFY_SUITES", [
+            s for s in cli.VERIFY_SUITES if s[0] == "divisibility"])
+        assert main(["verify", "--N", "5", "--out",
+                     str(tmp_path / "v.json")]) == 0
 
 
 class TestSolve:
@@ -560,6 +647,29 @@ class TestInputCheckedFirst:
         # the largest size the dense commutator still runs at
         assert main(["verify", "--N", "13", "--out", str(out)]) == 0
         assert calls == [13]
+
+    @pytest.mark.parametrize("argv,largest,refused", [
+        (["curves"], 23, "N=25 needs dense 1250 x 25 x 25 x 25"),
+        (["solve", "--L", "3"], 153, "N=155 needs dense 155 x 235 x 467"),
+    ])
+    def test_oversized_curves_and_solve(self, tmp_path, monkeypatch, capsys,
+                                        argv, largest, refused):
+        calls = []
+        monkeypatch.setattr(cli, "_attempt",
+                            lambda fn, config, record, label: calls.append(label))
+        out = tmp_path / "report.json"
+        assert main(argv + ["--N", "5", "--N", str(largest + 2),
+                            "--out", str(out)]) == 2
+        assert refused in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+        # the largest N accepted passes the size check and reaches its run
+        assert main(argv + ["--N", str(largest), "--out", str(out)]) == 1
+        assert len(calls) == 1 and out.exists()
+
+    def test_solve_below_l3_has_no_size_check(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_attempt", lambda *args: None)
+        assert main(["solve", "--L", "2", "--N", "155",
+                     "--out", str(tmp_path / "solve.json")]) == 1
 
     @pytest.mark.parametrize("argv", [
         ["butterfly", "--N", "3", "--P", "2"],
