@@ -70,6 +70,9 @@ class RunConfig:
     def __post_init__(self):
         if not self.n_list:
             raise ValueError("n_list is empty: give at least one N")
+        twice = sorted({N for N in self.n_list if self.n_list.count(N) > 1})
+        if twice:   # each would run, and write its records, once per mention
+            raise ValueError(f"N given more than once: {twice}")
         for N in self.n_list:
             make_context(N, self.P)     # odd N >= 3 and gcd(P, N) = 1
         for name, value in self.tolerances.items():
@@ -453,18 +456,22 @@ def cmd_curves(config: RunConfig) -> int:
         result = _attempt(run, config, record, f"curves N={N}")
         if result is not None:
             ranks, worst_desc, count, worst_abcd = result
+            bad = [l for l, r in enumerate(ranks) if r != N * N]
+            failed = [(g, res) for g, res in (("descent", worst_desc),
+                                              ("identity", worst_abcd))
+                      if not res < config.tol(g)]
             record.update({
                 "epsilon_ranks": {str(l): r for l, r in enumerate(ranks)},
                 "descended_residual_max": worst_desc,
                 "descended_residual_count": count,
                 "abcd_max_residual": worst_abcd,
-                "pass": bool(all(r == N * N for r in ranks)
-                             and worst_desc < config.tol("descent")
-                             and worst_abcd < config.tol("identity")),
+                "pass": not bad and not failed,
             })
-            bad = [l for l, r in enumerate(ranks) if r != N * N]
             if bad:
                 print(f"FAIL evaluation-map rank at N={N}, sectors {bad}",
+                      file=sys.stderr)
+            for g, res in failed:
+                print(f"FAIL {g} at N={N}: residual {res} >= {config.tol(g)}",
                       file=sys.stderr)
         report["results"].append(record)
         report["pass"] = report["pass"] and record["pass"]

@@ -109,15 +109,10 @@ def rll_residual(h: SiteParams, x: complex, xp: complex, ctx: Context) -> float:
     N = ctx.N
     Lx = local_L(h, x, ctx)
     Lxp = local_L(h, xp, ctx)
-    eye2 = np.eye(2)
-    L1 = np.zeros((4 * N, 4 * N), dtype=complex)   # L(x) on first aux slot
-    L2 = np.zeros((4 * N, 4 * N), dtype=complex)   # L(x') on second aux slot
-    for i in range(2):
-        for j in range(2):
-            E = np.zeros((2, 2))
-            E[i, j] = 1.0
-            L1 += np.kron(np.kron(E, eye2), Lx[i, j].mat)
-            L2 += np.kron(np.kron(eye2, E), Lxp[i, j].mat)
+    eye2, E = np.eye(2), np.eye(4).reshape(2, 2, 2, 2)   # E[i, j]: 1 at (i, j)
+    # L(x) on the first aux slot, L(x') on the second
+    L1 = sum(np.kron(np.kron(E[ij], eye2), Lx[ij].mat) for ij in np.ndindex(2, 2))
+    L2 = sum(np.kron(np.kron(eye2, E[ij]), Lxp[ij].mat) for ij in np.ndindex(2, 2))
     R = np.kron(r_matrix(x / xp, ctx), np.eye(N))
     lhs = R @ L1 @ L2
     rhs = L2 @ L1 @ R
@@ -260,47 +255,46 @@ def transfer_pencil(chain: ChainParams, ctx: Context) -> TransferPencil:
                                 for t in terms[::2]))
 
 
-def _nonzeros(mat: np.ndarray) -> tuple:
-    """(row pointers, columns, values) of the nonzeros of a square matrix,
-    in row-major order."""
-    n = len(mat)
-    flat = np.flatnonzero(mat != 0)   # on complex input it takes twice as long
-    rows, cols = np.divmod(flat, n)
-    return np.searchsorted(rows, np.arange(n + 1)), cols, mat.ravel()[flat]
-
-
-def _sparse_product(A: tuple, B: tuple) -> tuple:
-    """AB for A, B given by `_nonzeros`: (flat indices, values) on the sorted
-    support, each entry the bincount of its terms A[i,k] B[k,j]."""
-    ptr_a, col_a, val_a = A
-    ptr_b, col_b, val_b = B
-    n = len(ptr_a) - 1
-    row_a = np.repeat(np.arange(n), np.diff(ptr_a))
-    # term t pairs A's nonzero a[t] with a nonzero b[t] of B's row col_a[a[t]]
-    counts = np.diff(ptr_b)[col_a]
-    a = np.repeat(np.arange(len(col_a)), counts)
-    b = np.arange(len(a)) + np.repeat(ptr_b[col_a] - np.cumsum(counts) + counts,
-                                      counts)
-    keys, inv = np.unique(row_a[a] * n + col_b[b], return_inverse=True)
-    terms = val_a[a] * val_b[b]
-    return keys, (np.bincount(inv, terms.real, len(keys))
-                  + 1j * np.bincount(inv, terms.imag, len(keys)))
+def _shift_diagonals(mat: np.ndarray, N: int, L: int) -> tuple:
+    """(cols, D) with mat = sum_s D_s S_s over the patterns s in {0,1}^L: row
+    r of S_s has its 1 at cols[s, r], r with site digit j lowered by s_j mod
+    N, and D[s, r] = mat[r, cols[s, r]].  A row's 2^L columns are distinct,
+    so mat has a nonzero off them, which ValueError names, exactly when it
+    has more nonzeros than D."""
+    rows = np.arange(N ** L)
+    lowered = zip(np.unravel_index(rows, (N,) * L),      # digit 0 leading
+                  np.indices((2,) * L).reshape(L, -1))
+    cols = np.ravel_multi_index(tuple(d - s[:, None] for d, s in lowered),
+                                (N,) * L, mode="wrap")
+    D = mat[rows, cols]
+    if np.count_nonzero(mat) != np.count_nonzero(D):
+        off = mat != 0
+        off[rows, cols] = False
+        r, c = np.divmod(np.flatnonzero(off)[0], N ** L)
+        raise ValueError(f"T(x) has a nonzero off its {2 ** L} shift "
+                         f"diagonals at (row {r}, column {c})")
+    return cols, D
 
 
 def commutator_residual(chain: ChainParams, x: complex, xp: complex,
                         ctx: Context) -> float:
-    """max |[T(x), T(x')]| over the entries, from the nonzeros of the dense
-    `transfer_T` matrices (at most 2^L per row); no dense product is formed."""
-    A = _nonzeros(transfer_T(chain, x, ctx).mat)
-    B = _nonzeros(transfer_T(chain, xp, ctx).mat)
-    ab_keys, ab = _sparse_product(A, B)
-    ba_keys, ba = _sparse_product(B, A)
-    # the union of the two supports; each key occurs once in each product
-    keys, at = np.unique(np.concatenate([ab_keys, ba_keys]), return_inverse=True)
-    diff = np.zeros(len(keys), dtype=complex)
-    diff[at[:len(ab)]] = ab
-    diff[at[len(ab):]] -= ba
-    return float(np.max(np.abs(diff), initial=0.0))
+    """max |[T(x), T(x')]| over the entries, from the 2^L shift diagonals of
+    the two dense `transfer_T` matrices; no dense product is formed.
+
+    [A, B] = sum_u C_u S_u over u in {0,1,2}^L, C_u the sum over s + t = u of
+    D^A_s S_s D^B_t S_s^-1 - (A <-> B).  For N >= 3 the S_u are disjoint
+    permutations, so max|C| is the dense max-norm.  Each (s, t) term
+    subtracts its two products, so x = x' gives exactly 0.0.
+    """
+    N, L = ctx.N, chain.L
+    cols, A = _shift_diagonals(transfer_T(chain, x, ctx).mat, N, L)
+    _, B = _shift_diagonals(transfer_T(chain, xp, ctx).mat, N, L)
+    # s read in base 3: s + t has digits <= 2, so u(s + t) = u(s) + u(t)
+    u = np.ravel_multi_index(np.indices((2,) * L).reshape(L, -1), (3,) * L)
+    C = np.zeros((3 ** L, N ** L), dtype=complex)
+    for s, cs in enumerate(cols):   # every t at once
+        C[u[s] + u] += A[s] * B[:, cs] - B[s] * A[:, cs]
+    return float(np.max(np.abs(C)))
 
 
 def t2_formula_L3(chain: ChainParams, ctx: Context) -> Operator:

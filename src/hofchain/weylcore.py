@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -142,15 +143,10 @@ def kron(ops) -> Operator:
     ops = list(ops)
     if not ops:
         raise ValueError("kron of empty list")
-    n = ops[0].n
-    out = ops[0].mat
-    sites = ops[0].sites
-    for op in ops[1:]:
-        if op.n != n:
-            raise TagMismatchError(f"mixed N in kron: {n} vs {op.n}")
-        out = np.kron(out, op.mat)
-        sites += op.sites
-    return Operator(out, n, sites)
+    if any(op.n != ops[0].n for op in ops):
+        raise TagMismatchError(f"mixed N in kron: {[op.n for op in ops]}")
+    return Operator(reduce(np.kron, [op.mat for op in ops]), ops[0].n,
+                    sum(op.sites for op in ops))
 
 
 def pochhammer(a, rho: complex, n):

@@ -366,15 +366,26 @@ class TestButterfly:
 
 
 class TestCurvesCmd:
-    def test_default_ranks(self, tmp_path):
+    def test_default_ranks(self, tmp_path, capsys):
         out = tmp_path / "curves.json"
         rc = main(["curves", "--N", "3", "--out", str(out)])
         assert rc == 0
+        assert capsys.readouterr().err == ""
         report = read_json(out)
         (res,) = report["results"]
         assert res["epsilon_ranks"] == {"0": 9, "1": 9, "2": 9}
         assert res["descended_residual_max"] < 1e-8
         assert res["abcd_max_residual"] < 1e-10
+
+    def test_failed_gates_are_named(self, tmp_path, capsys):
+        out = tmp_path / "curves.json"
+        assert main(["curves", "--N", "3", "--tol", "descent=1e-30",
+                     "--tol", "identity=1e-30", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        for gate in ("descent", "identity"):
+            assert re.search(rf"^FAIL {gate} at N=3: residual \S+ >= 1e-30$",
+                             err, re.M), err
+        assert read_json(out)["results"][0]["pass"] is False
 
     def test_insufficient_points(self, tmp_path, capsys):
         # curves always samples 2N^2 points; --points is no setting of it
@@ -565,6 +576,18 @@ def test_non_finite_tolerance_refused(tmp_path, capsys, command, name, value):
                  "--out", str(out)]) == 2
     assert "must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["solve", "--L", "1"],
+                                  ["butterfly"], ["curves"]])
+def test_repeated_n_refused(tmp_path, capsys, argv):
+    # a repeated N would run again and write its records twice
+    out = tmp_path / "x.out"
+    assert main(argv + ["--N", "3", "--N", "5", "--N", "3",
+                        "--out", str(out)]) == 2
+    assert "config error: N given more than once: [3]" in capsys.readouterr().err
+    assert not out.exists()
+    assert not Path(str(out) + ".meta.json").exists()
 
 
 def readme_flag_table() -> dict:

@@ -2,7 +2,8 @@
 root-of-unity table, one pole threshold, one polynomial product.  The
 rational-slice shift polynomials have one home too, `baxter.shift_polys`,
 and the package's one polynomial fit is the DFT of `baxter.plus_pairing_coeffs`.
-The commutator check multiplies T(x) through its nonzeros, never densely."""
+The commutator check reads each dense T(x) as its 2^L shift diagonals and
+multiplies them diagonal by diagonal, never densely."""
 
 import ast
 from pathlib import Path

@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -7,11 +8,10 @@ from hofchain import (ChainParams, PoleError, SiteParams, commutator_residual,
                       f_op, heisenberg_UV, hofstadter_hamiltonian, kron,
                       local_L, make_context, r_matrix, rll_residual,
                       transfer_T, transfer_pencil, weyl_matrices)
-from hofchain import cli
+from hofchain import cli, transfer
 from hofchain.baxter import DegenerateChain
 from hofchain.curves import HofstadterChain3
-from hofchain.transfer import (_nonzeros, _sparse_product, chain_L,
-                               hofstadter_sector_factor, sector_pencil,
+from hofchain.transfer import (chain_L, hofstadter_sector_factor, sector_pencil,
                                sector_spectrum, t2_formula_L3, transfer_terms)
 from hofchain.weylcore import (Operator, identity_op, sector_basis,
                                sector_orbits, sector_project, unit_draws)
@@ -242,29 +242,26 @@ class TestCommutingFamily:
             dense = np.max(np.abs(A @ B - B @ A))
             assert abs(commutator_residual(chain, x, xp, ctx) - dense) < 1e-14
 
+    def test_stray_nonzero_is_named(self, tmp_path, monkeypatch, rng):
+        # column 2 of row 0 is off every shift diagonal: they lower digits by 0 or 1
+        real = transfer.transfer_T
 
-def test_sparse_product_matches_dense():
-    rng = np.random.default_rng(7)
-    # rows with 2, 0, 5, 1 and 3 nonzeros; B's row 2 vanishes too
-    mask_a = np.array([[1, 0, 0, 1, 0], [0, 0, 0, 0, 0], [1, 1, 1, 1, 1],
-                       [0, 0, 1, 0, 0], [0, 1, 0, 1, 1]], dtype=bool)
-    mask_b = np.array([[0, 1, 0, 0, 0], [1, 1, 1, 0, 1], [0, 0, 0, 0, 0],
-                       [1, 0, 0, 0, 1], [0, 0, 1, 1, 0]], dtype=bool)
-    A, B = (mask * (rng.standard_normal((5, 5))
-                    + 1j * rng.standard_normal((5, 5)))
-            for mask in (mask_a, mask_b))
-    ptr, cols, vals = _nonzeros(A)
-    assert list(np.diff(ptr)) == [2, 0, 5, 1, 3]
-    assert np.array_equal(A[np.nonzero(A)], vals)
-    for P, Q in ((A, B), (B, A), (A, A)):
-        keys, prod = _sparse_product(_nonzeros(P), _nonzeros(Q))
-        assert np.all(np.diff(keys) > 0)
-        got = np.zeros(25, dtype=complex)
-        got[keys] = prod
-        assert np.max(np.abs(got.reshape(5, 5) - P @ Q)) < 1e-14
-    empty = _nonzeros(np.zeros((5, 5), dtype=complex))
-    keys, prod = _sparse_product(empty, _nonzeros(B))
-    assert len(keys) == len(prod) == 0
+        def stray(chain, x, ctx):
+            T = real(chain, x, ctx)
+            T.mat[0, 2] = 1.0
+            return T
+
+        monkeypatch.setattr(transfer, "transfer_T", stray)
+        x, xp = unit_draws(rng, 2)
+        with pytest.raises(ValueError, match=r"at \(row 0, column 2\)$"):
+            commutator_residual(draw_chain(rng, 2), x, xp, make_context(5))
+        out = tmp_path / "verify.json"
+        assert cli.main(["verify", "--N", "5", "--out", str(out)]) == 1
+        records = {r["suite"]: r for r in json.loads(out.read_text())["suites"]}
+        assert records["commutator"]["error"]["class"] == "ValueError"
+        assert "(row 0, column 2)" in records["commutator"]["error"]["message"]
+        assert all(r["pass"] for name, r in records.items()
+                   if name != "commutator")
 
 
 class TestHeisenberg:
