@@ -56,20 +56,18 @@ def tau(p: RationalPoint, sign: int, ctx: Context) -> RationalPoint:
 
 
 def delta_pm(p: RationalPoint, sign: int, chain: DegenerateChain,
-             ctx: Context) -> complex:
-    """Delta_- = prod(1 - x c_j q^l); Delta_+ = prod (1-x^2 c_j^2)/(1 - x c_j q^{-l})."""
-    x, l = p.x, int(p.l)
-    if sign == -1:
-        return complex(np.prod([1 - x * cj * ctx.q_pow(l) for cj in chain.c]))
-    if sign == 1:
-        out = 1.0 + 0.0j
-        for j, cj in enumerate(chain.c):
-            den = 1 - x * cj * ctx.q_pow(-l)
-            if abs(den) < POLE_TOL:
-                raise PoleError(f"Delta_+ pole at site j={j}: x = q^l / c_j")
-            out *= (1 - x * x * cj * cj) / den
-        return out
-    raise ValueError("sign must be +1 or -1")
+             ctx: Context):
+    """Delta_- = prod(1 - x c_j q^l); Delta_+ = prod (1-x^2 c_j^2)/(1 - x c_j q^{-l});
+    x and l broadcast: a complex for one point, an array for a stack."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    x, c = np.asarray(p.x, dtype=complex)[..., None], np.asarray(chain.c)
+    den = 1 - x * c * ctx.q_pow(-sign * np.asarray(p.l)[..., None])
+    bad = np.argwhere(np.abs(den) < POLE_TOL) if sign == 1 else []
+    if len(bad):
+        raise PoleError(f"Delta_+ pole at site j={bad[0][-1]}: x = q^l / c_j")
+    out = np.prod(den if sign == -1 else (1 - x * x * c * c) / den, axis=-1)
+    return complex(out) if out.ndim == 0 else out
 
 
 def shift_polys(chain: DegenerateChain, ctx: Context):
@@ -115,17 +113,21 @@ def baxter_vector(p: RationalPoint, chain: DegenerateChain,
 
 
 def t_action_residual(chain: DegenerateChain, p: RationalPoint,
-                      ctx: Context) -> float:
+                      ctx: Context):
     """Defect of T(x)|x,l> = |q^{-1}x, l-1> Delta_- + |qx, l-1> Delta_+.
 
     Normalized by the larger of 1 and the vector scales so the diagnostic
-    stays meaningful when components grow near pole loci.
+    stays meaningful when components grow near pole loci.  x and l
+    broadcast: a float for one point, an array of defects for a stack.
     """
-    pm, pp = tau(p, -1, ctx), tau(p, 1, ctx)
-    v, vm, vp = _baxter_rows([p.x, pm.x, pp.x], [p.l, pm.l, pp.l], chain, ctx)
+    p = RationalPoint(*np.broadcast_arrays(p.x, p.l))
+    pts = (p, tau(p, -1, ctx), tau(p, 1, ctx))
+    v, vm, vp = _baxter_rows(np.ravel([t.x for t in pts]),
+                             np.ravel([t.l for t in pts]), chain,
+                             ctx).reshape((3,) + p.x.shape + (-1,))
     lhs = transfer_apply(chain.site_params(ctx), p.x, ctx, v)
-    rhs = vm * delta_pm(p, -1, chain, ctx) + vp * delta_pm(p, 1, chain, ctx)
-    return relative_defect(lhs, rhs)
+    dm, dp = (np.expand_dims(delta_pm(p, s, chain, ctx), -1) for s in (-1, 1))
+    return relative_defect(lhs, vm * dm + vp * dp)
 
 
 def _f_weights(x, n, shift: int, chain: DegenerateChain, ctx: Context):
@@ -194,17 +196,20 @@ def sector_vectors(x, l, chain: DegenerateChain, ctx: Context) -> dict:
     return {"e_vec": e, "o_vec": o, "plus_vec": plus}
 
 
-def theorem1_ii_residual(chain: DegenerateChain, x: complex, l,
+def theorem1_ii_residual(chain: DegenerateChain, x, l,
                          ctx: Context) -> float:
     """Defect of q^{-l} T(x)|x>_l^+ = |q^{-1}x>_l^+ D_-(x,-1) + |qx>_l^+ D_+(x,0);
-    the largest over one sector l or an array of them, each on its own scale."""
-    l = np.atleast_1d(l)
-    xs = np.array([x, ctx.q_pow(-1) * x, ctx.q_pow(1) * x])[:, None]
+    the largest over one x or an array of them and one sector l or an array
+    of them, each (x, l) on its own scale."""
+    x, l = np.asarray(x), np.atleast_1d(l)
+    xs = np.array([x, ctx.q_pow(-1) * x, ctx.q_pow(1) * x])[..., None]
     plus, plus_m, plus_p = sector_vectors(xs, l, chain, ctx)["plus_vec"]
-    lhs = ctx.q_pow(-l)[:, None] * transfer_apply(
-        chain.site_params(ctx), x, ctx, plus)
-    dm, dp = (np.polyval(d[::-1], x) for d in shift_polys(chain, ctx))
-    return worst(relative_defect(lhs, plus_m * dm + plus_p * dp))
+    lhs = ctx.q_pow(-l)[:, None] * transfer_apply(   # one row per (x, l)
+        chain.site_params(ctx), np.repeat(x, len(l)), ctx,
+        plus.reshape(-1, plus.shape[-1])).reshape(plus.shape)
+    dm, dp = (np.polyval(d[::-1], x)[..., None, None]
+              for d in shift_polys(chain, ctx))
+    return worst(np.ravel(relative_defect(lhs, plus_m * dm + plus_p * dp)))
 
 
 def _regular_rotation(rng: np.random.Generator, chain: DegenerateChain,

@@ -172,9 +172,10 @@ def _attempt(fn, config: RunConfig, record: dict, label: str):
 # ---------------------------------------------------------------- verify
 
 def _suite_rll(ctx, rng):
-    # arguments are evaluated in order: a, b, c, d are drawn before x, x'
-    return worst(rll_residual(SiteParams(*unit_draws(rng, 4)),
-                              *unit_draws(rng, 2), ctx) for _ in range(20))
+    # each draw's a, b, c, d, then its x, x': the order of 20 separate draws
+    draws = unit_draws(rng, 120).reshape(20, 6)
+    return worst(rll_residual([SiteParams(*d) for d in draws[:, :4]],
+                              draws[:, 4], draws[:, 5], ctx))
 
 
 def _suite_commutator(ctx, rng):
@@ -186,23 +187,22 @@ def _suite_commutator(ctx, rng):
 def _suite_baxter_action(ctx, rng):
     chain = DegenerateChain(tuple(unit_draws(rng, 3)))
     xs = [draw_regular_x(rng, chain, ctx) for _ in range(4)]
-    return worst(t_action_residual(chain, RationalPoint(x, l), ctx)
-                 for x in xs for l in range(ctx.N))
+    return worst(t_action_residual(
+        chain, RationalPoint(np.array(xs)[:, None], np.arange(ctx.N)),
+        ctx).ravel())
 
 
 def _suite_theorem1(ctx, rng):
     chain = DegenerateChain(tuple(unit_draws(rng, 3)))
+    xs = np.array([draw_regular_x(rng, chain, ctx) for _ in range(3)])
     ls = np.arange(ctx.N)
-    res = []
-    for _ in range(3):
-        x = draw_regular_x(rng, chain, ctx)
-        vecs = sector_vectors(x, ls, chain, ctx)    # one row per sector l
-        ident = vecs["e_vec"] * u_weight(ctx.q_pow(1) * x, chain, ctx) \
-            - vecs["o_vec"] * (ctx.q_pow(ls) * u_weight(x, chain, ctx))[:, None]
-        scale = np.maximum(1.0, np.max(np.abs(vecs["plus_vec"]), axis=1))
-        res += [float(np.max(np.max(np.abs(ident), axis=1) / scale)),
-                theorem1_ii_residual(chain, x, ls, ctx)]
-    return worst(res)
+    vecs = sector_vectors(xs[:, None], ls, chain, ctx)  # (draw, sector l, N^L)
+    uq, u = (u_weight(z, chain, ctx)[:, None, None]
+             for z in (ctx.q_pow(1) * xs, xs))
+    ident = vecs["e_vec"] * uq - vecs["o_vec"] * (ctx.q_pow(ls)[:, None] * u)
+    scale = np.maximum(1.0, np.max(np.abs(vecs["plus_vec"]), axis=-1))
+    return worst(np.append((np.max(np.abs(ident), axis=-1) / scale).ravel(),
+                           theorem1_ii_residual(chain, xs, ls, ctx)))
 
 
 def dominant_eigenvector(B: np.ndarray) -> tuple:

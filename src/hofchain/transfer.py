@@ -102,21 +102,31 @@ def r_matrix(x: complex, ctx: Context) -> np.ndarray:
     ], dtype=complex)
 
 
-def rll_residual(h: SiteParams, x: complex, xp: complex, ctx: Context) -> float:
-    """Max-norm defect of R(x/x')(L(x) ox 1)(1 ox L(x')) = (1 ox L(x'))(L(x) ox 1)R(x/x')."""
-    if x == 0 or xp == 0:
+def rll_residual(h, x, xp, ctx: Context):
+    """Max-norm defect of R(x/x')(L(x) ox 1)(1 ox L(x')) = (1 ox L(x'))(L(x) ox 1)R(x/x').
+
+    h is one SiteParams or a sequence of B of them, x and x' scalars or
+    length-B arrays: a float for one draw, one defect per draw for a stack.
+    """
+    single = isinstance(h, SiteParams) and np.ndim(x) == np.ndim(xp) == 0
+    a, b, c, d, x, xp = np.broadcast_arrays(*np.array(
+        [[s.a, s.b, s.c, s.d] for s in np.atleast_1d(h)], dtype=complex).T,
+        np.ravel(x), np.ravel(xp))
+    if np.any(x == 0) or np.any(xp == 0):
         raise PoleError("spectral parameters must be nonzero")
-    N = ctx.N
-    Lx = local_L(h, x, ctx)
-    Lxp = local_L(h, xp, ctx)
-    eye2, E = np.eye(2), np.eye(4).reshape(2, 2, 2, 2)   # E[i, j]: 1 at (i, j)
-    # L(x) on the first aux slot, L(x') on the second
-    L1 = sum(np.kron(np.kron(E[ij], eye2), Lx[ij].mat) for ij in np.ndindex(2, 2))
-    L2 = sum(np.kron(np.kron(eye2, E[ij]), Lxp[ij].mat) for ij in np.ndindex(2, 2))
-    R = np.kron(r_matrix(x / xp, ctx), np.eye(N))
-    lhs = R @ L1 @ L2
-    rhs = L2 @ L1 @ R
-    return float(np.max(np.abs(lhs - rhs)))
+    N, w = ctx.N, weyl_matrices(ctx)
+    weyl = np.array([[w["Y"].mat, w["X"].mat], [w["Z"].mat, np.eye(N)]])
+
+    def embed(z, spec):     # (aY, zbX; zcZ, d) of each draw on one aux slot
+        coef = np.stack([a, z * b, z * c, d], axis=-1).reshape(-1, 2, 2, 1, 1)
+        return np.einsum(spec, coef * weyl, np.eye(2)).reshape(-1, 4 * N, 4 * N)
+
+    # rows (aux 1, aux 2, site): L(x) on the first aux slot, L(x') on the second
+    L1, L2 = embed(x, "bijkl,ac->biakjcl"), embed(xp, "bijkl,ac->baikcjl")
+    R = np.einsum("brs,kl->brksl", [r_matrix(z, ctx) for z in x / xp],
+                  np.eye(N)).reshape(L1.shape)
+    out = np.max(np.abs(R @ L1 @ L2 - L2 @ L1 @ R), axis=(1, 2))
+    return float(out[0]) if single else out
 
 
 def f_op(h: SiteParams, x: complex, xi: complex, xip: complex, ctx: Context) -> Operator:
@@ -216,13 +226,14 @@ def transfer_terms(chain: ChainParams, ctx: Context, rows) -> np.ndarray:
     return out
 
 
-def transfer_apply(chain: ChainParams, x: complex, ctx: Context,
+def transfer_apply(chain: ChainParams, x, ctx: Context,
                    v: np.ndarray) -> np.ndarray:
-    """T(x) v for one vector v or each row of a (B, N^L) stack, summed from
-    `transfer_terms`."""
+    """T(x) v for one vector v or each row of a stack (..., N^L), summed from
+    `transfer_terms`; x broadcasts against the stack, one x per row."""
     terms = transfer_terms(chain, ctx, np.reshape(v, (-1, np.shape(v)[-1])))
-    return (x ** np.arange(len(terms))
-            @ terms.reshape(len(terms), -1)).reshape(np.shape(v))
+    powers = np.reshape(np.broadcast_to(x, np.shape(v)[:-1]), (-1, 1)) \
+        ** np.arange(len(terms))
+    return np.einsum("bk,kbn->bn", powers, terms).reshape(np.shape(v))
 
 
 def sector_pencil(chain: ChainParams, ctx: Context, l: int) -> np.ndarray:
@@ -258,19 +269,18 @@ def transfer_pencil(chain: ChainParams, ctx: Context) -> TransferPencil:
 def _shift_diagonals(mat: np.ndarray, N: int, L: int) -> tuple:
     """(cols, D) with mat = sum_s D_s S_s over the patterns s in {0,1}^L: row
     r of S_s has its 1 at cols[s, r], r with site digit j lowered by s_j mod
-    N, and D[s, r] = mat[r, cols[s, r]].  A row's 2^L columns are distinct,
-    so mat has a nonzero off them, which ValueError names, exactly when it
-    has more nonzeros than D."""
+    N, and D[s, r] = mat[r, cols[s, r]].  mat is the caller's to give up: the
+    entries read are zeroed in place, and any nonzero left is off the
+    pattern, which ValueError names."""
     rows = np.arange(N ** L)
     lowered = zip(np.unravel_index(rows, (N,) * L),      # digit 0 leading
                   np.indices((2,) * L).reshape(L, -1))
     cols = np.ravel_multi_index(tuple(d - s[:, None] for d, s in lowered),
                                 (N,) * L, mode="wrap")
     D = mat[rows, cols]
-    if np.count_nonzero(mat) != np.count_nonzero(D):
-        off = mat != 0
-        off[rows, cols] = False
-        r, c = np.divmod(np.flatnonzero(off)[0], N ** L)
+    mat[rows, cols] = 0
+    if mat.any():
+        r, c = np.divmod(np.flatnonzero(mat)[0], N ** L)
         raise ValueError(f"T(x) has a nonzero off its {2 ** L} shift "
                          f"diagonals at (row {r}, column {c})")
     return cols, D

@@ -182,6 +182,50 @@ class TestTAction:
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+class TestStackedPoints:
+    """A RationalPoint of arrays gives what its points give one at a time."""
+
+    @pytest.mark.parametrize("N", [3, 5, 7])
+    def test_stack_matches_single_points(self, N, rng):
+        ctx = make_context(N)
+        chain = degenerate_chain(rng)
+        xs = np.array([draw_regular_x(rng, chain, ctx) for _ in range(3)])
+        p = RationalPoint(xs[:, None], np.arange(N))
+        res = t_action_residual(chain, p, ctx)
+        deltas = {s: delta_pm(p, s, chain, ctx) for s in (-1, 1)}
+        assert res.shape == deltas[-1].shape == deltas[1].shape == (3, N)
+        for i, l in np.ndindex(3, N):
+            q = RationalPoint(xs[i], l)
+            assert abs(res[i, l] - t_action_residual(chain, q, ctx)) <= 1e-15
+            for s, d in deltas.items():
+                assert abs(d[i, l] - delta_pm(q, s, chain, ctx)) <= 1e-15
+        assert abs(theorem1_ii_residual(chain, xs, np.arange(N), ctx) - max(
+            theorem1_ii_residual(chain, x, np.arange(N), ctx) for x in xs)) \
+            <= 1e-15
+
+    def test_nan_row(self, ctx5, rng):
+        chain = degenerate_chain(rng)
+        xs = np.array([draw_regular_x(rng, chain, ctx5) for _ in range(3)])
+        xs[1] = np.nan
+        p = RationalPoint(xs, 2)
+        with np.errstate(invalid="ignore"):     # complex division by NaN warns
+            res = t_action_residual(chain, p, ctx5)
+            deltas = [delta_pm(p, s, chain, ctx5) for s in (-1, 1)]
+            assert np.isnan(theorem1_ii_residual(chain, xs, [0, 1], ctx5))
+        assert np.isnan(res[1]) and np.all(res[[0, 2]] < 1e-9)
+        for d in deltas:
+            assert np.isnan(d[1]) and np.all(np.isfinite(d[[0, 2]]))
+
+    def test_pole_names_first_bad_site(self, ctx5, rng):
+        # sites 1 and 2 share c_j, so x = q^l / c_1 is a pole of both
+        c = unit_draws(rng, 2)
+        chain = DegenerateChain((c[0], c[1], c[1]))
+        bad = ctx5.q_pow(2) / c[1]
+        for x in (bad, np.array([0.3, bad, 0.4j])):
+            with pytest.raises(PoleError, match=r"pole at site j=1:"):
+                delta_pm(RationalPoint(x, 2), +1, chain, ctx5)
+
+
 class TestGaugeNull:
     @pytest.mark.parametrize("N,L", [(3, 3), (5, 2)])
     def test_corner_block_annihilates(self, N, L, rng):

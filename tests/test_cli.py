@@ -777,15 +777,61 @@ class TestCurvesBatched:
                                   ("terms", None): attempts}
 
 
+class TestStackedSuites:
+    """rll and baxter_action evaluate all their draws in one stacked call per
+    attempt, and theorem1 applies T(x) at most twice."""
+
+    def test_calls_per_attempt(self, tmp_path, monkeypatch):
+        from hofchain import baxter
+        suite, calls = [None], []
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def wrapped(*args):
+                calls.append((suite[0], name))
+                return real(*args)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        def tagged(name, fn):
+            def run(ctx, rng):
+                suite[0] = name
+                return fn(ctx, rng)
+            return run
+
+        count(cli, "rll_residual")
+        count(cli, "t_action_residual")
+        count(baxter, "transfer_apply")
+        monkeypatch.setattr(cli, "VERIFY_SUITES",
+                            [(n, tagged(n, fn)) for n, fn in cli.VERIFY_SUITES])
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--N", "5", "--out", str(out)]) == 0
+        attempts = {r["suite"]: r["attempts"] for r in read_json(out)["suites"]}
+        counts = Counter(calls)
+        assert counts[("rll", "rll_residual")] == attempts["rll"]
+        assert counts[("baxter_action", "t_action_residual")] \
+            == counts[("baxter_action", "transfer_apply")] \
+            == attempts["baxter_action"]
+        assert 1 <= counts[("theorem1", "transfer_apply")] \
+            <= 2 * attempts["theorem1"]
+        assert set(counts) == {("rll", "rll_residual"),
+                               ("baxter_action", "t_action_residual"),
+                               ("baxter_action", "transfer_apply"),
+                               ("theorem1", "transfer_apply")}
+
+
 class TestNaNResidual:
     """A NaN residual fails its record wherever it falls."""
 
     def test_verify_suite(self, tmp_path, monkeypatch):
-        real, calls = cli.rll_residual, []
+        real, rows = cli.rll_residual, []
 
         def residual(*args):
-            calls.append(1)
-            return float("nan") if len(calls) == 2 else real(*args)
+            out = real(*args)
+            rows.append(len(out))
+            out[1] = np.nan                 # the second draw's residual
+            return out
 
         monkeypatch.setattr(cli, "rll_residual", residual)
         monkeypatch.setattr(cli, "VERIFY_SUITES", [("rll", cli._suite_rll)])
@@ -793,7 +839,7 @@ class TestNaNResidual:
         assert main(["verify", "--N", "3", "--out", str(out)]) == 1
         (rec,) = read_json(out)["suites"]
         assert rec["pass"] is False and np.isnan(rec["max_residual"])
-        assert len(calls) == 20
+        assert rows == [20]
 
     @pytest.mark.parametrize("where", ["descent", "abcd"])
     def test_curves(self, where, tmp_path, monkeypatch):

@@ -95,6 +95,52 @@ class TestRLL:
         x = unit_draws(rng, 1)[0]
         assert rll_residual(h, x, x, ctx3) < 1e-10
 
+    @pytest.mark.parametrize("N", [3, 5, 7])
+    def test_stack_matches_single_draws(self, N, rng):
+        ctx = make_context(N)
+        sites = [draw_site(rng) for _ in range(6)]
+        x, xp = unit_draws(rng, 6), unit_draws(rng, 6)
+        stacked = rll_residual(sites, x, xp, ctx)
+        assert stacked.shape == (6,)
+        for h, a, b, res in zip(sites, x, xp, stacked):
+            assert abs(res - rll_residual(h, a, b, ctx)) <= 1e-15
+
+    def test_nan_row(self, ctx5, rng):
+        sites = [draw_site(rng) for _ in range(3)]
+        x, xp = unit_draws(rng, 3), unit_draws(rng, 3)
+        x[1] = np.nan
+        with np.errstate(invalid="ignore"):     # complex division by NaN warns
+            out = rll_residual(sites, x, xp, ctx5)
+        assert np.isnan(out[1]) and np.all(out[[0, 2]] < 1e-10)
+
+    def test_pole_in_stack(self, ctx3, rng):
+        x = unit_draws(rng, 3)
+        x[2] = 0
+        with pytest.raises(PoleError):
+            rll_residual([draw_site(rng) for _ in range(3)], x, 1.0, ctx3)
+
+
+class TestTransferApply:
+    @pytest.mark.parametrize("N", [3, 5, 7])
+    def test_row_x_matches_single_rows(self, N, rng):
+        ctx = make_context(N)
+        chain = draw_chain(rng, 3)
+        v = unit_draws(rng, 4 * N ** 3).reshape(4, N ** 3)
+        x = unit_draws(rng, 4)
+        stacked = transfer.transfer_apply(chain, x, ctx, v)
+        for b in range(4):
+            single = transfer.transfer_apply(chain, x[b], ctx, v[b])
+            assert np.max(np.abs(stacked[b] - single)) <= 1e-15
+            dense = transfer_T(chain, x[b], ctx).mat @ v[b]
+            assert np.max(np.abs(single - dense)) < 1e-12
+
+    def test_nan_row(self, ctx3, rng):
+        chain = draw_chain(rng, 2)
+        x = unit_draws(rng, 3)
+        x[1] = np.nan
+        out = transfer.transfer_apply(chain, x, ctx3, np.ones((3, 9)))
+        assert np.all(np.isnan(out[1])) and np.all(np.isfinite(out[[0, 2]]))
+
 
 class TestFOp:
     def test_x_zero(self, ctx3, rng):
@@ -262,6 +308,20 @@ class TestCommutingFamily:
         assert "(row 0, column 2)" in records["commutator"]["error"]["message"]
         assert all(r["pass"] for name, r in records.items()
                    if name != "commutator")
+
+    @pytest.mark.parametrize("row,col,value", [(0, 2, 5e-324j), (24, 0, 1.0)])
+    def test_off_pattern_check_is_exact(self, row, col, value, rng):
+        # a subnormal, imaginary-only stray entry and one in the last row
+        ctx = make_context(5)
+        mat = transfer_T(draw_chain(rng, 2), unit_draws(rng, 1)[0], ctx).mat
+        mat[row, col] = value
+        with pytest.raises(ValueError,
+                           match=rf"at \(row {row}, column {col}\)$"):
+            transfer._shift_diagonals(mat, 5, 2)
+
+    def test_equal_points_l3(self, ctx5, rng):
+        x = unit_draws(rng, 1)[0]
+        assert commutator_residual(draw_chain(rng, 3), x, x, ctx5) == 0.0
 
 
 class TestHeisenberg:
