@@ -15,7 +15,6 @@ numbers serialize as [re, im] pairs.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -27,13 +26,13 @@ import numpy as np
 from . import __version__
 from .weylcore import (GenericityError, make_context, sector_orbits,
                        unit_draws, with_generic_redraw, worst)
-from .transfer import (ChainParams, SiteParams, commutator_residual,
-                       hofstadter_hamiltonian, rll_residual, sector_pencil)
+from .transfer import (ChainParams, SiteParams, commutant_reduction,
+                       commutator_residual, hofstadter_hamiltonian,
+                       rll_residual, sector_pencil)
 from .baxter import (DegenerateChain, RationalPoint, draw_regular_x,
                      plus_pairing_coeffs, sector_vectors, t_action_residual,
                      theorem1_ii_residual, u_weight)
-from .bethe import (CLUSTER_GAP, cluster_eigenvalues, oracle_spectrum,
-                    solve_L1, solve_L2, solve_L3)
+from .bethe import EIGEN_GAP, solve_L1, solve_L2, solve_L3
 from .curves import (HofstadterChain3, abcd_polys, descended_t_residual,
                      draw_w_points, evaluation_ranks, evaluation_vectors)
 
@@ -50,12 +49,14 @@ DEFAULT_TOLERANCES = {
 
 # a command refuses, before its first N runs, an N whose largest complex array
 # would pass this: verify's one dense N^3 x N^3 transfer matrix (the commutator
-# suite holds one at a time), curves' fiber-average outer product, and solve
-# --L 3's N coefficient systems of sector 0 beside their SVD's U
+# suite holds one at a time), curves' fiber-average outer product, solve
+# --L 3's N coefficient systems of sector 0 beside their SVD's U, and
+# butterfly's N x N Hamiltonian
 DENSE_BYTES_MAX = 2**28
 LARGEST_ARRAY = {"verify": lambda N: (N**3, N**3),                 # N <= 15
                  "curves": lambda N: (2 * N * N, N, N, N),         # N <= 23
-                 "solve": lambda N: (N, (3 * N + 5) // 2, 3 * N + 2)}    # 153
+                 "solve": lambda N: (N, (3 * N + 5) // 2, 3 * N + 2),   # 153
+                 "butterfly": lambda N: (N, N)}                    # N <= 4095
 EIGVEC_GATE = 1e-10     # largest ||Bv - lam v|| / max|B| of a dominant pair
 
 
@@ -276,19 +277,30 @@ def _suite_divisibility(ctx, rng):
 
 
 def _suite_degeneracy(ctx, rng):
-    """Every sector-2m oracle eigenvalue has multiplicity exactly N (L = 3)."""
+    """Every T_2 eigenvalue of every sector has multiplicity exactly N (L = 3).
+
+    Each block is I_N (x) R_l by the commutant (`commutant_reduction`), so the
+    claim holds when the block commutes with S_1 and S_2, to the residuals,
+    and R_l has N distinct eigenvalues, to a relative gap of EIGEN_GAP; a
+    smaller gap is a GenericityError.  Returns (residual, evidence)."""
     chain = DegenerateChain(tuple(unit_draws(rng, 3)))
     cp = chain.site_params(ctx)
-    res = []
-    for m in range(ctx.M + 1):
-        spec = oracle_spectrum(cp, (2 * m) % ctx.N, ctx)
-        clusters = cluster_eigenvalues(spec)
-        if any(k != ctx.N for _, k in clusters):
-            raise GenericityError(
-                f"multiplicities {[k for _, k in clusters]} != {ctx.N}")
-        res += [abs(v - mu) for mu, _ in clusters for v in spec
-                if abs(v - mu) < CLUSTER_GAP]
-    return worst(res)
+    res, gaps = [], []
+    for l in range(ctx.N):
+        R, r = commutant_reduction(sector_pencil(cp, ctx, l)[1], ctx, l)
+        lam = np.linalg.eigvals(R)
+        dist = np.abs(lam[:, None] - lam) + np.diag(np.full(ctx.N, np.inf))
+        gap = np.min(dist) / np.max(np.abs(lam))
+        if not gap >= EIGEN_GAP:
+            raise GenericityError(f"sector {l}: eigenvalues of R_l have "
+                                  f"relative gap {gap:.3g} < {EIGEN_GAP}")
+        res.append(r)
+        gaps.append(gap)
+    res = np.array(res)                 # (sector, [S_1, S_2, invariance])
+    return worst(res.ravel()), {
+        "worst_sector": int(np.argmax(res.max(axis=1))),
+        "min_rel_gap": float(min(gaps)), "min_gap_sector": int(np.argmin(gaps)),
+        "s1_commutator": worst(res[:, 0]), "s2_commutator": worst(res[:, 1])}
 
 
 VERIFY_SUITES = [
@@ -301,10 +313,17 @@ VERIFY_SUITES = [
 ]
 
 
+def _suite_result(out) -> tuple:
+    """(residual, evidence) of a suite that returns a residual or that pair."""
+    res, evidence = out if isinstance(out, tuple) else (out, None)
+    return float(res), evidence
+
+
 def cmd_verify(config: RunConfig) -> int:
     """Run every suite at every N; a suite that raises fails on its own record.
 
-    An N whose arrays would pass DENSE_BYTES_MAX is refused first.
+    An N whose arrays would pass DENSE_BYTES_MAX is refused first.  A suite
+    that returns (residual, evidence) gets its evidence in the record.
     """
     _refuse_oversized("verify", config.n_list)
     t0 = time.time()
@@ -313,10 +332,13 @@ def cmd_verify(config: RunConfig) -> int:
         ctx = make_context(N, config.P)
         for name, fn in VERIFY_SUITES:
             record = {"suite": name, "N": N, "tolerance": config.tol(name)}
-            res = _attempt(lambda r: float(fn(ctx, r)), config, record,
-                           f"{name} N={N}")
+            res, evidence = _attempt(
+                lambda r: _suite_result(fn(ctx, r)), config, record,
+                f"{name} N={N}") or (None, None)
             ok = res is not None and res < record["tolerance"]
             record.update({"max_residual": res, "pass": bool(ok)})
+            if evidence is not None:
+                record["evidence"] = evidence
             report["suites"].append(record)
             report["pass"] = bool(report["pass"] and ok)
             if not ok and res is not None:
@@ -391,29 +413,42 @@ def cmd_solve(config: RunConfig, L: int, m_arg) -> int:
 
 # ------------------------------------------------------------- butterfly
 
+def _spectrum(H: np.ndarray, hermitian: bool) -> np.ndarray:
+    if hermitian:
+        return np.linalg.eigvalsh(H)    # ascending, real
+    evals = np.linalg.eigvals(H)
+    return evals[np.lexsort((evals.imag, evals.real))]
+
+
 def cmd_butterfly(config: RunConfig, mu, nu, rho, alpha, beta, gamma) -> int:
+    """Write every N's spectra, one row per (P, level), as one formatted
+    block per N.  An N whose Hamiltonian would pass DENSE_BYTES_MAX is
+    refused first."""
     # H is Hermitian for real mu, nu, rho and unit alpha, beta, gamma; 4 eps
     # admits exp(2 pi i r), which rounds one ulp off the unit circle
     hermitian = (all(complex(v).imag == 0 for v in (mu, nu, rho)) and all(
         abs(abs(v) - 1) <= 4 * np.finfo(float).eps for v in (alpha, beta, gamma)))
     meta = _meta(config, "butterfly")
-    rows = []
+    _refuse_oversized("butterfly", config.n_list)
+    blocks = ["N,P,index,energy_re,energy_im\r\n"]
     for N in sorted(config.n_list):
-        for P in [p for p in range(1, N) if math.gcd(p, N) == 1]:
-            ctx = make_context(N, P)
-            H = hofstadter_hamiltonian(ctx, mu, nu, rho, alpha, beta, gamma)
-            if hermitian:
-                evals = np.linalg.eigvalsh(H.mat)   # ascending, real
-            else:
-                evals = np.linalg.eigvals(H.mat)
-                evals = evals[np.lexsort((evals.imag, evals.real))]
-            rows.extend((N, P, i, f"{e.real:.15g}", f"{e.imag:.15g}")
-                        for i, e in enumerate(evals))
+        fluxes = [p for p in range(1, N) if math.gcd(p, N) == 1]
+        evals = np.array([_spectrum(hofstadter_hamiltonian(
+            make_context(N, P), mu, nu, rho, alpha, beta, gamma).mat,
+            hermitian) for P in fluxes])                # (flux, level)
+        # columns N, P, index, re, im as Python ints and floats: the small
+        # ints are shared objects, so only the energies take new memory
+        table = np.empty((evals.size, 5), dtype=object)
+        table[:, 0] = N
+        table[:, 1] = np.repeat(fluxes, N)
+        table[:, 2] = np.tile(np.arange(N), len(fluxes))
+        table[:, 3] = evals.real.ravel()
+        table[:, 4] = evals.imag.ravel()
+        blocks.append("%d,%d,%d,%.15g,%.15g\r\n" * len(table)
+                      % tuple(table.ravel()))
     out = config.out or "butterfly.csv"
     with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "P", "index", "energy_re", "energy_im"])
-        writer.writerows(rows)
+        fh.writelines(blocks)
     # the sidecar echoes no seed, P or tolerance: butterfly reads none
     _write_json(out + ".meta.json", {
         "meta": {k: meta[k] for k in ("tool_version", "N_list")},

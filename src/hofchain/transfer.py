@@ -15,8 +15,13 @@ from functools import reduce
 import numpy as np
 
 from .weylcore import (Context, Operator, PoleError, global_shift_D,
-                       identity_op, kron, sector_basis, sector_orbits,
-                       sector_project, weyl_matrices)
+                       identity_op, kron, sector_basis, sector_monomial,
+                       sector_orbits, sector_project, weyl_matrices)
+
+# (a, b) of the magnetic translations S_1 = X (x) Z (x) I and S_2 = I (x) X (x) Z:
+# each commutes with every path monomial of the L = 3 transfer matrix, and
+# S_1 S_2 = omega S_2 S_1
+MAGNETIC_TRANSLATIONS = (((1, 0, 0), (0, 1, 0)), ((0, 1, 0), (0, 0, 1)))
 
 
 @dataclass(frozen=True)
@@ -254,6 +259,47 @@ def sector_pencil(chain: ChainParams, ctx: Context, l: int) -> np.ndarray:
         blocks[degree // 2, orbit[reps], orbit[source]] += (
             np.sqrt(N) * weight * ctx.omega_pow(clock) * amp[source])
     return blocks
+
+
+def commutant_reduction(block: np.ndarray, ctx: Context, l: int) -> tuple:
+    """(R, residuals): an L = 3 sector-l block B as I_N (x) R, R of size N x N.
+
+    If B commutes with S_1 and S_2, which satisfy S_1 S_2 = omega S_2 S_1,
+    then by Schur's lemma B = I_N (x) R on the sector, so each eigenvalue of
+    R is one of B with multiplicity N.  S_1 permutes the N^2 orbits in N
+    cycles of length N, and S_1^N = I makes every cycle's phase product 1;
+    so its eigenvalue-1 space V has one vector per cycle, with disjoint
+    supports, and R = V^H B V is formed by gathers.  residuals are
+    max|S B - B S| / max|B| for S_1 and S_2, then max|B V - V R| / max|B|.
+    """
+    N = ctx.N
+    scale = np.max(np.abs(block))
+    tables = [sector_monomial(ctx, l, a, b) for a, b in MAGNETIC_TRANSLATIONS]
+    res = []
+    for perm, phase in tables:
+        phi = ctx.omega_pow(phase)
+        res.append(np.max(np.abs(phi[:, None] * block
+                                 - block[np.ix_(perm, perm)] * phi)) / scale)
+    perm, phase = tables[0]
+    walk = [np.arange(N * N)]                  # the S_1 orbit of each c
+    for _ in range(N):
+        walk.append(perm[walk[-1]])
+    walk = np.array(walk)
+    if (walk[1:N] == walk[0]).any() or (walk[N] != walk[0]).any():
+        raise ValueError("S_1 has a cycle of length other than N")
+    turn = np.cumsum(phase[walk[:N]], axis=0)
+    if (turn[-1] % N).any():
+        raise ValueError("S_1 has a cycle whose phase product is not 1")
+    start = walk[:N].min(axis=0) == walk[0]    # one orbit per cycle
+    cycles = walk[:N, start].T                 # (cycle, step)
+    # V[c_k, j] = N^{-1/2} omega^(phases of the steps before k) on cycle j
+    V = ctx.omega_pow((turn - phase[walk[:N]])[:, start].T) / np.sqrt(N)
+    BV = np.einsum("rjk,jk->rj", block[:, cycles], V)
+    R = np.einsum("ik,ikj->ij", V.conj(), BV[cycles])
+    VR = np.zeros_like(BV)
+    VR[cycles] = V[:, :, None] * R[:, None, :]
+    res.append(np.max(np.abs(BV - VR)) / scale)
+    return R, res
 
 
 def transfer_pencil(chain: ChainParams, ctx: Context) -> TransferPencil:

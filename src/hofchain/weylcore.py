@@ -189,6 +189,12 @@ def sector_orbits(ctx: Context, L: int, l: int) -> tuple:
     0 .. N^(L-1)-1) lies on orbit[s] = sum_{i>=1} rep_i N^(i-1), with the
     exact amplitude amp[s] = N^{-1/2} omega^e (no numerical eigensolve).
     """
+    orbit, e = _orbit_exponents(ctx, L, l)
+    return orbit, ctx.omega_pow(e) / math.sqrt(ctx.N)
+
+
+def _orbit_exponents(ctx: Context, L: int, l: int) -> tuple:
+    """(orbit, e): the table of `sector_orbits` with amp = N^{-1/2} omega^e."""
     N, M = ctx.N, ctx.M
     digits = np.indices((N,) * L).reshape(L, -1)       # digit 0 leading
     t = digits[0]
@@ -196,7 +202,32 @@ def sector_orbits(ctx: Context, L: int, l: int) -> tuple:
     # D|rep + t*1> = q^{-L} omega^{R + L(t+1)} |rep + (t+1)*1> (R = |rep|), so
     # |rep + t*1> has amplitude N^{-1/2} prod_{s<t} q^{-l-L} omega^{R + L(s+1)}
     e = t * ((M + 1) * (-l - L) + rep.sum(axis=0)) + L * t * (t + 1) // 2
-    return N ** np.arange(L - 1) @ rep, ctx.omega_pow(e) / math.sqrt(N)
+    return N ** np.arange(L - 1) @ rep, e
+
+
+def sector_monomial(ctx: Context, l: int, a, b) -> tuple:
+    """(perm, phase): the Weyl monomial S = (x)_j X^(a_j) Z^(b_j) on the
+    orbit basis of sector l, S B_c = omega^phase[c] B_perm[c].
+
+    S|d> = omega^(b.d) |d + a> on a basis state, so B_c goes to the orbit of
+    its representative plus a, with the exponents of `_orbit_exponents`:
+    exact integers mod N, no operator built.  S must commute with D, which
+    holds iff sum_j (a_j - b_j) = 0 mod N; otherwise ValueError.
+    """
+    N, L = ctx.N, len(a)
+    a, b = np.asarray(a), np.asarray(b)
+    if (a - b).sum() % N:
+        raise ValueError(f"X^{a.tolist()} Z^{b.tolist()} does not commute "
+                         "with D")
+    orbit, e = _orbit_exponents(ctx, L, l)
+    reps = np.arange(N ** (L - 1))                      # first digit 0
+    digits = np.array(np.unravel_index(reps, (N,) * L))
+    image = np.ravel_multi_index(tuple(digits + a[:, None]), (N,) * L,
+                                 mode="wrap")
+    perm, phase = np.empty((2, len(reps)), dtype=int)
+    perm[orbit[reps]] = orbit[image]
+    phase[orbit[reps]] = (e[reps] + b @ digits - e[image]) % N
+    return perm, phase
 
 
 def sector_basis(ctx: Context, L: int, l: int) -> np.ndarray:

@@ -937,3 +937,152 @@ class TestMemoryError:
                                 "message": "Unable to allocate 27.1 GiB"}
         assert "attempts" not in bad
         assert good["N"] == 3 and "error" not in good and good["attempts"] == 1
+
+
+class TestDegeneracy:
+    """The suite reduces each sector block to N x N through the commutant."""
+
+    def test_evidence_on_the_record(self, tmp_path):
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--N", "5", "--out", str(out)]) == 0
+        records = {s["suite"]: s for s in read_json(out)["suites"]}
+        rec = records.pop("degeneracy")
+        assert all("evidence" not in r for r in records.values())
+        ev = rec["evidence"]
+        assert set(ev) == {"worst_sector", "min_rel_gap", "min_gap_sector",
+                           "s1_commutator", "s2_commutator"}
+        assert ev["worst_sector"] in range(5)
+        assert ev["min_gap_sector"] in range(5)
+        assert ev["min_rel_gap"] >= cli.EIGEN_GAP
+        assert max(ev["s1_commutator"], ev["s2_commutator"]) \
+            <= rec["max_residual"] < 1e-13
+
+    def test_one_n_by_n_eigensolve_per_sector(self, monkeypatch):
+        # no N^2 x N^2 eigensolve and no brute-force oracle on the run path
+        from hofchain import bethe
+        shapes, real = [], np.linalg.eigvals
+
+        def eigvals(a):
+            shapes.append(a.shape)
+            return real(a)
+
+        def refuse(*args):
+            raise AssertionError("oracle called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        monkeypatch.setattr(bethe, "oracle_spectrum", refuse)
+        monkeypatch.setattr(bethe, "cluster_eigenvalues", refuse)
+        res, _ = cli._suite_degeneracy(make_context(7),
+                                       np.random.default_rng(20240001))
+        assert res < 1e-13
+        assert shapes == [(7, 7)] * 7
+
+    @staticmethod
+    def patch_blocks(monkeypatch, change):
+        real, calls = cli.sector_pencil, []
+
+        def pencil(chain, ctx, l):
+            calls.append(l)
+            return change(real(chain, ctx, l), l, len(calls))
+
+        monkeypatch.setattr(cli, "sector_pencil", pencil)
+        monkeypatch.setattr(cli, "VERIFY_SUITES", [
+            s for s in cli.VERIFY_SUITES if s[0] == "degeneracy"])
+        return calls
+
+    def test_non_commuting_block_fails(self, tmp_path, monkeypatch, capsys):
+        # a small term that commutes with neither S_1 nor S_2
+        def perturb(blocks, l, call):
+            blocks[1, 0, 1] += 1e-6 * np.max(np.abs(blocks[1]))
+            return blocks
+
+        self.patch_blocks(monkeypatch, perturb)
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--N", "5", "--out", str(out)]) == 1
+        assert re.search(r"^FAIL invariant degeneracy at N=5: residual \S+ "
+                         r">= 1e-08$", capsys.readouterr().err, re.M)
+        (rec,) = read_json(out)["suites"]
+        assert rec["pass"] is False and rec["attempts"] == 1
+        assert 1e-8 < rec["evidence"]["s1_commutator"] <= rec["max_residual"]
+
+    def test_near_degenerate_r_is_a_redraw(self, tmp_path, monkeypatch):
+        # a scalar block commutes with everything, and its R_l has one
+        # N-fold eigenvalue: the first draw is refused, the second passes
+        def scalar_first(blocks, l, call):
+            if call == 1:
+                blocks[1] = 2.0 * np.eye(len(blocks[1]))
+            return blocks
+
+        self.patch_blocks(monkeypatch, scalar_first)
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--N", "5", "--out", str(out)]) == 0
+        (rec,) = read_json(out)["suites"]
+        assert rec["attempts"] == 2 and rec["pass"] is True
+
+    def test_gap_error_names_the_sector(self, tmp_path, monkeypatch):
+        def scalar_sector_3(blocks, l, call):
+            if l == 3:
+                blocks[1] = np.eye(len(blocks[1]))
+            return blocks
+
+        calls = self.patch_blocks(monkeypatch, scalar_sector_3)
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--N", "5", "--out", str(out)]) == 1
+        (rec,) = read_json(out)["suites"]
+        assert rec["error"] == {
+            "class": "GenericityError",
+            "message": "sector 3: eigenvalues of R_l have relative gap 0 "
+                       "< 1e-06"}
+        assert calls == [0, 1, 2, 3] * 5
+
+
+class TestButterflySize:
+    def test_oversized_n_refused_before_any_hamiltonian(self, tmp_path,
+                                                        monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("Hamiltonian built")
+
+        monkeypatch.setattr(cli, "hofstadter_hamiltonian", refuse)
+        out = tmp_path / "b.csv"
+        assert main(["butterfly", "--N", "5", "--N", "4097",
+                     "--out", str(out)]) == 2
+        assert "butterfly at N=4097 needs dense 4097 x 4097" \
+            in capsys.readouterr().err
+        assert not out.exists()
+        assert not Path(str(out) + ".meta.json").exists()
+
+    def test_largest_n_passes_the_size_check(self):
+        # the check alone: running N = 4095 would allocate the 268 MB H
+        cli._refuse_oversized("butterfly", [4095])
+        with pytest.raises(ValueError, match="N=4097"):
+            cli._refuse_oversized("butterfly", [4095, 4097])
+
+    @pytest.mark.parametrize("params,hermitian", [
+        ((1.3, 0.8, 0.5, np.exp(0.4j), np.exp(0.7j), np.exp(-2.1j)), True),
+        ((1.0, 1.0, 0.0, 2.0, 1.0, 1.0), False),
+        ((0.7, 1.1, 0.3, 1.0, 1.5j, 1.0), False)])
+    def test_csv_matches_row_by_row_writer(self, tmp_path, params, hermitian):
+        # the one-pass block per N writes what csv.writer wrote row by row
+        out = tmp_path / "b.csv"
+        n_list = [3, 7, 9]
+        assert cli.cmd_butterfly(cli.RunConfig(n_list, out=str(out)),
+                                 *params) == 0
+        with open(tmp_path / "want.csv", "w", newline="",
+                  encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["N", "P", "index", "energy_re", "energy_im"])
+            for N in n_list:
+                for P in [p for p in range(1, N) if np.gcd(p, N) == 1]:
+                    H = transfer.hofstadter_hamiltonian(make_context(N, P),
+                                                        *params).mat
+                    if hermitian:
+                        evals = np.linalg.eigvalsh(H)
+                    else:
+                        evals = np.linalg.eigvals(H)
+                        evals = evals[np.lexsort((evals.imag, evals.real))]
+                    writer.writerows((N, P, i, f"{e.real:.15g}",
+                                      f"{e.imag:.15g}")
+                                     for i, e in enumerate(evals))
+        assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert read_json(str(out) + ".meta.json")["params"]["hermitian"] \
+            is hermitian
