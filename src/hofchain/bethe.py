@@ -133,7 +133,7 @@ def _solve_null_Q(lams, m: int, chain: DegenerateChain, deg: int,
     G = _coefficient_matrix(_lambda_poly(0.0, m, ctx), m, chain, deg, ctx, shifts)
     G = np.repeat(G[None], len(lams), axis=0)
     G[:, k + 2, k] += np.asarray(lams)[:, None]
-    _, s, vt = np.linalg.svd(G)
+    _, s, vt = np.linalg.svd(G, full_matrices=False)
     v = vt[:, -1].conj()
     q0 = np.abs(v[:, 0]) < 1e-10
     v = v / np.where(q0, 1.0, v[:, 0])[:, None]

@@ -50,14 +50,14 @@ DEFAULT_TOLERANCES = {
 # a command refuses, before its first N runs, an N whose largest complex array
 # would pass this: verify's one dense N^3 x N^3 transfer matrix (the commutator
 # suite holds one at a time), curves' fiber-average outer product, solve
-# --L 3's N coefficient systems of sector 0 beside their SVD's U, and
-# butterfly's N x N Hamiltonian
+# --L 3's N (3M+4) x (3M+1) coefficient systems of sector 0 beside their
+# SVD's U of the same shape, and butterfly's N x N Hamiltonian
 DENSE_BYTES_MAX = 2**28
 LARGEST_ARRAY = {"verify": lambda N: (N**3, N**3),                 # N <= 15
                  "curves": lambda N: (2 * N * N, N, N, N),         # N <= 23
-                 "solve": lambda N: (N, (3 * N + 5) // 2, 3 * N + 2),   # 153
+                 "solve": lambda N: (N, (3 * N + 5) // 2, 3 * N - 1),   # 153
                  "butterfly": lambda N: (N, N)}                    # N <= 4095
-EIGVEC_GATE = 1e-10     # largest ||Bv - lam v|| / max|B| of a dominant pair
+EIGVEC_GATE = 1e-10     # largest ||Bv - mu v|| / max|B| of a divisibility pair
 
 
 @dataclass
@@ -206,44 +206,33 @@ def _suite_theorem1(ctx, rng):
                            theorem1_ii_residual(chain, xs, ls, ctx)))
 
 
-def dominant_eigenvector(B: np.ndarray) -> tuple:
-    """(lam, v), |v| = 1: the eigenpair of the square B of largest |lam|.
-
-    Arnoldi from a fixed start stops at the first step whose largest-|mu| Ritz
-    pair has residual |h_{k+1,k} y_k| within the gate: at most d steps if B has
-    d distinct eigenvalues, of any multiplicities.  One inverse-iteration solve
-    at mu polishes the Ritz vector; GenericityError if it fails the gate."""
-    n, gate = len(B), EIGVEC_GATE * np.max(np.abs(B))
-    Q, H = np.zeros((2, n + 1, n), dtype=complex)   # Q: orthonormal rows
-    Q[0] = np.exp(1j * np.arange(n) ** 2) / math.sqrt(n)    # fixed, aperiodic
-    for k in range(n):
-        w = B @ Q[k]
-        for _ in range(2):      # one Gram-Schmidt pass loses orthogonality
-            h = Q[:k + 1].conj() @ w
-            w -= h @ Q[:k + 1]
-            H[:k + 1, k] += h
-        H[k + 1, k] = np.linalg.norm(w)
-        ritz = np.linalg.eigvals(H[:k + 1, :k + 1])
-        mu = ritz[np.argmax(np.abs(ritz))]
-        y = np.linalg.svd(H[:k + 1, :k + 1] - mu * np.eye(k + 1))[2][-1].conj()
-        if abs(H[k + 1, k] * y[-1]) <= gate:
-            break
-        Q[k + 1] = w / H[k + 1, k]
+def sector_left_eigenvector(block: np.ndarray, ctx, l: int) -> tuple:
+    """(mu, v, residual, gap): block^T v = mu v, |v| = 1, for the largest-|mu|
+    eigenvalue of R_l (`commutant_reduction`), v from one solve at mu from a
+    fixed aperiodic start, not lifted from R_l's eigenvectors (in sector 0,
+    M of those pair to zero with |x>^+_0).  residual is ||block^T v - mu v|| /
+    max|block|, gated by EIGVEC_GATE, and gap min |mu - lam| / |mu| over R_l's
+    other eigenvalues; GenericityError at the gate or a singular solve."""
+    lam = np.linalg.eigvals(commutant_reduction(block, ctx, l)[0])
+    k = np.argmax(np.abs(lam))
+    shifted = block.T - lam[k] * np.eye(len(block))
     try:
-        v = np.linalg.solve(B - mu * np.eye(n), y @ Q[:k + 1])
-    except np.linalg.LinAlgError:   # mu is an eigenvalue to the last bit
-        v = y @ Q[:k + 1]
+        v = np.linalg.solve(shifted, np.exp(1j * np.arange(len(block)) ** 2))
+    except np.linalg.LinAlgError:
+        raise GenericityError("block^T - mu is exactly singular") from None
     v /= np.linalg.norm(v)
-    lam = np.vdot(v, B @ v)
-    res = np.linalg.norm(B @ v - lam * v)
-    if not res <= gate:
-        raise GenericityError(f"dominant eigenvector did not converge: "
-                              f"residual {res:.3g} > gate {gate:.3g}")
-    return lam, v
+    res = np.linalg.norm(shifted @ v) / np.max(np.abs(block))
+    if not res <= EIGVEC_GATE:
+        raise GenericityError(f"left eigenvector residual {res:.3g} > gate "
+                              f"{EIGVEC_GATE}")
+    return lam[k], v, res, np.min(np.abs(np.delete(lam, k) / lam[k] - 1))
 
 
 def _suite_divisibility(ctx, rng):
-    """Plus-vector pairings vanish to order m at 0 and on x^N = c_j^{-N}."""
+    """Plus-vector pairings vanish to order m at 0 and on x^N = c_j^{-N}.
+
+    Returns (residual, evidence): the worst (l_sec, label) pair, the largest
+    eigenvector residual and the smallest relative gap of R_l at mu."""
     chain = DegenerateChain(tuple(unit_draws(rng, 3)))
     cp = chain.site_params(ctx)
     bad = np.array([ctx.omega_pow(k) / cj for cj in chain.c
@@ -251,17 +240,19 @@ def _suite_divisibility(ctx, rng):
     # sector 2m with label m and sector -2m with label -m; m = 0 gives one pair
     pairs = {((s * 2 * m) % ctx.N, (s * m) % ctx.N): m
              for m in range(ctx.M + 1) for s in (1, -1)}
-    phis = []
+    phis, stats = [], []
     for l_sec, label in pairs:
         # T_0 is a scalar on the sector, so an eigenvector of the T_2 block is
         # one of the family; a left one is the scatter of one of block.T
         orbit, amp = sector_orbits(ctx, cp.L, l_sec)
         try:
-            v = dominant_eigenvector(sector_pencil(cp, ctx, l_sec)[1].T)[1]
+            _, v, *stat = sector_left_eigenvector(
+                sector_pencil(cp, ctx, l_sec)[1], ctx, l_sec)
         except GenericityError as exc:
             raise GenericityError(
                 f"(l_sec, label) = ({l_sec}, {label}): {exc}") from exc
         phis.append(v[orbit] * amp.conj())
+        stats.append(stat)
     coeffs = plus_pairing_coeffs(np.array(phis), [lab for _, lab in pairs],
                                  chain, ctx, rng)
     res = []
@@ -270,10 +261,13 @@ def _suite_divisibility(ctx, rng):
         if scale < 1e-8:
             raise GenericityError(f"(l_sec, label) = ({l_sec}, {label}): "
                                   "pairing degenerated to zero")
-        if m > 0:
-            res.append(float(np.max(np.abs(c[:m]))) / scale)
-        res.append(float(np.max(np.abs(np.polyval(c[::-1], bad)))) / scale)
-    return worst(res)
+        res.append(worst([np.max(np.abs(c[:m]), initial=0.0) / scale,
+                          np.max(np.abs(np.polyval(c[::-1], bad))) / scale]))
+    keys, (ratios, gaps) = list(pairs), np.array(stats).T
+    return worst(res), {
+        "worst_pair": list(keys[np.argmax(res)]),
+        "eigvec_residual": worst(ratios), "min_rel_gap": float(min(gaps)),
+        "min_gap_pair": list(keys[np.argmin(gaps)])}
 
 
 def _suite_degeneracy(ctx, rng):

@@ -385,8 +385,8 @@ class TestStackedSolve:
         # pass as a solution of lower degree
         svd = np.linalg.svd
 
-        def zero_top(a):
-            u, s, vt = svd(a)
+        def zero_top(a, **kwargs):
+            u, s, vt = svd(a, **kwargs)
             vt[..., -1, -1] = 0.0
             return u, s, vt
 

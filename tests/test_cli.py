@@ -149,60 +149,43 @@ class TestDivisibility:
         for l in range(N):
             T0, T2 = transfer.sector_pencil(cp, ctx, l)
             B = T2.T
-            lam, v = cli.dominant_eigenvector(B)
+            mu, v, res, gap = cli.sector_left_eigenvector(T2, ctx, l)
             evals = np.linalg.eig(B)[0]
             want = evals[np.argmax(np.abs(evals))]
-            assert abs(lam - want) <= 1e-12 * abs(want)
+            assert abs(mu - want) <= 1e-12 * abs(want)
             assert abs(np.linalg.norm(v) - 1) < 1e-14
-            assert np.linalg.norm(B @ v - lam * v) <= \
+            assert np.linalg.norm(B @ v - mu * v) <= \
                 cli.EIGVEC_GATE * np.max(np.abs(B))
+            assert res <= cli.EIGVEC_GATE
+            # each of the other N^2 - N eigenvalues is one of R_l's, N-fold
+            others = np.sort(np.abs(evals - mu))[N:]
+            assert abs(gap - others[0] / abs(mu)) <= 1e-9 * gap
             # so v is an eigenvector of the whole family: T_0 is a scalar
             assert np.max(np.abs(T0 - T0[0, 0] * np.eye(len(T0)))) < 1e-13
 
-    def test_stops_within_n_steps(self, rng):
-        # at N = 13 the Arnoldi space of an N-fold spectrum does not break
-        # down to the gate in floating point; the Ritz pair's residual stops
-        # it at N steps or fewer (two more products form lam and the gate)
-        class Counted(np.ndarray):
-            def __matmul__(self, other):
-                calls.append(1)
-                return np.asarray(self) @ other
-
-        ctx = make_context(13)
-        cp = DegenerateChain(tuple(weylcore.unit_draws(rng, 3))).site_params(ctx)
-        for l in range(13):
-            calls = []
-            cli.dominant_eigenvector(
-                transfer.sector_pencil(cp, ctx, l)[1].T.view(Counted))
-            assert len(calls) <= 13 + 2, l
-
-    def test_shift_at_an_exact_eigenvalue(self, monkeypatch):
-        # a Ritz value can be an eigenvalue to the last bit; rounding makes it
-        # so here, and the solve that would polish the Ritz vector then meets
-        # a singular matrix
-        eigvals = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals",
-                            lambda H: np.round(eigvals(H), 12))
-        B = np.diag(np.repeat([3.0 + 0j, 1.0], 5))
-        lam, v = cli.dominant_eigenvector(B)
-        assert abs(lam - 3.0) < 1e-15 and np.max(np.abs(v[5:])) < 1e-15
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(B - 3.0 * np.eye(10), v)
-
     @pytest.mark.parametrize("N", [5, 7, 9])
     def test_default_seed_residual(self, N, rng):
-        assert cli._suite_divisibility(make_context(N), rng) <= 1e-12
+        assert cli._suite_divisibility(make_context(N), rng)[0] <= 1e-12
+
+    @pytest.mark.parametrize("N", [5, 7])
+    def test_first_draw_passes(self, N):
+        # the fixed start, not a lift of R_l's eigenvectors: in sector 0 the
+        # lifted dominant vector can pair to zero with |x>^+_0 and redraw
+        ctx = make_context(N)
+        for seed in range(20):
+            res, _ = cli._suite_divisibility(ctx, np.random.default_rng(seed))
+            assert res < cli.DEFAULT_TOLERANCES["divisibility"], seed
 
     @pytest.mark.parametrize("target,fake,message", [
-        ("dominant_eigenvector", None,
-         "(l_sec, label) = (0, 0): dominant eigenvector did not converge"),
+        ("sector_left_eigenvector", None,
+         "(l_sec, label) = (0, 0): left eigenvector residual"),
         ("plus_pairing_coeffs", lambda phi, *args: np.zeros((len(phi), 7)),
          "(l_sec, label) = (0, 0): pairing degenerated to zero"),
     ])
     def test_gate_errors_name_the_sector(self, tmp_path, monkeypatch, target,
                                          fake, message):
-        def no_convergence(B):
-            raise GenericityError("dominant eigenvector did not converge")
+        def no_convergence(block, ctx, l):
+            raise GenericityError("left eigenvector residual 1 > gate 1e-10")
 
         monkeypatch.setattr(cli, target, fake or no_convergence)
         monkeypatch.setattr(cli, "VERIFY_SUITES", [
@@ -213,16 +196,51 @@ class TestDivisibility:
         assert record["error"]["class"] == "GenericityError"
         assert record["error"]["message"].startswith(message)
 
+    def test_shift_at_an_exact_eigenvalue(self, tmp_path, monkeypatch):
+        # a scalar block has mu exactly, so block^T - mu is zero and the
+        # solve is singular: the first draw is refused, the second passes
+        real, calls = cli.sector_pencil, []
+
+        def scalar_first(chain, ctx, l):
+            calls.append(l)
+            blocks = real(chain, ctx, l)
+            if len(calls) == 1:
+                blocks[1] = 2.0 * np.eye(len(blocks[1]))
+            return blocks
+
+        monkeypatch.setattr(cli, "sector_pencil", scalar_first)
+        with pytest.raises(GenericityError, match=r"^\(l_sec, label\) = "
+                           r"\(0, 0\): block\^T - mu is exactly singular"):
+            cli._suite_divisibility(make_context(5),
+                                    np.random.default_rng(1))
+        calls.clear()
+        monkeypatch.setattr(cli, "VERIFY_SUITES", [
+            s for s in cli.VERIFY_SUITES if s[0] == "divisibility"])
+        out = tmp_path / "v.json"
+        assert main(["verify", "--N", "5", "--out", str(out)]) == 0
+        (record,) = read_json(out)["suites"]
+        assert record["attempts"] == 2 and record["pass"] is True
+
     def test_run_path_calls_no_eig(self, tmp_path, monkeypatch):
-        # a full eigensolve of each sector block is the tests' oracle
+        # a full eigensolve of each sector block is the tests' oracle; the
+        # run path's eigenvalues come from the N x N matrices R_l alone
+        shapes, eigvals = [], np.linalg.eigvals
+
         def refuse(*args):
             raise AssertionError("np.linalg.eig called")
 
+        def recorded(a):
+            shapes.append(a.shape)
+            return eigvals(a)
+
         monkeypatch.setattr(np.linalg, "eig", refuse)
+        monkeypatch.setattr(np.linalg, "eigvals", recorded)
         monkeypatch.setattr(cli, "VERIFY_SUITES", [
             s for s in cli.VERIFY_SUITES if s[0] == "divisibility"])
         assert main(["verify", "--N", "5", "--out",
                      str(tmp_path / "v.json")]) == 0
+        # one per (l_sec, label) pair: 2M + 1 of them
+        assert shapes == [(5, 5)] * 5
 
 
 class TestSolve:
@@ -673,7 +691,7 @@ class TestInputCheckedFirst:
 
     @pytest.mark.parametrize("argv,largest,refused", [
         (["curves"], 23, "N=25 needs dense 1250 x 25 x 25 x 25"),
-        (["solve", "--L", "3"], 153, "N=155 needs dense 155 x 235 x 467"),
+        (["solve", "--L", "3"], 153, "N=155 needs dense 155 x 235 x 464"),
     ])
     def test_oversized_curves_and_solve(self, tmp_path, monkeypatch, capsys,
                                         argv, largest, refused):
@@ -947,7 +965,15 @@ class TestDegeneracy:
         assert main(["verify", "--N", "5", "--out", str(out)]) == 0
         records = {s["suite"]: s for s in read_json(out)["suites"]}
         rec = records.pop("degeneracy")
+        div = records.pop("divisibility")["evidence"]
         assert all("evidence" not in r for r in records.values())
+        assert set(div) == {"worst_pair", "eigvec_residual", "min_rel_gap",
+                            "min_gap_pair"}
+        pairs = [[2 * m % 5, m] for m in range(3)] + \
+            [[-2 * m % 5, -m % 5] for m in range(1, 3)]
+        assert div["worst_pair"] in pairs and div["min_gap_pair"] in pairs
+        assert div["eigvec_residual"] <= cli.EIGVEC_GATE
+        assert 0 < div["min_rel_gap"] <= 2
         ev = rec["evidence"]
         assert set(ev) == {"worst_sector", "min_rel_gap", "min_gap_sector",
                            "s1_commutator", "s2_commutator"}
