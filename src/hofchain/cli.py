@@ -207,13 +207,15 @@ def _suite_theorem1(ctx, rng):
 
 
 def sector_left_eigenvector(block: np.ndarray, ctx, l: int) -> tuple:
-    """(mu, v, residual, gap): block^T v = mu v, |v| = 1, for the largest-|mu|
-    eigenvalue of R_l (`commutant_reduction`), v from one solve at mu from a
-    fixed aperiodic start, not lifted from R_l's eigenvectors (in sector 0,
-    M of those pair to zero with |x>^+_0).  residual is ||block^T v - mu v|| /
+    """(mu, v, residual, gap, commutant): block^T v = mu v, |v| = 1, for the
+    largest-|mu| eigenvalue of R_l (`commutant_reduction`, whose residuals are
+    commutant), v from one solve at mu from a fixed aperiodic start, not
+    lifted from R_l's eigenvectors (in sector 0, M of those pair to zero with
+    |x>^+_0).  residual is ||block^T v - mu v|| /
     max|block|, gated by EIGVEC_GATE, and gap min |mu - lam| / |mu| over R_l's
     other eigenvalues; GenericityError at the gate or a singular solve."""
-    lam = np.linalg.eigvals(commutant_reduction(block, ctx, l)[0])
+    R, commutant = commutant_reduction(block, ctx, l)
+    lam = np.linalg.eigvals(R)
     k = np.argmax(np.abs(lam))
     shifted = block.T - lam[k] * np.eye(len(block))
     try:
@@ -225,14 +227,16 @@ def sector_left_eigenvector(block: np.ndarray, ctx, l: int) -> tuple:
     if not res <= EIGVEC_GATE:
         raise GenericityError(f"left eigenvector residual {res:.3g} > gate "
                               f"{EIGVEC_GATE}")
-    return lam[k], v, res, np.min(np.abs(np.delete(lam, k) / lam[k] - 1))
+    return (lam[k], v, res, np.min(np.abs(np.delete(lam, k) / lam[k] - 1)),
+            commutant)
 
 
 def _suite_divisibility(ctx, rng):
     """Plus-vector pairings vanish to order m at 0 and on x^N = c_j^{-N}.
 
     Returns (residual, evidence): the worst (l_sec, label) pair, the largest
-    eigenvector residual and the smallest relative gap of R_l at mu."""
+    eigenvector residual, the smallest relative gap of R_l at mu and the
+    largest commutant residuals."""
     chain = DegenerateChain(tuple(unit_draws(rng, 3)))
     cp = chain.site_params(ctx)
     bad = np.array([ctx.omega_pow(k) / cj for cj in chain.c
@@ -246,13 +250,13 @@ def _suite_divisibility(ctx, rng):
         # one of the family; a left one is the scatter of one of block.T
         orbit, amp = sector_orbits(ctx, cp.L, l_sec)
         try:
-            _, v, *stat = sector_left_eigenvector(
+            _, v, *stat, commutant = sector_left_eigenvector(
                 sector_pencil(cp, ctx, l_sec)[1], ctx, l_sec)
         except GenericityError as exc:
             raise GenericityError(
                 f"(l_sec, label) = ({l_sec}, {label}): {exc}") from exc
         phis.append(v[orbit] * amp.conj())
-        stats.append(stat)
+        stats.append(stat + commutant)
     coeffs = plus_pairing_coeffs(np.array(phis), [lab for _, lab in pairs],
                                  chain, ctx, rng)
     res = []
@@ -263,11 +267,13 @@ def _suite_divisibility(ctx, rng):
                                   "pairing degenerated to zero")
         res.append(worst([np.max(np.abs(c[:m]), initial=0.0) / scale,
                           np.max(np.abs(np.polyval(c[::-1], bad))) / scale]))
-    keys, (ratios, gaps) = list(pairs), np.array(stats).T
+    keys, (ratios, gaps, s1, s2, inv) = list(pairs), np.array(stats).T
     return worst(res), {
         "worst_pair": list(keys[np.argmax(res)]),
         "eigvec_residual": worst(ratios), "min_rel_gap": float(min(gaps)),
-        "min_gap_pair": list(keys[np.argmin(gaps)])}
+        "min_gap_pair": list(keys[np.argmin(gaps)]),
+        "s1_commutator": worst(s1), "s2_commutator": worst(s2),
+        "invariance_residual": worst(inv)}
 
 
 def _suite_degeneracy(ctx, rng):

@@ -3,8 +3,8 @@
 The local L-operator for a projective site parameter h = [a:b:c:d] is the
 2x2 block matrix (aY, xbX; xcZ, d) acting on aux (2-dim) x quantum (N-dim).
 Chains multiply in the auxiliary space and tensor in the quantum space;
-the transfer matrix is the auxiliary trace and forms a commuting family
-in the spectral parameter x.
+the transfer matrix is the auxiliary trace, read everywhere as the sum
+over the Weyl paths of `path_table`, and forms a commuting family in x.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .weylcore import (Context, Operator, PoleError, global_shift_D,
                        identity_op, kron, sector_basis, sector_monomial,
-                       sector_orbits, sector_project, weyl_matrices)
+                       sector_project, weyl_matrices, weyl_monomial)
 
 # (a, b) of the magnetic translations S_1 = X (x) Z (x) I and S_2 = I (x) X (x) Z:
 # each commutes with every path monomial of the L = 3 transfer matrix, and
@@ -74,10 +74,6 @@ class BlockOperator2x2:
 
     def trace_aux(self) -> Operator:
         return self.blocks[0][0] + self.blocks[1][1]
-
-    def stacked(self) -> np.ndarray:
-        """The blocks as one (2, 2, dim, dim) array."""
-        return np.array([[b.mat for b in row] for row in self.blocks])
 
 
 def local_L(h: SiteParams, x: complex, ctx: Context) -> BlockOperator2x2:
@@ -159,23 +155,38 @@ def gauge_chain_L(chain: ChainParams, x: complex, xis, ctx: Context) -> BlockOpe
                    for j in range(L)))
 
 
-def transfer_T(chain: ChainParams, x: complex, ctx: Context) -> Operator:
-    """Transfer matrix: auxiliary trace of the ordered chain product.
+def path_table(L: int) -> tuple:
+    """(a, b, degree) of the 2^L closed paths (i_0, ..., i_{L-1}, i_0) of the
+    auxiliary trace, the same for every chain.  Site j contributes the block
+    (i_j, i_{j+1}) of (aY, xbX; xcZ, d), so a path is a weight times x^degree
+    (x)_j Z^(b_j) X^(a_j), a_j = [i_j = 0], b_j = [i_{j+1} = 0], with one
+    degree per off-diagonal step.  Distinct paths have distinct a."""
+    i = np.indices((2,) * L).reshape(L, -1).T              # (2^L, L)
+    a, b = 1 - i, 1 - np.roll(i, -1, axis=1)
+    return a, b, np.count_nonzero(a != b, axis=1)
 
-    Only the trace of the last aux product is formed: T = sum_{i,j}
-    head[i,j] (x) last[j,i], with head the chain of the first L-1 sites.
-    """
+
+def path_weights(chain: ChainParams) -> np.ndarray:
+    """The weight of each path of `path_table`: the product over the sites of
+    the (i_j, i_{j+1}) = (1 - a_j, 1 - b_j) entry of [[a, b], [c, d]]."""
+    a, b, _ = path_table(chain.L)
+    blocks = np.array([[[h.a, h.b], [h.c, h.d]] for h in chain.sites],
+                      dtype=complex)
+    return blocks[np.arange(chain.L), 1 - a, 1 - b].prod(axis=1)
+
+
+def transfer_T(chain: ChainParams, x: complex, ctx: Context) -> Operator:
+    """Transfer matrix T(x), dense: the paths of `path_table` scattered into
+    one N^L x N^L matrix.  Row t of the path w x^degree Z^b X^a has its one
+    entry at column t - a, w x^degree omega^(b.t): the image and phase of t
+    under X^-a Z^b.  Tests hold it to chain_L(chain, x, ctx).trace_aux()."""
     N, L = ctx.N, chain.L
-    last = local_L(chain.sites[-1], x, ctx).stacked()            # (j, i, c, e)
-    head = (chain_L(ChainParams(chain.sites[:-1]), x, ctx).stacked() if L > 1
-            else np.eye(2).reshape(2, 2, 1, 1))                  # (i, j, a, b)
-    # T[aN + c, bN + e] = sum_k head[a, b, k] last[c, k, e] over k = (i, j):
-    # one (b, k) @ (k, e) product for each (a, c)
-    n = N ** (L - 1)
-    rows = head.transpose(2, 3, 0, 1).reshape(n, n, 4)
-    cols = last.transpose(2, 1, 0, 3).reshape(N, 4, N)
-    return Operator(np.matmul(rows[:, None], cols[None]).reshape(n * N, n * N),
-                    N, L)
+    a, b, degree = path_table(L)
+    cols, clocks = weyl_monomial(N, -a, b)
+    T = np.zeros((N ** L, N ** L), dtype=complex)
+    T[np.arange(N ** L), cols] = ((x ** degree * path_weights(chain))[:, None]
+                                  * ctx.omega_pow(clocks))
+    return Operator(T, N, L)
 
 
 @dataclass(frozen=True)
@@ -194,40 +205,18 @@ class TransferPencil:
         return acc
 
 
-def _closed_paths(chain: ChainParams, ctx: Context, targets) -> tuple:
-    """(weights, degrees, sources, clocks) of the paths of T(x) = sum x^k T_k.
-
-    The auxiliary trace is a sum over the 2^L closed paths (i_0, ...,
-    i_{L-1}, i_0).  Site j contributes the block (i_j, i_{j+1}) of
-    (aY, bX; cZ, d): a shift k -> k+1 of its index when i_j = 0, the phase
-    omega^k when i_{j+1} = 0, and one power of x per off-diagonal step.  So
-    (T_k v)[targets] = sum_{degree k} weight omega^clock v[source], summed
-    over the paths of nonzero weight.
-    """
-    N, L = ctx.N, chain.L
-    paths = np.indices((2,) * L).reshape(L, -1).T          # (2^L, L)
-    nxt = np.roll(paths, -1, axis=1)
-    blocks = np.array([[[h.a, h.b], [h.c, h.d]] for h in chain.sites],
-                      dtype=complex)
-    weights = blocks[np.arange(L), paths, nxt].prod(axis=1)
-    degrees = np.count_nonzero(paths != nxt, axis=1)
-    place = N ** np.arange(L - 1, -1, -1)
-    digits = np.asarray(targets) // place[:, None] % N     # digit 0 leading
-    # (X v)[k] = v[k-1]; for Y = ZX the phase is taken at the target k
-    sources = place @ ((digits - (paths == 0)[:, :, None]) % N)
-    clocks = ((nxt == 0)[:, :, None] * digits).sum(axis=1)
-    keep = weights != 0
-    return weights[keep], degrees[keep], sources[keep], clocks[keep]
-
-
 def transfer_terms(chain: ChainParams, ctx: Context, rows) -> np.ndarray:
     """Apply every coefficient of T(x) = sum_k x^k T_k to rows, matrix-free:
-    rows (B, N^L) give (L+1, B, N^L), T_k in entry k, the odd ones zero."""
+    rows (B, N^L) give (L+1, B, N^L), T_k in entry k, the odd ones zero; each
+    path of nonzero weight gathers the columns that `transfer_T` lays out."""
     rows = np.asarray(rows, dtype=complex)
     out = np.zeros((chain.L + 1,) + rows.shape, dtype=complex)
-    for weight, degree, source, clock in zip(
-            *_closed_paths(chain, ctx, np.arange(ctx.N ** chain.L))):
-        out[degree] += weight * ctx.omega_pow(clock) * rows[:, source]
+    a, b, degree = path_table(chain.L)
+    weights = path_weights(chain)
+    sources, clocks = weyl_monomial(ctx.N, -a, b)
+    for p in np.flatnonzero(weights):
+        out[degree[p]] += (weights[p] * ctx.omega_pow(clocks[p])
+                           * rows[:, sources[p]])
     return out
 
 
@@ -242,22 +231,18 @@ def transfer_apply(chain: ChainParams, x, ctx: Context,
 
 
 def sector_pencil(chain: ChainParams, ctx: Context, l: int) -> np.ndarray:
-    """Sector-l blocks of the even pencil coefficients [T_0, T_2, ...].
-
-    Block k equals sector_project(T_{2k}, sector_basis(ctx, L, l)).  T_{2k}
-    commutes with D, so T_{2k} B_r stays in sector l, and its coefficient
-    on B_i is sqrt(N) times its entry at i's representative: only those
-    N^(L-1) rows are formed.  Shape (floor(L/2) + 1, N^(L-1), N^(L-1)).
-    """
-    N, L = ctx.N, chain.L
-    orbit, amp = sector_orbits(ctx, L, l)
-    reps = np.arange(N ** (L - 1))
-    blocks = np.zeros((L // 2 + 1, len(reps), len(reps)), dtype=complex)
-    for weight, degree, source, clock in zip(*_closed_paths(chain, ctx, reps)):
-        # B_r[source] is amp[source] for r = orbit[source]; a path permutes
-        # the states, so its (row, column) pairs are distinct
-        blocks[degree // 2, orbit[reps], orbit[source]] += (
-            np.sqrt(N) * weight * ctx.omega_pow(clock) * amp[source])
+    """Sector-l blocks of the even pencil coefficients [T_0, T_2, ...], shape
+    (floor(L/2) + 1, N^(L-1), N^(L-1)): block k is sector_project(T_{2k},
+    sector_basis(ctx, L, l)), each path of degree 2k adding its weight times
+    its monomial on the orbit basis, all from one `sector_monomial` call."""
+    a, b, degree = path_table(chain.L)
+    perm, phase = sector_monomial(ctx, l, a, b)
+    n = perm.shape[1]
+    blocks = np.zeros((chain.L // 2 + 1, n, n), dtype=complex)
+    # Z^b X^a = omega^(a.b) X^a Z^b; the two degree-0 paths share entries
+    np.add.at(blocks, (degree[:, None] // 2, perm, np.arange(n)),
+              path_weights(chain)[:, None]
+              * ctx.omega_pow(phase + (a * b).sum(axis=1, keepdims=True)))
     return blocks
 
 
@@ -274,13 +259,13 @@ def commutant_reduction(block: np.ndarray, ctx: Context, l: int) -> tuple:
     """
     N = ctx.N
     scale = np.max(np.abs(block))
-    tables = [sector_monomial(ctx, l, a, b) for a, b in MAGNETIC_TRANSLATIONS]
+    perms, phases = sector_monomial(ctx, l, *zip(*MAGNETIC_TRANSLATIONS))
     res = []
-    for perm, phase in tables:
+    for perm, phase in zip(perms, phases):
         phi = ctx.omega_pow(phase)
         res.append(np.max(np.abs(phi[:, None] * block
                                  - block[np.ix_(perm, perm)] * phi)) / scale)
-    perm, phase = tables[0]
+    perm, phase = perms[0], phases[0]
     walk = [np.arange(N * N)]                  # the S_1 orbit of each c
     for _ in range(N):
         walk.append(perm[walk[-1]])
@@ -314,15 +299,12 @@ def transfer_pencil(chain: ChainParams, ctx: Context) -> TransferPencil:
 
 def _shift_diagonals(mat: np.ndarray, N: int, L: int) -> tuple:
     """(cols, D) with mat = sum_s D_s S_s over the patterns s in {0,1}^L: row
-    r of S_s has its 1 at cols[s, r], r with site digit j lowered by s_j mod
-    N, and D[s, r] = mat[r, cols[s, r]].  mat is the caller's to give up: the
-    entries read are zeroed in place, and any nonzero left is off the
-    pattern, which ValueError names."""
-    rows = np.arange(N ** L)
-    lowered = zip(np.unravel_index(rows, (N,) * L),      # digit 0 leading
-                  np.indices((2,) * L).reshape(L, -1))
-    cols = np.ravel_multi_index(tuple(d - s[:, None] for d, s in lowered),
-                                (N,) * L, mode="wrap")
+    r of S_s has its 1 at cols[s, r], the image of r under X^-s, and D[s, r]
+    = mat[r, cols[s, r]].  mat is the caller's to give up: the entries read
+    are zeroed in place, and any nonzero left is off the pattern, which
+    ValueError names."""
+    rows, s = np.arange(N ** L), np.indices((2,) * L).reshape(L, -1).T
+    cols = weyl_monomial(N, -s, 0 * s)[0]
     D = mat[rows, cols]
     mat[rows, cols] = 0
     if mat.any():

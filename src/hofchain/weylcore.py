@@ -205,28 +205,35 @@ def _orbit_exponents(ctx: Context, L: int, l: int) -> tuple:
     return N ** np.arange(L - 1) @ rep, e
 
 
+def weyl_monomial(N: int, a, b) -> tuple:
+    """(image, phase) of the Weyl monomials (x)_j X^(a_j) Z^(b_j) on the N^L
+    basis states, digit 0 leading: X^a Z^b |d> = omega^(b.d) |d + a>, so state
+    s goes to image[..., s], the digits of s plus a mod N, with the exponent
+    phase[..., s] = b.d mod N.  a and b hold exponents in Z_N, one (L,) pair
+    or a stack (..., L); the tables have shape (..., N^L)."""
+    a, b = np.asarray(a), np.asarray(b)
+    L = a.shape[-1]
+    digits = np.indices((N,) * L).reshape(L, -1)
+    image = N ** np.arange(L - 1, -1, -1) @ ((digits + a[..., None]) % N)
+    return image, b @ digits % N
+
+
 def sector_monomial(ctx: Context, l: int, a, b) -> tuple:
     """(perm, phase): the Weyl monomial S = (x)_j X^(a_j) Z^(b_j) on the
-    orbit basis of sector l, S B_c = omega^phase[c] B_perm[c].
-
-    S|d> = omega^(b.d) |d + a> on a basis state, so B_c goes to the orbit of
-    its representative plus a, with the exponents of `_orbit_exponents`:
-    exact integers mod N, no operator built.  S must commute with D, which
-    holds iff sum_j (a_j - b_j) = 0 mod N; otherwise ValueError.
-    """
-    N, L = ctx.N, len(a)
-    a, b = np.asarray(a), np.asarray(b)
-    if (a - b).sum() % N:
+    orbit basis of sector l, S B_c = omega^phase[c] B_perm[c], as exact
+    integers mod N read off `weyl_monomial` and `_orbit_exponents`; a stack
+    (K, L) of exponents gives (K, N^(L-1)) tables.  S must commute with D,
+    which holds iff sum_j (a_j - b_j) = 0 mod N; otherwise ValueError."""
+    N, a, b = ctx.N, np.asarray(a), np.asarray(b)
+    if ((a - b).sum(axis=-1) % N).any():
         raise ValueError(f"X^{a.tolist()} Z^{b.tolist()} does not commute "
                          "with D")
-    orbit, e = _orbit_exponents(ctx, L, l)
-    reps = np.arange(N ** (L - 1))                      # first digit 0
-    digits = np.array(np.unravel_index(reps, (N,) * L))
-    image = np.ravel_multi_index(tuple(digits + a[:, None]), (N,) * L,
-                                 mode="wrap")
-    perm, phase = np.empty((2, len(reps)), dtype=int)
-    perm[orbit[reps]] = orbit[image]
-    phase[orbit[reps]] = (e[reps] + b @ digits - e[image]) % N
+    orbit, e = _orbit_exponents(ctx, a.shape[-1], l)
+    n = len(orbit) // N                                 # reps: first digit 0
+    image, shift = (t[..., :n] for t in weyl_monomial(N, a, b))
+    perm, phase = np.empty((2,) + image.shape, dtype=int)
+    perm[..., orbit[:n]] = orbit[image]
+    phase[..., orbit[:n]] = (e[:n] + shift - e[image]) % N
     return perm, phase
 
 

@@ -149,7 +149,9 @@ class TestDivisibility:
         for l in range(N):
             T0, T2 = transfer.sector_pencil(cp, ctx, l)
             B = T2.T
-            mu, v, res, gap = cli.sector_left_eigenvector(T2, ctx, l)
+            mu, v, res, gap, commutant = cli.sector_left_eigenvector(
+                T2, ctx, l)
+            assert len(commutant) == 3 and max(commutant) < 1e-13
             evals = np.linalg.eig(B)[0]
             want = evals[np.argmax(np.abs(evals))]
             assert abs(mu - want) <= 1e-12 * abs(want)
@@ -968,7 +970,10 @@ class TestDegeneracy:
         div = records.pop("divisibility")["evidence"]
         assert all("evidence" not in r for r in records.values())
         assert set(div) == {"worst_pair", "eigvec_residual", "min_rel_gap",
-                            "min_gap_pair"}
+                            "min_gap_pair", "s1_commutator", "s2_commutator",
+                            "invariance_residual"}
+        assert max(div["s1_commutator"], div["s2_commutator"],
+                   div["invariance_residual"]) < 1e-13
         pairs = [[2 * m % 5, m] for m in range(3)] + \
             [[-2 * m % 5, -m % 5] for m in range(1, 3)]
         assert div["worst_pair"] in pairs and div["min_gap_pair"] in pairs

@@ -32,10 +32,13 @@ def test_tables_match_dense_projection(N, P):
     ctx = make_context(N, P)
     for l in range(N):
         basis = sector_basis(ctx, 3, l)
-        for S, (a, b) in zip(dense_translations(ctx), MAGNETIC_TRANSLATIONS):
+        stacked = zip(*sector_monomial(ctx, l, *zip(*MAGNETIC_TRANSLATIONS)))
+        for S, (a, b), row in zip(dense_translations(ctx),
+                                  MAGNETIC_TRANSLATIONS, stacked):
             want = sector_project(S, basis)
-            got = table_matrix(ctx, *sector_monomial(ctx, l, a, b))
-            assert np.max(np.abs(got - want)) < 1e-14, (l, a, b)
+            for table in (sector_monomial(ctx, l, a, b), row):
+                got = table_matrix(ctx, *table)
+                assert np.max(np.abs(got - want)) < 1e-14, (l, a, b)
 
 
 @pytest.mark.parametrize("P", [1, 2])
@@ -45,15 +48,20 @@ def test_heisenberg_relation_is_exact(N, P):
     # permutation either way round, and exponents one apart mod N
     ctx = make_context(N, P)
     for l in range(N):
-        (pi1, p1), (pi2, p2) = (sector_monomial(ctx, l, a, b)
-                                for a, b in MAGNETIC_TRANSLATIONS)
-        assert np.array_equal(pi1[pi2], pi2[pi1])
-        assert np.all((p2 + p1[pi2] - p1 - p2[pi1]) % N == 1)
+        single = [sector_monomial(ctx, l, a, b)
+                  for a, b in MAGNETIC_TRANSLATIONS]
+        stacked = zip(*sector_monomial(ctx, l, *zip(*MAGNETIC_TRANSLATIONS)))
+        for (pi1, p1), (pi2, p2) in (single, stacked):
+            assert np.array_equal(pi1[pi2], pi2[pi1])
+            assert np.all((p2 + p1[pi2] - p1 - p2[pi1]) % N == 1)
 
 
 def test_monomial_off_the_commutant_is_refused():
     with pytest.raises(ValueError, match="does not commute with D"):
         sector_monomial(make_context(5), 0, (1, 0, 0), (0, 0, 0))
+    with pytest.raises(ValueError, match="does not commute with D"):
+        sector_monomial(make_context(5), 0, ((1, 0, 0), (0, 1, 0)),
+                        ((0, 1, 0), (0, 0, 0)))
 
 
 def reduced(N, rng, sectors=None):

@@ -3,7 +3,9 @@ root-of-unity table, one pole threshold, one polynomial product.  The
 rational-slice shift polynomials have one home too, `baxter.shift_polys`,
 and the package's one polynomial fit is the DFT of `baxter.plus_pairing_coeffs`.
 The commutator check reads each dense T(x) as its 2^L shift diagonals and
-multiplies them diagonal by diagonal, never densely."""
+multiplies them diagonal by diagonal, never densely.  The dense transfer
+matrix is laid out from the Weyl path table, and the L-operator chain that
+the tests hold it to shares none of that machinery."""
 
 import ast
 from pathlib import Path
@@ -109,7 +111,44 @@ def test_commutator_check_forms_no_dense_product():
             ref = (node.attr if isinstance(node, ast.Attribute)
                    else node.id if isinstance(node, ast.Name) else None)
             assert ref not in ("dot", "matmul", "tensordot", "einsum",
-                               "_closed_paths", "transfer_terms"), (name, node.lineno)
+                               "path_table", "path_weights",
+                               "transfer_terms"), (name, node.lineno)
+
+
+def _reached(*roots):
+    """Every name referenced from roots across transfer.py and weylcore.py,
+    following the functions they name and the methods of the classes."""
+    defs = {}
+    for module in ("transfer.py", "weylcore.py"):
+        for node in ast.parse((SRC / module).read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                defs[node.name] = [node]
+            elif isinstance(node, ast.ClassDef):
+                defs[node.name] = [n for n in node.body
+                                   if isinstance(n, ast.FunctionDef)]
+    refs, todo = set(), list(roots)
+    while todo:
+        for fn in defs[todo.pop()]:
+            for node in ast.walk(fn):
+                ref = (node.attr if isinstance(node, ast.Attribute)
+                       else node.id if isinstance(node, ast.Name) else None)
+                if ref in defs and ref not in refs and ref not in roots:
+                    todo.append(ref)
+                refs.add(ref)
+    return refs
+
+
+def test_dense_transfer_and_its_oracle_are_independent():
+    # transfer_T lays out the path table; chain_L(...).trace_aux() multiplies
+    # local L-operators, so each checks the other
+    fast = _reached("transfer_T")
+    assert {"path_table", "path_weights", "weyl_monomial"} <= fast
+    assert not fast & {"chain_L", "local_L", "kron", "BlockOperator2x2"}
+    oracle = _reached("chain_L", "local_L", "BlockOperator2x2")
+    assert {"kron", "weyl_matrices", "identity_op", "aux_product"} <= oracle
+    assert not oracle & {"path_table", "path_weights", "weyl_monomial",
+                         "sector_monomial", "transfer_terms", "sector_orbits",
+                         "sector_pencil", "transfer_T"}
 
 
 def test_no_max_or_min_over_a_bare_generator():

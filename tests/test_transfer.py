@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 
 import numpy as np
@@ -11,8 +12,9 @@ from hofchain import (ChainParams, PoleError, SiteParams, commutator_residual,
 from hofchain import cli, transfer
 from hofchain.baxter import DegenerateChain
 from hofchain.curves import HofstadterChain3
-from hofchain.transfer import (chain_L, hofstadter_sector_factor, sector_pencil,
-                               sector_spectrum, t2_formula_L3, transfer_terms)
+from hofchain.transfer import (chain_L, hofstadter_sector_factor, path_table,
+                               sector_pencil, sector_spectrum, t2_formula_L3,
+                               transfer_terms)
 from hofchain.weylcore import (Operator, identity_op, sector_basis,
                                sector_orbits, sector_project, unit_draws)
 
@@ -197,15 +199,27 @@ class TestTransfer:
 
     @pytest.mark.parametrize("N,L", SMALL_CHAINS)
     def test_equals_full_aux_trace(self, N, L, rng):
-        # T is formed from the diagonal aux blocks only; the full chain
-        # product's trace is the reference
+        # T is laid out from the path table; the trace of the L-operator
+        # chain product is the reference
         ctx = make_context(N)
         chain = draw_chain(rng, L)
-        for x in (0.0, unit_draws(rng, 1)[0], 1.7 - 0.4j):
+        h = chain.sites[0]
+        sparse = ChainParams((SiteParams(h.a, 0, h.c, h.d),) + chain.sites[1:])
+        for chain, x in itertools.product(
+                (chain, sparse), (0.0, unit_draws(rng, 1)[0], 1.7 - 0.4j)):
             got = transfer_T(chain, x, ctx)
             want = chain_L(chain, x, ctx).trace_aux()
             assert got.ctx_tag == want.ctx_tag
             assert np.max(np.abs(got.mat - want.mat)) < 1e-14 * max(1, abs(x)) ** L
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+    def test_path_table(self, L):
+        # one path per a in {0,1}^L, each monomial commutes with D, and T(x)
+        # is even in x, of degree 2 floor(L/2)
+        a, b, degree = path_table(L)
+        assert sorted(map(tuple, a)) == sorted(itertools.product((0, 1), repeat=L))
+        assert not np.any((a - b).sum(axis=1)) and not np.any(degree % 2)
+        assert degree.max() == 2 * (L // 2)
 
 
 class TestPencil:

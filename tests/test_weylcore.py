@@ -6,8 +6,8 @@ import pytest
 from hofchain import (GenericityError, TagMismatchError, global_shift_D,
                       kron, make_context, pochhammer, sector_basis,
                       weyl_matrices)
-from hofchain.weylcore import (identity_op, relative_defect,
-                               with_generic_redraw, worst)
+from hofchain.weylcore import (Operator, identity_op, relative_defect,
+                               weyl_monomial, with_generic_redraw, worst)
 
 
 class TestContext:
@@ -127,6 +127,30 @@ class TestKron:
     def test_tag_mismatch(self, ctx3, ctx5):
         with pytest.raises(TagMismatchError):
             kron([weyl_matrices(ctx3)["X"], weyl_matrices(ctx5)["X"]])
+
+
+class TestWeylMonomial:
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    @pytest.mark.parametrize("N", [3, 5])
+    def test_matches_dense_products(self, N, L, rng):
+        # X^a Z^b |d> = omega^(b.d) |d + a> against kron of dense powers
+        ctx = make_context(N)
+        w = weyl_matrices(ctx)
+        a, b = rng.integers(0, N, (2, 5, L))
+        image, phase = weyl_monomial(N, a, b)
+        assert image.shape == phase.shape == (5, N ** L)
+        for k in range(5):
+            dense = kron([Operator(np.linalg.matrix_power(w["X"].mat, a[k, j])
+                                   @ np.linalg.matrix_power(w["Z"].mat, b[k, j]),
+                                   N, 1) for j in range(L)]).mat
+            want = np.zeros_like(dense)
+            want[image[k], np.arange(N ** L)] = ctx.omega_pow(phase[k])
+            assert np.max(np.abs(dense - want)) < 1e-13, (a[k], b[k])
+            for got, row in zip(weyl_monomial(N, a[k], b[k]), (image, phase)):
+                assert np.array_equal(got, row[k])
+        # exponents are read mod N, so X^-a is X^(N - a)
+        for got, want in zip(weyl_monomial(N, a - N, b + N), (image, phase)):
+            assert np.array_equal(got, want)
 
 
 class TestPochhammer:
