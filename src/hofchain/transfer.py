@@ -230,23 +230,24 @@ def transfer_apply(chain: ChainParams, x, ctx: Context,
     return np.einsum("bk,kbn->bn", powers, terms).reshape(np.shape(v))
 
 
-def sector_pencil(chain: ChainParams, ctx: Context, l: int) -> np.ndarray:
+def sector_pencil(chain: ChainParams, ctx: Context, l) -> np.ndarray:
     """Sector-l blocks of the even pencil coefficients [T_0, T_2, ...], shape
-    (floor(L/2) + 1, N^(L-1), N^(L-1)): block k is sector_project(T_{2k},
-    sector_basis(ctx, L, l)), each path of degree 2k adding its weight times
-    its monomial on the orbit basis, all from one `sector_monomial` call."""
+    (floor(L/2) + 1, N^(L-1), N^(L-1)), a stack per sector of an array l: block
+    k is sector_project(T_{2k}, sector_basis(ctx, L, l)), each path of degree
+    2k adding its weight times its monomial on the orbit basis, in one pass."""
     a, b, degree = path_table(chain.L)
-    perm, phase = sector_monomial(ctx, l, a, b)
-    n = perm.shape[1]
-    blocks = np.zeros((chain.L // 2 + 1, n, n), dtype=complex)
+    perm, phase = sector_monomial(ctx, np.atleast_1d(l), a, b)
+    S, _, n = perm.shape
+    blocks = np.zeros((S, chain.L // 2 + 1, n, n), dtype=complex)
     # Z^b X^a = omega^(a.b) X^a Z^b; the two degree-0 paths share entries
-    np.add.at(blocks, (degree[:, None] // 2, perm, np.arange(n)),
+    np.add.at(blocks, (np.arange(S)[:, None, None], degree[:, None] // 2,
+                       perm, np.arange(n)),
               path_weights(chain)[:, None]
               * ctx.omega_pow(phase + (a * b).sum(axis=1, keepdims=True)))
-    return blocks
+    return blocks if np.ndim(l) else blocks[0]
 
 
-def commutant_reduction(block: np.ndarray, ctx: Context, l: int) -> tuple:
+def commutant_reduction(block: np.ndarray, ctx: Context, l) -> tuple:
     """(R, residuals): an L = 3 sector-l block B as I_N (x) R, R of size N x N.
 
     If B commutes with S_1 and S_2, which satisfy S_1 S_2 = omega S_2 S_1,
@@ -256,35 +257,33 @@ def commutant_reduction(block: np.ndarray, ctx: Context, l: int) -> tuple:
     so its eigenvalue-1 space V has one vector per cycle, with disjoint
     supports, and R = V^H B V is formed by gathers.  residuals are
     max|S B - B S| / max|B| for S_1 and S_2, then max|B V - V R| / max|B|.
-    """
-    N = ctx.N
-    scale = np.max(np.abs(block))
-    perms, phases = sector_monomial(ctx, l, *zip(*MAGNETIC_TRANSLATIONS))
-    res = []
-    for perm, phase in zip(perms, phases):
-        phi = ctx.omega_pow(phase)
-        res.append(np.max(np.abs(phi[:, None] * block
-                                 - block[np.ix_(perm, perm)] * phi)) / scale)
-    perm, phase = perms[0], phases[0]
-    walk = [np.arange(N * N)]                  # the S_1 orbit of each c
+    A stack of K blocks in sectors l gives R (K, N, N) and (K, 3) residuals."""
+    N, ls = ctx.N, np.atleast_1d(l)
+    perms, phases = sector_monomial(ctx, ls, *zip(*MAGNETIC_TRANSLATIONS))
+    perm, phase = perms[0, 0], phases[:, 0]
+    walk = [np.arange(N * N)]       # the S_1 orbit of each c, in any sector
     for _ in range(N):
         walk.append(perm[walk[-1]])
     walk = np.array(walk)
     if (walk[1:N] == walk[0]).any() or (walk[N] != walk[0]).any():
         raise ValueError("S_1 has a cycle of length other than N")
-    turn = np.cumsum(phase[walk[:N]], axis=0)
-    if (turn[-1] % N).any():
-        raise ValueError("S_1 has a cycle whose phase product is not 1")
     start = walk[:N].min(axis=0) == walk[0]    # one orbit per cycle
     cycles = walk[:N, start].T                 # (cycle, step)
+    turn = np.cumsum(phase[:, cycles], axis=2)     # (sector, cycle, step)
+    if (turn[..., -1] % N).any():
+        raise ValueError("S_1 has a cycle whose phase product is not 1")
     # V[c_k, j] = N^{-1/2} omega^(phases of the steps before k) on cycle j
-    V = ctx.omega_pow((turn - phase[walk[:N]])[:, start].T) / np.sqrt(N)
-    BV = np.einsum("rjk,jk->rj", block[:, cycles], V)
-    R = np.einsum("ik,ikj->ij", V.conj(), BV[cycles])
-    VR = np.zeros_like(BV)
-    VR[cycles] = V[:, :, None] * R[:, None, :]
-    res.append(np.max(np.abs(BV - VR)) / scale)
-    return R, res
+    V = ctx.omega_pow(turn - phase[:, cycles]) / np.sqrt(N)
+    res, R = np.empty((len(ls), 3)), np.empty((len(ls), N, N), dtype=complex)
+    # the N^2 x N^2 passes go one block at a time, with cache-sized temporaries
+    for s, B in enumerate(block.reshape(-1, *block.shape[-2:])):
+        for i, (p, w) in enumerate(zip(perms[0], ctx.omega_pow(phases[s]))):
+            res[s, i] = np.max(np.abs(w[:, None] * B - B[np.ix_(p, p)] * w))
+        BV = np.einsum("rjk,jk->rj", B[:, cycles], V[s])[cycles]    # by cycle
+        R[s] = np.einsum("ik,ikj->ij", V[s].conj(), BV)
+        res[s, 2] = np.max(np.abs(BV - V[s, :, :, None] * R[s, :, None]))
+        res[s] /= np.max(np.abs(B))
+    return (R, res) if np.ndim(l) else (R[0], res[0])
 
 
 def transfer_pencil(chain: ChainParams, ctx: Context) -> TransferPencil:

@@ -180,29 +180,29 @@ def global_shift_D(ctx: Context, L: int) -> Operator:
     return ctx.q_pow(-L) * kron([Y] * L)
 
 
-def sector_orbits(ctx: Context, L: int, l: int) -> tuple:
+def sector_orbits(ctx: Context, L: int, l) -> tuple:
     """The q^l-eigenspace of D as a table (orbit, amp) over the N^L states.
 
     D shifts every site index by one with a phase, so its eigenvectors are
     supported on the N-element orbits of the diagonal shift, one per orbit
     per eigenvalue.  State s = rep + t*1 (rep: first digit 0, the states
     0 .. N^(L-1)-1) lies on orbit[s] = sum_{i>=1} rep_i N^(i-1), with the
-    exact amplitude amp[s] = N^{-1/2} omega^e (no numerical eigensolve).
-    """
+    exact amplitude amp[s] = N^{-1/2} omega^e (no numerical eigensolve);
+    an array of sectors l gives one row of amp per sector."""
     orbit, e = _orbit_exponents(ctx, L, l)
     return orbit, ctx.omega_pow(e) / math.sqrt(ctx.N)
 
 
-def _orbit_exponents(ctx: Context, L: int, l: int) -> tuple:
-    """(orbit, e): the table of `sector_orbits` with amp = N^{-1/2} omega^e."""
+def _orbit_exponents(ctx: Context, L: int, l) -> tuple:
+    """(orbit, e): `sector_orbits` with amp = N^{-1/2} omega^e, 0 at t = 0."""
     N, M = ctx.N, ctx.M
     digits = np.indices((N,) * L).reshape(L, -1)       # digit 0 leading
     t = digits[0]
     rep = (digits[1:] - t) % N
     # D|rep + t*1> = q^{-L} omega^{R + L(t+1)} |rep + (t+1)*1> (R = |rep|), so
     # |rep + t*1> has amplitude N^{-1/2} prod_{s<t} q^{-l-L} omega^{R + L(s+1)}
-    e = t * ((M + 1) * (-l - L) + rep.sum(axis=0)) + L * t * (t + 1) // 2
-    return N ** np.arange(L - 1) @ rep, e
+    e = t * (rep.sum(axis=0) - (M + 1) * L) + L * t * (t + 1) // 2
+    return N ** np.arange(L - 1) @ rep, e - np.multiply.outer(l, (M + 1) * t)
 
 
 def weyl_monomial(N: int, a, b) -> tuple:
@@ -218,12 +218,12 @@ def weyl_monomial(N: int, a, b) -> tuple:
     return image, b @ digits % N
 
 
-def sector_monomial(ctx: Context, l: int, a, b) -> tuple:
+def sector_monomial(ctx: Context, l, a, b) -> tuple:
     """(perm, phase): the Weyl monomial S = (x)_j X^(a_j) Z^(b_j) on the
-    orbit basis of sector l, S B_c = omega^phase[c] B_perm[c], as exact
-    integers mod N read off `weyl_monomial` and `_orbit_exponents`; a stack
-    (K, L) of exponents gives (K, N^(L-1)) tables.  S must commute with D,
-    which holds iff sum_j (a_j - b_j) = 0 mod N; otherwise ValueError."""
+    orbit basis of sector l, S B_c = omega^phase[c] B_perm[c], exact integers
+    mod N from `weyl_monomial` and `_orbit_exponents`; K exponent pairs (K, L)
+    give (K, N^(L-1)) tables, and an array of sectors a table per l in front.
+    ValueError unless S commutes with D: sum_j (a_j - b_j) = 0 mod N."""
     N, a, b = ctx.N, np.asarray(a), np.asarray(b)
     if ((a - b).sum(axis=-1) % N).any():
         raise ValueError(f"X^{a.tolist()} Z^{b.tolist()} does not commute "
@@ -231,9 +231,9 @@ def sector_monomial(ctx: Context, l: int, a, b) -> tuple:
     orbit, e = _orbit_exponents(ctx, a.shape[-1], l)
     n = len(orbit) // N                                 # reps: first digit 0
     image, shift = (t[..., :n] for t in weyl_monomial(N, a, b))
-    perm, phase = np.empty((2,) + image.shape, dtype=int)
+    perm, phase = np.empty((2,) + np.shape(l) + image.shape, dtype=int)
     perm[..., orbit[:n]] = orbit[image]
-    phase[..., orbit[:n]] = (e[:n] + shift - e[image]) % N
+    phase[..., orbit[:n]] = (shift - e[..., image]) % N     # e = 0 at reps
     return perm, phase
 
 

@@ -23,6 +23,13 @@ def read_json(path):
         return json.load(fh)
 
 
+def one_ulp(block, entry, up):
+    """Move the real part of block[entry] by one ulp, up or down."""
+    z = block[entry]
+    block[entry] = complex(np.nextafter(z.real, np.inf if up else -np.inf),
+                           z.imag)
+
+
 class TestVerify:
     def test_n3_passes(self, tmp_path):
         out = tmp_path / "verify.json"
@@ -146,11 +153,12 @@ class TestDivisibility:
     def test_dominant_eigenvector_matches_eig(self, N, rng):
         ctx = make_context(N)
         cp = DegenerateChain(tuple(weylcore.unit_draws(rng, 3))).site_params(ctx)
-        for l in range(N):
-            T0, T2 = transfer.sector_pencil(cp, ctx, l)
+        ls = np.arange(N)
+        pencil = transfer.sector_pencil(cp, ctx, ls)
+        stacked = cli.sector_left_eigenvectors(pencil[:, 1], ctx, ls)
+        for l, (T0, T2), (mu, v, res, gap, commutant) in zip(
+                ls, pencil, zip(*stacked)):
             B = T2.T
-            mu, v, res, gap, commutant = cli.sector_left_eigenvector(
-                T2, ctx, l)
             assert len(commutant) == 3 and max(commutant) < 1e-13
             evals = np.linalg.eig(B)[0]
             want = evals[np.argmax(np.abs(evals))]
@@ -179,15 +187,18 @@ class TestDivisibility:
             assert res < cli.DEFAULT_TOLERANCES["divisibility"], seed
 
     @pytest.mark.parametrize("target,fake,message", [
-        ("sector_left_eigenvector", None,
-         "(l_sec, label) = (0, 0): left eigenvector residual"),
+        ("sector_left_eigenvectors", None,
+         "(l_sec, label) = (0, 0): left eigenvector residual 1 > gate"),
         ("plus_pairing_coeffs", lambda phi, *args: np.zeros((len(phi), 7)),
          "(l_sec, label) = (0, 0): pairing degenerated to zero"),
     ])
     def test_gate_errors_name_the_sector(self, tmp_path, monkeypatch, target,
                                          fake, message):
-        def no_convergence(block, ctx, l):
-            raise GenericityError("left eigenvector residual 1 > gate 1e-10")
+        real = cli.sector_left_eigenvectors
+
+        def no_convergence(blocks, ctx, ls):    # every residual above the gate
+            mu, v, res, gap, commutant = real(blocks, ctx, ls)
+            return mu, v, np.ones_like(res), gap, commutant
 
         monkeypatch.setattr(cli, target, fake or no_convergence)
         monkeypatch.setattr(cli, "VERIFY_SUITES", [
@@ -203,11 +214,11 @@ class TestDivisibility:
         # solve is singular: the first draw is refused, the second passes
         real, calls = cli.sector_pencil, []
 
-        def scalar_first(chain, ctx, l):
-            calls.append(l)
-            blocks = real(chain, ctx, l)
-            if len(calls) == 1:
-                blocks[1] = 2.0 * np.eye(len(blocks[1]))
+        def scalar_first(chain, ctx, ls):
+            calls.append(list(ls))
+            blocks = real(chain, ctx, ls)
+            if len(calls) == 1:     # entry 0: sector 0, the first pair
+                blocks[0, 1] = 2.0 * np.eye(len(blocks[0, 1]))
             return blocks
 
         monkeypatch.setattr(cli, "sector_pencil", scalar_first)
@@ -222,6 +233,58 @@ class TestDivisibility:
         assert main(["verify", "--N", "5", "--out", str(out)]) == 0
         (record,) = read_json(out)["suites"]
         assert record["attempts"] == 2 and record["pass"] is True
+
+    def test_errors_name_the_first_failing_pair(self, monkeypatch):
+        # scalar blocks with R_l = 2 I_N at pairs 2 and 4 make B^T - mu zero:
+        # the batched solve raises for the stack and names no block, so the
+        # zero LU pivots find them, both get an inf residual and pair 2 is
+        # named; a residual above the gate at pair 1 comes before both
+        ctx, pencil, reduction, vectors = make_context(5), cli.sector_pencil, \
+            cli.commutant_reduction, cli.sector_left_eigenvectors
+
+        def scalar_2_and_4(chain, ctx, ls):
+            blocks = pencil(chain, ctx, ls)
+            blocks[[2, 4], 1] = 2.0 * np.eye(25)
+            return blocks
+
+        def exact_r(blocks, ctx, ls):
+            R, res = reduction(blocks, ctx, ls)
+            R[[2, 4]] = 2.0 * np.eye(5)
+            return R, res
+
+        def gate_fails_at_1(blocks, ctx, ls):
+            mu, v, res, gap, commutant = vectors(blocks, ctx, ls)
+            assert np.all(np.isinf(res[[2, 4]]))
+            assert np.all(res[[0, 1, 3]] <= cli.EIGVEC_GATE)
+            res[1] = 1.0
+            return mu, v, res, gap, commutant
+
+        monkeypatch.setattr(cli, "sector_pencil", scalar_2_and_4)
+        monkeypatch.setattr(cli, "commutant_reduction", exact_r)
+        with pytest.raises(GenericityError, match=r"^\(l_sec, label\) = "
+                           r"\(3, 4\): block\^T - mu is exactly singular$"):
+            cli._suite_divisibility(ctx, np.random.default_rng(1))
+        monkeypatch.setattr(cli, "sector_left_eigenvectors", gate_fails_at_1)
+        with pytest.raises(GenericityError, match=r"^\(l_sec, label\) = "
+                           r"\(2, 1\): left eigenvector residual 1 > gate"):
+            cli._suite_divisibility(ctx, np.random.default_rng(1))
+
+    def test_min_gap_pair_survives_one_ulp(self, monkeypatch):
+        # at N = 5, seed 1, the partner pairs (4, 2) and (1, 3) have gaps
+        # equal to 15 digits: np.argmin of the gaps names (1, 3), and (4, 2)
+        # after either one-ulp change to sector 4; the field names the first
+        real, named = cli.sector_pencil, []
+        for nudge in [None, ((0, 24), False), ((2, 7), True)]:
+            def nudged(chain, ctx, ls):
+                blocks = real(chain, ctx, ls)
+                if nudge:
+                    one_ulp(blocks[list(ls).index(4), 1], *nudge)
+                return blocks
+
+            monkeypatch.setattr(cli, "sector_pencil", nudged)
+            named.append(cli._suite_divisibility(
+                make_context(5), np.random.default_rng(1))[1]["min_gap_pair"])
+        assert named == [[4, 2]] * 3
 
     def test_run_path_calls_no_eig(self, tmp_path, monkeypatch):
         # a full eigensolve of each sector block is the tests' oracle; the
@@ -241,8 +304,35 @@ class TestDivisibility:
             s for s in cli.VERIFY_SUITES if s[0] == "divisibility"])
         assert main(["verify", "--N", "5", "--out",
                      str(tmp_path / "v.json")]) == 0
-        # one per (l_sec, label) pair: 2M + 1 of them
-        assert shapes == [(5, 5)] * 5
+        # one call over the (l_sec, label) pairs: 2M + 1 matrices of N x N
+        assert shapes == [(5, 5, 5)]
+
+
+@pytest.mark.parametrize("N", [5, 9])
+def test_one_stacked_pass_per_suite(N, monkeypatch):
+    # the sector tables, the eigensolve and the solve cover every sector in
+    # one call each, however many sectors: one orbit exponent table for the
+    # pencil's path monomials, one for S_1 and S_2 and, in divisibility, one
+    # to scatter the eigenvectors
+    counts = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(weylcore, "_orbit_exponents")
+    count(np.linalg, "eigvals")
+    count(np.linalg, "solve")
+    cli._suite_degeneracy(make_context(N), np.random.default_rng(1))
+    assert counts == {"_orbit_exponents": 2, "eigvals": 1}
+    counts.clear()
+    cli._suite_divisibility(make_context(N), np.random.default_rng(1))
+    assert counts == {"_orbit_exponents": 3, "eigvals": 1, "solve": 1}
 
 
 class TestSolve:
@@ -1006,20 +1096,43 @@ class TestDegeneracy:
         res, _ = cli._suite_degeneracy(make_context(7),
                                        np.random.default_rng(20240001))
         assert res < 1e-13
-        assert shapes == [(7, 7)] * 7
+        assert shapes == [(7, 7, 7)]    # one call: an N x N matrix per sector
 
     @staticmethod
     def patch_blocks(monkeypatch, change):
+        # the suite builds all sectors in one call: change applies to entry l
         real, calls = cli.sector_pencil, []
 
-        def pencil(chain, ctx, l):
-            calls.append(l)
-            return change(real(chain, ctx, l), l, len(calls))
+        def pencil(chain, ctx, ls):
+            calls.append(list(ls))
+            blocks = real(chain, ctx, ls)
+            for i, l in enumerate(ls):
+                blocks[i] = change(blocks[i], l, len(calls))
+            return blocks
 
         monkeypatch.setattr(cli, "sector_pencil", pencil)
         monkeypatch.setattr(cli, "VERIFY_SUITES", [
             s for s in cli.VERIFY_SUITES if s[0] == "degeneracy"])
         return calls
+
+    def test_min_gap_sector_survives_one_ulp(self, monkeypatch):
+        # at N = 5 and the default seed, sectors 2 and 3 = -2 have gaps equal
+        # to 15 digits: np.argmin of the gaps names 3, and 2 after each of
+        # these one-ulp changes; the field names the first of the two
+        nudges, named = [None, (2, (2, 1), True), (2, (2, 7), False),
+                         (3, (3, 23), True)], []
+
+        def nudge(blocks, l, call):
+            if nudges[call - 1] and l == nudges[call - 1][0]:
+                one_ulp(blocks[1], *nudges[call - 1][1:])
+            return blocks
+
+        self.patch_blocks(monkeypatch, nudge)
+        for _ in nudges:
+            named.append(cli._suite_degeneracy(
+                make_context(5), np.random.default_rng(20240001))[1]
+                ["min_gap_sector"])
+        assert named == [2] * 4
 
     def test_non_commuting_block_fails(self, tmp_path, monkeypatch, capsys):
         # a small term that commutes with neither S_1 nor S_2
@@ -1064,7 +1177,7 @@ class TestDegeneracy:
             "class": "GenericityError",
             "message": "sector 3: eigenvalues of R_l have relative gap 0 "
                        "< 1e-06"}
-        assert calls == [0, 1, 2, 3] * 5
+        assert calls == [[0, 1, 2, 3, 4]] * 5
 
 
 class TestButterflySize:

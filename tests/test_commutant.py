@@ -7,7 +7,8 @@ The dense Weyl operators, `sector_basis` and the brute-force eigenvalues of
 import numpy as np
 import pytest
 
-from hofchain import DegenerateChain, kron, make_context, weyl_matrices
+from hofchain import (DegenerateChain, kron, make_context, transfer,
+                      weyl_matrices)
 from hofchain.bethe import cluster_eigenvalues, multiset_match, oracle_spectrum
 from hofchain.transfer import (MAGNETIC_TRANSLATIONS, commutant_reduction,
                                sector_pencil)
@@ -111,6 +112,39 @@ def test_non_commuting_block_shows_in_the_residuals(rng):
     B[0, 1] += 1e-6 * np.max(np.abs(B))
     _, res = commutant_reduction(B, ctx, 2)
     assert all(1e-8 < r < 1e-5 for r in res[:2]) and res[2] < 1e-5
+
+
+@pytest.mark.parametrize("N", [3, 5, 7, 9])
+def test_stacked_reduction_equals_each_block(N, rng):
+    # one call over all N sector blocks gives each block's call exactly, and
+    # a block that commutes with neither S_1 nor S_2 shows in its row alone
+    ctx, ls, bad = make_context(N), np.arange(N), 2
+    cp = DegenerateChain(tuple(unit_draws(rng, 3))).site_params(ctx)
+    B = sector_pencil(cp, ctx, ls)[:, 1]
+    B[bad, 0, 1] += 1e-6 * np.max(np.abs(B[bad]))
+    R, res = commutant_reduction(B, ctx, ls)
+    assert R.shape == (N, N, N) and res.shape == (N, 3)
+    for l in ls:
+        R_l, res_l = commutant_reduction(B[l], ctx, l)
+        assert np.array_equal(R[l], R_l) and np.array_equal(res[l], res_l)
+    assert all(1e-8 < r < 1e-5 for r in res[bad, :2])
+    assert np.max(np.delete(res, bad, axis=0)) <= 1e-13
+
+
+def test_phase_product_is_checked_in_every_sector(monkeypatch):
+    # S_1^N = I in every sector: a table whose cycle phases do not multiply
+    # to 1 in one sector of the stack is refused
+    ctx, ls = make_context(5), np.arange(5)
+    real = transfer.sector_monomial
+
+    def broken(ctx, l, a, b):
+        perm, phase = real(ctx, l, a, b)
+        phase[3, 0, 0] += 1
+        return perm, phase
+
+    monkeypatch.setattr(transfer, "sector_monomial", broken)
+    with pytest.raises(ValueError, match="phase product is not 1"):
+        commutant_reduction(np.ones((5, 25, 25)), ctx, ls)
 
 
 def test_translations_commute_with_every_path_monomial():

@@ -16,7 +16,8 @@ from hofchain.transfer import (chain_L, hofstadter_sector_factor, path_table,
                                sector_pencil, sector_spectrum, t2_formula_L3,
                                transfer_terms)
 from hofchain.weylcore import (Operator, identity_op, sector_basis,
-                               sector_orbits, sector_project, unit_draws)
+                               sector_monomial, sector_orbits, sector_project,
+                               unit_draws)
 
 from conftest import draw_chain, draw_site
 
@@ -561,6 +562,27 @@ class TestMatrixFree:
             for got, op in zip(blocks, (T0, T2)):
                 want = sector_project(op, basis)
                 assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    @pytest.mark.parametrize("N", [3, 5, 7, 9])
+    def test_stacked_sectors_equal_each_sector(self, N, L, rng):
+        # one call over np.arange(N) gives each single-sector call exactly;
+        # at N = 9, L = 4 the pencil stack would hold 230 MB, so only its
+        # tables are compared there
+        ctx, ls = make_context(N), np.arange(N)
+        a, b, _ = path_table(L)
+        chain = draw_chain(rng, L)
+        perms, phases = sector_monomial(ctx, ls, a, b)
+        orbit, amps = sector_orbits(ctx, L, ls)
+        blocks = sector_pencil(chain, ctx, ls) if N ** L < 9 ** 4 else None
+        assert perms.shape == phases.shape == (N, 2 ** L, N ** (L - 1))
+        for l in ls:
+            perm, phase = sector_monomial(ctx, l, a, b)
+            assert np.array_equal(perms[l], perm)
+            assert np.array_equal(phases[l], phase)
+            assert np.array_equal(amps[l], sector_orbits(ctx, L, l)[1])
+            if blocks is not None:
+                assert np.array_equal(blocks[l], sector_pencil(chain, ctx, l))
 
     @pytest.mark.parametrize("L", [1, 2])
     @pytest.mark.parametrize("N", [3, 5, 7])
