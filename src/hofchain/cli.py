@@ -28,7 +28,7 @@ from .weylcore import (GenericityError, make_context, sector_orbits,
                        unit_draws, with_generic_redraw, worst)
 from .transfer import (ChainParams, SiteParams, commutant_reduction,
                        commutator_residual, hofstadter_hamiltonian,
-                       rll_residual, sector_pencil)
+                       rll_residual)
 from .baxter import (DegenerateChain, RationalPoint, draw_regular_x,
                      plus_pairing_coeffs, sector_vectors, t_action_residual,
                      theorem1_ii_residual, u_weight)
@@ -57,7 +57,7 @@ LARGEST_ARRAY = {"verify": lambda N: (N**3, N**3),                 # N <= 15
                  "curves": lambda N: (2 * N * N, N, N, N),         # N <= 23
                  "solve": lambda N: (N, (3 * N + 5) // 2, 3 * N - 1),   # 153
                  "butterfly": lambda N: (N, N)}                    # N <= 4095
-EIGVEC_GATE = 1e-10     # largest ||Bv - mu v|| / max|B| of a divisibility pair
+EIGVEC_GATE = 1e-10  # largest ||B^T v - mu v|| / max|B| of a divisibility pair
 
 
 @dataclass
@@ -206,34 +206,17 @@ def _suite_theorem1(ctx, rng):
                            theorem1_ii_residual(chain, xs, ls, ctx)))
 
 
-def sector_left_eigenvectors(blocks: np.ndarray, ctx, ls) -> tuple:
-    """(mu, v, residual, gap, commutant), a row per block B of a stack
-    (K, n, n) in sectors ls: B^T v = mu v, |v| = 1, for the largest-|mu|
-    eigenvalue of R_l (`commutant_reduction`, whose residuals are commutant),
-    v from a solve at mu from a fixed aperiodic start, not lifted from R_l's
-    eigenvectors (in sector 0, M of those pair to zero with |x>^+_0).
-    residual is ||B^T v - mu v|| / max|B|, inf where B^T - mu is exactly
-    singular, and gap min |mu - lam| / |mu| over R_l's other eigenvalues;
-    one eigvals and one solve for the whole stack."""
-    K, n, _ = blocks.shape
-    R, commutant = commutant_reduction(blocks, ctx, ls)
-    lam = np.linalg.eigvals(R)
-    k = np.argmax(np.abs(lam), axis=1)
-    mu = lam[np.arange(K), k]
-    shifted = blocks.transpose(0, 2, 1) - mu[:, None, None] * np.eye(n)
-    start, singular = np.exp(1j * np.arange(n) ** 2)[:, None], [False] * K
-    try:
-        v = np.linalg.solve(shifted, start)[..., 0]
-    except np.linalg.LinAlgError:   # it names no block: a zero LU pivot does
-        singular = np.linalg.slogdet(shifted)[0] == 0
-        v = np.tile(start[:, 0], (K, 1))    # a singular one keeps the start
-        v[~singular] = np.linalg.solve(shifted[~singular], start)[..., 0]
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    res = np.linalg.norm(shifted @ v[..., None], axis=(1, 2)) \
-        / np.max(np.abs(blocks), axis=(1, 2))
-    res[singular] = np.inf
+def sector_left_eigenvectors(chain: ChainParams, ctx, ls) -> tuple:
+    """(mu, v, residual, gap, commutant) per sector of ls: mu the largest-|mu|
+    eigenvalue of R_l from one eig of the R_l^T stack, v and the rest from
+    `commutant_reduction`'s lift, gap min |mu - lam| / |mu| over the others."""
+    R, commutant, lift = commutant_reduction(chain, ctx, ls)
+    lam, U = np.linalg.eig(R.transpose(0, 2, 1))
+    rows, k = np.arange(len(R)), np.argmax(np.abs(lam), axis=1)
+    mu = lam[rows, k]
+    v, res = lift(mu, U[rows, :, k])
     gap = np.abs(lam / mu[:, None] - 1)
-    gap[np.arange(K), k] = np.inf
+    gap[rows, k] = np.inf
     return mu, v, res, np.min(gap, axis=1), commutant
 
 
@@ -258,14 +241,12 @@ def _suite_divisibility(ctx, rng):
              for m in range(ctx.M + 1) for s in (1, -1)}
     keys, (ls, labels) = list(pairs), np.array(list(pairs)).T
     # T_0 is a scalar on the sector, so an eigenvector of the T_2 block is
-    # one of the family; a left one is the scatter of one of block.T
-    _, v, ratios, gaps, commutant = sector_left_eigenvectors(
-        sector_pencil(cp, ctx, ls)[:, 1], ctx, ls)
+    # one of the family; a left one, scattered, pairs with |x>^+
+    _, v, ratios, gaps, commutant = sector_left_eigenvectors(cp, ctx, ls)
     i = np.argmax(~(ratios <= EIGVEC_GATE))     # the first pair that fails
     if not ratios[i] <= EIGVEC_GATE:
-        raise GenericityError(f"(l_sec, label) = {keys[i]}: " + (
-            "block^T - mu is exactly singular" if np.isinf(ratios[i]) else
-            f"left eigenvector residual {ratios[i]:.3g} > gate {EIGVEC_GATE}"))
+        raise GenericityError(f"(l_sec, label) = {keys[i]}: left eigenvector "
+                              f"residual {ratios[i]:.3g} > gate {EIGVEC_GATE}")
     orbit, amp = sector_orbits(ctx, cp.L, ls)
     coeffs = plus_pairing_coeffs(v[:, orbit] * amp.conj(), labels, chain, ctx,
                                  rng)
@@ -295,8 +276,7 @@ def _suite_degeneracy(ctx, rng):
     smaller gap is a GenericityError.  Returns (residual, evidence)."""
     chain = DegenerateChain(tuple(unit_draws(rng, 3)))
     ls = np.arange(ctx.N)
-    R, res = commutant_reduction(
-        sector_pencil(chain.site_params(ctx), ctx, ls)[:, 1], ctx, ls)
+    R, res, _ = commutant_reduction(chain.site_params(ctx), ctx, ls)
     lam = np.linalg.eigvals(R)
     dist = np.abs(lam[:, :, None] - lam[:, None]) + np.diag([np.inf] * ctx.N)
     gaps = np.min(dist, axis=(1, 2)) / np.max(np.abs(lam), axis=1)

@@ -230,60 +230,80 @@ def transfer_apply(chain: ChainParams, x, ctx: Context,
     return np.einsum("bk,kbn->bn", powers, terms).reshape(np.shape(v))
 
 
+def path_monomials(chain: ChainParams, ctx: Context, l) -> tuple:
+    """(perm, coef, degree): path p of `path_table` sends orbit vector B_c of
+    sector l to coef[p, c] B_perm[p, c], x-degree degree[p]; an array of
+    sectors puts a sector axis first.  Z^b X^a = omega^(a.b) X^a Z^b."""
+    a, b, degree = path_table(chain.L)
+    perm, phase = sector_monomial(ctx, l, a, b)
+    return perm, path_weights(chain)[:, None] * ctx.omega_pow(
+        phase + (a * b).sum(axis=1, keepdims=True)), degree
+
+
 def sector_pencil(chain: ChainParams, ctx: Context, l) -> np.ndarray:
     """Sector-l blocks of the even pencil coefficients [T_0, T_2, ...], shape
     (floor(L/2) + 1, N^(L-1), N^(L-1)), a stack per sector of an array l: block
-    k is sector_project(T_{2k}, sector_basis(ctx, L, l)), each path of degree
-    2k adding its weight times its monomial on the orbit basis, in one pass."""
-    a, b, degree = path_table(chain.L)
-    perm, phase = sector_monomial(ctx, np.atleast_1d(l), a, b)
+    k is sector_project(T_{2k}, sector_basis(ctx, L, l)), the scatter of the
+    `path_monomials` of degree 2k in one pass: the oracle's dense blocks."""
+    perm, coef, degree = path_monomials(chain, ctx, np.atleast_1d(l))
     S, _, n = perm.shape
     blocks = np.zeros((S, chain.L // 2 + 1, n, n), dtype=complex)
-    # Z^b X^a = omega^(a.b) X^a Z^b; the two degree-0 paths share entries
+    # the two degree-0 paths share entries
     np.add.at(blocks, (np.arange(S)[:, None, None], degree[:, None] // 2,
-                       perm, np.arange(n)),
-              path_weights(chain)[:, None]
-              * ctx.omega_pow(phase + (a * b).sum(axis=1, keepdims=True)))
+                       perm, np.arange(n)), coef)
     return blocks if np.ndim(l) else blocks[0]
 
 
-def commutant_reduction(block: np.ndarray, ctx: Context, l) -> tuple:
-    """(R, residuals): an L = 3 sector-l block B as I_N (x) R, R of size N x N.
-
-    If B commutes with S_1 and S_2, which satisfy S_1 S_2 = omega S_2 S_1,
-    then by Schur's lemma B = I_N (x) R on the sector, so each eigenvalue of
-    R is one of B with multiplicity N.  S_1 permutes the N^2 orbits in N
-    cycles of length N, and S_1^N = I makes every cycle's phase product 1;
-    so its eigenvalue-1 space V has one vector per cycle, with disjoint
-    supports, and R = V^H B V is formed by gathers.  residuals are
-    max|S B - B S| / max|B| for S_1 and S_2, then max|B V - V R| / max|B|.
-    A stack of K blocks in sectors l gives R (K, N, N) and (K, 3) residuals."""
+def commutant_reduction(chain: ChainParams, ctx: Context, l) -> tuple:
+    """(R, residuals, lift): the L = 3 T_2 blocks B of the K sectors l as
+    I_N (x) R by Schur's lemma for S_1 and S_2 (README: "What `degeneracy`
+    proves"), R = V^H B V (K, N, N) on the eigenvalue-1 space V of S_1, from
+    the degree-2 `path_monomials`.  residuals (K, 3): max|S B - B S| / max|B|
+    for S_1 and S_2, max|B V - V R| / max|B|.  lift(mu, u), for R^T u = mu u
+    by rows: phi = sum_k exp(i k^2) conj(S_2)^k conj(V) u normalised, B's
+    left eigenvectors, and ||B^T phi - mu phi|| / max|B|."""
     N, ls = ctx.N, np.atleast_1d(l)
+    K, sec = len(ls), np.arange(len(ls))[:, None, None]
+    perm, coef, degree = path_monomials(chain, ctx, ls)
+    perm, coef = perm[:, degree == 2], coef[:, degree == 2]
+    scale = np.max(np.abs(coef), axis=(1, 2))
     perms, phases = sector_monomial(ctx, ls, *zip(*MAGNETIC_TRANSLATIONS))
-    perm, phase = perms[0, 0], phases[:, 0]
-    walk = [np.arange(N * N)]       # the S_1 orbit of each c, in any sector
+    walk = np.arange(N * N)[None]   # the S_1 orbit of each c, in any sector
     for _ in range(N):
-        walk.append(perm[walk[-1]])
-    walk = np.array(walk)
+        walk = np.vstack([walk, perms[0, 0][walk[-1]]])
     if (walk[1:N] == walk[0]).any() or (walk[N] != walk[0]).any():
         raise ValueError("S_1 has a cycle of length other than N")
-    start = walk[:N].min(axis=0) == walk[0]    # one orbit per cycle
-    cycles = walk[:N, start].T                 # (cycle, step)
-    turn = np.cumsum(phase[:, cycles], axis=2)     # (sector, cycle, step)
+    cycles = walk[:N, walk[:N].min(axis=0) == walk[0]].T   # (cycle, step)
+    turn = np.cumsum(phases[:, 0, cycles], axis=2)     # (sector, cycle, step)
     if (turn[..., -1] % N).any():
         raise ValueError("S_1 has a cycle whose phase product is not 1")
     # V[c_k, j] = N^{-1/2} omega^(phases of the steps before k) on cycle j
-    V = ctx.omega_pow(turn - phase[:, cycles]) / np.sqrt(N)
-    res, R = np.empty((len(ls), 3)), np.empty((len(ls), N, N), dtype=complex)
-    # the N^2 x N^2 passes go one block at a time, with cache-sized temporaries
-    for s, B in enumerate(block.reshape(-1, *block.shape[-2:])):
-        for i, (p, w) in enumerate(zip(perms[0], ctx.omega_pow(phases[s]))):
-            res[s, i] = np.max(np.abs(w[:, None] * B - B[np.ix_(p, p)] * w))
-        BV = np.einsum("rjk,jk->rj", B[:, cycles], V[s])[cycles]    # by cycle
-        R[s] = np.einsum("ik,ikj->ij", V[s].conj(), BV)
-        res[s, 2] = np.max(np.abs(BV - V[s, :, :, None] * R[s, :, None]))
-        res[s] /= np.max(np.abs(B))
-    return (R, res) if np.ndim(l) else (R[0], res[0])
+    V = ctx.omega_pow(turn - phases[:, 0, cycles]) / np.sqrt(N)
+    # S and a path permute the orbits alike (Weyl monomials commute up to a
+    # phase): (S B - B S)[S perm c, c] = w[perm c] coef[c] - coef[S c] w[c]
+    w = ctx.omega_pow(phases)
+    res = [np.max(np.abs(w[sec, i, perm] * coef - coef[..., p]
+                         * w[:, i, None]), axis=(1, 2))
+           for i, p in enumerate(perms[0])]
+    BV = np.zeros((K, N * N, N), dtype=complex)     # (orbit, cycle j)
+    np.add.at(BV, (sec[..., None], perm[..., cycles], np.arange(N)[:, None]),
+              coef[..., cycles] * V[:, None])
+    BV = BV[:, cycles]
+    R = np.einsum("sik,sikj->sij", V.conj(), BV)
+    res.append(np.max(np.abs(BV - V[..., None] * R[:, :, None]), axis=(1, 2, 3)))
+
+    def lift(mu, u):
+        # conj(V) u, orbit by orbit, then conj(S_2) as a scatter
+        y, phi = np.take((V.conj() * u[..., None]).reshape(K, -1),
+                         np.argsort(cycles, axis=None), axis=1), 0
+        for k in range(N):
+            phi = phi + np.exp(1j * k * k) * y
+            y[:, perms[0, 1]] = ctx.omega_pow(-phases[:, 1]) * y
+        phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+        Bt_phi = np.einsum("spc,spc->sc", coef, phi[sec, perm])
+        return phi, np.linalg.norm(Bt_phi - mu[:, None] * phi, axis=1) / scale
+
+    return R, np.array(res).T / scale[:, None], lift
 
 
 def transfer_pencil(chain: ChainParams, ctx: Context) -> TransferPencil:

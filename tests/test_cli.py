@@ -30,6 +30,23 @@ def one_ulp(block, entry, up):
                            z.imag)
 
 
+def patch_paths(monkeypatch, change):
+    """Give every `commutant_reduction` the path tables of
+    `transfer.path_monomials` after change(coef_row, l, call) edits the
+    coefficients of sector l in place; returns the sector lists called."""
+    real, calls = transfer.path_monomials, []
+
+    def paths(chain, ctx, ls):
+        calls.append(list(ls))
+        perm, coef, degree = real(chain, ctx, ls)
+        for i, l in enumerate(ls):
+            change(coef[i], l, len(calls))
+        return perm, coef, degree
+
+    monkeypatch.setattr(transfer, "path_monomials", paths)
+    return calls
+
+
 class TestVerify:
     def test_n3_passes(self, tmp_path):
         out = tmp_path / "verify.json"
@@ -145,6 +162,24 @@ class TestVerifyReport:
         config = cli.RunConfig(n_list=[3], out=str(tmp_path / "c.json"))
         assert cli.cmd_curves(config) == 0
 
+    def test_sector_suites_build_no_sector_block(self, tmp_path, monkeypatch):
+        # degeneracy and divisibility read the path tables; the dense
+        # N^2 x N^2 sector blocks are the tests' oracle
+        def refuse(*args):
+            raise AssertionError("dense sector block built")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "hofchain" and getattr(
+                    module, "sector_pencil", None) is transfer.sector_pencil:
+                monkeypatch.setattr(module, "sector_pencil", refuse)
+        monkeypatch.setattr(cli, "VERIFY_SUITES", [
+            s for s in cli.VERIFY_SUITES
+            if s[0] in ("divisibility", "degeneracy")])
+        out = tmp_path / "v.json"
+        assert main(["verify", "--N", "5", "--out", str(out)]) == 0
+        assert [s["suite"] for s in read_json(out)["suites"]] == [
+            "divisibility", "degeneracy"]
+
 
 class TestDivisibility:
     """The suite's one eigenvector per sector, its gates and its residual."""
@@ -155,7 +190,7 @@ class TestDivisibility:
         cp = DegenerateChain(tuple(weylcore.unit_draws(rng, 3))).site_params(ctx)
         ls = np.arange(N)
         pencil = transfer.sector_pencil(cp, ctx, ls)
-        stacked = cli.sector_left_eigenvectors(pencil[:, 1], ctx, ls)
+        stacked = cli.sector_left_eigenvectors(cp, ctx, ls)
         for l, (T0, T2), (mu, v, res, gap, commutant) in zip(
                 ls, pencil, zip(*stacked)):
             B = T2.T
@@ -177,10 +212,11 @@ class TestDivisibility:
     def test_default_seed_residual(self, N, rng):
         assert cli._suite_divisibility(make_context(N), rng)[0] <= 1e-12
 
-    @pytest.mark.parametrize("N", [5, 7])
+    @pytest.mark.parametrize("N", [5, 7, 9])
     def test_first_draw_passes(self, N):
-        # the fixed start, not a lift of R_l's eigenvectors: in sector 0 the
-        # lifted dominant vector can pair to zero with |x>^+_0 and redraw
+        # the lift weighted by exp(i k^2) over the N images under conj(S_2):
+        # in sector 0 a single image conj(V) u of R_l's dominant eigenvector
+        # can pair to zero with |x>^+_0 and redraw; the weighted sum does not
         ctx = make_context(N)
         for seed in range(20):
             res, _ = cli._suite_divisibility(ctx, np.random.default_rng(seed))
@@ -196,8 +232,8 @@ class TestDivisibility:
                                          fake, message):
         real = cli.sector_left_eigenvectors
 
-        def no_convergence(blocks, ctx, ls):    # every residual above the gate
-            mu, v, res, gap, commutant = real(blocks, ctx, ls)
+        def no_convergence(chain, ctx, ls):     # every residual above the gate
+            mu, v, res, gap, commutant = real(chain, ctx, ls)
             return mu, v, np.ones_like(res), gap, commutant
 
         monkeypatch.setattr(cli, target, fake or no_convergence)
@@ -209,111 +245,73 @@ class TestDivisibility:
         assert record["error"]["class"] == "GenericityError"
         assert record["error"]["message"].startswith(message)
 
-    def test_shift_at_an_exact_eigenvalue(self, tmp_path, monkeypatch):
-        # a scalar block has mu exactly, so block^T - mu is zero and the
-        # solve is singular: the first draw is refused, the second passes
-        real, calls = cli.sector_pencil, []
-
-        def scalar_first(chain, ctx, ls):
-            calls.append(list(ls))
-            blocks = real(chain, ctx, ls)
-            if len(calls) == 1:     # entry 0: sector 0, the first pair
-                blocks[0, 1] = 2.0 * np.eye(len(blocks[0, 1]))
-            return blocks
-
-        monkeypatch.setattr(cli, "sector_pencil", scalar_first)
-        with pytest.raises(GenericityError, match=r"^\(l_sec, label\) = "
-                           r"\(0, 0\): block\^T - mu is exactly singular"):
-            cli._suite_divisibility(make_context(5),
-                                    np.random.default_rng(1))
-        calls.clear()
-        monkeypatch.setattr(cli, "VERIFY_SUITES", [
-            s for s in cli.VERIFY_SUITES if s[0] == "divisibility"])
-        out = tmp_path / "v.json"
-        assert main(["verify", "--N", "5", "--out", str(out)]) == 0
-        (record,) = read_json(out)["suites"]
-        assert record["attempts"] == 2 and record["pass"] is True
-
     def test_errors_name_the_first_failing_pair(self, monkeypatch):
-        # scalar blocks with R_l = 2 I_N at pairs 2 and 4 make B^T - mu zero:
-        # the batched solve raises for the stack and names no block, so the
-        # zero LU pivots find them, both get an inf residual and pair 2 is
-        # named; a residual above the gate at pair 1 comes before both
-        ctx, pencil, reduction, vectors = make_context(5), cli.sector_pencil, \
-            cli.commutant_reduction, cli.sector_left_eigenvectors
+        # one coefficient moved in the sectors of pairs 1 and 3 breaks the
+        # commutant there, so the lift is no eigenvector of the moved block;
+        # pair 3's residual is the larger, and pair 1, (2, 1), is named
+        sizes = {2: 1e-6, 4: 1e-4}
 
-        def scalar_2_and_4(chain, ctx, ls):
-            blocks = pencil(chain, ctx, ls)
-            blocks[[2, 4], 1] = 2.0 * np.eye(25)
-            return blocks
+        def moved(coef, l, call):
+            if l in sizes:
+                coef[1, 0] += sizes[l] * np.max(np.abs(coef))
 
-        def exact_r(blocks, ctx, ls):
-            R, res = reduction(blocks, ctx, ls)
-            R[[2, 4]] = 2.0 * np.eye(5)
-            return R, res
-
-        def gate_fails_at_1(blocks, ctx, ls):
-            mu, v, res, gap, commutant = vectors(blocks, ctx, ls)
-            assert np.all(np.isinf(res[[2, 4]]))
-            assert np.all(res[[0, 1, 3]] <= cli.EIGVEC_GATE)
-            res[1] = 1.0
-            return mu, v, res, gap, commutant
-
-        monkeypatch.setattr(cli, "sector_pencil", scalar_2_and_4)
-        monkeypatch.setattr(cli, "commutant_reduction", exact_r)
+        patch_paths(monkeypatch, moved)
+        ctx = make_context(5)
+        cp = DegenerateChain(tuple(weylcore.unit_draws(
+            np.random.default_rng(1), 3))).site_params(ctx)
+        ratios = cli.sector_left_eigenvectors(cp, ctx, [0, 2, 3, 4, 1])[2]
+        assert np.all(ratios[[0, 2, 4]] <= cli.EIGVEC_GATE)
+        assert cli.EIGVEC_GATE < ratios[1] < ratios[3]
         with pytest.raises(GenericityError, match=r"^\(l_sec, label\) = "
-                           r"\(3, 4\): block\^T - mu is exactly singular$"):
-            cli._suite_divisibility(ctx, np.random.default_rng(1))
-        monkeypatch.setattr(cli, "sector_left_eigenvectors", gate_fails_at_1)
-        with pytest.raises(GenericityError, match=r"^\(l_sec, label\) = "
-                           r"\(2, 1\): left eigenvector residual 1 > gate"):
+                           r"\(2, 1\): left eigenvector residual \S+ > gate"):
             cli._suite_divisibility(ctx, np.random.default_rng(1))
 
     def test_min_gap_pair_survives_one_ulp(self, monkeypatch):
         # at N = 5, seed 1, the partner pairs (4, 2) and (1, 3) have gaps
-        # equal to 15 digits: np.argmin of the gaps names (1, 3), and (4, 2)
-        # after either one-ulp change to sector 4; the field names the first
-        real, named = cli.sector_pencil, []
-        for nudge in [None, ((0, 24), False), ((2, 7), True)]:
-            def nudged(chain, ctx, ls):
-                blocks = real(chain, ctx, ls)
-                if nudge:
-                    one_ulp(blocks[list(ls).index(4), 1], *nudge)
-                return blocks
+        # equal to 15 digits: np.argmin of the gaps names (4, 2), and (1, 3)
+        # after either one-ulp change to a coefficient of sector 4; the field
+        # names the first
+        named = []
+        for nudge in [None, ((1, 4), True), ((1, 8), False)]:
+            def nudged(coef, l, call):
+                if nudge and l == 4:
+                    one_ulp(coef, *nudge)
 
-            monkeypatch.setattr(cli, "sector_pencil", nudged)
+            patch_paths(monkeypatch, nudged)
             named.append(cli._suite_divisibility(
                 make_context(5), np.random.default_rng(1))[1]["min_gap_pair"])
         assert named == [[4, 2]] * 3
 
     def test_run_path_calls_no_eig(self, tmp_path, monkeypatch):
         # a full eigensolve of each sector block is the tests' oracle; the
-        # run path's eigenvalues come from the N x N matrices R_l alone
-        shapes, eigvals = [], np.linalg.eigvals
+        # run path's eigenvalues and eigenvectors come from the N x N
+        # matrices R_l alone
+        shapes = []
 
-        def refuse(*args):
-            raise AssertionError("np.linalg.eig called")
+        def recorded(name):
+            real = getattr(np.linalg, name)
 
-        def recorded(a):
-            shapes.append(a.shape)
-            return eigvals(a)
+            def call(a):
+                shapes.append((name, a.shape))
+                return real(a)
+            monkeypatch.setattr(np.linalg, name, call)
 
-        monkeypatch.setattr(np.linalg, "eig", refuse)
-        monkeypatch.setattr(np.linalg, "eigvals", recorded)
+        recorded("eig")
+        recorded("eigvals")
         monkeypatch.setattr(cli, "VERIFY_SUITES", [
             s for s in cli.VERIFY_SUITES if s[0] == "divisibility"])
         assert main(["verify", "--N", "5", "--out",
                      str(tmp_path / "v.json")]) == 0
         # one call over the (l_sec, label) pairs: 2M + 1 matrices of N x N
-        assert shapes == [(5, 5, 5)]
+        assert shapes == [("eig", (5, 5, 5))]
 
 
 @pytest.mark.parametrize("N", [5, 9])
 def test_one_stacked_pass_per_suite(N, monkeypatch):
-    # the sector tables, the eigensolve and the solve cover every sector in
-    # one call each, however many sectors: one orbit exponent table for the
-    # pencil's path monomials, one for S_1 and S_2 and, in divisibility, one
-    # to scatter the eigenvectors
+    # the sector tables and the eigensolve cover every sector in one call
+    # each, however many sectors: one orbit exponent table for the path
+    # monomials, one for S_1 and S_2 and, in divisibility, one to scatter
+    # the eigenvectors; no solve
     counts = Counter()
 
     def count(module, name):
@@ -326,13 +324,13 @@ def test_one_stacked_pass_per_suite(N, monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(weylcore, "_orbit_exponents")
-    count(np.linalg, "eigvals")
-    count(np.linalg, "solve")
+    for name in ("eig", "eigvals", "solve"):
+        count(np.linalg, name)
     cli._suite_degeneracy(make_context(N), np.random.default_rng(1))
     assert counts == {"_orbit_exponents": 2, "eigvals": 1}
     counts.clear()
     cli._suite_divisibility(make_context(N), np.random.default_rng(1))
-    assert counts == {"_orbit_exponents": 3, "eigvals": 1, "solve": 1}
+    assert counts == {"_orbit_exponents": 3, "eig": 1}
 
 
 class TestSolve:
@@ -1099,35 +1097,40 @@ class TestDegeneracy:
         assert shapes == [(7, 7, 7)]    # one call: an N x N matrix per sector
 
     @staticmethod
-    def patch_blocks(monkeypatch, change):
-        # the suite builds all sectors in one call: change applies to entry l
-        real, calls = cli.sector_pencil, []
-
-        def pencil(chain, ctx, ls):
-            calls.append(list(ls))
-            blocks = real(chain, ctx, ls)
-            for i, l in enumerate(ls):
-                blocks[i] = change(blocks[i], l, len(calls))
-            return blocks
-
-        monkeypatch.setattr(cli, "sector_pencil", pencil)
+    def only_degeneracy(monkeypatch):
         monkeypatch.setattr(cli, "VERIFY_SUITES", [
             s for s in cli.VERIFY_SUITES if s[0] == "degeneracy"])
+
+    @staticmethod
+    def patch_r(monkeypatch, change):
+        # the suite reduces all sectors in one call: change(R_l, l, call)
+        # edits the N x N matrix of sector l in place
+        real, calls = cli.commutant_reduction, []
+
+        def reduction(chain, ctx, ls):
+            calls.append(list(ls))
+            R, res, lift = real(chain, ctx, ls)
+            for i, l in enumerate(ls):
+                change(R[i], l, len(calls))
+            return R, res, lift
+
+        monkeypatch.setattr(cli, "commutant_reduction", reduction)
+        TestDegeneracy.only_degeneracy(monkeypatch)
         return calls
 
     def test_min_gap_sector_survives_one_ulp(self, monkeypatch):
         # at N = 5 and the default seed, sectors 2 and 3 = -2 have gaps equal
         # to 15 digits: np.argmin of the gaps names 3, and 2 after each of
-        # these one-ulp changes; the field names the first of the two
-        nudges, named = [None, (2, (2, 1), True), (2, (2, 7), False),
-                         (3, (3, 23), True)], []
+        # these one-ulp changes to a coefficient of sector 2; the field names
+        # the first of the two
+        nudges, named = [None, ((3, 5), True), ((4, 11), True),
+                         ((5, 20), True)], []
 
-        def nudge(blocks, l, call):
-            if nudges[call - 1] and l == nudges[call - 1][0]:
-                one_ulp(blocks[1], *nudges[call - 1][1:])
-            return blocks
+        def nudge(coef, l, call):
+            if nudges[call - 1] and l == 2:
+                one_ulp(coef, *nudges[call - 1])
 
-        self.patch_blocks(monkeypatch, nudge)
+        patch_paths(monkeypatch, nudge)
         for _ in nudges:
             named.append(cli._suite_degeneracy(
                 make_context(5), np.random.default_rng(20240001))[1]
@@ -1135,12 +1138,13 @@ class TestDegeneracy:
         assert named == [2] * 4
 
     def test_non_commuting_block_fails(self, tmp_path, monkeypatch, capsys):
-        # a small term that commutes with neither S_1 nor S_2
-        def perturb(blocks, l, call):
-            blocks[1, 0, 1] += 1e-6 * np.max(np.abs(blocks[1]))
-            return blocks
+        # one path coefficient moved on one orbit: a small term that commutes
+        # with neither S_1 nor S_2
+        def perturb(coef, l, call):
+            coef[1, 0] += 1e-6 * np.max(np.abs(coef))
 
-        self.patch_blocks(monkeypatch, perturb)
+        patch_paths(monkeypatch, perturb)
+        self.only_degeneracy(monkeypatch)
         out = tmp_path / "verify.json"
         assert main(["verify", "--N", "5", "--out", str(out)]) == 1
         assert re.search(r"^FAIL invariant degeneracy at N=5: residual \S+ "
@@ -1150,26 +1154,24 @@ class TestDegeneracy:
         assert 1e-8 < rec["evidence"]["s1_commutator"] <= rec["max_residual"]
 
     def test_near_degenerate_r_is_a_redraw(self, tmp_path, monkeypatch):
-        # a scalar block commutes with everything, and its R_l has one
-        # N-fold eigenvalue: the first draw is refused, the second passes
-        def scalar_first(blocks, l, call):
+        # R_l = 2 I_N has one N-fold eigenvalue: the first draw is refused,
+        # the second passes
+        def scalar_first(R, l, call):
             if call == 1:
-                blocks[1] = 2.0 * np.eye(len(blocks[1]))
-            return blocks
+                R[:] = 2.0 * np.eye(len(R))
 
-        self.patch_blocks(monkeypatch, scalar_first)
+        self.patch_r(monkeypatch, scalar_first)
         out = tmp_path / "verify.json"
         assert main(["verify", "--N", "5", "--out", str(out)]) == 0
         (rec,) = read_json(out)["suites"]
         assert rec["attempts"] == 2 and rec["pass"] is True
 
     def test_gap_error_names_the_sector(self, tmp_path, monkeypatch):
-        def scalar_sector_3(blocks, l, call):
+        def scalar_sector_3(R, l, call):
             if l == 3:
-                blocks[1] = np.eye(len(blocks[1]))
-            return blocks
+                R[:] = np.eye(len(R))
 
-        calls = self.patch_blocks(monkeypatch, scalar_sector_3)
+        calls = self.patch_r(monkeypatch, scalar_sector_3)
         out = tmp_path / "verify.json"
         assert main(["verify", "--N", "5", "--out", str(out)]) == 1
         (rec,) = read_json(out)["suites"]

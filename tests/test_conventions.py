@@ -116,10 +116,11 @@ def test_commutator_check_forms_no_dense_product():
 
 
 def _reached(*roots):
-    """Every name referenced from roots across transfer.py and weylcore.py,
-    following the functions they name and the methods of the classes."""
+    """Every name referenced from roots across transfer.py, weylcore.py and
+    cli.py, following the functions they name and the methods of the
+    classes."""
     defs = {}
-    for module in ("transfer.py", "weylcore.py"):
+    for module in ("transfer.py", "weylcore.py", "cli.py"):
         for node in ast.parse((SRC / module).read_text(encoding="utf-8")).body:
             if isinstance(node, ast.FunctionDef):
                 defs[node.name] = [node]
@@ -149,6 +150,25 @@ def test_dense_transfer_and_its_oracle_are_independent():
     assert not oracle & {"path_table", "path_weights", "weyl_monomial",
                          "sector_monomial", "transfer_terms", "sector_orbits",
                          "sector_pencil", "transfer_T"}
+
+
+def test_sector_suites_and_their_oracle_are_independent():
+    # degeneracy and divisibility reduce the sector blocks and lift their
+    # eigenvectors from the path tables, with no N^2 x N^2 array; the dense
+    # reduction in the tests reads a dense block and none of that machinery
+    fast = _reached("_suite_degeneracy", "_suite_divisibility")
+    assert {"commutant_reduction", "sector_left_eigenvectors",
+            "path_monomials", "sector_monomial"} <= fast
+    assert not fast & {"sector_pencil", "transfer_T", "sector_basis",
+                       "sector_project", "solve", "slogdet"}
+    tree = ast.parse((SRC.parent.parent / "tests" / "test_commutant.py")
+                     .read_text(encoding="utf-8"))
+    (oracle,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name == "dense_reduction"]
+    assert "sector_monomial" in _called_names(oracle)
+    assert not _called_names(oracle) & {
+        "commutant_reduction", "path_monomials", "sector_left_eigenvectors",
+        "lift", "sector_pencil"}
 
 
 def test_no_max_or_min_over_a_bare_generator():
