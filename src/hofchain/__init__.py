@@ -13,10 +13,9 @@ from .transfer import (BlockOperator2x2, ChainParams, SiteParams,
 from .baxter import (DegenerateChain, RationalPoint, baxter_vector, delta_pm,
                      sector_vectors, t_action_residual, tau,
                      theorem1_ii_residual)
-from .bethe import (BetheSolution, ComplexPolynomial, MatrixA,
-                    bethe_ansatz_residuals, lambda_M_from_roots, matrix_A,
-                    oracle_spectrum, rbeq_residual, solve_L1, solve_L2,
-                    solve_L3)
+from .bethe import (BetheSolution, ComplexPolynomial, bethe_ansatz_residuals,
+                    lambda_M_from_roots, matrix_A, oracle_spectrum,
+                    rbeq_residual, solve_L1, solve_L2, solve_L3)
 from .curves import (ABCDPolys, HofstadterChain3, WPoint, abcd_polys,
                      averaged_baxter, descended_t_residual, epsilon_rank,
                      eta_roots, sample_W)
@@ -32,7 +31,7 @@ __all__ = [
     "hofstadter_hamiltonian",
     "RationalPoint", "DegenerateChain", "tau", "delta_pm", "baxter_vector",
     "t_action_residual", "sector_vectors", "theorem1_ii_residual",
-    "ComplexPolynomial", "BetheSolution", "MatrixA", "rbeq_residual",
+    "ComplexPolynomial", "BetheSolution", "rbeq_residual",
     "solve_L1", "solve_L2", "matrix_A", "solve_L3", "bethe_ansatz_residuals",
     "lambda_M_from_roots", "oracle_spectrum",
     "ABCDPolys", "WPoint", "HofstadterChain3", "abcd_polys", "eta_roots",

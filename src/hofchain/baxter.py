@@ -200,10 +200,12 @@ def theorem1_ii_residual(chain: DegenerateChain, x, l,
                          ctx: Context) -> float:
     """Defect of q^{-l} T(x)|x>_l^+ = |q^{-1}x>_l^+ D_-(x,-1) + |qx>_l^+ D_+(x,0);
     the largest over one x or an array of them and one sector l or an array
-    of them, each (x, l) on its own scale."""
+    of them, each (x, l) on its own scale.  Only the |x>_l^+ rows are formed,
+    one (1 x N) weight row times the node rows per (x, l)."""
     x, l = np.asarray(x), np.atleast_1d(l)
     xs = np.array([x, ctx.q_pow(-1) * x, ctx.q_pow(1) * x])[..., None]
-    plus, plus_m, plus_p = sector_vectors(xs, l, chain, ctx)["plus_vec"]
+    plus, plus_m, plus_p = (_plus_weights(xs, l, chain, ctx)[..., 2:, :]
+                            @ _node_rows(xs, chain, ctx))[..., 0, :]
     lhs = ctx.q_pow(-l)[:, None] * transfer_apply(   # one row per (x, l)
         chain.site_params(ctx), np.repeat(x, len(l)), ctx,
         plus.reshape(-1, plus.shape[-1])).reshape(plus.shape)

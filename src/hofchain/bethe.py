@@ -237,20 +237,11 @@ def solve_L2(m: int, mp: int, c0: complex, c1: complex,
     return _solution(m, [lam], Q, chain, ctx, shifts, error)[0]
 
 
-@dataclass(frozen=True)
-class MatrixA:
-    """Banded N x N matrix whose eigenvalues are the admissible lambda_m.
-
-    Row i (1-indexed from the top) carries diagonal delta'_{N-i},
+def matrix_A(m: int, c, ctx: Context, shifts=None) -> np.ndarray:
+    """Banded N x N matrix of sector m whose eigenvalues are the admissible
+    lambda_m: row i (1-indexed from the top) carries diagonal delta'_{N-i},
     superdiagonal u'_{N-i}, subdiagonal v'_{N-i}, sub-subdiagonal w'_{N-i}.
-    """
-
-    mat: np.ndarray
-    m: int
-
-
-def matrix_A(m: int, c, ctx: Context, shifts=None) -> MatrixA:
-    """The matrix of sector m; `shifts` is `shift_polys` of c, if already built."""
+    `shifts` is `shift_polys` of c, if already built."""
     if len(c) != 3:
         raise ValueError("matrix_A takes exactly three chain parameters")
     s1, s2, s3 = (shifts or shift_polys(DegenerateChain(tuple(c)), ctx))[1][1:]
@@ -265,8 +256,7 @@ def matrix_A(m: int, c, ctx: Context, shifts=None) -> MatrixA:
     d = (ctx.q_pow(k) * qh(-1) + ctx.q_pow(-k - 1) * qh(-1)) * s2
     # u'_k = (q^{k-3/2} - q^{-k-3/2}) s3
     u = (ctx.q_pow(k - 1) * qh(-1) - ctx.q_pow(-k - 1) * qh(-1)) * s3
-    A = np.diag(d) + np.diag(u[:-1], 1) + np.diag(v[1:], -1) + np.diag(w[2:], -2)
-    return MatrixA(mat=A, m=m)
+    return np.diag(d) + np.diag(u[:-1], 1) + np.diag(v[1:], -1) + np.diag(w[2:], -2)
 
 
 def solve_L3(m: int, c, ctx: Context) -> list:
@@ -283,8 +273,7 @@ def solve_L3(m: int, c, ctx: Context) -> list:
         raise ValueError(f"sector m must be in [0, {M}]")
     chain = DegenerateChain(tuple(c))
     shifts = shift_polys(chain, ctx)
-    A = matrix_A(m, c, ctx, shifts)
-    lams = np.linalg.eigvals(A.mat)
+    lams = np.linalg.eigvals(matrix_A(m, c, ctx, shifts))
     lams = lams[np.lexsort((lams.imag, lams.real))]
     if np.triu(np.abs(lams[:, None] - lams) < EIGEN_GAP, 1).any():
         raise GenericityError("matrix_A has near-degenerate eigenvalues")

@@ -509,6 +509,8 @@ def _parse_tol(items) -> dict:
         name, _, value = item.partition("=")
         if not value:
             raise ValueError(f"--tol expects name=value, got {item!r}")
+        if name in out:     # the last value would silently win
+            raise ValueError(f"tolerance {name!r} given more than once")
         out[name] = float(value)
     return out
 

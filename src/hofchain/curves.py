@@ -29,7 +29,7 @@ import numpy as np
 
 from .weylcore import (POLE_TOL, Context, PoleError, relative_defect,
                        sector_orbits, unit_draws)
-from .transfer import ChainParams, SiteParams, transfer_terms
+from .transfer import ChainParams, SiteParams, transfer_apply
 from .bethe import ComplexPolynomial
 
 W_TOL = 1e-9
@@ -259,14 +259,12 @@ def tau_W(p: WPoint, sign: int, chain: HofstadterChain3, ctx: Context) -> WPoint
 def descended_t_residual(p, chain: HofstadterChain3, ctx: Context):
     """Defect of x^{-2} T(x)|p> = |tau_- p> Delta~_- + |tau_+ p> Delta~_+ at
     one WPoint (a float) or at each of a sequence of points (an array): one
-    fiber average of every p, tau_- p and tau_+ p, one `transfer_terms` call
-    whose coefficients each row sums with its own powers of x."""
+    fiber average of every p, tau_- p and tau_+ p, one `transfer_apply` call
+    with each row's own x."""
     P = _stack([p] if isinstance(p, WPoint) else p)
     taus = [tau_W(P, sign, chain, ctx) for sign in (-1, +1)]
     v, vm, vp = _averaged_rows([P] + taus, chain, ctx).reshape(3, len(P.x), -1)
-    cp = chain.chain_params()
-    lhs = (P.x[:, None, None] ** np.arange(cp.L + 1) @ transfer_terms(
-        cp, ctx, v).transpose(1, 0, 2))[:, 0] / (P.x**2)[:, None]
+    lhs = transfer_apply(chain.chain_params(), P.x, ctx, v) / (P.x**2)[:, None]
     rhs = (vm * descended_delta(P, -1, chain, ctx)[:, None]
            + vp * descended_delta(P, +1, chain, ctx)[:, None])
     res = relative_defect(lhs, rhs)

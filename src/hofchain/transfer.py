@@ -206,34 +206,36 @@ class TransferPencil:
 
 
 def transfer_terms(chain: ChainParams, ctx: Context, rows) -> np.ndarray:
-    """Apply every coefficient of T(x) = sum_k x^k T_k to rows, matrix-free:
-    rows (B, N^L) give (L+1, B, N^L), T_k in entry k, the odd ones zero; each
-    path of nonzero weight gathers the columns that `transfer_T` lays out."""
+    """Apply each coefficient of T(x) = sum_k x^(2k) T_2k (every path has even
+    degree) to rows, matrix-free: rows (B, N^L) give (floor(L/2) + 1, B, N^L),
+    T_2k in entry k; each path of nonzero weight gathers the columns that
+    `transfer_T` lays out."""
     rows = np.asarray(rows, dtype=complex)
-    out = np.zeros((chain.L + 1,) + rows.shape, dtype=complex)
+    out = np.zeros((chain.L // 2 + 1,) + rows.shape, dtype=complex)
     a, b, degree = path_table(chain.L)
     weights = path_weights(chain)
     sources, clocks = weyl_monomial(ctx.N, -a, b)
     for p in np.flatnonzero(weights):
-        out[degree[p]] += (weights[p] * ctx.omega_pow(clocks[p])
-                           * rows[:, sources[p]])
+        out[degree[p] // 2] += (weights[p] * ctx.omega_pow(clocks[p])
+                                * rows[:, sources[p]])
     return out
 
 
 def transfer_apply(chain: ChainParams, x, ctx: Context,
                    v: np.ndarray) -> np.ndarray:
-    """T(x) v for one vector v or each row of a stack (..., N^L), summed from
-    `transfer_terms`; x broadcasts against the stack, one x per row."""
+    """T(x) v for one vector v or each row of a stack (..., N^L): the slots of
+    `transfer_terms` summed with x^(2k); x broadcasts against the stack, one x
+    per row."""
     terms = transfer_terms(chain, ctx, np.reshape(v, (-1, np.shape(v)[-1])))
     powers = np.reshape(np.broadcast_to(x, np.shape(v)[:-1]), (-1, 1)) \
-        ** np.arange(len(terms))
+        ** (2 * np.arange(len(terms)))
     return np.einsum("bk,kbn->bn", powers, terms).reshape(np.shape(v))
 
 
 def path_monomials(chain: ChainParams, ctx: Context, l) -> tuple:
     """(perm, coef, degree): path p of `path_table` sends orbit vector B_c of
     sector l to coef[p, c] B_perm[p, c], x-degree degree[p]; an array of
-    sectors puts a sector axis first.  Z^b X^a = omega^(a.b) X^a Z^b."""
+    sectors gives coef a sector axis first.  Z^b X^a = omega^(a.b) X^a Z^b."""
     a, b, degree = path_table(chain.L)
     perm, phase = sector_monomial(ctx, l, a, b)
     return perm, path_weights(chain)[:, None] * ctx.omega_pow(
@@ -246,7 +248,7 @@ def sector_pencil(chain: ChainParams, ctx: Context, l) -> np.ndarray:
     k is sector_project(T_{2k}, sector_basis(ctx, L, l)), the scatter of the
     `path_monomials` of degree 2k in one pass: the oracle's dense blocks."""
     perm, coef, degree = path_monomials(chain, ctx, np.atleast_1d(l))
-    S, _, n = perm.shape
+    S, _, n = coef.shape
     blocks = np.zeros((S, chain.L // 2 + 1, n, n), dtype=complex)
     # the two degree-0 paths share entries
     np.add.at(blocks, (np.arange(S)[:, None, None], degree[:, None] // 2,
@@ -263,14 +265,14 @@ def commutant_reduction(chain: ChainParams, ctx: Context, l) -> tuple:
     by rows: phi = sum_k exp(i k^2) conj(S_2)^k conj(V) u normalised, B's
     left eigenvectors, and ||B^T phi - mu phi|| / max|B|."""
     N, ls = ctx.N, np.atleast_1d(l)
-    K, sec = len(ls), np.arange(len(ls))[:, None, None]
+    K = len(ls)
     perm, coef, degree = path_monomials(chain, ctx, ls)
-    perm, coef = perm[:, degree == 2], coef[:, degree == 2]
+    perm, coef = perm[degree == 2], coef[:, degree == 2]
     scale = np.max(np.abs(coef), axis=(1, 2))
     perms, phases = sector_monomial(ctx, ls, *zip(*MAGNETIC_TRANSLATIONS))
     walk = np.arange(N * N)[None]   # the S_1 orbit of each c, in any sector
     for _ in range(N):
-        walk = np.vstack([walk, perms[0, 0][walk[-1]]])
+        walk = np.vstack([walk, perms[0][walk[-1]]])
     if (walk[1:N] == walk[0]).any() or (walk[N] != walk[0]).any():
         raise ValueError("S_1 has a cycle of length other than N")
     cycles = walk[:N, walk[:N].min(axis=0) == walk[0]].T   # (cycle, step)
@@ -282,11 +284,12 @@ def commutant_reduction(chain: ChainParams, ctx: Context, l) -> tuple:
     # S and a path permute the orbits alike (Weyl monomials commute up to a
     # phase): (S B - B S)[S perm c, c] = w[perm c] coef[c] - coef[S c] w[c]
     w = ctx.omega_pow(phases)
-    res = [np.max(np.abs(w[sec, i, perm] * coef - coef[..., p]
+    res = [np.max(np.abs(w[:, i, perm] * coef - coef[..., p]
                          * w[:, i, None]), axis=(1, 2))
-           for i, p in enumerate(perms[0])]
+           for i, p in enumerate(perms)]
     BV = np.zeros((K, N * N, N), dtype=complex)     # (orbit, cycle j)
-    np.add.at(BV, (sec[..., None], perm[..., cycles], np.arange(N)[:, None]),
+    np.add.at(BV, (np.arange(K)[:, None, None, None], perm[:, cycles],
+                   np.arange(N)[:, None]),
               coef[..., cycles] * V[:, None])
     BV = BV[:, cycles]
     R = np.einsum("sik,sikj->sij", V.conj(), BV)
@@ -298,9 +301,9 @@ def commutant_reduction(chain: ChainParams, ctx: Context, l) -> tuple:
                          np.argsort(cycles, axis=None), axis=1), 0
         for k in range(N):
             phi = phi + np.exp(1j * k * k) * y
-            y[:, perms[0, 1]] = ctx.omega_pow(-phases[:, 1]) * y
+            y[:, perms[1]] = ctx.omega_pow(-phases[:, 1]) * y
         phi /= np.linalg.norm(phi, axis=1, keepdims=True)
-        Bt_phi = np.einsum("spc,spc->sc", coef, phi[sec, perm])
+        Bt_phi = np.einsum("spc,spc->sc", coef, phi[:, perm])
         return phi, np.linalg.norm(Bt_phi - mu[:, None] * phi, axis=1) / scale
 
     return R, np.array(res).T / scale[:, None], lift
@@ -313,7 +316,7 @@ def transfer_pencil(chain: ChainParams, ctx: Context) -> TransferPencil:
     """
     terms = transfer_terms(chain, ctx, np.eye(ctx.N ** chain.L))
     return TransferPencil(tuple(Operator(t.T, ctx.N, chain.L)
-                                for t in terms[::2]))
+                                for t in terms))
 
 
 def _shift_diagonals(mat: np.ndarray, N: int, L: int) -> tuple:

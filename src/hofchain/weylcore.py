@@ -222,7 +222,7 @@ def sector_monomial(ctx: Context, l, a, b) -> tuple:
     """(perm, phase): the Weyl monomial S = (x)_j X^(a_j) Z^(b_j) on the
     orbit basis of sector l, S B_c = omega^phase[c] B_perm[c], exact integers
     mod N from `weyl_monomial` and `_orbit_exponents`; K exponent pairs (K, L)
-    give (K, N^(L-1)) tables, and an array of sectors a table per l in front.
+    give (K, N^(L-1)) tables, an array of sectors a phase table per l in front.
     ValueError unless S commutes with D: sum_j (a_j - b_j) = 0 mod N."""
     N, a, b = ctx.N, np.asarray(a), np.asarray(b)
     if ((a - b).sum(axis=-1) % N).any():
@@ -231,8 +231,9 @@ def sector_monomial(ctx: Context, l, a, b) -> tuple:
     orbit, e = _orbit_exponents(ctx, a.shape[-1], l)
     n = len(orbit) // N                                 # reps: first digit 0
     image, shift = (t[..., :n] for t in weyl_monomial(N, a, b))
-    perm, phase = np.empty((2,) + np.shape(l) + image.shape, dtype=int)
+    perm = np.empty_like(image)
     perm[..., orbit[:n]] = orbit[image]
+    phase = np.empty(np.shape(l) + image.shape, dtype=int)
     phase[..., orbit[:n]] = (shift - e[..., image]) % N     # e = 0 at reps
     return perm, phase
 

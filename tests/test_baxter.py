@@ -202,6 +202,9 @@ class TestStackedPoints:
         assert abs(theorem1_ii_residual(chain, xs, np.arange(N), ctx) - max(
             theorem1_ii_residual(chain, x, np.arange(N), ctx) for x in xs)) \
             <= 1e-15
+        # one (1 x N) plus row per sector: the stack is each sector's call
+        assert theorem1_ii_residual(chain, xs, np.arange(N), ctx) == max(
+            theorem1_ii_residual(chain, xs, l, ctx) for l in range(N))
 
     def test_nan_row(self, ctx5, rng):
         chain = degenerate_chain(rng)

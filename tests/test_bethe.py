@@ -148,7 +148,7 @@ class TestSolveL2:
 class TestMatrixA:
     def test_n3_band_layout(self, ctx3, rng):
         c = unit_draws(rng, 3)
-        A = matrix_A(1, c, ctx3).mat
+        A = matrix_A(1, c, ctx3)
         s1 = c.sum()
         s2 = c[0] * c[1] + c[1] * c[2] + c[2] * c[0]
         s3 = c.prod()
@@ -184,7 +184,7 @@ class TestMatrixA:
         s3 = c[0] * c[1] * c[2]
         qh = ctx.q_half_pow
         for m in range(ctx.M + 1):
-            A = matrix_A(m, c, ctx).mat
+            A = matrix_A(m, c, ctx)
             expect = np.zeros((N, N), dtype=complex)
             for r in range(N):
                 k = N - 1 - r
@@ -204,7 +204,7 @@ class TestMatrixA:
 
     def test_band_structure(self, ctx7, rng):
         c = unit_draws(rng, 3)
-        A = matrix_A(2, c, ctx7).mat
+        A = matrix_A(2, c, ctx7)
         N = 7
         for i in range(N):
             for j in range(N):
@@ -218,7 +218,7 @@ class TestMatrixA:
         diag_sum = sum((ctx5.q_pow(k) * ctx5.q_half_pow(-1)
                         + ctx5.q_pow(-k - 1) * ctx5.q_half_pow(-1)) * s2
                        for k in range(5))
-        assert abs(np.trace(A.mat) - diag_sum) < 1e-13
+        assert abs(np.trace(A) - diag_sum) < 1e-13
 
     @pytest.mark.parametrize("N", [3, 5, 7])
     def test_w_entry_root_coincidences(self, N, rng):
@@ -226,7 +226,7 @@ class TestMatrixA:
         ctx = make_context(N)
         c = unit_draws(rng, 3)
         for m in range(ctx.M + 1):
-            A = matrix_A(m, c, ctx).mat
+            A = matrix_A(m, c, ctx)
             for r in range(2, N):
                 k = N - 1 - r
                 w_k = A[r, r - 2]
@@ -290,7 +290,7 @@ def per_solution_L3(m, c, ctx):
     coefficient matrix, SVD and np.roots, checks in the same order (the
     degree check reads the top coefficient before trimming)."""
     chain = DegenerateChain(tuple(c))
-    lams = np.linalg.eigvals(matrix_A(m, c, ctx).mat)
+    lams = np.linalg.eigvals(matrix_A(m, c, ctx))
     lams = lams[np.lexsort((lams.imag, lams.real))]
     if np.triu(np.abs(lams[:, None] - lams) < EIGEN_GAP, 1).any():
         raise GenericityError("matrix_A has near-degenerate eigenvalues")

@@ -698,6 +698,18 @@ def test_repeated_n_refused(tmp_path, capsys, argv):
     assert not Path(str(out) + ".meta.json").exists()
 
 
+@pytest.mark.parametrize("command,name", [("verify", "commutator"),
+                                          ("curves", "descent")])
+def test_repeated_tol_refused(tmp_path, capsys, command, name):
+    # the last value would otherwise gate alone: here the looser one
+    out = tmp_path / "x.out"
+    assert main([command, "--N", "3", "--tol", f"{name}=1e-10",
+                 "--tol", f"{name}=0.5", "--out", str(out)]) == 2
+    assert (f"config error: tolerance {name!r} given more than once"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def readme_flag_table() -> dict:
     """The README's CLI flag table as {command: set of option strings}."""
     readme = Path(__file__).resolve().parent.parent / "README.md"
@@ -874,15 +886,15 @@ class TestCurvesBatched:
 
         monkeypatch.setattr(curves, "_averaged_rows",
                             counting("rows", curves._averaged_rows))
-        monkeypatch.setattr(curves, "transfer_terms",
-                            counting("terms", curves.transfer_terms))
+        monkeypatch.setattr(curves, "transfer_apply",
+                            counting("apply", curves.transfer_apply))
         out = tmp_path / "curves.json"
         assert main(["curves", "--N", "3", "--N", "5", "--out", str(out)]) == 0
         attempts = sum(r["attempts"] for r in read_json(out)["results"])
         assert attempts == 2
         assert Counter(calls) == {("rows", "descent"): attempts,
                                   ("rows", "evaluation"): attempts,
-                                  ("terms", None): attempts}
+                                  ("apply", None): attempts}
 
 
 class TestStackedSuites:

@@ -30,7 +30,7 @@ def dense_reduction(block, ctx, l):
     in sectors l gives R (K, N, N) and (K, 3) residuals."""
     N, ls = ctx.N, np.atleast_1d(l)
     perms, phases = sector_monomial(ctx, ls, *zip(*MAGNETIC_TRANSLATIONS))
-    perm, phase = perms[0, 0], phases[:, 0]
+    perm, phase = perms[0], phases[:, 0]
     walk = [np.arange(N * N)]       # the S_1 orbit of each c, in any sector
     for _ in range(N):
         walk.append(perm[walk[-1]])
@@ -46,7 +46,7 @@ def dense_reduction(block, ctx, l):
     V = ctx.omega_pow(turn - phase[:, cycles]) / np.sqrt(N)
     res, R = np.empty((len(ls), 3)), np.empty((len(ls), N, N), dtype=complex)
     for s, B in enumerate(block.reshape(-1, *block.shape[-2:])):
-        for i, (p, w) in enumerate(zip(perms[0], ctx.omega_pow(phases[s]))):
+        for i, (p, w) in enumerate(zip(perms, ctx.omega_pow(phases[s]))):
             res[s, i] = np.max(np.abs(w[:, None] * B - B[np.ix_(p, p)] * w))
         BV = np.einsum("rjk,jk->rj", B[:, cycles], V[s])[cycles]    # by cycle
         R[s] = np.einsum("ik,ikj->ij", V[s].conj(), BV)

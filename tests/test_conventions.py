@@ -5,7 +5,9 @@ and the package's one polynomial fit is the DFT of `baxter.plus_pairing_coeffs`.
 The commutator check reads each dense T(x) as its 2^L shift diagonals and
 multiplies them diagonal by diagonal, never densely.  The dense transfer
 matrix is laid out from the Weyl path table, and the L-operator chain that
-the tests hold it to shares none of that machinery."""
+the tests hold it to shares none of that machinery.  T(x)v has one power
+sum, `transfer.transfer_apply`, and the Theorem 1 (ii) check forms the plus
+vectors alone."""
 
 import ast
 from pathlib import Path
@@ -113,6 +115,32 @@ def test_commutator_check_forms_no_dense_product():
             assert ref not in ("dot", "matmul", "tensordot", "einsum",
                                "path_table", "path_weights",
                                "transfer_terms"), (name, node.lineno)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_power_sum_over_the_transfer_terms(path):
+    # transfer_apply sums the x^(2k) coefficients of transfer_terms; a reader
+    # elsewhere would sum them again with its own powers of x
+    refs = {node.attr if isinstance(node, ast.Attribute) else
+            node.id if isinstance(node, ast.Name) else node.name
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.Attribute, ast.Name, ast.alias))}
+    assert path.name == "transfer.py" or "transfer_terms" not in refs
+
+
+def test_theorem1_ii_forms_only_the_plus_rows():
+    # sector_vectors also forms the e and o rows, which Theorem 1 (ii) does
+    # not read
+    tree = ast.parse((SRC / "baxter.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["theorem1_ii_residual"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo += (_called_names(defs[name]) & defs.keys()) - reached
+    assert {"_plus_weights", "_node_rows"} <= reached
+    assert "sector_vectors" not in reached
 
 
 def _reached(*roots):
