@@ -207,8 +207,7 @@ def theorem1_ii_residual(chain: DegenerateChain, x, l,
     plus, plus_m, plus_p = (_plus_weights(xs, l, chain, ctx)[..., 2:, :]
                             @ _node_rows(xs, chain, ctx))[..., 0, :]
     lhs = ctx.q_pow(-l)[:, None] * transfer_apply(   # one row per (x, l)
-        chain.site_params(ctx), np.repeat(x, len(l)), ctx,
-        plus.reshape(-1, plus.shape[-1])).reshape(plus.shape)
+        chain.site_params(ctx), x[..., None], ctx, plus)
     dm, dp = (np.polyval(d[::-1], x)[..., None, None]
               for d in shift_polys(chain, ctx))
     return worst(np.ravel(relative_defect(lhs, plus_m * dm + plus_p * dp)))

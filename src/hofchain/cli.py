@@ -76,6 +76,8 @@ class RunConfig:
             raise ValueError(f"N given more than once: {twice}")
         for N in self.n_list:
             make_context(N, self.P)     # odd N >= 3 and gcd(P, N) = 1
+        if self.seed < 0:   # numpy's generators take no negative seed
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         for name, value in self.tolerances.items():
             if not 0 < value < math.inf:
                 raise ValueError(f"tolerance {name!r} must be positive and "

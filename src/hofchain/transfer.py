@@ -175,17 +175,26 @@ def path_weights(chain: ChainParams) -> np.ndarray:
     return blocks[np.arange(chain.L), 1 - a, 1 - b].prod(axis=1)
 
 
+def _path_entries(chain: ChainParams, ctx: Context) -> tuple:
+    """(cols, weights, phases, degree) of the paths of `path_table` with a
+    nonzero weight, on the N^L basis: row t of the path w x^degree Z^b X^a
+    has its one entry at column cols[p, t] = t - a, w x^degree phases[p, t]
+    with phases = omega^(b.t), the image and phase of t under X^-a Z^b.
+    Distinct paths have distinct a, so no two share an entry."""
+    a, b, degree = path_table(chain.L)
+    weights = path_weights(chain)
+    keep = np.flatnonzero(weights)
+    cols, clocks = weyl_monomial(ctx.N, -a[keep], b[keep])
+    return cols, weights[keep], ctx.omega_pow(clocks), degree[keep]
+
+
 def transfer_T(chain: ChainParams, x: complex, ctx: Context) -> Operator:
-    """Transfer matrix T(x), dense: the paths of `path_table` scattered into
-    one N^L x N^L matrix.  Row t of the path w x^degree Z^b X^a has its one
-    entry at column t - a, w x^degree omega^(b.t): the image and phase of t
-    under X^-a Z^b.  Tests hold it to chain_L(chain, x, ctx).trace_aux()."""
+    """Transfer matrix T(x), dense: the `_path_entries` scattered into one
+    N^L x N^L matrix.  Tests hold it to chain_L(chain, x, ctx).trace_aux()."""
     N, L = ctx.N, chain.L
-    a, b, degree = path_table(L)
-    cols, clocks = weyl_monomial(N, -a, b)
+    cols, weights, phases, degree = _path_entries(chain, ctx)
     T = np.zeros((N ** L, N ** L), dtype=complex)
-    T[np.arange(N ** L), cols] = ((x ** degree * path_weights(chain))[:, None]
-                                  * ctx.omega_pow(clocks))
+    T[np.arange(N ** L), cols] = (x ** degree * weights)[:, None] * phases
     return Operator(T, N, L)
 
 
@@ -205,31 +214,21 @@ class TransferPencil:
         return acc
 
 
-def transfer_terms(chain: ChainParams, ctx: Context, rows) -> np.ndarray:
-    """Apply each coefficient of T(x) = sum_k x^(2k) T_2k (every path has even
-    degree) to rows, matrix-free: rows (B, N^L) give (floor(L/2) + 1, B, N^L),
-    T_2k in entry k; each path of nonzero weight gathers the columns that
-    `transfer_T` lays out."""
-    rows = np.asarray(rows, dtype=complex)
-    out = np.zeros((chain.L // 2 + 1,) + rows.shape, dtype=complex)
-    a, b, degree = path_table(chain.L)
-    weights = path_weights(chain)
-    sources, clocks = weyl_monomial(ctx.N, -a, b)
-    for p in np.flatnonzero(weights):
-        out[degree[p] // 2] += (weights[p] * ctx.omega_pow(clocks[p])
-                                * rows[:, sources[p]])
-    return out
-
-
 def transfer_apply(chain: ChainParams, x, ctx: Context,
                    v: np.ndarray) -> np.ndarray:
-    """T(x) v for one vector v or each row of a stack (..., N^L): the slots of
-    `transfer_terms` summed with x^(2k); x broadcasts against the stack, one x
-    per row."""
-    terms = transfer_terms(chain, ctx, np.reshape(v, (-1, np.shape(v)[-1])))
-    powers = np.reshape(np.broadcast_to(x, np.shape(v)[:-1]), (-1, 1)) \
-        ** (2 * np.arange(len(terms)))
-    return np.einsum("bk,kbn->bn", powers, terms).reshape(np.shape(v))
+    """T(x) v for one vector v or each row of a stack (..., N^L), matrix-free:
+    each of the `_path_entries` gathers its columns of v into one output; x
+    broadcasts against the stack, one x per row."""
+    cols, weights, phases, degree = _path_entries(chain, ctx)
+    v, x = np.asarray(v, dtype=complex), np.asarray(x)[..., None]
+    out, term = np.zeros_like(v), np.empty_like(v)
+    for c, w, phase, d in zip(cols, weights, phases, degree):
+        # every column is in range: "clip" gathers into term unbuffered
+        np.take(v, c, axis=-1, out=term, mode="clip")
+        term *= w * phase
+        term *= x ** d
+        out += term
+    return out
 
 
 def path_monomials(chain: ChainParams, ctx: Context, l) -> tuple:
@@ -310,13 +309,13 @@ def commutant_reduction(chain: ChainParams, ctx: Context, l) -> tuple:
 
 
 def transfer_pencil(chain: ChainParams, ctx: Context) -> TransferPencil:
-    """The even coefficients of T(x) as dense operators, exact by x-degree.
-
-    Column b of T_k is T_k applied to the basis vector e_b.
-    """
-    terms = transfer_terms(chain, ctx, np.eye(ctx.N ** chain.L))
-    return TransferPencil(tuple(Operator(t.T, ctx.N, chain.L)
-                                for t in terms))
+    """The even coefficients of T(x) as dense operators, exact by x-degree:
+    T_2k is the scatter of the `_path_entries` of degree 2k."""
+    N, L = ctx.N, chain.L
+    cols, weights, phases, degree = _path_entries(chain, ctx)
+    T = np.zeros((L // 2 + 1, N ** L, N ** L), dtype=complex)
+    T[degree[:, None] // 2, np.arange(N ** L), cols] = weights[:, None] * phases
+    return TransferPencil(tuple(Operator(t, N, L) for t in T))
 
 
 def _shift_diagonals(mat: np.ndarray, N: int, L: int) -> tuple:
@@ -407,6 +406,10 @@ def hofstadter_hamiltonian(ctx: Context, mu, nu, rho, alpha, beta, gamma) -> Ope
     V^H and W above.  Each entry is the dense sum's expression in numpy
     arithmetic (np.divide: Python's complex division rounds differently).
     """
+    for name, value in zip(("mu", "nu", "rho", "alpha", "beta", "gamma"),
+                           (mu, nu, rho, alpha, beta, gamma)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if alpha == 0 or beta == 0 or gamma == 0:
         raise ValueError("alpha, beta, gamma must be nonzero")
     N, k = ctx.N, np.arange(ctx.N)

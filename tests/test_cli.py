@@ -675,6 +675,17 @@ def test_refused_butterfly_input_writes_no_file(tmp_path):
     assert not Path(str(out) + ".meta.json").exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--mu", "nan"),
+                                        ("--gamma", "nan+0j")])
+def test_non_finite_butterfly_parameter_refused(tmp_path, capsys, flag, value):
+    # refused by name before LAPACK sees it, with no warning on the way
+    out = tmp_path / "b.csv"
+    assert main(["butterfly", "--N", "3", flag, value, "--out", str(out)]) == 2
+    assert (f"error: {flag[2:]} must be finite"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("command,name", [("verify", "rll"),
                                           ("curves", "descent")])
@@ -694,6 +705,18 @@ def test_repeated_n_refused(tmp_path, capsys, argv):
     assert main(argv + ["--N", "3", "--N", "5", "--N", "3",
                         "--out", str(out)]) == 2
     assert "config error: N given more than once: [3]" in capsys.readouterr().err
+    assert not out.exists()
+    assert not Path(str(out) + ".meta.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["solve", "--L", "3"],
+                                  ["curves"]])
+def test_negative_seed_refused(tmp_path, capsys, argv):
+    # numpy's generators refuse it, which would fail every record
+    out = tmp_path / "x.out"
+    assert main(argv + ["--N", "3", "--seed", "-1", "--out", str(out)]) == 2
+    assert ("config error: seed must be non-negative, got -1"
+            in capsys.readouterr().err)
     assert not out.exists()
     assert not Path(str(out) + ".meta.json").exists()
 
@@ -999,8 +1022,8 @@ class TestNaNRows:
 
         def apply(*args):
             out = real(*args)
-            if out.ndim == 2:
-                out[1] = np.nan             # the second sector row
+            if out.ndim == 3:               # (draw, sector, N^L)
+                out[0, 1] = np.nan          # the second sector row
             return out
 
         monkeypatch.setattr(baxter, "transfer_apply", apply)

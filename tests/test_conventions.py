@@ -5,9 +5,9 @@ and the package's one polynomial fit is the DFT of `baxter.plus_pairing_coeffs`.
 The commutator check reads each dense T(x) as its 2^L shift diagonals and
 multiplies them diagonal by diagonal, never densely.  The dense transfer
 matrix is laid out from the Weyl path table, and the L-operator chain that
-the tests hold it to shares none of that machinery.  T(x)v has one power
-sum, `transfer.transfer_apply`, and the Theorem 1 (ii) check forms the plus
-vectors alone."""
+the tests hold it to shares none of that machinery.  Only `transfer` reads
+the path-entry table behind T(x), and the Theorem 1 (ii) check forms the
+plus vectors alone."""
 
 import ast
 from pathlib import Path
@@ -114,18 +114,19 @@ def test_commutator_check_forms_no_dense_product():
                    else node.id if isinstance(node, ast.Name) else None)
             assert ref not in ("dot", "matmul", "tensordot", "einsum",
                                "path_table", "path_weights",
-                               "transfer_terms"), (name, node.lineno)
+                               "_path_entries"), (name, node.lineno)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_one_power_sum_over_the_transfer_terms(path):
-    # transfer_apply sums the x^(2k) coefficients of transfer_terms; a reader
-    # elsewhere would sum them again with its own powers of x
+    # transfer_apply adds each path of _path_entries into one output; a reader
+    # elsewhere would lay the path table out again with its own powers of x
     refs = {node.attr if isinstance(node, ast.Attribute) else
             node.id if isinstance(node, ast.Name) else node.name
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, (ast.Attribute, ast.Name, ast.alias))}
-    assert path.name == "transfer.py" or "transfer_terms" not in refs
+    assert path.name == "transfer.py" or "_path_entries" not in refs
+    assert "transfer_terms" not in refs
 
 
 def test_theorem1_ii_forms_only_the_plus_rows():
@@ -176,7 +177,7 @@ def test_dense_transfer_and_its_oracle_are_independent():
     oracle = _reached("chain_L", "local_L", "BlockOperator2x2")
     assert {"kron", "weyl_matrices", "identity_op", "aux_product"} <= oracle
     assert not oracle & {"path_table", "path_weights", "weyl_monomial",
-                         "sector_monomial", "transfer_terms", "sector_orbits",
+                         "sector_monomial", "_path_entries", "sector_orbits",
                          "sector_pencil", "transfer_T"}
 
 

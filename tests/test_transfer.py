@@ -13,8 +13,7 @@ from hofchain import cli, transfer
 from hofchain.baxter import DegenerateChain
 from hofchain.curves import HofstadterChain3
 from hofchain.transfer import (chain_L, hofstadter_sector_factor, path_table,
-                               sector_pencil, sector_spectrum, t2_formula_L3,
-                               transfer_terms)
+                               sector_pencil, sector_spectrum, t2_formula_L3)
 from hofchain.weylcore import (Operator, identity_op, sector_basis,
                                sector_monomial, sector_orbits, sector_project,
                                unit_draws)
@@ -493,6 +492,16 @@ class TestHofstadterHamiltonian:
         with pytest.raises(ValueError):
             hofstadter_hamiltonian(ctx3, 1, 1, 1, 0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0)])
+    def test_non_finite_parameter_named(self, ctx3, bad):
+        # the first non-finite one is named, before it reaches any arithmetic
+        params = [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+        for i, name in enumerate(("mu", "nu", "rho", "alpha", "beta", "gamma")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                hofstadter_hamiltonian(ctx3, *params[:i], bad, *params[i + 1:])
+        with pytest.raises(ValueError, match="^nu must be finite"):
+            hofstadter_hamiltonian(ctx3, 1.0, bad, 1.0, 1.0, 1.0, bad)
+
     @pytest.mark.parametrize("N, P, mu, nu", [(5, 1, 1.3, 0.8),
                                               (7, 3, 0.7, 1.1),
                                               (11, 2, 1.2, 0.9)])
@@ -529,13 +538,15 @@ def dense_even_coeffs(chain, ctx):
 
 
 class TestMatrixFree:
-    """transfer_terms and sector_pencil against the dense reference."""
+    """transfer_apply and sector_pencil against the dense reference."""
 
-    @pytest.mark.parametrize("L", [1, 2, 3, 4])
-    @pytest.mark.parametrize("N", [3, 5, 7])
+    @pytest.mark.parametrize("N,L", [(N, L) for N in (3, 5, 7)
+                                     for L in (1, 2, 3, 4)] + [(3, 5)])
     def test_terms_match_transfer_T(self, N, L, rng):
-        # T(x) is even in x (test_path_table, test_even_in_x), so the terms
-        # are the floor(L/2) + 1 coefficients of x^(2k); L = 4 has three
+        # T(x) is even in x (test_path_table, test_even_in_x), so the pencil
+        # has the floor(L/2) + 1 coefficients of x^(2k); L = 4 has three.
+        # Its length depends on L alone, so it is read at N = 3, where its
+        # dense coefficients are small
         ctx = make_context(N)
         frozen = HofstadterChain3(draw_site(rng), draw_site(rng)).h0  # a = d = 0
         chains = [draw_chain(rng, L),
@@ -543,12 +554,22 @@ class TestMatrixFree:
                               if L > 1 else (frozen,))]
         rows = rng.standard_normal((4, N**L)) + 1j * rng.standard_normal((4, N**L))
         for chain in chains:
-            terms = transfer_terms(chain, ctx, rows)
-            assert terms.shape == (L // 2 + 1, 4, N**L)
+            assert len(transfer_pencil(chain, make_context(3)).coeffs) \
+                == L // 2 + 1
             for x in (0.0, unit_draws(rng, 1)[0], 1.7):
                 want = rows @ transfer_T(chain, x, ctx).mat.T
-                got = np.tensordot(x ** (2 * np.arange(L // 2 + 1)), terms, 1)
+                got = transfer.transfer_apply(chain, x, ctx, rows)
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            xs = unit_draws(rng, 4)         # one x per row
+            want = np.array([transfer_T(chain, x, ctx).mat @ r
+                             for x, r in zip(xs, rows)])
+            got = transfer.transfer_apply(chain, xs, ctx, rows)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        if L == 1:      # a = d = 0 zeroes both closed paths, so T(x) = 0
+            zero = chains[1]
+            assert not transfer_T(zero, 1.7, ctx).mat.any()
+            assert not any(c.mat.any() for c in transfer_pencil(zero, ctx).coeffs)
+            assert not transfer.transfer_apply(zero, xs, ctx, rows).any()
 
     @pytest.mark.parametrize("N", [3, 5, 7])
     def test_sector_blocks_L3(self, N, rng):
