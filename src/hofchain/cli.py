@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -30,8 +31,7 @@ from .transfer import (ChainParams, SiteParams, commutant_reduction,
                        commutator_residual, hofstadter_hamiltonian,
                        rll_residual)
 from .baxter import (DegenerateChain, RationalPoint, draw_regular_x,
-                     plus_pairing_coeffs, sector_vectors, t_action_residual,
-                     theorem1_ii_residual, u_weight)
+                     plus_pairing_coeffs, t_action_residual, theorem1_residual)
 from .bethe import EIGEN_GAP, solve_L1, solve_L2, solve_L3
 from .curves import (HofstadterChain3, abcd_polys, descended_t_residual,
                      draw_w_points, evaluation_ranks, evaluation_vectors)
@@ -82,6 +82,12 @@ class RunConfig:
             if not 0 < value < math.inf:
                 raise ValueError(f"tolerance {name!r} must be positive and "
                                  f"finite, got {value}")
+        # a report that cannot be written would fail after every N has run
+        if self.out and os.path.isdir(self.out):
+            raise ValueError(f"--out {self.out!r} is a directory")
+        if self.out and not os.path.isdir(os.path.dirname(
+                os.path.abspath(self.out))):
+            raise ValueError(f"--out {self.out!r}: no such directory")
 
     def tol(self, name: str) -> float:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
@@ -198,14 +204,7 @@ def _suite_baxter_action(ctx, rng):
 def _suite_theorem1(ctx, rng):
     chain = DegenerateChain(tuple(unit_draws(rng, 3)))
     xs = np.array([draw_regular_x(rng, chain, ctx) for _ in range(3)])
-    ls = np.arange(ctx.N)
-    vecs = sector_vectors(xs[:, None], ls, chain, ctx)  # (draw, sector l, N^L)
-    uq, u = (u_weight(z, chain, ctx)[:, None, None]
-             for z in (ctx.q_pow(1) * xs, xs))
-    ident = vecs["e_vec"] * uq - vecs["o_vec"] * (ctx.q_pow(ls)[:, None] * u)
-    scale = np.maximum(1.0, np.max(np.abs(vecs["plus_vec"]), axis=-1))
-    return worst(np.append((np.max(np.abs(ident), axis=-1) / scale).ravel(),
-                           theorem1_ii_residual(chain, xs, ls, ctx)))
+    return theorem1_residual(chain, xs, np.arange(ctx.N), ctx)
 
 
 def sector_left_eigenvectors(chain: ChainParams, ctx, ls) -> tuple:
@@ -357,9 +356,15 @@ def cmd_solve(config: RunConfig, L: int, m_arg) -> int:
     t0 = time.time()
     if L not in (1, 2, 3):
         raise ValueError("L must be 1, 2 or 3")
+    if m_arg != "all":
+        try:
+            m_arg = int(m_arg)
+        except ValueError:
+            raise ValueError("--m takes an integer in [0, M] or 'all', got "
+                             f"{m_arg!r}") from None
     for N in config.n_list:
         M = (N - 1) // 2
-        if m_arg != "all" and not 0 <= int(m_arg) <= M:
+        if m_arg != "all" and not 0 <= m_arg <= M:
             raise ValueError(f"m={m_arg} outside [0, {M}] at N={N}")
     if L == 3:
         _refuse_oversized("solve", config.n_list)
@@ -367,7 +372,7 @@ def cmd_solve(config: RunConfig, L: int, m_arg) -> int:
               "pass": True}
     for N in config.n_list:
         ctx = make_context(N, config.P)
-        sectors = range(ctx.M + 1) if m_arg == "all" else [int(m_arg)]
+        sectors = range(ctx.M + 1) if m_arg == "all" else [m_arg]
 
         def run(rng):
             c = unit_draws(rng, L)

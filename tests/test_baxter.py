@@ -4,7 +4,7 @@ import pytest
 from hofchain import (DegenerateChain, PoleError, RationalPoint,
                       baxter_vector, delta_pm, f_op, make_context,
                       pochhammer, sector_vectors, t_action_residual, tau,
-                      theorem1_ii_residual)
+                      theorem1_residual)
 from hofchain.baxter import (_regular_rotation, draw_regular_x, f_even, f_odd,
                              plus_pairing_coeffs, shift_polys, u_weight)
 from hofchain.transfer import gauge_chain_L, transfer_pencil
@@ -199,12 +199,12 @@ class TestStackedPoints:
             assert abs(res[i, l] - t_action_residual(chain, q, ctx)) <= 1e-15
             for s, d in deltas.items():
                 assert abs(d[i, l] - delta_pm(q, s, chain, ctx)) <= 1e-15
-        assert abs(theorem1_ii_residual(chain, xs, np.arange(N), ctx) - max(
-            theorem1_ii_residual(chain, x, np.arange(N), ctx) for x in xs)) \
+        assert abs(theorem1_residual(chain, xs, np.arange(N), ctx) - max(
+            theorem1_residual(chain, x, np.arange(N), ctx) for x in xs)) \
             <= 1e-15
         # one (1 x N) plus row per sector: the stack is each sector's call
-        assert theorem1_ii_residual(chain, xs, np.arange(N), ctx) == max(
-            theorem1_ii_residual(chain, xs, l, ctx) for l in range(N))
+        assert theorem1_residual(chain, xs, np.arange(N), ctx) == max(
+            theorem1_residual(chain, xs, l, ctx) for l in range(N))
 
     def test_nan_row(self, ctx5, rng):
         chain = degenerate_chain(rng)
@@ -214,7 +214,7 @@ class TestStackedPoints:
         with np.errstate(invalid="ignore"):     # complex division by NaN warns
             res = t_action_residual(chain, p, ctx5)
             deltas = [delta_pm(p, s, chain, ctx5) for s in (-1, 1)]
-            assert np.isnan(theorem1_ii_residual(chain, xs, [0, 1], ctx5))
+            assert np.isnan(theorem1_residual(chain, xs, [0, 1], ctx5))
         assert np.isnan(res[1]) and np.all(res[[0, 2]] < 1e-9)
         for d in deltas:
             assert np.isnan(d[1]) and np.all(np.isfinite(d[[0, 2]]))
@@ -309,7 +309,7 @@ class TestTheorem1ii:
         x = draw_regular_x(rng, chain, ctx)
         tol = 1e-10 if L == 1 else 1e-9
         for l in range(N):
-            assert theorem1_ii_residual(chain, x, l, ctx) < tol
+            assert theorem1_residual(chain, x, l, ctx) < tol
 
 
 class TestDivisibility:
@@ -404,8 +404,8 @@ class TestBatchedSectorVectors:
         ctx = make_context(N)
         chain = degenerate_chain(rng, L)
         x = draw_regular_x(rng, chain, ctx)
-        scalar = [theorem1_ii_residual(chain, x, l, ctx) for l in range(N)]
-        assert theorem1_ii_residual(chain, x, np.arange(N), ctx) == max(scalar)
+        scalar = [theorem1_residual(chain, x, l, ctx) for l in range(N)]
+        assert theorem1_residual(chain, x, np.arange(N), ctx) == max(scalar)
 
     @pytest.mark.parametrize("N,L", BATCH_SIZES)
     def test_plus_pairing_matches_node_loop(self, N, L, rng):
@@ -452,7 +452,7 @@ class TestBatchedSectorVectors:
         with pytest.raises(PoleError):
             sector_vectors(xs, 0, chain, ctx5)
         with pytest.raises(PoleError):
-            theorem1_ii_residual(chain, xs[2], np.arange(5), ctx5)
+            theorem1_residual(chain, xs[2], np.arange(5), ctx5)
 
 
 class TestPoleTestDraws:

@@ -333,6 +333,44 @@ def test_one_stacked_pass_per_suite(N, monkeypatch):
     assert counts == {"_orbit_exponents": 3, "eig": 1}
 
 
+def test_theorem1_builds_one_node_row_table(monkeypatch):
+    # (i) and (ii) read the same Baxter rows at x, q^-1 x and q x
+    from hofchain import baxter
+    real, shapes = baxter._node_rows, []
+
+    def node_rows(x, chain, ctx):
+        shapes.append(x.shape)
+        return real(x, chain, ctx)
+
+    monkeypatch.setattr(baxter, "_node_rows", node_rows)
+    cli._suite_theorem1(make_context(5), np.random.default_rng(20240001))
+    assert shapes == [(3, 3, 1)]      # (x, q^-1 x, q x), draws, 1
+
+
+@pytest.mark.parametrize("row", ["o", "plus"])
+def test_each_theorem1_half_is_gated(row, tmp_path, monkeypatch):
+    # a 1e-6 slip in the o weights breaks only (i); in the plus row at x
+    # (not at q^-1 x or q x) it breaks only (ii)
+    from hofchain import baxter
+    real = baxter._plus_weights
+
+    def weights(x, l, chain, ctx):
+        out = real(x, l, chain, ctx)
+        if row == "o":
+            out[..., 1, :] *= 1 + 1e-6
+        else:
+            out[0, ..., 2, :] *= 1 + 1e-6
+        return out
+
+    monkeypatch.setattr(baxter, "_plus_weights", weights)
+    monkeypatch.setattr(cli, "VERIFY_SUITES",
+                        [("theorem1", cli._suite_theorem1)])
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--N", "5", "--out", str(out)]) == 1
+    (rec,) = read_json(out)["suites"]
+    assert rec["pass"] is False and rec["max_residual"] > 1e-8
+
+
 class TestSolve:
     def test_L3_n3_all_sectors(self, tmp_path):
         out = tmp_path / "solve.json"
@@ -374,10 +412,16 @@ class TestSolve:
         ra, rb = strip_timing(read_json(a)), strip_timing(read_json(b))
         assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
 
-    def test_bad_sector(self, tmp_path):
+    def test_bad_sector(self, tmp_path, capsys):
         rc = main(["solve", "--N", "3", "--L", "3", "--m", "7",
                    "--out", str(tmp_path / "x.json")])
         assert rc == 2
+        for m in ("1.5", "two"):
+            assert main(["solve", "--N", "3", "--L", "3", "--m", m,
+                         "--out", str(tmp_path / "x.json")]) == 2
+            assert (f"error: --m takes an integer in [0, M] or 'all', got "
+                    f"'{m}'" in capsys.readouterr().err)
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestButterfly:
@@ -719,6 +763,28 @@ def test_negative_seed_refused(tmp_path, capsys, argv):
             in capsys.readouterr().err)
     assert not out.exists()
     assert not Path(str(out) + ".meta.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["solve", "--L", "3"],
+                                  ["butterfly"], ["curves"]])
+def test_unusable_out_refused(tmp_path, capsys, monkeypatch, argv):
+    # the write would fail only after every N had run
+    def spy(*args):
+        raise AssertionError("a suite or solver ran")
+
+    monkeypatch.setattr(cli, "VERIFY_SUITES", [("rll", spy)])
+    for name in ("solve_L3", "hofstadter_hamiltonian", "draw_w_points"):
+        monkeypatch.setattr(cli, name, spy)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    for out, says in ((tmp_path / "missing" / "x.out", ": no such directory"),
+                      (tmp_path / "dir", " is a directory")):
+        assert main(argv + ["--N", "3", "--out", str(out)]) == 2
+        assert (f"config error: --out {str(out)!r}{says}"
+                in capsys.readouterr().err)
+        assert not Path(str(out) + ".meta.json").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+    assert not any((tmp_path / "dir").iterdir())
 
 
 @pytest.mark.parametrize("command,name", [("verify", "commutator"),

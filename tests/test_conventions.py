@@ -6,8 +6,8 @@ The commutator check reads each dense T(x) as its 2^L shift diagonals and
 multiplies them diagonal by diagonal, never densely.  The dense transfer
 matrix is laid out from the Weyl path table, and the L-operator chain that
 the tests hold it to shares none of that machinery.  Only `transfer` reads
-the path-entry table behind T(x), and the Theorem 1 (ii) check forms the
-plus vectors alone."""
+the path-entry table behind T(x), and the Theorem 1 check forms no e or o
+vector: (i) is one weight row on the node rows that the (ii) plus rows read."""
 
 import ast
 from pathlib import Path
@@ -129,13 +129,14 @@ def test_one_power_sum_over_the_transfer_terms(path):
     assert "transfer_terms" not in refs
 
 
-def test_theorem1_ii_forms_only_the_plus_rows():
-    # sector_vectors also forms the e and o rows, which Theorem 1 (ii) does
-    # not read
+def test_theorem1_forms_no_e_or_o_vectors():
+    # sector_vectors forms the e and o rows, which Theorem 1 reads only
+    # through the weight row of (i); the kept name is the same function
+    assert baxter.theorem1_ii_residual is baxter.theorem1_residual
     tree = ast.parse((SRC / "baxter.py").read_text(encoding="utf-8"))
     defs = {node.name: node for node in tree.body
             if isinstance(node, ast.FunctionDef)}
-    reached, todo = set(), ["theorem1_ii_residual"]
+    reached, todo = set(), ["theorem1_residual"]
     while todo:
         name = todo.pop()
         reached.add(name)

@@ -5,7 +5,7 @@ import pytest
 
 from hofchain import (DegenerateChain, RationalPoint, make_context,
                       oracle_spectrum, solve_L1, solve_L3, t_action_residual,
-                      theorem1_ii_residual)
+                      theorem1_residual)
 from hofchain.baxter import draw_regular_x
 from hofchain.bethe import cluster_eigenvalues, multiset_match
 from hofchain.weylcore import unit_draws
@@ -26,7 +26,7 @@ def test_theorem1_ii_other_roots(N, P, rng):
     chain = DegenerateChain(tuple(unit_draws(rng, 3)))
     x = draw_regular_x(rng, chain, ctx)
     for l in (0, 1, N - 1):
-        assert theorem1_ii_residual(chain, x, l, ctx) < 1e-9
+        assert theorem1_residual(chain, x, l, ctx) < 1e-9
 
 
 @pytest.mark.parametrize("N,P", [(5, 2), (7, 3)])
