@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -60,6 +61,11 @@ LARGEST_ARRAY = {"verify": lambda N: (N**3, N**3),                 # N <= 15
 EIGVEC_GATE = 1e-10  # largest ||B^T v - mu v|| / max|B| of a divisibility pair
 
 
+def _is_int(value) -> bool:
+    """An integer, and not a bool, which Python counts as one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     n_list: list
@@ -74,6 +80,10 @@ class RunConfig:
         twice = sorted({N for N in self.n_list if self.n_list.count(N) > 1})
         if twice:   # each would run, and write its records, once per mention
             raise ValueError(f"N given more than once: {twice}")
+        for name, value in [("N", N) for N in self.n_list] + [
+                ("P", self.P), ("seed", self.seed)]:
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for N in self.n_list:
             make_context(N, self.P)     # odd N >= 3 and gcd(P, N) = 1
         if self.seed < 0:   # numpy's generators take no negative seed
@@ -354,10 +364,12 @@ def _solution_record(sol) -> dict:
 def cmd_solve(config: RunConfig, L: int, m_arg) -> int:
     """Solve the sectors at every N; an N that raises fails on its own record."""
     t0 = time.time()
-    if L not in (1, 2, 3):
-        raise ValueError("L must be 1, 2 or 3")
+    if not _is_int(L) or L not in (1, 2, 3):
+        raise ValueError(f"L must be 1, 2 or 3, got {L!r}")
     if m_arg != "all":
-        try:
+        try:    # the CLI passes the flag's text; a library caller, an int
+            if not isinstance(m_arg, str) and not _is_int(m_arg):
+                raise ValueError
             m_arg = int(m_arg)
         except ValueError:
             raise ValueError("--m takes an integer in [0, M] or 'all', got "
@@ -470,7 +482,7 @@ def cmd_curves(config: RunConfig) -> int:
             ranks = evaluation_ranks(evaluation_vectors(pts, chain, ctx), ctx)
             desc = descended_t_residual(pts[:20], chain, ctx)
             # ABCD consistency at L + 1 = 4 sampled y
-            p = abcd_polys(chain.chain_params(), ctx)
+            P = abcd_polys(chain.chain_params(), ctx)
             abcd = []
             for y in (1.0, 2.0, 3.0, 0.5):
                 prod = np.eye(2, dtype=complex)
@@ -478,8 +490,7 @@ def cmd_curves(config: RunConfig) -> int:
                     prod = prod @ np.array([[-h.a**N, y * h.b**N],
                                             [y * h.c**N, -h.d**N]])
                 abcd.append(float(np.max(np.abs(
-                    prod - np.array([[-p.A_poly(y), p.B_poly(y)],
-                                     [p.C_poly(y), -p.D_poly(y)]])))))
+                    prod - np.polyval(P[::-1], y)))))
             return ranks, worst(desc), len(desc), worst(abcd)
 
         record = {"N": N, "pass": False}

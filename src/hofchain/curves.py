@@ -30,20 +30,9 @@ import numpy as np
 from .weylcore import (POLE_TOL, Context, PoleError, relative_defect,
                        sector_orbits, unit_draws)
 from .transfer import ChainParams, SiteParams, transfer_apply
-from .bethe import ComplexPolynomial
 
 W_TOL = 1e-9
 RANK_RTOL = 1e-8
-
-
-@dataclass(frozen=True)
-class ABCDPolys:
-    """Entries of prod_j (-a_j^N, y b_j^N; y c_j^N, -d_j^N) as y-polynomials."""
-
-    A_poly: ComplexPolynomial
-    B_poly: ComplexPolynomial
-    C_poly: ComplexPolynomial
-    D_poly: ComplexPolynomial
 
 
 @dataclass(frozen=True)
@@ -72,8 +61,10 @@ class HofstadterChain3:
         return ChainParams((self.h0, self.h1, self.h2))
 
 
-def abcd_polys(chain: ChainParams, ctx: Context) -> ABCDPolys:
-    """Expand the ordered 2x2 product of N-th power site matrices."""
+def abcd_polys(chain: ChainParams, ctx: Context) -> np.ndarray:
+    """The ordered product prod_j (-a_j^N, y b_j^N; y c_j^N, -d_j^N) =
+    (-A, B; C, -D) as one (L + 1, 2, 2) array of y-coefficients, ascending
+    in degree; the product at y is np.polyval(P[::-1], y)."""
     N = ctx.N
 
     def site(h):
@@ -85,20 +76,15 @@ def abcd_polys(chain: ChainParams, ctx: Context) -> ABCDPolys:
         return [[np.convolve(P[i][0], Q[0][j]) + np.convolve(P[i][1], Q[1][j])
                  for j in range(2)] for i in range(2)]
 
-    prod = reduce(mult, (site(h) for h in chain.sites))
-    return ABCDPolys(A_poly=ComplexPolynomial.from_array(-prod[0][0]),
-                     B_poly=ComplexPolynomial.from_array(prod[0][1]),
-                     C_poly=ComplexPolynomial.from_array(prod[1][0]),
-                     D_poly=ComplexPolynomial.from_array(-prod[1][1]))
+    return np.moveaxis(np.array(reduce(mult, map(site, chain.sites)),
+                                dtype=complex), -1, 0)
 
 
-def eta_roots(y: complex, chain: ChainParams, ctx: Context, _polys=None):
-    """Roots of C(y) eta^2 + (A(y) - D(y)) eta - B(y) = 0; `_polys`: the
-    chain's `abcd_polys`, if built."""
-    p = _polys or abcd_polys(chain, ctx)
-    Cv = p.C_poly(y)
-    mid = p.A_poly(y) - p.D_poly(y)
-    Bv = p.B_poly(y)
+def eta_roots(y: complex, P: np.ndarray):
+    """Roots of C(y) eta^2 + (A(y) - D(y)) eta - B(y) = 0, read off the
+    product m = (-A, B; C, -D) at y of the `abcd_polys` array P."""
+    m = np.polyval(P[::-1], y)
+    Cv, mid, Bv = m[1, 0], m[1, 1] - m[0, 0], m[0, 1]
     scale = max(abs(Cv), abs(mid), abs(Bv), 1.0)
     if abs(Cv) < 1e-12 * scale:
         raise PoleError(f"leading coefficient C(y) degenerates at y={y}; "
@@ -135,6 +121,7 @@ def sample_W(x: complex, chain: HofstadterChain3, ctx: Context,
     eta = xi_0^N solves the fiber quadratic; xi_2^N follows from the
     second defining equation; both N-th root fibers are enumerated from
     the principal root.  The grid is residual-checked in one array call.
+    `_polys`: the chain's `abcd_polys`, if built.
     """
     N = ctx.N
     if x == 0:
@@ -143,7 +130,9 @@ def sample_W(x: complex, chain: HofstadterChain3, ctx: Context,
     h2 = chain.h2
     roots = ctx.omega_pow(np.arange(N))
     grids = []
-    for eta in eta_roots(y, chain.chain_params(), ctx, _polys):
+    if _polys is None:
+        _polys = abcd_polys(chain.chain_params(), ctx)
+    for eta in eta_roots(y, _polys):
         den = y * eta * h2.c**N - h2.d**N
         if abs(den) < POLE_TOL:
             raise PoleError("xi_2^N denominator vanishes")

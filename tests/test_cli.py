@@ -421,6 +421,16 @@ class TestSolve:
                          "--out", str(tmp_path / "x.json")]) == 2
             assert (f"error: --m takes an integer in [0, M] or 'all', got "
                     f"'{m}'" in capsys.readouterr().err)
+        # a library caller reaches what the CLI's int parsing refuses
+        config = cli.RunConfig([3], out=str(tmp_path / "x.json"))
+        for L, m, says in ((1, 1.5, "--m takes an integer in [0, M] or 'all', "
+                                    "got 1.5"),
+                           (1, True, "--m takes an integer in [0, M] or 'all', "
+                                     "got True"),
+                           (3.0, "all", "L must be 1, 2 or 3, got 3.0")):
+            with pytest.raises(ValueError) as err:
+                cli.cmd_solve(config, L, m)
+            assert str(err.value) == says
         assert not (tmp_path / "x.json").exists()
 
 
@@ -538,6 +548,23 @@ class TestCurvesCmd:
             assert re.search(rf"^FAIL {gate} at N=3: residual \S+ >= 1e-30$",
                              err, re.M), err
         assert read_json(out)["results"][0]["pass"] is False
+
+    def test_identity_negative_control(self, tmp_path, monkeypatch, capsys):
+        # one coefficient of the product off by 1e-6 fails the identity gate
+        real = cli.abcd_polys
+
+        def polys(chain, ctx):
+            P = real(chain, ctx)
+            P[3, 1, 0] *= 1 + 1e-6          # C's top coefficient
+            return P
+
+        monkeypatch.setattr(cli, "abcd_polys", polys)
+        out = tmp_path / "curves.json"
+        assert main(["curves", "--N", "3", "--out", str(out)]) == 1
+        assert re.search(r"^FAIL identity at N=3: ", capsys.readouterr().err,
+                         re.M)
+        (rec,) = read_json(out)["results"]
+        assert rec["pass"] is False and rec["abcd_max_residual"] > 1e-10
 
     def test_insufficient_points(self, tmp_path, capsys):
         # curves always samples 2N^2 points; --points is no setting of it
@@ -763,6 +790,20 @@ def test_negative_seed_refused(tmp_path, capsys, argv):
             in capsys.readouterr().err)
     assert not out.exists()
     assert not Path(str(out) + ".meta.json").exists()
+
+
+@pytest.mark.parametrize("kwargs,says", [
+    ({"n_list": [3.0]}, "N must be an integer, got 3.0"),
+    ({"n_list": [3], "P": 1.5}, "P must be an integer, got 1.5"),
+    ({"n_list": [3], "P": True}, "P must be an integer, got True"),
+    ({"n_list": [3], "seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"n_list": [3], "seed": True}, "seed must be an integer, got True")])
+def test_non_integer_config_refused(kwargs, says):
+    # the CLI parses these flags as int; a library caller would otherwise
+    # meet a TypeError from math.gcd or numpy, or run seed True as seed 1
+    with pytest.raises(ValueError) as err:
+        cli.RunConfig(**kwargs)
+    assert str(err.value) == says
 
 
 @pytest.mark.parametrize("argv", [["verify"], ["solve", "--L", "3"],
@@ -1065,10 +1106,9 @@ class TestNaNResidual:
             real = cli.abcd_polys
 
             def polys(chain, ctx):
-                from dataclasses import replace
-                p = real(chain, ctx)
-                nan = type(p.A_poly).from_array(np.array([np.nan + 0j]))
-                return replace(p, A_poly=nan)
+                P = real(chain, ctx)
+                P[0, 0, 0] = np.nan
+                return P
 
             monkeypatch.setattr(cli, "abcd_polys", polys)
         out = tmp_path / "curves.json"

@@ -7,14 +7,17 @@ multiplies them diagonal by diagonal, never densely.  The dense transfer
 matrix is laid out from the Weyl path table, and the L-operator chain that
 the tests hold it to shares none of that machinery.  Only `transfer` reads
 the path-entry table behind T(x), and the Theorem 1 check forms no e or o
-vector: (i) is one weight row on the node rows that the (ii) plus rows read."""
+vector: (i) is one weight row on the node rows that the (ii) plus rows read.
+The curve's A, B, C, D are one y-coefficient array that `curves` evaluates
+with no polynomial objects and no import from the Bethe solver."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
-from hofchain import baxter, bethe
+from hofchain import baxter, bethe, curves
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hofchain"
 MODULES = sorted(SRC.glob("*.py"))
@@ -221,3 +224,19 @@ def test_one_worst_reduction():
     from hofchain import cli, weylcore
     assert not hasattr(cli, "_worst")
     assert cli.worst is weylcore.worst and bethe.worst is weylcore.worst
+
+
+def test_curve_polynomials_are_one_array():
+    # abcd_polys returns the product's coefficients; eta_roots evaluates
+    # them at y and rebuilds nothing from the chain
+    tree = ast.parse((SRC / "curves.py").read_text(encoding="utf-8"))
+    assert not any(isinstance(node, ast.ImportFrom) and "bethe" in (
+        node.module, *(a.name for a in node.names)) for node in ast.walk(tree))
+    assert list(inspect.signature(curves.eta_roots).parameters) == ["y", "P"]
+    for path in MODULES + sorted((SRC.parent.parent / "tests").glob("*.py")):
+        names = {node.attr if isinstance(node, ast.Attribute) else
+                 node.id if isinstance(node, ast.Name) else node.name
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, (ast.Attribute, ast.Name, ast.alias,
+                                      ast.ClassDef, ast.FunctionDef))}
+        assert "ABCDPolys" not in names, path.name

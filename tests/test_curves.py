@@ -15,29 +15,34 @@ def hof_chain(rng):
     return HofstadterChain3(draw_site(rng), draw_site(rng))
 
 
+def at(P, y):
+    """The ordered product (-A, B; C, -D) at y, from the `abcd_polys` array."""
+    return np.polyval(P[::-1], y)
+
+
 class TestABCD:
     def test_single_site(self, ctx3, rng):
         h = draw_site(rng)
-        p = abcd_polys(ChainParams((h,)), ctx3)
+        P = abcd_polys(ChainParams((h,)), ctx3)
         N = 3
-        assert p.A_poly.degree == 0 and abs(p.A_poly.coeffs[0] - h.a**N) < 1e-12
-        assert abs(p.B_poly(2.0) - 2.0 * h.b**N) < 1e-12
-        assert abs(p.C_poly(2.0) - 2.0 * h.c**N) < 1e-12
-        assert abs(p.D_poly(0.0) - h.d**N) < 1e-12
+        assert P.shape == (2, 2, 2) and P[1, 0, 0] == 0
+        assert abs(-P[0, 0, 0] - h.a**N) < 1e-12
+        assert abs(at(P, 2.0)[0, 1] - 2.0 * h.b**N) < 1e-12
+        assert abs(at(P, 2.0)[1, 0] - 2.0 * h.c**N) < 1e-12
+        assert abs(-at(P, 0.0)[1, 1] - h.d**N) < 1e-12
 
     @pytest.mark.parametrize("L", [2, 3])
     def test_sampled_products(self, ctx3, rng, L):
         chain = draw_chain(rng, L)
-        p = abcd_polys(chain, ctx3)
+        P = abcd_polys(chain, ctx3)
         N = 3
+        assert P.shape == (L + 1, 2, 2)
         for y in (1.0, 2.0, 3.0, 0.5):  # more than L + 1 sample values
             prod = np.eye(2, dtype=complex)
             for h in chain.sites:
                 prod = prod @ np.array([[-h.a**N, y * h.b**N],
                                         [y * h.c**N, -h.d**N]])
-            rebuilt = np.array([[-p.A_poly(y), p.B_poly(y)],
-                                [p.C_poly(y), -p.D_poly(y)]])
-            assert np.max(np.abs(prod - rebuilt)) < 1e-10
+            assert np.max(np.abs(prod - at(P, y))) < 1e-10
 
     @pytest.mark.parametrize("N", [3, 5, 7, 9, 15])
     def test_matches_numpy_polynomial_product(self, rng, N):
@@ -53,57 +58,74 @@ class TestABCD:
                     [poly.polyadd(poly.polymul(ref[i][0], site[0][j]),
                                   poly.polymul(ref[i][1], site[1][j]))
                      for j in range(2)] for i in range(2)]
-            p = abcd_polys(chain, ctx)
-            got = [[p.A_poly, p.B_poly], [p.C_poly, p.D_poly]]
+            P = abcd_polys(chain, ctx)
             for i in range(2):
                 for j in range(2):
-                    sign = -1 if i == j else 1
+                    sign = -1 if i == j else 1    # A = -P00, D = -P11
+                    got = np.trim_zeros(sign * P[:, i, j], "b")
                     want = np.trim_zeros(sign * np.asarray(ref[i][j],
                                                            dtype=complex), "b")
-                    assert got[i][j].coeffs == tuple(want), (L, i, j)
+                    assert tuple(got) == tuple(want), (L, i, j)
 
     def test_hofstadter_curve_coefficients(self, ctx3, rng):
         # after factoring y, the eta quadratic reads
         # (y^2 b1 c2 + a1 a2) eta^2 + (c1 a2 + d1 c2 - a1 b2 - b1 d2) y eta
         #   - (y^2 c1 b2 + d1 d2) = 0   (all N-th powers)
         chain = hof_chain(rng)
-        p = abcd_polys(chain.chain_params(), ctx3)
+        P = abcd_polys(chain.chain_params(), ctx3)
         N = 3
         h1, h2 = chain.h1, chain.h2
         a1, b1, c1, d1 = h1.a**N, h1.b**N, h1.c**N, h1.d**N
         a2, b2, c2, d2 = h2.a**N, h2.b**N, h2.c**N, h2.d**N
         for y in (0.7, 1.9):
-            lead = p.C_poly(y) / y
-            mid = (p.A_poly(y) - p.D_poly(y)) / y
-            const = p.B_poly(y) / y
+            m = at(P, y)
+            lead = m[1, 0] / y
+            mid = (m[1, 1] - m[0, 0]) / y          # A - D
+            const = m[0, 1] / y
             assert abs(lead - (y**2 * b1 * c2 + a1 * a2)) < 1e-10
             assert abs(mid - (c1 * a2 + d1 * c2 - a1 * b2 - b1 * d2) * y) < 1e-10
             assert abs(const - (y**2 * c1 * b2 + d1 * d2)) < 1e-10
 
 
+    @pytest.mark.parametrize("N", [3, 5, 7])
+    def test_hofstadter_degrees_and_discriminant(self, N):
+        # W's genus reads the degrees of A, B, C, D and of the fiber
+        # discriminant (A - D)^2 + 4BC
+        ctx = make_context(N)
+        for seed in range(3):
+            chain = hof_chain(np.random.default_rng(seed))
+            P = abcd_polys(chain.chain_params(), ctx)
+            A, B, C, D = -P[:, 0, 0], P[:, 0, 1], P[:, 1, 0], -P[:, 1, 1]
+            assert [len(np.trim_zeros(e, "b")) - 1
+                    for e in (A, B, C, D)] == [2, 3, 3, 2], seed
+            disc = np.convolve(A - D, A - D) + 4 * np.convolve(B, C)
+            assert len(disc) == 7 and disc[6] != 0, seed
+
+
 class TestEtaRoots:
     def test_vieta(self, ctx3, rng):
         chain = draw_chain(rng, 3)
-        p = abcd_polys(chain, ctx3)
+        P = abcd_polys(chain, ctx3)
         y = 1.3 + 0.4j
-        e1, e2 = eta_roots(y, chain, ctx3)
-        assert abs(e1 * e2 + p.B_poly(y) / p.C_poly(y)) < 1e-10
-        assert abs(e1 + e2 + (p.A_poly(y) - p.D_poly(y)) / p.C_poly(y)) < 1e-10
+        m = at(P, y)
+        e1, e2 = eta_roots(y, P)
+        assert abs(e1 * e2 + m[0, 1] / m[1, 0]) < 1e-10
+        assert abs(e1 + e2 + (m[1, 1] - m[0, 0]) / m[1, 0]) < 1e-10
 
     def test_on_curve(self, ctx3, rng):
         chain = draw_chain(rng, 3)
-        p = abcd_polys(chain, ctx3)
+        P = abcd_polys(chain, ctx3)
         y = 0.8 + 0.2j
-        for eta in eta_roots(y, chain, ctx3):
-            val = p.C_poly(y) * eta**2 + (p.A_poly(y) - p.D_poly(y)) * eta \
-                - p.B_poly(y)
+        m = at(P, y)
+        for eta in eta_roots(y, P):
+            val = m[1, 0] * eta**2 + (m[1, 1] - m[0, 0]) * eta - m[0, 1]
             assert abs(val) < 1e-9
 
     def test_y_zero_degenerates(self, ctx3, rng):
         # C(y) carries an overall factor of y, so the quadratic drops rank
         chain = draw_chain(rng, 3)
         with pytest.raises(PoleError):
-            eta_roots(0.0, chain, ctx3)
+            eta_roots(0.0, abcd_polys(chain, ctx3))
 
 
 class TestSampleW:
@@ -396,7 +418,7 @@ def sample_W_loop(x, chain, ctx, _polys=None):
     N, h2 = ctx.N, chain.h2
     y = x**N
     points = []
-    for eta in eta_roots(y, chain.chain_params(), ctx):
+    for eta in eta_roots(y, abcd_polys(chain.chain_params(), ctx)):
         den = y * eta * h2.c**N - h2.d**N
         if abs(den) < POLE_TOL:
             raise PoleError("xi_2^N denominator vanishes")
