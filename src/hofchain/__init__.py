@@ -10,9 +10,8 @@ from .transfer import (BlockOperator2x2, ChainParams, SiteParams,
                        TransferPencil, commutator_residual, f_op,
                        heisenberg_UV, hofstadter_hamiltonian, local_L,
                        r_matrix, rll_residual, transfer_T, transfer_pencil)
-from .baxter import (DegenerateChain, RationalPoint, baxter_vector, delta_pm,
-                     sector_vectors, t_action_residual, tau,
-                     theorem1_residual)
+from .baxter import (DegenerateChain, baxter_vector, delta_pm, sector_vectors,
+                     t_action_residual, theorem1_residual)
 from .bethe import (BetheSolution, ComplexPolynomial, bethe_ansatz_residuals,
                     lambda_M_from_roots, matrix_A, oracle_spectrum,
                     rbeq_residual, solve_L1, solve_L2, solve_L3)
@@ -28,7 +27,7 @@ __all__ = [
     "local_L", "r_matrix", "rll_residual", "f_op", "transfer_T",
     "transfer_pencil", "commutator_residual", "heisenberg_UV",
     "hofstadter_hamiltonian",
-    "RationalPoint", "DegenerateChain", "tau", "delta_pm", "baxter_vector",
+    "DegenerateChain", "delta_pm", "baxter_vector",
     "t_action_residual", "sector_vectors", "theorem1_residual",
     "ComplexPolynomial", "BetheSolution", "rbeq_residual",
     "solve_L1", "solve_L2", "matrix_A", "solve_L3", "bethe_ansatz_residuals",

@@ -21,14 +21,6 @@ from .transfer import ChainParams, SiteParams, transfer_apply
 
 
 @dataclass(frozen=True)
-class RationalPoint:
-    """A point (x, l) of the degenerate curve; l reduced to [0, N)."""
-
-    x: complex
-    l: int
-
-
-@dataclass(frozen=True)
 class DegenerateChain:
     """Chain on the rational slice, parameterized by the nonzero c_j."""
 
@@ -48,21 +40,13 @@ class DegenerateChain:
                                  for cj in self.c))
 
 
-def tau(p: RationalPoint, sign: int, ctx: Context) -> RationalPoint:
-    """tau_+-(x, l) = (q^{+-1} x, l - 1)."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return RationalPoint(ctx.q_pow(sign) * p.x, (p.l - 1) % ctx.N)
-
-
-def delta_pm(p: RationalPoint, sign: int, chain: DegenerateChain,
-             ctx: Context):
+def delta_pm(x, l, sign: int, chain: DegenerateChain, ctx: Context):
     """Delta_- = prod(1 - x c_j q^l); Delta_+ = prod (1-x^2 c_j^2)/(1 - x c_j q^{-l});
     x and l broadcast: a complex for one point, an array for a stack."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    x, c = np.asarray(p.x, dtype=complex)[..., None], np.asarray(chain.c)
-    den = 1 - x * c * ctx.q_pow(-sign * np.asarray(p.l)[..., None])
+    x, c = np.asarray(x, dtype=complex)[..., None], np.asarray(chain.c)
+    den = 1 - x * c * ctx.q_pow(-sign * np.asarray(l)[..., None])
     bad = np.argwhere(np.abs(den) < POLE_TOL) if sign == 1 else []
     if len(bad):
         raise PoleError(f"Delta_+ pole at site j={bad[0][-1]}: x = q^l / c_j")
@@ -102,31 +86,30 @@ def _baxter_rows(xs, ls, chain: DegenerateChain, ctx: Context) -> np.ndarray:
     return out
 
 
-def baxter_vector(p: RationalPoint, chain: DegenerateChain,
-                  ctx: Context) -> np.ndarray:
+def baxter_vector(x, l, chain: DegenerateChain, ctx: Context) -> np.ndarray:
     """Components <k|x,l> = q^{|k|^2} prod_j (x c_j q^{-l-2}; w^-1)_{k_j} / (x c_j q^{l+2}; w)_{k_j}.
 
     Multi-indices k run over (Z_N)^L with non-negative representatives;
     the vector is the tensor product of the per-site columns.
     """
-    return _baxter_rows([p.x], [int(p.l)], chain, ctx)[0]
+    return _baxter_rows([x], [int(l)], chain, ctx)[0]
 
 
-def t_action_residual(chain: DegenerateChain, p: RationalPoint,
-                      ctx: Context):
+def t_action_residual(chain: DegenerateChain, x, l, ctx: Context):
     """Defect of T(x)|x,l> = |q^{-1}x, l-1> Delta_- + |qx, l-1> Delta_+.
 
     Normalized by the larger of 1 and the vector scales so the diagnostic
     stays meaningful when components grow near pole loci.  x and l
     broadcast: a float for one point, an array of defects for a stack.
     """
-    p = RationalPoint(*np.broadcast_arrays(p.x, p.l))
-    pts = (p, tau(p, -1, ctx), tau(p, 1, ctx))
-    v, vm, vp = _baxter_rows(np.ravel([t.x for t in pts]),
-                             np.ravel([t.l for t in pts]), chain,
-                             ctx).reshape((3,) + p.x.shape + (-1,))
-    lhs = transfer_apply(chain.site_params(ctx), p.x, ctx, v)
-    dm, dp = (np.expand_dims(delta_pm(p, s, chain, ctx), -1) for s in (-1, 1))
+    x, l = np.broadcast_arrays(x, l)
+    xs = [x, ctx.q_pow(-1) * x, ctx.q_pow(1) * x]
+    ls = [l, (l - 1) % ctx.N, (l - 1) % ctx.N]
+    v, vm, vp = _baxter_rows(np.ravel(xs), np.ravel(ls), chain,
+                             ctx).reshape((3,) + x.shape + (-1,))
+    lhs = transfer_apply(chain.site_params(ctx), x, ctx, v)
+    dm, dp = (np.expand_dims(delta_pm(x, l, s, chain, ctx), -1)
+              for s in (-1, 1))
     return relative_defect(lhs, vm * dm + vp * dp)
 
 

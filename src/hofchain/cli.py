@@ -21,6 +21,7 @@ import numbers
 import os
 import sys
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +32,8 @@ from .weylcore import (GenericityError, make_context, sector_orbits,
 from .transfer import (ChainParams, SiteParams, commutant_reduction,
                        commutator_residual, hofstadter_hamiltonian,
                        rll_residual)
-from .baxter import (DegenerateChain, RationalPoint, draw_regular_x,
-                     plus_pairing_coeffs, t_action_residual, theorem1_residual)
+from .baxter import (DegenerateChain, draw_regular_x, plus_pairing_coeffs,
+                     t_action_residual, theorem1_residual)
 from .bethe import EIGEN_GAP, solve_L1, solve_L2, solve_L3
 from .curves import (HofstadterChain3, abcd_polys, descended_t_residual,
                      draw_w_points, evaluation_ranks, evaluation_vectors)
@@ -88,10 +89,16 @@ class RunConfig:
             make_context(N, self.P)     # odd N >= 3 and gcd(P, N) = 1
         if self.seed < 0:   # numpy's generators take no negative seed
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not isinstance(self.tolerances, Mapping):
+            raise ValueError("tolerances must map names to values, got "
+                             f"{self.tolerances!r}")
         for name, value in self.tolerances.items():
-            if not 0 < value < math.inf:
+            if not (isinstance(value, numbers.Real) and not isinstance(
+                    value, bool) and 0 < value < math.inf):
                 raise ValueError(f"tolerance {name!r} must be positive and "
-                                 f"finite, got {value}")
+                                 f"finite, got {value!r}")
+        if not isinstance(self.out, (str, os.PathLike, type(None))):
+            raise ValueError(f"out must be a path, got {self.out!r}")
         # a report that cannot be written would fail after every N has run
         if self.out and os.path.isdir(self.out):
             raise ValueError(f"--out {self.out!r} is a directory")
@@ -206,9 +213,8 @@ def _suite_commutator(ctx, rng):
 def _suite_baxter_action(ctx, rng):
     chain = DegenerateChain(tuple(unit_draws(rng, 3)))
     xs = [draw_regular_x(rng, chain, ctx) for _ in range(4)]
-    return worst(t_action_residual(
-        chain, RationalPoint(np.array(xs)[:, None], np.arange(ctx.N)),
-        ctx).ravel())
+    return worst(t_action_residual(chain, np.array(xs)[:, None],
+                                   np.arange(ctx.N), ctx).ravel())
 
 
 def _suite_theorem1(ctx, rng):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hofchain import (ChainParams, DegenerateChain, HofstadterChain3,
-                      RationalPoint, SiteParams, bethe_ansatz_residuals,
+                      SiteParams, bethe_ansatz_residuals,
                       commutator_residual, hofstadter_hamiltonian,
                       lambda_M_from_roots, make_context, matrix_A,
                       oracle_spectrum, rll_residual, sector_vectors,
@@ -77,7 +77,7 @@ def test_criterion_03_baxter_action():
         for _ in range(10):
             x = draw_regular_x(rng, chain, ctx)
             for l in range(N):
-                worst = max(worst, t_action_residual(chain, RationalPoint(x, l), ctx))
+                worst = max(worst, t_action_residual(chain, x, l, ctx))
     elapsed = time.time() - t0
     assert worst < 1e-9
     assert elapsed < 10.0

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from hofchain import (DegenerateChain, PoleError, RationalPoint,
-                      baxter_vector, delta_pm, f_op, make_context,
-                      pochhammer, sector_vectors, t_action_residual, tau,
-                      theorem1_residual)
+from hofchain import (DegenerateChain, PoleError, baxter_vector, delta_pm,
+                      f_op, make_context, pochhammer, sector_vectors,
+                      t_action_residual, theorem1_residual)
 from hofchain.baxter import (_regular_rotation, draw_regular_x, f_even, f_odd,
                              plus_pairing_coeffs, shift_polys, u_weight)
 from hofchain.transfer import gauge_chain_L, transfer_pencil
@@ -15,46 +14,28 @@ def degenerate_chain(rng, L=3):
     return DegenerateChain(tuple(unit_draws(rng, L)))
 
 
-class TestTau:
-    def test_wraparound(self, ctx3):
-        p = tau(RationalPoint(0.5, 0), +1, ctx3)
-        assert p.l == 2
-        assert abs(p.x - ctx3.q * 0.5) < 1e-15
-
-    def test_composition(self, ctx5):
-        p = RationalPoint(1.3 + 0.1j, 3)
-        out = tau(tau(p, +1, ctx5), -1, ctx5)
-        assert out.l == (3 - 2) % 5
-        assert abs(out.x - p.x) < 1e-14
-
-    def test_period_2N(self, ctx5):
-        p = RationalPoint(0.7 + 0.2j, 1)
-        cur = p
-        for _ in range(2 * 5):
-            cur = tau(cur, +1, ctx5)
-        assert cur.l == p.l
-        assert abs(cur.x - p.x) < 1e-13
-
-
 class TestDelta:
     def test_x_zero(self, ctx3, rng):
         chain = degenerate_chain(rng)
-        p = RationalPoint(0.0, 1)
-        assert delta_pm(p, -1, chain, ctx3) == 1
-        assert delta_pm(p, +1, chain, ctx3) == 1
+        assert delta_pm(0.0, 1, -1, chain, ctx3) == 1
+        assert delta_pm(0.0, 1, +1, chain, ctx3) == 1
 
     def test_L1_formula(self, ctx3, rng):
         c0 = unit_draws(rng, 1)[0]
         chain = DegenerateChain((c0,))
         x = 0.4 + 0.3j
-        assert abs(delta_pm(RationalPoint(x, 0), -1, chain, ctx3)
+        assert abs(delta_pm(x, 0, -1, chain, ctx3)
                    - (1 - x * c0)) < 1e-14
 
     def test_pole(self, ctx3):
         chain = DegenerateChain((1.0,))
         # x = q^l / c_0 with l = 0
         with pytest.raises(PoleError):
-            delta_pm(RationalPoint(1.0, 0), +1, chain, ctx3)
+            delta_pm(1.0, 0, +1, chain, ctx3)
+
+    def test_sign_refused(self, ctx3):
+        with pytest.raises(ValueError, match=r"^sign must be \+1 or -1$"):
+            delta_pm(0.5, 0, 0, DegenerateChain((1.0,)), ctx3)
 
 
 class TestShiftPolys:
@@ -85,8 +66,8 @@ class TestShiftPolys:
         chain = degenerate_chain(rng, 3)
         pm, pp = shift_polys(chain, ctx7)
         x = 0.3 + 0.4j
-        dm = delta_pm(RationalPoint(x, ctx7.N - 1), -1, chain, ctx7)
-        dp = delta_pm(RationalPoint(x, 0), +1, chain, ctx7)
+        dm = delta_pm(x, ctx7.N - 1, -1, chain, ctx7)
+        dp = delta_pm(x, 0, +1, chain, ctx7)
         assert abs(np.polyval(pm[::-1], x) - dm) < 1e-14
         assert abs(np.polyval(pp[::-1], x) - dp) < 1e-14
 
@@ -95,12 +76,12 @@ class TestBaxterVector:
     def test_zero_index_component(self, ctx3, rng):
         chain = degenerate_chain(rng)
         x = draw_regular_x(rng, chain, ctx3)
-        v = baxter_vector(RationalPoint(x, 1), chain, ctx3)
+        v = baxter_vector(x, 1, chain, ctx3)
         assert abs(v[0] - 1.0) < 1e-14
 
     def test_x_zero_components(self, ctx3, rng):
         chain = degenerate_chain(rng)
-        v = baxter_vector(RationalPoint(0.0, 2), chain, ctx3)
+        v = baxter_vector(0.0, 2, chain, ctx3)
         N = 3
         for k0 in range(N):
             for k1 in range(N):
@@ -116,7 +97,7 @@ class TestBaxterVector:
         chain = DegenerateChain((c0,))
         x = draw_regular_x(rng, chain, ctx3)
         for l in range(3):
-            v = baxter_vector(RationalPoint(x, l), chain, ctx3)
+            v = baxter_vector(x, l, chain, ctx3)
             h = SiteParams(ctx3.q_pow(-1), ctx3.q_pow(-1) * c0, c0, 1.0)
             F = f_op(h, x, ctx3.q_pow(l), ctx3.q_pow(l), ctx3).mat
             assert np.max(np.abs(F @ v)) < 1e-10 * np.max(np.abs(v))
@@ -139,7 +120,7 @@ class TestBaxterVector:
                         / pochhammer(x * cj * ctx.q_pow(l + 2), ctx.omega, k)
                         for k in range(N)]
                 want = np.kron(want, site)
-            got = baxter_vector(RationalPoint(x, l), chain, ctx)
+            got = baxter_vector(x, l, chain, ctx)
             assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
     def test_pole_locus(self, ctx5, rng):
@@ -149,13 +130,13 @@ class TestBaxterVector:
         for l, i, j in ((1, 2, 1), (4, 0, 0), (0, 3, 1)):
             x = 1 / (chain.c[j] * ctx5.q_pow(l + 2) * ctx5.omega_pow(i))
             with pytest.raises(PoleError):
-                baxter_vector(RationalPoint(x, l), chain, ctx5)
+                baxter_vector(x, l, chain, ctx5)
 
     def test_periodic_in_l(self, ctx3, rng):
         chain = degenerate_chain(rng)
         x = draw_regular_x(rng, chain, ctx3)
-        a = baxter_vector(RationalPoint(x, 1), chain, ctx3)
-        b = baxter_vector(RationalPoint(x, 1 + 3), chain, ctx3)
+        a = baxter_vector(x, 1, chain, ctx3)
+        b = baxter_vector(x, 1 + 3, chain, ctx3)
         assert np.max(np.abs(a - b)) < 1e-13
 
 
@@ -168,37 +149,36 @@ class TestTAction:
             x = draw_regular_x(rng, chain, ctx)
             for l in range(N):
                 tol = 1e-10 if L == 1 else 1e-9
-                assert t_action_residual(chain, RationalPoint(x, l), ctx) < tol
+                assert t_action_residual(chain, x, l, ctx) < tol
 
     def test_x_zero_consistency(self, ctx3, rng):
         from hofchain import transfer_T
         chain = degenerate_chain(rng)
         for l in range(3):
-            p = RationalPoint(0.0, l)
             T0 = transfer_T(chain.site_params(ctx3), 0.0, ctx3)
-            lhs = T0.mat @ baxter_vector(p, chain, ctx3)
-            rhs = baxter_vector(RationalPoint(0.0, l - 1), chain, ctx3) \
-                * (1 + delta_pm(p, +1, chain, ctx3))
+            lhs = T0.mat @ baxter_vector(0.0, l, chain, ctx3)
+            rhs = baxter_vector(0.0, l - 1, chain, ctx3) \
+                * (1 + delta_pm(0.0, l, +1, chain, ctx3))
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 class TestStackedPoints:
-    """A RationalPoint of arrays gives what its points give one at a time."""
+    """Arrays x and l give what their points give one at a time."""
 
     @pytest.mark.parametrize("N", [3, 5, 7])
     def test_stack_matches_single_points(self, N, rng):
         ctx = make_context(N)
         chain = degenerate_chain(rng)
         xs = np.array([draw_regular_x(rng, chain, ctx) for _ in range(3)])
-        p = RationalPoint(xs[:, None], np.arange(N))
-        res = t_action_residual(chain, p, ctx)
-        deltas = {s: delta_pm(p, s, chain, ctx) for s in (-1, 1)}
+        res = t_action_residual(chain, xs[:, None], np.arange(N), ctx)
+        deltas = {s: delta_pm(xs[:, None], np.arange(N), s, chain, ctx)
+                  for s in (-1, 1)}
         assert res.shape == deltas[-1].shape == deltas[1].shape == (3, N)
         for i, l in np.ndindex(3, N):
-            q = RationalPoint(xs[i], l)
-            assert abs(res[i, l] - t_action_residual(chain, q, ctx)) <= 1e-15
+            assert abs(res[i, l] - t_action_residual(chain, xs[i], l, ctx)) \
+                <= 1e-15
             for s, d in deltas.items():
-                assert abs(d[i, l] - delta_pm(q, s, chain, ctx)) <= 1e-15
+                assert abs(d[i, l] - delta_pm(xs[i], l, s, chain, ctx)) <= 1e-15
         assert abs(theorem1_residual(chain, xs, np.arange(N), ctx) - max(
             theorem1_residual(chain, x, np.arange(N), ctx) for x in xs)) \
             <= 1e-15
@@ -210,10 +190,9 @@ class TestStackedPoints:
         chain = degenerate_chain(rng)
         xs = np.array([draw_regular_x(rng, chain, ctx5) for _ in range(3)])
         xs[1] = np.nan
-        p = RationalPoint(xs, 2)
         with np.errstate(invalid="ignore"):     # complex division by NaN warns
-            res = t_action_residual(chain, p, ctx5)
-            deltas = [delta_pm(p, s, chain, ctx5) for s in (-1, 1)]
+            res = t_action_residual(chain, xs, 2, ctx5)
+            deltas = [delta_pm(xs, 2, s, chain, ctx5) for s in (-1, 1)]
             assert np.isnan(theorem1_residual(chain, xs, [0, 1], ctx5))
         assert np.isnan(res[1]) and np.all(res[[0, 2]] < 1e-9)
         for d in deltas:
@@ -226,7 +205,7 @@ class TestStackedPoints:
         bad = ctx5.q_pow(2) / c[1]
         for x in (bad, np.array([0.3, bad, 0.4j])):
             with pytest.raises(PoleError, match=r"pole at site j=1:"):
-                delta_pm(RationalPoint(x, 2), +1, chain, ctx5)
+                delta_pm(x, 2, +1, chain, ctx5)
 
 
 class TestGaugeNull:
@@ -238,7 +217,7 @@ class TestGaugeNull:
         for l in range(N):
             xis = [ctx.q_pow(l)] * L
             blocks = gauge_chain_L(chain.site_params(ctx), x, xis, ctx)
-            v = baxter_vector(RationalPoint(x, l), chain, ctx)
+            v = baxter_vector(x, l, chain, ctx)
             out = blocks[1, 0].mat @ v
             assert np.max(np.abs(out)) < 1e-9 * max(1, np.max(np.abs(v)))
 
@@ -270,7 +249,7 @@ class TestSectorVectors:
         assert abs(u_weight(0.0, chain, ctx3) - 1) < 1e-14
         assert abs(f_even(0.0, 1, chain, ctx3) - 1) < 1e-14
         vecs = sector_vectors(0.0, 2, chain, ctx3)
-        expect = sum(baxter_vector(RationalPoint(0.0, (2 * n) % 3), chain, ctx3)
+        expect = sum(baxter_vector(0.0, (2 * n) % 3, chain, ctx3)
                      * ctx3.omega_pow(2 * n) for n in range(3))
         assert np.max(np.abs(vecs["e_vec"] - expect)) < 1e-12
 
@@ -290,9 +269,9 @@ class TestSectorVectors:
 
         for l in range(N):
             vecs = sector_vectors(x, l, chain, ctx)
-            e = sum(baxter_vector(RationalPoint(x, 2 * n), chain, ctx)
+            e = sum(baxter_vector(x, 2 * n, chain, ctx)
                     * f(n, 0) * ctx.omega_pow(l * n) for n in range(N))
-            o = sum(baxter_vector(RationalPoint(x, 2 * n + 1), chain, ctx)
+            o = sum(baxter_vector(x, 2 * n + 1, chain, ctx)
                     * f(n, 1) * ctx.omega_pow(l * n) for n in range(N))
             plus = e * ctx.q_pow(-l) * u_weight(ctx.q * x, chain, ctx) \
                 + o * u_weight(x, chain, ctx)
@@ -342,7 +321,7 @@ class TestDivisibility:
 def reference_sector_vectors(x, l, chain, ctx):
     """|x>_l^e, |x>_l^o and |x>_l^+ for one (x, l), term by term."""
     N = ctx.N
-    bax = [baxter_vector(RationalPoint(x, lp), chain, ctx) for lp in range(N)]
+    bax = [baxter_vector(x, lp, chain, ctx) for lp in range(N)]
     e = sum(bax[2 * n % N] * f_even(x, n, chain, ctx) * ctx.omega_pow(l * n)
             for n in range(N))
     o = sum(bax[(2 * n + 1) % N] * f_odd(x, n, chain, ctx) * ctx.omega_pow(l * n)

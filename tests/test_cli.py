@@ -371,6 +371,37 @@ def test_each_theorem1_half_is_gated(row, tmp_path, monkeypatch):
     assert rec["pass"] is False and rec["max_residual"] > 1e-8
 
 
+def test_baxter_action_is_gated(tmp_path, monkeypatch):
+    # Delta_- off by 1e-6 leaves a residual of about 1e-6 (5e-15 unperturbed)
+    from hofchain import baxter
+    real = baxter.delta_pm
+
+    def delta(x, l, sign, chain, ctx):
+        return real(x, l, sign, chain, ctx) * (1 + 1e-6 * (sign == -1))
+
+    monkeypatch.setattr(baxter, "delta_pm", delta)
+    monkeypatch.setattr(cli, "VERIFY_SUITES",
+                        [("baxter_action", cli._suite_baxter_action)])
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--N", "3", "--N", "5", "--N", "7", "--seed", "1",
+                 "--out", str(out)]) == 1
+    records = read_json(out)["suites"]
+    assert [rec["N"] for rec in records] == [3, 5, 7]
+    for rec in records:
+        assert rec["pass"] is False and rec["max_residual"] > 1e-7
+
+
+def test_write_json_converts_numpy_scalars(tmp_path):
+    path = tmp_path / "x.json"
+    cli._write_json(path, {"n": np.int64(3), "ok": np.bool_(True)})
+    got = read_json(path)
+    assert got == {"n": 3, "ok": True}
+    assert type(got["n"]) is int and type(got["ok"]) is bool
+    with pytest.raises(TypeError, match=r"^not JSON-serializable: "
+                                        r"<class 'object'>$"):
+        cli._write_json(path, {"x": object()})
+
+
 class TestSolve:
     def test_L3_n3_all_sectors(self, tmp_path):
         out = tmp_path / "solve.json"
@@ -565,6 +596,20 @@ class TestCurvesCmd:
                          re.M)
         (rec,) = read_json(out)["results"]
         assert rec["pass"] is False and rec["abcd_max_residual"] > 1e-10
+
+    def test_rank_gate(self, tmp_path, monkeypatch, capsys):
+        # a sector whose evaluation map loses one rank fails the record
+        def ranks(vecs, ctx):
+            return [ctx.N ** 2 - (l == 1) for l in range(ctx.N)]
+
+        monkeypatch.setattr(cli, "evaluation_ranks", ranks)
+        out = tmp_path / "curves.json"
+        assert main(["curves", "--N", "3", "--out", str(out)]) == 1
+        assert re.search(r"^FAIL evaluation-map rank at N=3, sectors \[1\]$",
+                         capsys.readouterr().err, re.M)
+        (rec,) = read_json(out)["results"]
+        assert rec["pass"] is False
+        assert rec["epsilon_ranks"] == {"0": 9, "1": 8, "2": 9}
 
     def test_insufficient_points(self, tmp_path, capsys):
         # curves always samples 2N^2 points; --points is no setting of it
@@ -797,10 +842,18 @@ def test_negative_seed_refused(tmp_path, capsys, argv):
     ({"n_list": [3], "P": 1.5}, "P must be an integer, got 1.5"),
     ({"n_list": [3], "P": True}, "P must be an integer, got True"),
     ({"n_list": [3], "seed": 1.5}, "seed must be an integer, got 1.5"),
-    ({"n_list": [3], "seed": True}, "seed must be an integer, got True")])
+    ({"n_list": [3], "seed": True}, "seed must be an integer, got True"),
+    ({"n_list": [3], "tolerances": {"rll": "1e-3"}},
+     "tolerance 'rll' must be positive and finite, got '1e-3'"),
+    ({"n_list": [3], "tolerances": {"rll": True}},
+     "tolerance 'rll' must be positive and finite, got True"),
+    ({"n_list": [3], "tolerances": [("rll", 1e-3)]},
+     "tolerances must map names to values, got [('rll', 0.001)]"),
+    ({"n_list": [3], "out": 5}, "out must be a path, got 5")])
 def test_non_integer_config_refused(kwargs, says):
-    # the CLI parses these flags as int; a library caller would otherwise
-    # meet a TypeError from math.gcd or numpy, or run seed True as seed 1
+    # the CLI parses these flags as int, float and str; a library caller would
+    # otherwise meet a TypeError from math.gcd, numpy, < or os.path, or run
+    # seed True as seed 1 and tolerance True as 1.0
     with pytest.raises(ValueError) as err:
         cli.RunConfig(**kwargs)
     assert str(err.value) == says

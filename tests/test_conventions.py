@@ -9,7 +9,8 @@ the tests hold it to shares none of that machinery.  Only `transfer` reads
 the path-entry table behind T(x), and the Theorem 1 check forms no e or o
 vector: (i) is one weight row on the node rows that the (ii) plus rows read.
 The curve's A, B, C, D are one y-coefficient array that `curves` evaluates
-with no polynomial objects and no import from the Bethe solver."""
+with no polynomial objects and no import from the Bethe solver.  A point of
+the rational curve is two arrays x and l, taken alike by both Baxter checks."""
 
 import ast
 import inspect
@@ -21,6 +22,7 @@ from hofchain import baxter, bethe, curves
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hofchain"
 MODULES = sorted(SRC.glob("*.py"))
+TESTS = sorted((SRC.parent.parent / "tests").glob("*.py"))
 
 
 def _indexed_product(node):
@@ -233,10 +235,26 @@ def test_curve_polynomials_are_one_array():
     assert not any(isinstance(node, ast.ImportFrom) and "bethe" in (
         node.module, *(a.name for a in node.names)) for node in ast.walk(tree))
     assert list(inspect.signature(curves.eta_roots).parameters) == ["y", "P"]
-    for path in MODULES + sorted((SRC.parent.parent / "tests").glob("*.py")):
-        names = {node.attr if isinstance(node, ast.Attribute) else
-                 node.id if isinstance(node, ast.Name) else node.name
-                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-                 if isinstance(node, (ast.Attribute, ast.Name, ast.alias,
-                                      ast.ClassDef, ast.FunctionDef))}
-        assert "ABCDPolys" not in names, path.name
+    for path in MODULES + TESTS:
+        assert "ABCDPolys" not in _names(path), path.name
+
+
+def _names(path) -> set:
+    """Every attribute, name, import, class and function that path names."""
+    return {node.attr if isinstance(node, ast.Attribute) else
+            node.id if isinstance(node, ast.Name) else node.name
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.Attribute, ast.Name, ast.alias,
+                                 ast.ClassDef, ast.FunctionDef))}
+
+
+def test_rational_points_are_plain_arrays():
+    # a point (x, l) of the rational curve is two arrays that broadcast, with
+    # no point class and no shift map; both Baxter checks take it alike
+    for path in MODULES + TESTS:
+        assert not _names(path) & {"RationalPoint", "tau"}, path.name
+    assert [list(inspect.signature(fn).parameters) for fn in (
+        baxter.t_action_residual, baxter.theorem1_residual)] == [
+        ["chain", "x", "l", "ctx"]] * 2
+    assert list(inspect.signature(baxter.delta_pm).parameters)[:3] == [
+        "x", "l", "sign"]

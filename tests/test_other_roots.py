@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hofchain import (DegenerateChain, RationalPoint, make_context,
+from hofchain import (DegenerateChain, make_context,
                       oracle_spectrum, solve_L1, solve_L3, t_action_residual,
                       theorem1_residual)
 from hofchain.baxter import draw_regular_x
@@ -17,7 +17,7 @@ def test_baxter_action_other_roots(N, P, rng):
     chain = DegenerateChain(tuple(unit_draws(rng, 3)))
     x = draw_regular_x(rng, chain, ctx)
     for l in range(0, N, 2):
-        assert t_action_residual(chain, RationalPoint(x, l), ctx) < 1e-9
+        assert t_action_residual(chain, x, l, ctx) < 1e-9
 
 
 @pytest.mark.parametrize("N,P", [(5, 2), (7, 5)])
