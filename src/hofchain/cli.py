@@ -145,9 +145,10 @@ def _json_default(o):
 
 
 def _write_json(path: str, payload: dict):
+    """Serialize first, so a value `_json_default` refuses leaves no file."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _finish(config: RunConfig, command: str, report: dict, t0: float) -> int:

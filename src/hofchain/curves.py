@@ -80,72 +80,111 @@ def abcd_polys(chain: ChainParams, ctx: Context) -> np.ndarray:
                                 dtype=complex), -1, 0)
 
 
-def eta_roots(y: complex, P: np.ndarray):
-    """Roots of C(y) eta^2 + (A(y) - D(y)) eta - B(y) = 0, read off the
-    product m = (-A, B; C, -D) at y of the `abcd_polys` array P."""
-    m = np.polyval(P[::-1], y)
-    Cv, mid, Bv = m[1, 0], m[1, 1] - m[0, 0], m[0, 1]
-    scale = max(abs(Cv), abs(mid), abs(Bv), 1.0)
-    if abs(Cv) < 1e-12 * scale:
-        raise PoleError(f"leading coefficient C(y) degenerates at y={y}; "
-                        "the fiber quadratic has a single root")
-    r = np.roots(np.array([Cv, mid, -Bv]))
-    return complex(r[0]), complex(r[1])
+def _eta_roots(y, P: np.ndarray):
+    """`eta_roots` without its check: the roots, shape y.shape + (2,), and the
+    mask of the y where C(y) degenerates (their roots mean nothing)."""
+    y = np.asarray(y, dtype=complex)
+    m = np.polyval(P[::-1], y[..., None, None])
+    Cv, mid, Bv = m[..., 1, 0], m[..., 1, 1] - m[..., 0, 0], m[..., 0, 1]
+    scale = np.maximum(np.maximum(abs(Cv), abs(mid)), np.maximum(abs(Bv), 1.0))
+    degenerate = abs(Cv) < 1e-12 * scale
+    # np.roots' companion matrix of (Cv, mid, -Bv), one per y
+    comp = np.zeros(y.shape + (2, 2), dtype=complex)
+    comp[..., 0, :] = (-np.stack([mid, -Bv], axis=-1)
+                       / np.where(degenerate, 1.0, Cv)[..., None])
+    comp[..., 1, 0] = 1.0
+    return np.linalg.eigvals(comp), degenerate
 
 
-def w_residuals(x, xi0, xi2, chain: HofstadterChain3, ctx: Context) -> tuple:
-    """Relative defects (r1, r2) of the two defining equations of W, elementwise
-    over the broadcast coordinates; a pole in any entry raises before division."""
+def eta_roots(y, P: np.ndarray) -> np.ndarray:
+    """Roots of C(y) eta^2 + (A(y) - D(y)) eta - B(y) = 0 at each entry of y,
+    shape y.shape + (2,), read off the product m = (-A, B; C, -D) at y of the
+    `abcd_polys` array P: one stacked eigvals of np.roots' companion
+    matrices, so each pair has np.roots' bits wherever B(y) != 0."""
+    roots, degenerate = _eta_roots(y, P)
+    if np.any(degenerate):
+        raise PoleError("leading coefficient C(y) degenerates at y="
+                        f"{np.asarray(y)[degenerate]}; the fiber quadratic "
+                        "has a single root")
+    return roots
+
+
+def _w_defects(x, xi0, xi2, chain: HofstadterChain3, ctx: Context) -> tuple:
+    """`w_residuals`, with NaN where a denominator vanishes: such a
+    denominator is replaced by 1 before the division, so nothing warns."""
     N = ctx.N
     h1, h2 = chain.h1, chain.h2
     y, xi0N, xi2N = np.power(x, N), np.power(xi0, N), np.power(xi2, N)
     den1 = y * xi2N * h1.c**N - h1.d**N
     den2 = y * xi0N * h2.c**N - h2.d**N
-    if any(np.any(np.abs(d) < POLE_TOL) for d in (den1, den2, xi0N)):
-        raise PoleError("W defining-equation denominator vanishes")
+    pole = ((np.abs(den1) < POLE_TOL) | (np.abs(den2) < POLE_TOL)
+            | (np.abs(xi0N) < POLE_TOL))
+    den1, den2, xi0N = (np.where(pole, 1.0, d) for d in (den1, den2, xi0N))
     rhs1 = (-xi2N * h1.a**N + y * h1.b**N) / den1
     rhs2 = (-xi0N * h2.a**N + y * h2.b**N) / den2
-    return tuple(np.abs(lhs - rhs) / np.maximum(np.maximum(1.0, np.abs(lhs)),
-                                                np.abs(rhs))
-                 for lhs, rhs in ((1.0 / xi0N, rhs1), (xi2N, rhs2)))
+    return tuple(np.where(pole, np.nan, np.abs(lhs - rhs) / np.maximum(
+        np.maximum(1.0, np.abs(lhs)), np.abs(rhs)))
+        for lhs, rhs in ((1.0 / xi0N, rhs1), (xi2N, rhs2)))
 
 
-def _principal_root(z: complex, N: int) -> complex:
-    return complex(np.exp(np.log(z) / N))
+def w_residuals(x, xi0, xi2, chain: HofstadterChain3, ctx: Context) -> tuple:
+    """Relative defects (r1, r2) of the two defining equations of W, elementwise
+    over the broadcast coordinates; a pole in any entry raises before division."""
+    res = _w_defects(x, xi0, xi2, chain, ctx)
+    if np.any(np.isnan(res[0])):
+        raise PoleError("W defining-equation denominator vanishes")
+    return res
 
 
-def sample_W(x: complex, chain: HofstadterChain3, ctx: Context,
-             _polys=None) -> list:
-    """All W-points over a given x: 2 eta branches x N x N root choices.
+def _w_fibers(xs, chain: HofstadterChain3, ctx: Context, polys: np.ndarray):
+    """The W-fibers over B values of x in one array pass: xi0 and xi2 of shape
+    (B, 2, N, N) in `sample_W`'s order, the two `w_residuals` arrays, NaN
+    over an x whose fiber meets a pole (C(y) degenerates, a denominator or an
+    N-th power vanishes), and the (B,) mask of the x whose every residual is
+    at most W_TOL.  The per-x scalars use scalar arithmetic and the root grid
+    separately rounded real and imaginary parts, so each point has the bits
+    of the scalar construction; numpy's array complex multiply rounds
+    differently."""
+    N, h2 = ctx.N, chain.h2
+    xs = np.asarray(xs, dtype=complex)
+    y = xs**N
+    etas, pole = _eta_roots(y, polys)
+    powers = np.ones(etas.shape + (2,), dtype=complex)   # (B, branch, [eta, xi2N])
+    for b in np.flatnonzero(~pole):
+        for k, eta in enumerate(etas[b]):
+            den = y[b] * eta * h2.c**N - h2.d**N
+            xi2N = ((-eta * h2.a**N + y[b] * h2.b**N) / den
+                    if abs(den) >= POLE_TOL else 0.0)
+            if min(abs(eta), abs(xi2N)) < POLE_TOL:   # or den vanished
+                pole[b] = True
+                break
+            powers[b, k] = eta, xi2N
+    base = np.exp(np.log(powers) / N)[..., None]   # the principal roots
+    w = ctx.omega_pow(np.arange(N))
+    grid = np.empty(base.shape[:-1] + (N,), dtype=complex)
+    grid.real = base.real * w.real - base.imag * w.imag
+    grid.imag = base.real * w.imag + base.imag * w.real
+    xi0, xi2 = np.broadcast_arrays(grid[:, :, 0, :, None], grid[:, :, 1, None, :])
+    r1, r2 = _w_defects(xs[:, None, None, None], xi0, xi2, chain, ctx)
+    r1[pole], r2[pole] = np.nan, np.nan
+    regular = np.all(np.maximum(r1, r2) <= W_TOL, axis=(1, 2, 3))
+    return xi0, xi2, r1, r2, regular
+
+
+def sample_W(x: complex, chain: HofstadterChain3, ctx: Context) -> list:
+    """All W-points over a given x: 2 eta branches x N x N root choices, the
+    one-x case of `_w_fibers`.
 
     eta = xi_0^N solves the fiber quadratic; xi_2^N follows from the
     second defining equation; both N-th root fibers are enumerated from
-    the principal root.  The grid is residual-checked in one array call.
-    `_polys`: the chain's `abcd_polys`, if built.
+    the principal root.  A pole raises PoleError, a residual over W_TOL
+    RuntimeError.
     """
-    N = ctx.N
-    if x == 0:
-        raise PoleError("x = 0 is a pole of the W machinery")
-    y = x**N
-    h2 = chain.h2
-    roots = ctx.omega_pow(np.arange(N))
-    grids = []
-    if _polys is None:
-        _polys = abcd_polys(chain.chain_params(), ctx)
-    for eta in eta_roots(y, _polys):
-        den = y * eta * h2.c**N - h2.d**N
-        if abs(den) < POLE_TOL:
-            raise PoleError("xi_2^N denominator vanishes")
-        xi2N = (-eta * h2.a**N + y * h2.b**N) / den
-        if abs(eta) < POLE_TOL or abs(xi2N) < POLE_TOL:
-            raise PoleError("degenerate N-th power coordinate")
-        # scalar products: numpy's array multiply rounds differently
-        grids.append([[b * w for w in roots] for b in (
-            _principal_root(eta, N), _principal_root(xi2N, N))])
-    xi0, xi2 = np.array(grids).transpose(1, 0, 2)     # (branch, root) each
-    xi0, xi2 = np.broadcast_arrays(xi0[:, :, None], xi2[:, None, :])
-    r1, r2 = w_residuals(x, xi0, xi2, chain, ctx)
-    if not np.all(np.maximum(r1, r2) <= W_TOL):
+    xi0, xi2, r1, r2, regular = _w_fibers(
+        [x], chain, ctx, abcd_polys(chain.chain_params(), ctx))
+    if not regular[0]:
+        if np.any(np.isnan(r1)):
+            raise PoleError(f"x = {x} is a pole of the W fibers")
         raise RuntimeError(f"inconsistent W point: residual {np.max([r1, r2])}")
     return [WPoint(x=x, xi0=a, xi2=b, residuals=r) for a, b, r in zip(
         xi0.ravel(), xi2.ravel(), zip(r1.ravel().tolist(), r2.ravel().tolist()))]
@@ -292,28 +331,35 @@ def epsilon_rank(l: int, points, chain: HofstadterChain3, ctx: Context) -> int:
 
 def draw_w_points(chain: HofstadterChain3, ctx: Context,
                   rng: np.random.Generator, count: int) -> list:
-    """Sample `count` distinct W-points from the circles |x| = 0.5 and 2."""
-    radii = (0.5, 2.0)
+    """Sample `count` distinct W-points from the circles |x| = 0.5 and 2.
+
+    Each x-draw is followed by a permutation of its 2N^2 points, whose first
+    max(2, N) are kept unless |x xi_0| <= 1e-4.  One `_w_fibers` call takes
+    the ceil(left / max(2, N)) draws that fill the count if none is missed;
+    a miss (a pole or a draw that adds nothing) costs another batch.
+    """
+    radii, keep = (0.5, 2.0), max(2, ctx.N)
     polys = abcd_polys(chain.chain_params(), ctx)
     out = []
     attempts = misses = 0   # misses: x-draws that added no point
     while len(out) < count and misses < 200:
-        attempts += 1
-        r = radii[attempts % len(radii)]
-        x = r * unit_draws(rng, 1)[0]
-        try:
-            pts = sample_W(x, chain, ctx, _polys=polys)
-        except (PoleError, RuntimeError):
-            misses += 1
-            continue
-        # keep a spread of root choices rather than whole fibers
-        idx = rng.permutation(len(pts))
-        before = len(out)
-        for i in idx[:max(2, ctx.N)]:
-            p = pts[i]
-            if abs(p.x * p.xi0) > 1e-4 and len(out) < count:
-                out.append(p)
-        misses += len(out) == before
+        xs, perms = [], []
+        for _ in range(-(-(count - len(out)) // keep)):
+            attempts += 1
+            xs.append(radii[attempts % len(radii)] * unit_draws(rng, 1)[0])
+            # keep a spread of root choices rather than whole fibers
+            perms.append(rng.permutation(2 * ctx.N ** 2))
+        *fibers, regular = _w_fibers(xs, chain, ctx, polys)
+        xi0, xi2, r1, r2 = (a.reshape(len(xs), -1) for a in fibers)
+        for b, x in enumerate(xs):
+            if misses >= 200:
+                break
+            before = len(out)
+            for i in perms[b][:keep] if regular[b] else ():
+                if abs(x * xi0[b, i]) > 1e-4 and len(out) < count:
+                    out.append(WPoint(x, xi0[b, i], xi2[b, i],
+                                      (float(r1[b, i]), float(r2[b, i]))))
+            misses += len(out) == before
     if len(out) < count:
         raise RuntimeError("failed to sample enough regular W points")
     return out

@@ -333,6 +333,25 @@ def test_one_stacked_pass_per_suite(N, monkeypatch):
     assert counts == {"_orbit_exponents": 3, "eig": 1}
 
 
+def test_one_fiber_pass_per_curves_draw(tmp_path, monkeypatch):
+    # N = 7 at the default seed: 2N^2 = 98 points from ceil(98 / 7) = 14
+    # x-draws, every one regular, so one `_w_fibers` call; no sample_W
+    from hofchain import curves
+    real, shapes = curves._w_fibers, []
+
+    def fibers(xs, *args):
+        shapes.append(len(xs))
+        return real(xs, *args)
+
+    def sample_W(*args):
+        raise AssertionError("sample_W called")
+
+    monkeypatch.setattr(curves, "_w_fibers", fibers)
+    monkeypatch.setattr(curves, "sample_W", sample_W)
+    assert main(["curves", "--N", "7", "--out", str(tmp_path / "c.json")]) == 0
+    assert shapes == [14]
+
+
 def test_theorem1_builds_one_node_row_table(monkeypatch):
     # (i) and (ii) read the same Baxter rows at x, q^-1 x and q x
     from hofchain import baxter
@@ -400,6 +419,21 @@ def test_write_json_converts_numpy_scalars(tmp_path):
     with pytest.raises(TypeError, match=r"^not JSON-serializable: "
                                         r"<class 'object'>$"):
         cli._write_json(path, {"x": object()})
+
+
+def test_refused_report_leaves_no_file(tmp_path):
+    # the report is serialized before the file is opened: a refused value
+    # writes nothing, and an existing report keeps its bytes
+    path = tmp_path / "new.json"
+    with pytest.raises(TypeError):
+        cli._write_json(path, {"a": 1, "x": object()})
+    assert not path.exists()
+    path = tmp_path / "old.json"
+    cli._write_json(path, {"a": 1})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        cli._write_json(path, {"a": 1, "x": object()})
+    assert path.read_bytes() == before
 
 
 class TestSolve:

@@ -127,6 +127,21 @@ class TestEtaRoots:
         with pytest.raises(PoleError):
             eta_roots(0.0, abcd_polys(chain, ctx3))
 
+    def test_array_of_y(self, ctx5, rng):
+        # one stacked eigvals gives each y the bits of its own np.roots call
+        P = abcd_polys(draw_chain(rng, 3), ctx5)
+        y = (rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))) * 4.0
+        roots = eta_roots(y, P)
+        assert roots.shape == (3, 4, 2)
+        assert all(roots[i, j].tolist() == eta_roots(y[i, j], P).tolist()
+                   for i in range(3) for j in range(4))
+        m = at(P, y[1, 2])
+        assert roots[1, 2].tolist() == np.roots(
+            [m[1, 0], m[1, 1] - m[0, 0], -m[0, 1]]).tolist()
+        y[2, 1] = 0.0
+        with pytest.raises(PoleError):
+            eta_roots(y, P)
+
 
 class TestSampleW:
     def test_residuals_and_count(self, ctx3, rng):
@@ -411,14 +426,14 @@ class TestEvaluationRanks:
             assert all(type(r) is int for r in ranks)
 
 
-def sample_W_loop(x, chain, ctx, _polys=None):
+def sample_W_loop(x, chain, ctx):
     """One root choice at a time, each checked with a scalar residual call."""
     from hofchain.curves import W_TOL, WPoint
     from hofchain.weylcore import POLE_TOL
     N, h2 = ctx.N, chain.h2
     y = x**N
     points = []
-    for eta in eta_roots(y, abcd_polys(chain.chain_params(), ctx)):
+    for eta in eta_roots(y, abcd_polys(chain.chain_params(), ctx)).tolist():
         den = y * eta * h2.c**N - h2.d**N
         if abs(den) < POLE_TOL:
             raise PoleError("xi_2^N denominator vanishes")
@@ -434,6 +449,20 @@ def sample_W_loop(x, chain, ctx, _polys=None):
                     raise RuntimeError(f"inconsistent W point: {res}")
                 points.append(WPoint(x, xi0, xi2, res))
     return points
+
+
+def draw_w_points_loop(chain, ctx, rng, count):
+    """The draw one x at a time: an x, its `sample_W_loop` fiber, then its
+    permutation, whose first max(2, N) points are kept if |x xi_0| > 1e-4."""
+    out, attempts = [], 0
+    while len(out) < count:
+        attempts += 1
+        x = (0.5, 2.0)[attempts % 2] * unit_draws(rng, 1)[0]
+        pts = sample_W_loop(x, chain, ctx)
+        for i in rng.permutation(len(pts))[:max(2, ctx.N)]:
+            if abs(pts[i].x * pts[i].xi0) > 1e-4 and len(out) < count:
+                out.append(pts[i])
+    return out
 
 
 def coords(points):
@@ -454,15 +483,37 @@ class TestSampleWArrays:
             assert np.allclose([p.residuals for p in pts],
                                [p.residuals for p in ref], rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("N", [3, 7])
-    def test_draw_w_points_same_points(self, N, monkeypatch):
-        from hofchain import curves
+    @pytest.mark.parametrize("N", [3, 5, 7])
+    def test_draw_w_points_same_points(self, N):
+        # the batched draw against one x, one fiber and one permutation at a
+        # time: the same points and the same generator state after them
         ctx = make_context(N)
         chain = hof_chain(np.random.default_rng(N))
-        pts = draw_w_points(chain, ctx, np.random.default_rng(1), 2 * N * N)
-        monkeypatch.setattr(curves, "sample_W", sample_W_loop)
-        ref = draw_w_points(chain, ctx, np.random.default_rng(1), 2 * N * N)
+        rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+        pts = draw_w_points(chain, ctx, rng, 2 * N * N)
+        ref = draw_w_points_loop(chain, ctx, ref_rng, 2 * N * N)
         assert coords(pts) == coords(ref)
+        assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
+
+    def test_fibers_mask_one_pole(self, ctx5, rng):
+        # x = 0, where C(y) = 0, among regular x: only its entry is masked,
+        # the others are sample_W's points bit for bit, and nothing warns
+        import warnings
+        from hofchain.curves import _w_fibers
+        chain = hof_chain(rng)
+        xs = [r * unit_draws(rng, 1)[0] for r in (0.5, 2.0, 0.5)]
+        xs.insert(1, 0j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xi0, xi2, r1, r2, regular = _w_fibers(
+                xs, chain, ctx5, abcd_polys(chain.chain_params(), ctx5))
+        assert regular.tolist() == [True, False, True, True]
+        for b in (0, 2, 3):
+            pts = sample_W(xs[b], chain, ctx5)
+            assert coords(pts) == [(xs[b], a, c) for a, c in
+                                   zip(xi0[b].ravel(), xi2[b].ravel())]
+            assert [p.residuals for p in pts] == list(
+                zip(r1[b].ravel().tolist(), r2[b].ravel().tolist()))
 
     @pytest.mark.parametrize("coord", ["xi2", "xi0"])
     def test_one_pole_in_an_array_raises(self, coord, ctx5, rng):
