@@ -53,12 +53,13 @@ DEFAULT_TOLERANCES = {
 # would pass this: verify's one dense N^3 x N^3 transfer matrix (the commutator
 # suite holds one at a time), curves' fiber-average outer product, solve
 # --L 3's N (3M+4) x (3M+1) coefficient systems of sector 0 beside their
-# SVD's U of the same shape, and butterfly's N x N Hamiltonian
+# SVD's U of the same shape, and butterfly's table of one 5-column CSV row per
+# flux and level, which sets its peak (N x N Hamiltonians are far smaller)
 DENSE_BYTES_MAX = 2**28
 LARGEST_ARRAY = {"verify": lambda N: (N**3, N**3),                 # N <= 15
                  "curves": lambda N: (2 * N * N, N, N, N),         # N <= 23
                  "solve": lambda N: (N, (3 * N + 5) // 2, 3 * N - 1),   # 153
-                 "butterfly": lambda N: (N, N)}                    # N <= 4095
+                 "butterfly": lambda N: (len(_fluxes(N)) * N, 5)}  # N <= 1845
 EIGVEC_GATE = 1e-10  # largest ||B^T v - mu v|| / max|B| of a divisibility pair
 
 
@@ -427,6 +428,11 @@ def cmd_solve(config: RunConfig, L: int, m_arg) -> int:
 
 # ------------------------------------------------------------- butterfly
 
+def _fluxes(N: int) -> list:
+    """The P of the butterfly sweep at N: every P in [1, N) coprime to N."""
+    return [p for p in range(1, N) if math.gcd(p, N) == 1]
+
+
 def _spectrum(H: np.ndarray, hermitian: bool) -> np.ndarray:
     if hermitian:
         return np.linalg.eigvalsh(H)    # ascending, real
@@ -436,7 +442,7 @@ def _spectrum(H: np.ndarray, hermitian: bool) -> np.ndarray:
 
 def cmd_butterfly(config: RunConfig, mu, nu, rho, alpha, beta, gamma) -> int:
     """Write every N's spectra, one row per (P, level), as one formatted
-    block per N.  An N whose Hamiltonian would pass DENSE_BYTES_MAX is
+    block per N.  An N whose table of rows would pass DENSE_BYTES_MAX is
     refused first."""
     # H is Hermitian for real mu, nu, rho and unit alpha, beta, gamma; 4 eps
     # admits exp(2 pi i r), which rounds one ulp off the unit circle
@@ -446,7 +452,7 @@ def cmd_butterfly(config: RunConfig, mu, nu, rho, alpha, beta, gamma) -> int:
     _refuse_oversized("butterfly", config.n_list)
     blocks = ["N,P,index,energy_re,energy_im\r\n"]
     for N in sorted(config.n_list):
-        fluxes = [p for p in range(1, N) if math.gcd(p, N) == 1]
+        fluxes = _fluxes(N)
         evals = np.array([_spectrum(hofstadter_hamiltonian(
             make_context(N, P), mu, nu, rho, alpha, beta, gamma).mat,
             hermitian) for P in fluxes])                # (flux, level)

@@ -10,13 +10,14 @@ over the Weyl paths of `path_table`, and forms a commuting family in x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .weylcore import (Context, Operator, PoleError, global_shift_D,
-                       identity_op, kron, sector_basis, sector_monomial,
-                       sector_project, weyl_matrices, weyl_monomial)
+                       identity_op, kron, read_only, sector_basis,
+                       sector_monomial, sector_project, weyl_matrices,
+                       weyl_monomial)
 
 # (a, b) of the magnetic translations S_1 = X (x) Z (x) I and S_2 = I (x) X (x) Z:
 # each commutes with every path monomial of the L = 3 transfer matrix, and
@@ -155,15 +156,26 @@ def gauge_chain_L(chain: ChainParams, x: complex, xis, ctx: Context) -> BlockOpe
                    for j in range(L)))
 
 
+@lru_cache(maxsize=4)      # L = 1-3
 def path_table(L: int) -> tuple:
     """(a, b, degree) of the 2^L closed paths (i_0, ..., i_{L-1}, i_0) of the
     auxiliary trace, the same for every chain.  Site j contributes the block
     (i_j, i_{j+1}) of (aY, xbX; xcZ, d), so a path is a weight times x^degree
     (x)_j Z^(b_j) X^(a_j), a_j = [i_j = 0], b_j = [i_{j+1} = 0], with one
-    degree per off-diagonal step.  Distinct paths have distinct a."""
+    degree per off-diagonal step.  Distinct paths have distinct a.  Cached,
+    so the tables are read-only."""
     i = np.indices((2,) * L).reshape(L, -1).T              # (2^L, L)
     a, b = 1 - i, 1 - np.roll(i, -1, axis=1)
-    return a, b, np.count_nonzero(a != b, axis=1)
+    return read_only(a, b, np.count_nonzero(a != b, axis=1))
+
+
+@lru_cache(maxsize=4)      # L = 1-3 at one N
+def _path_columns(N: int, L: int) -> tuple:
+    """(cols, clocks) of every path of `path_table` on the N^L basis, the
+    same for every chain: under X^-a Z^b row t goes to column cols[p, t] =
+    t - a with the phase exponent clocks[p, t] = b.t mod N.  Read-only."""
+    a, b, _ = path_table(L)
+    return read_only(*weyl_monomial(N, -a, b))
 
 
 def path_weights(chain: ChainParams) -> np.ndarray:
@@ -181,11 +193,11 @@ def _path_entries(chain: ChainParams, ctx: Context) -> tuple:
     has its one entry at column cols[p, t] = t - a, w x^degree phases[p, t]
     with phases = omega^(b.t), the image and phase of t under X^-a Z^b.
     Distinct paths have distinct a, so no two share an entry."""
-    a, b, degree = path_table(chain.L)
+    cols, clocks = _path_columns(ctx.N, chain.L)
     weights = path_weights(chain)
     keep = np.flatnonzero(weights)
-    cols, clocks = weyl_monomial(ctx.N, -a[keep], b[keep])
-    return cols, weights[keep], ctx.omega_pow(clocks), degree[keep]
+    return (cols[keep], weights[keep], ctx.omega_pow(clocks[keep]),
+            path_table(chain.L)[2][keep])
 
 
 def transfer_T(chain: ChainParams, x: complex, ctx: Context) -> Operator:
@@ -321,11 +333,11 @@ def transfer_pencil(chain: ChainParams, ctx: Context) -> TransferPencil:
 def _shift_diagonals(mat: np.ndarray, N: int, L: int) -> tuple:
     """(cols, D) with mat = sum_s D_s S_s over the patterns s in {0,1}^L: row
     r of S_s has its 1 at cols[s, r], the image of r under X^-s, and D[s, r]
-    = mat[r, cols[s, r]].  mat is the caller's to give up: the entries read
-    are zeroed in place, and any nonzero left is off the pattern, which
-    ValueError names."""
-    rows, s = np.arange(N ** L), np.indices((2,) * L).reshape(L, -1).T
-    cols = weyl_monomial(N, -s, 0 * s)[0]
+    = mat[r, cols[s, r]].  The s in `np.indices` order are the a of
+    `path_table` in reverse, so cols is `_path_columns` read backwards.  mat
+    is the caller's to give up: the entries read are zeroed in place, and
+    any nonzero left is off the pattern, which ValueError names."""
+    rows, cols = np.arange(N ** L), _path_columns(N, L)[0][::-1]
     D = mat[rows, cols]
     mat[rows, cols] = 0
     if mat.any():

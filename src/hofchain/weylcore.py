@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -193,16 +193,29 @@ def sector_orbits(ctx: Context, L: int, l) -> tuple:
     return orbit, ctx.omega_pow(e) / math.sqrt(ctx.N)
 
 
+@lru_cache(maxsize=4)      # L = 1-3 at one N
+def _digits(N: int, L: int) -> np.ndarray:
+    """The (L, N^L) digits of the basis states, digit 0 leading; read-only."""
+    return read_only(np.indices((N,) * L).reshape(L, -1))[0]
+
+
 def _orbit_exponents(ctx: Context, L: int, l) -> tuple:
     """(orbit, e): `sector_orbits` with amp = N^{-1/2} omega^e, 0 at t = 0."""
     N, M = ctx.N, ctx.M
-    digits = np.indices((N,) * L).reshape(L, -1)       # digit 0 leading
+    digits = _digits(N, L)
     t = digits[0]
     rep = (digits[1:] - t) % N
     # D|rep + t*1> = q^{-L} omega^{R + L(t+1)} |rep + (t+1)*1> (R = |rep|), so
     # |rep + t*1> has amplitude N^{-1/2} prod_{s<t} q^{-l-L} omega^{R + L(s+1)}
     e = t * (rep.sum(axis=0) - (M + 1) * L) + L * t * (t + 1) // 2
     return N ** np.arange(L - 1) @ rep, e - np.multiply.outer(l, (M + 1) * t)
+
+
+def read_only(*tables) -> tuple:
+    """The arrays, marked read-only: a cached table is every caller's."""
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def weyl_monomial(N: int, a, b) -> tuple:
@@ -213,7 +226,7 @@ def weyl_monomial(N: int, a, b) -> tuple:
     or a stack (..., L); the tables have shape (..., N^L)."""
     a, b = np.asarray(a), np.asarray(b)
     L = a.shape[-1]
-    digits = np.indices((N,) * L).reshape(L, -1)
+    digits = _digits(N, L)
     image = N ** np.arange(L - 1, -1, -1) @ ((digits + a[..., None]) % N)
     return image, b @ digits % N
 

@@ -1418,18 +1418,19 @@ class TestButterflySize:
 
         monkeypatch.setattr(cli, "hofstadter_hamiltonian", refuse)
         out = tmp_path / "b.csv"
-        assert main(["butterfly", "--N", "5", "--N", "4097",
+        assert main(["butterfly", "--N", "5", "--N", "1847",
                      "--out", str(out)]) == 2
-        assert "butterfly at N=4097 needs dense 4097 x 4097" \
+        assert "butterfly at N=1847 needs dense 3409562 x 5" \
             in capsys.readouterr().err
         assert not out.exists()
         assert not Path(str(out) + ".meta.json").exists()
 
     def test_largest_n_passes_the_size_check(self):
-        # the check alone: running N = 4095 would allocate the 268 MB H
-        cli._refuse_oversized("butterfly", [4095])
-        with pytest.raises(ValueError, match="N=4097"):
-            cli._refuse_oversized("butterfly", [4095, 4097])
+        # the check alone: at N = 1831, prime, the 1831 * 1830 rows of 5
+        # count 268 MB, just under the bound; N = 1847 is the first refused
+        cli._refuse_oversized("butterfly", [1831])
+        with pytest.raises(ValueError, match="N=1847"):
+            cli._refuse_oversized("butterfly", [1831, 1847])
 
     @pytest.mark.parametrize("params,hermitian", [
         ((1.3, 0.8, 0.5, np.exp(0.4j), np.exp(0.7j), np.exp(-2.1j)), True),

@@ -10,7 +10,9 @@ the path-entry table behind T(x), and the Theorem 1 check forms no e or o
 vector: (i) is one weight row on the node rows that the (ii) plus rows read.
 The curve's A, B, C, D are one y-coefficient array that `curves` evaluates
 with no polynomial objects and no import from the Bethe solver.  A point of
-the rational curve is two arrays x and l, taken alike by both Baxter checks."""
+the rational curve is two arrays x and l, taken alike by both Baxter checks.
+The (N, L) geometry tables behind T(x) are cached, and every cache is
+bounded."""
 
 import ast
 import inspect
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from hofchain import baxter, bethe, curves
+from hofchain import baxter, bethe, cli, curves, transfer, weylcore
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hofchain"
 MODULES = sorted(SRC.glob("*.py"))
@@ -100,16 +102,23 @@ def _called_names(fn):
 
 def test_commutator_check_forms_no_dense_product():
     # commutator_residual and the transfer helpers it reaches, other than
-    # the dense builder transfer_T, which they must read and not bypass
+    # the dense builder transfer_T, which they must read and not bypass, and
+    # _path_columns, the chain-free (N, L) geometry of the path table from
+    # which _shift_diagonals reads its columns
     tree = ast.parse((SRC / "transfer.py").read_text(encoding="utf-8"))
     defs = {node.name: node for node in tree.body
             if isinstance(node, ast.FunctionDef)}
     assert "transfer_T" in _called_names(defs["commutator_residual"])
+    assert "_path_columns" in _called_names(defs["_shift_diagonals"])
+    assert [a.arg for a in defs["_path_columns"].args.args] == ["N", "L"]
+    assert not _called_names(defs["_path_columns"]) & {"path_weights",
+                                                       "_path_entries"}
     checked, todo = set(), ["commutator_residual"]
     while todo:
         name = todo.pop()
         checked.add(name)
-        todo += (_called_names(defs[name]) & defs.keys()) - checked - {"transfer_T"}
+        todo += ((_called_names(defs[name]) & defs.keys()) - checked
+                 - {"transfer_T", "_path_columns"})
     assert len(checked) > 1, checked
     for name in checked:
         for node in ast.walk(defs[name]):
@@ -132,6 +141,39 @@ def test_one_power_sum_over_the_transfer_terms(path):
             if isinstance(node, (ast.Attribute, ast.Name, ast.alias))}
     assert path.name == "transfer.py" or "_path_entries" not in refs
     assert "transfer_terms" not in refs
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_cache_is_bounded(path):
+    # a cache keeps its tables for the life of the process, so each one
+    # names a fixed integer maxsize: no functools.cache, no lru_cache(None)
+    # and no bare @lru_cache
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = {id(node.func): node for node in ast.walk(tree)
+             if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            assert node.name != "cache", path.name
+        elif isinstance(node, ast.Attribute):
+            assert ast.unparse(node) != "functools.cache", node.lineno
+        if (node.attr if isinstance(node, ast.Attribute) else node.id
+                if isinstance(node, ast.Name) else None) == "lru_cache":
+            call = calls.get(id(node))
+            assert call is not None, (path.name, node.lineno)
+            (size,) = call.args or [k.value for k in call.keywords
+                                    if k.arg == "maxsize"]
+            assert isinstance(size, ast.Constant) \
+                and type(size.value) is int and size.value > 0, node.lineno
+
+
+def test_the_geometry_tables_are_cached_and_bounded():
+    # the walk above has caches to read, and each reports its bound
+    found = {name: fn.cache_parameters()["maxsize"]
+             for module in (weylcore, transfer, baxter, bethe, curves, cli)
+             for name, fn in vars(module).items()
+             if hasattr(fn, "cache_parameters")}
+    assert {"_digits", "path_table", "_path_columns"} <= found.keys()
+    assert all(type(size) is int for size in found.values()), found
 
 
 def test_theorem1_forms_no_e_or_o_vectors():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import itertools
 import json
 
@@ -9,11 +10,12 @@ from hofchain import (ChainParams, PoleError, SiteParams, commutator_residual,
                       f_op, heisenberg_UV, hofstadter_hamiltonian, kron,
                       local_L, make_context, r_matrix, rll_residual,
                       transfer_T, transfer_pencil, weyl_matrices)
-from hofchain import cli, transfer
+from hofchain import cli, transfer, weylcore
 from hofchain.baxter import DegenerateChain
 from hofchain.curves import HofstadterChain3
 from hofchain.transfer import (chain_L, hofstadter_sector_factor, path_table,
-                               sector_pencil, sector_spectrum, t2_formula_L3)
+                               sector_pencil, sector_spectrum, t2_formula_L3,
+                               transfer_apply)
 from hofchain.weylcore import (Operator, identity_op, sector_basis,
                                sector_monomial, sector_orbits, sector_project,
                                unit_draws)
@@ -222,6 +224,46 @@ class TestTransfer:
         assert degree.max() == 2 * (L // 2)
 
 
+class TestGeometryCaches:
+    """The digit, path and path-column tables are built once per (N, L) and
+    shared by every reader of T(x): a reader can neither write into them nor
+    see a result that depends on what the caches held before."""
+
+    CACHES = (weylcore._digits, path_table, transfer._path_columns)
+
+    @staticmethod
+    def readers(N, L):
+        """A digest of each reader's result at (N, L), bit for bit; the dense
+        T(x) at N = 7, L = 4 is 92 MB, so no result is kept."""
+        ctx, rng = make_context(N), np.random.default_rng([N, L])
+        chain, (x, xp) = draw_chain(rng, L), unit_draws(rng, 2)
+        v = rng.standard_normal((3, N ** L)) + 0j
+        a, b, _ = path_table(L)
+        T = transfer_T(chain, x, ctx).mat
+        results = (T, transfer_apply(chain, [x, xp, 0.5], ctx, v),
+                   *sector_monomial(ctx, np.arange(N), a, b),
+                   *sector_orbits(ctx, L, np.arange(N)),
+                   *transfer._shift_diagonals(T, N, L))
+        return [hashlib.sha256(np.ascontiguousarray(r).tobytes()).hexdigest()
+                + f"{r.dtype}{r.shape}" for r in results]
+
+    def test_tables_are_read_only(self):
+        for table in (weylcore._digits(5, 3), *path_table(3),
+                      *transfer._path_columns(5, 3)):
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = 0
+
+    def test_results_do_not_depend_on_the_cache(self):
+        # L outer and N inner, twice over, so that every table is evicted,
+        # rebuilt and hit; each result is then taken again from empty caches
+        order = [(N, L) for L in (1, 2, 3, 4) for N in (3, 5, 7)] * 2
+        warm = [self.readers(N, L) for N, L in order]
+        for (N, L), got in zip(order, warm):
+            for cache in self.CACHES:
+                cache.cache_clear()
+            assert got == self.readers(N, L), (N, L)
+
+
 class TestPencil:
     def test_L1_single_coefficient(self, ctx3, rng):
         chain = draw_chain(rng, 1)
@@ -322,6 +364,23 @@ class TestCommutingFamily:
         assert "(row 0, column 2)" in records["commutator"]["error"]["message"]
         assert all(r["pass"] for name, r in records.items()
                    if name != "commutator")
+
+    @pytest.mark.parametrize("N,L", [(3, 1), (3, 2), (5, 3)])
+    def test_shift_diagonals_in_pattern_order(self, N, L):
+        # row r of S_s has its 1 at the digits of r minus s, for the
+        # patterns s in np.indices order; D_s = k + 1 on pattern k reads
+        # each diagonal back in that order
+        digits = np.array(np.unravel_index(np.arange(N ** L), (N,) * L))
+        patterns = np.indices((2,) * L).reshape(L, -1).T
+        want = np.array([np.ravel_multi_index((digits - s[:, None]) % N,
+                                              (N,) * L) for s in patterns])
+        mat = np.zeros((N ** L, N ** L), dtype=complex)
+        for k, c in enumerate(want):
+            mat[np.arange(N ** L), c] = k + 1
+        cols, D = transfer._shift_diagonals(mat, N, L)
+        assert np.array_equal(cols, want)
+        assert np.array_equal(D, np.arange(1, 2 ** L + 1)[:, None]
+                              * np.ones(N ** L))
 
     @pytest.mark.parametrize("row,col,value", [(0, 2, 5e-324j), (24, 0, 1.0)])
     def test_off_pattern_check_is_exact(self, row, col, value, rng):
