@@ -15,7 +15,7 @@ from .baxter import (DegenerateChain, baxter_vector, delta_pm, sector_vectors,
 from .bethe import (BetheSolution, ComplexPolynomial, bethe_ansatz_residuals,
                     lambda_M_from_roots, matrix_A, oracle_spectrum,
                     rbeq_residual, solve_L1, solve_L2, solve_L3)
-from .curves import (HofstadterChain3, WPoint, abcd_polys, averaged_baxter,
+from .curves import (HofstadterChain3, abcd_polys, averaged_baxter,
                      descended_t_residual, epsilon_rank, eta_roots, sample_W)
 
 __all__ = [
@@ -32,6 +32,6 @@ __all__ = [
     "ComplexPolynomial", "BetheSolution", "rbeq_residual",
     "solve_L1", "solve_L2", "matrix_A", "solve_L3", "bethe_ansatz_residuals",
     "lambda_M_from_roots", "oracle_spectrum",
-    "WPoint", "HofstadterChain3", "abcd_polys", "eta_roots", "sample_W",
+    "HofstadterChain3", "abcd_polys", "eta_roots", "sample_W",
     "averaged_baxter", "descended_t_residual", "epsilon_rank",
 ]

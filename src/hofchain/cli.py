@@ -35,8 +35,8 @@ from .transfer import (ChainParams, SiteParams, commutant_reduction,
 from .baxter import (DegenerateChain, draw_regular_x, plus_pairing_coeffs,
                      t_action_residual, theorem1_residual)
 from .bethe import EIGEN_GAP, solve_L1, solve_L2, solve_L3
-from .curves import (HofstadterChain3, abcd_polys, descended_t_residual,
-                     draw_w_points, evaluation_ranks, evaluation_vectors)
+from .curves import (HofstadterChain3, abcd_polys, averaged_baxter,
+                     descended_t_residual, draw_w_points, evaluation_ranks)
 
 DEFAULT_TOLERANCES = {
     "rll": 1e-10,
@@ -53,13 +53,14 @@ DEFAULT_TOLERANCES = {
 # would pass this: verify's one dense N^3 x N^3 transfer matrix (the commutator
 # suite holds one at a time), curves' fiber-average outer product, solve
 # --L 3's N (3M+4) x (3M+1) coefficient systems of sector 0 beside their
-# SVD's U of the same shape, and butterfly's table of one 5-column CSV row per
-# flux and level, which sets its peak (N x N Hamiltonians are far smaller)
+# SVD's U of the same shape, and butterfly's one 5-column CSV row per flux and
+# level, whose text sets its peak (N x N Hamiltonians are far smaller)
 DENSE_BYTES_MAX = 2**28
 LARGEST_ARRAY = {"verify": lambda N: (N**3, N**3),                 # N <= 15
                  "curves": lambda N: (2 * N * N, N, N, N),         # N <= 23
                  "solve": lambda N: (N, (3 * N + 5) // 2, 3 * N - 1),   # 153
                  "butterfly": lambda N: (len(_fluxes(N)) * N, 5)}  # N <= 1845
+BUTTERFLY_BLOCK = 1024  # CSV rows formatted at once: bounds the objects held
 EIGVEC_GATE = 1e-10  # largest ||B^T v - mu v|| / max|B| of a divisibility pair
 
 
@@ -441,9 +442,9 @@ def _spectrum(H: np.ndarray, hermitian: bool) -> np.ndarray:
 
 
 def cmd_butterfly(config: RunConfig, mu, nu, rho, alpha, beta, gamma) -> int:
-    """Write every N's spectra, one row per (P, level), as one formatted
-    block per N.  An N whose table of rows would pass DENSE_BYTES_MAX is
-    refused first."""
+    """Write every N's spectra, one row per (P, level), formatted
+    BUTTERFLY_BLOCK rows at a time.  An N whose rows would pass
+    DENSE_BYTES_MAX is refused first."""
     # H is Hermitian for real mu, nu, rho and unit alpha, beta, gamma; 4 eps
     # admits exp(2 pi i r), which rounds one ulp off the unit circle
     hermitian = (all(complex(v).imag == 0 for v in (mu, nu, rho)) and all(
@@ -455,17 +456,18 @@ def cmd_butterfly(config: RunConfig, mu, nu, rho, alpha, beta, gamma) -> int:
         fluxes = _fluxes(N)
         evals = np.array([_spectrum(hofstadter_hamiltonian(
             make_context(N, P), mu, nu, rho, alpha, beta, gamma).mat,
-            hermitian) for P in fluxes])                # (flux, level)
-        # columns N, P, index, re, im as Python ints and floats: the small
-        # ints are shared objects, so only the energies take new memory
-        table = np.empty((evals.size, 5), dtype=object)
-        table[:, 0] = N
-        table[:, 1] = np.repeat(fluxes, N)
-        table[:, 2] = np.tile(np.arange(N), len(fluxes))
-        table[:, 3] = evals.real.ravel()
-        table[:, 4] = evals.imag.ravel()
-        blocks.append("%d,%d,%d,%.15g,%.15g\r\n" * len(table)
-                      % tuple(table.ravel()))
+            hermitian) for P in fluxes]).ravel()        # row r: flux r // N
+        if not np.isfinite(evals).all():
+            raise ValueError(f"butterfly at N={N}: an energy overflows")
+        for start in range(0, evals.size, BUTTERFLY_BLOCK):
+            # columns N, P, index, re, im as Python ints and floats
+            r = np.arange(start, min(start + BUTTERFLY_BLOCK, evals.size))
+            table = np.empty((len(r), 5), dtype=object)
+            table[:, 0], table[:, 1] = N, np.take(fluxes, r // N)
+            table[:, 2] = r % N
+            table[:, 3], table[:, 4] = evals[r].real, evals[r].imag
+            blocks.append("%d,%d,%d,%.15g,%.15g\r\n" * len(r)
+                          % tuple(table.ravel()))
     out = config.out or "butterfly.csv"
     with open(out, "w", newline="", encoding="utf-8") as fh:
         fh.writelines(blocks)
@@ -492,8 +494,9 @@ def cmd_curves(config: RunConfig) -> int:
             chain = HofstadterChain3(SiteParams(*unit_draws(rng, 4)),
                                      SiteParams(*unit_draws(rng, 4)))
             pts = draw_w_points(chain, ctx, rng, 2 * N * N)
-            ranks = evaluation_ranks(evaluation_vectors(pts, chain, ctx), ctx)
-            desc = descended_t_residual(pts[:20], chain, ctx)
+            ranks = evaluation_ranks(averaged_baxter(*pts, chain, ctx,
+                                                     "evaluation"), ctx)
+            desc = descended_t_residual(chain, *pts[:, :20], ctx)
             # ABCD consistency at L + 1 = 4 sampled y
             P = abcd_polys(chain.chain_params(), ctx)
             abcd = []

@@ -3,7 +3,8 @@
 The N-th powers eta = xi_0^N, y = x^N satisfy a quadratic whose
 coefficients come from a 2x2 matrix product of per-site polynomials; a
 point of the curve W = (x, xi_0, xi_2) is completed to the full spectral
-curve by the fiber coordinate xi_1 with xi_1^N = xi_0^{-N}.  Baxter
+curve by the fiber coordinate xi_1 with xi_1^N = xi_0^{-N}.  A set of W
+points is three arrays x, xi0, xi2 that broadcast together.  Baxter
 vectors on the full curve are tensor products of per-site null vectors;
 averaging them over the fiber descends the transfer matrix to W.
 
@@ -33,17 +34,6 @@ from .transfer import ChainParams, SiteParams, transfer_apply
 
 W_TOL = 1e-9
 RANK_RTOL = 1e-8
-
-
-@dataclass(frozen=True)
-class WPoint:
-    """A point (x, xi_0, xi_2) on W with its defining-equation residuals; the
-    stack of B points has 1-d coordinate arrays of length B (`_stack`)."""
-
-    x: complex
-    xi0: complex
-    xi2: complex
-    residuals: tuple
 
 
 @dataclass(frozen=True)
@@ -171,9 +161,9 @@ def _w_fibers(xs, chain: HofstadterChain3, ctx: Context, polys: np.ndarray):
     return xi0, xi2, r1, r2, regular
 
 
-def sample_W(x: complex, chain: HofstadterChain3, ctx: Context) -> list:
-    """All W-points over a given x: 2 eta branches x N x N root choices, the
-    one-x case of `_w_fibers`.
+def sample_W(x: complex, chain: HofstadterChain3, ctx: Context) -> np.ndarray:
+    """All W-points over a given x as one (3, 2N^2) array of (x, xi0, xi2): 2
+    eta branches x N x N root choices, the one-x case of `_w_fibers`.
 
     eta = xi_0^N solves the fiber quadratic; xi_2^N follows from the
     second defining equation; both N-th root fibers are enumerated from
@@ -186,8 +176,7 @@ def sample_W(x: complex, chain: HofstadterChain3, ctx: Context) -> list:
         if np.any(np.isnan(r1)):
             raise PoleError(f"x = {x} is a pole of the W fibers")
         raise RuntimeError(f"inconsistent W point: residual {np.max([r1, r2])}")
-    return [WPoint(x=x, xi0=a, xi2=b, residuals=r) for a, b, r in zip(
-        xi0.ravel(), xi2.ravel(), zip(r1.ravel().tolist(), r2.ravel().tolist()))]
+    return np.array([np.full(xi0.size, x), xi0.ravel(), xi2.ravel()])
 
 
 def _site_null_vector(h: SiteParams, x, xi, xip, ctx: Context) -> np.ndarray:
@@ -216,48 +205,34 @@ def spectral_baxter(chain: HofstadterChain3, x: complex, xi0: complex,
     return np.kron(np.kron(v0, v1), v2)
 
 
-def _stack(points) -> WPoint:
-    """The points as one stack; a stack among them stands for its points."""
-    return WPoint(*(np.array([getattr(p, c) for p in points], complex).ravel()
-                    for c in ("x", "xi0", "xi2")), residuals=None)
-
-
-def _averaged_rows(points, chain: HofstadterChain3, ctx: Context,
-                   convention: str = "descent") -> np.ndarray:
-    """`averaged_baxter` of each point, one row each: the (point, lift) array
-    of coordinates runs each site's recursion once, and the lift sum
+def averaged_baxter(x, xi0, xi2, chain: HofstadterChain3, ctx: Context,
+                    convention: str = "descent") -> np.ndarray:
+    """Fiber-averaged Baxter vectors |p> = (1/N) sum_s |p, s> weight(s) of the
+    broadcast points (x, xi0, xi2), on a trailing N^3 axis; the module
+    docstring gives the two conventions.  The (point, lift) array of
+    coordinates runs each site's recursion once, and the lift sum
     sum_s (w_s / N) v0_s (x) v1_s (x) v2_s is one batched matrix product."""
-    N, s = ctx.N, np.arange(ctx.N)
-    pts = _stack(points)
-    x, xi0, xi2 = pts.x[:, None], pts.xi0[:, None], pts.xi2[:, None]
+    N, s, shape = ctx.N, np.arange(ctx.N), np.broadcast(x, xi0, xi2).shape
+    x, xi0, xi2 = (np.broadcast_to(np.asarray(z, dtype=complex), shape)
+                   .reshape(-1, 1) for z in (x, xi0, xi2))
     if convention == "descent":       # xi_1 = omega^s / xi_0, q^{-s(s+1)}
-        xi1 = ctx.omega_pow(s) / xi0
-        weight = ctx.q_pow(-s * (s + 1))
+        xi1, weight = ctx.omega_pow(s) / xi0, ctx.q_pow(-s * (s + 1))
     elif convention == "evaluation":  # xi_0 -> q^s xi_0, xi_1 = 1/xi_0, q^{s^2}
         xi0 = ctx.q_pow(s) * xi0
-        xi1 = 1.0 / xi0
-        weight = ctx.q_pow(s * s)
+        xi1, weight = 1.0 / xi0, ctx.q_pow(s * s)
     else:
         raise ValueError(f"unknown convention {convention!r}")
     v0 = _site_null_vector(chain.h0, x, xi0, xi1, ctx) * (weight / N)[:, None]
     v1 = _site_null_vector(chain.h1, x, xi1, xi2, ctx)
     v2 = np.broadcast_to(_site_null_vector(chain.h2, x, xi2, xi0, ctx), v1.shape)
     v01 = v0.transpose(0, 2, 1)[:, :, None] * v1.transpose(0, 2, 1)[:, None]
-    return (v01.reshape(len(x), N * N, N) @ v2).reshape(len(x), N ** 3)
+    return (v01.reshape(len(x), N * N, N) @ v2).reshape(shape + (N ** 3,))
 
 
-def averaged_baxter(p: WPoint, chain: HofstadterChain3, ctx: Context,
-                    convention: str = "descent") -> np.ndarray:
-    """Fiber-averaged Baxter vector |p> = (1/N) sum_s |p, s> weight(s); the
-    module docstring gives the two conventions and what each satisfies."""
-    return _averaged_rows([p], chain, ctx, convention)[0]
-
-
-def descended_delta(p: WPoint, sign: int, chain: HofstadterChain3,
-                    ctx: Context) -> complex:
-    """The functions Delta~_+- of the descended transfer relation on W, at a
-    point or elementwise over a stack."""
-    x, xi0, xi2 = p.x, p.xi0, p.xi2
+def descended_delta(x, xi0, xi2, sign: int, chain: HofstadterChain3,
+                    ctx: Context):
+    """The functions Delta~_+- of the descended transfer relation on W,
+    elementwise over the broadcast coordinates."""
     h1, h2 = chain.h1, chain.h2
     if sign == -1:
         if np.any(np.abs(x * xi0) < POLE_TOL):
@@ -272,36 +247,31 @@ def descended_delta(p: WPoint, sign: int, chain: HofstadterChain3,
     raise ValueError("sign must be +1 or -1")
 
 
-def tau_W(p: WPoint, sign: int, chain: HofstadterChain3, ctx: Context) -> WPoint:
-    """tau_+- on W: (q^{+-1} x, q^{-1} xi_0, q^{-1} xi_2), revalidated; of a
-    point or of each point of a stack."""
-    x = ctx.q_pow(sign) * p.x
-    xi0 = ctx.q_pow(-1) * p.xi0
-    xi2 = ctx.q_pow(-1) * p.xi2
-    res = w_residuals(x, xi0, xi2, chain, ctx)
+def tau_W(x, xi0, xi2, sign: int, chain: HofstadterChain3, ctx: Context):
+    """tau_+- on W: (q^{+-1} x, q^{-1} xi_0, q^{-1} xi_2), elementwise and
+    revalidated; the image coordinates."""
+    image = (ctx.q_pow(sign) * x, ctx.q_pow(-1) * xi0, ctx.q_pow(-1) * xi2)
+    res = w_residuals(*image, chain, ctx)
     if not np.all(np.maximum(*res) <= W_TOL):
         raise RuntimeError(f"tau image left the curve: residual {np.max(res)}")
-    return WPoint(x=x, xi0=xi0, xi2=xi2, residuals=res)
+    return image
 
 
-def descended_t_residual(p, chain: HofstadterChain3, ctx: Context):
+def descended_t_residual(chain: HofstadterChain3, x, xi0, xi2, ctx: Context):
     """Defect of x^{-2} T(x)|p> = |tau_- p> Delta~_- + |tau_+ p> Delta~_+ at
-    one WPoint (a float) or at each of a sequence of points (an array): one
-    fiber average of every p, tau_- p and tau_+ p, one `transfer_apply` call
-    with each row's own x."""
-    P = _stack([p] if isinstance(p, WPoint) else p)
-    taus = [tau_W(P, sign, chain, ctx) for sign in (-1, +1)]
-    v, vm, vp = _averaged_rows([P] + taus, chain, ctx).reshape(3, len(P.x), -1)
-    lhs = transfer_apply(chain.chain_params(), P.x, ctx, v) / (P.x**2)[:, None]
-    rhs = (vm * descended_delta(P, -1, chain, ctx)[:, None]
-           + vp * descended_delta(P, +1, chain, ctx)[:, None])
+    the points (x, xi0, xi2), which broadcast: a float for one point, an
+    array for arrays.  One fiber average of every p, tau_- p and tau_+ p, one
+    `transfer_apply` call with each point's own x.  One point is taken as an
+    array of one: numpy's scalar complex arithmetic rounds differently."""
+    one = np.broadcast(x, xi0, xi2).ndim == 0
+    p = np.atleast_1d(*np.broadcast_arrays(x, xi0, xi2))
+    taus = [tau_W(*p, sign, chain, ctx) for sign in (-1, +1)]
+    v, vm, vp = averaged_baxter(*np.stack([p, *taus], axis=1), chain, ctx)
+    lhs = transfer_apply(chain.chain_params(), p[0], ctx, v) / (p[0]**2)[..., None]
+    rhs = (vm * descended_delta(*p, -1, chain, ctx)[..., None]
+           + vp * descended_delta(*p, +1, chain, ctx)[..., None])
     res = relative_defect(lhs, rhs)
-    return float(res[0]) if isinstance(p, WPoint) else res
-
-
-def evaluation_vectors(points, chain: HofstadterChain3, ctx: Context):
-    """Rows: the ``evaluation`` averaged Baxter vectors of the points."""
-    return _averaged_rows(points, chain, ctx, convention="evaluation")
+    return float(res[0]) if one else res
 
 
 def evaluation_ranks(vecs: np.ndarray, ctx: Context) -> list:
@@ -320,46 +290,50 @@ def evaluation_ranks(vecs: np.ndarray, ctx: Context) -> list:
     return [int(np.sum(sv > RANK_RTOL * sv[0])) for sv in svs]
 
 
-def epsilon_rank(l: int, points, chain: HofstadterChain3, ctx: Context) -> int:
-    """Entry l of `evaluation_ranks` of the points' ``evaluation`` vectors,
+def epsilon_rank(l: int, x, xi0, xi2, chain: HofstadterChain3,
+                 ctx: Context) -> int:
+    """Entry l of `evaluation_ranks` of the points' ``evaluation`` averages,
     the fiber convention under which the sector-l evaluation map is injective."""
-    N = ctx.N
-    if len(points) < N * N:
-        raise ValueError(f"need at least N^2 = {N * N} points, got {len(points)}")
-    return evaluation_ranks(evaluation_vectors(points, chain, ctx), ctx)[l]
+    N, count = ctx.N, np.broadcast(x, xi0, xi2).size
+    if count < N * N:
+        raise ValueError(f"need at least N^2 = {N * N} points, got {count}")
+    vecs = averaged_baxter(x, xi0, xi2, chain, ctx, "evaluation")
+    return evaluation_ranks(vecs.reshape(count, -1), ctx)[l]
 
 
 def draw_w_points(chain: HofstadterChain3, ctx: Context,
-                  rng: np.random.Generator, count: int) -> list:
-    """Sample `count` distinct W-points from the circles |x| = 0.5 and 2.
+                  rng: np.random.Generator, count: int) -> np.ndarray:
+    """Sample `count` distinct W-points from the circles |x| = 0.5 and 2, as
+    one (3, count) array of (x, xi0, xi2).
 
     Each x-draw is followed by a permutation of its 2N^2 points, whose first
     max(2, N) are kept unless |x xi_0| <= 1e-4.  One `_w_fibers` call takes
     the ceil(left / max(2, N)) draws that fill the count if none is missed;
-    a miss (a pole or a draw that adds nothing) costs another batch.
+    a miss (a pole or a draw that adds nothing) costs another batch, and
+    200 misses end the search.
     """
     radii, keep = (0.5, 2.0), max(2, ctx.N)
     polys = abcd_polys(chain.chain_params(), ctx)
-    out = []
-    attempts = misses = 0   # misses: x-draws that added no point
-    while len(out) < count and misses < 200:
+    out = [np.empty((3, 0), dtype=complex)]
+    have = attempts = misses = 0   # misses: x-draws that added no point
+    while have < count and misses < 200:
         xs, perms = [], []
-        for _ in range(-(-(count - len(out)) // keep)):
+        for _ in range(-(-(count - have) // keep)):
             attempts += 1
             xs.append(radii[attempts % len(radii)] * unit_draws(rng, 1)[0])
             # keep a spread of root choices rather than whole fibers
-            perms.append(rng.permutation(2 * ctx.N ** 2))
-        *fibers, regular = _w_fibers(xs, chain, ctx, polys)
-        xi0, xi2, r1, r2 = (a.reshape(len(xs), -1) for a in fibers)
-        for b, x in enumerate(xs):
-            if misses >= 200:
-                break
-            before = len(out)
-            for i in perms[b][:keep] if regular[b] else ():
-                if abs(x * xi0[b, i]) > 1e-4 and len(out) < count:
-                    out.append(WPoint(x, xi0[b, i], xi2[b, i],
-                                      (float(r1[b, i]), float(r2[b, i]))))
-            misses += len(out) == before
-    if len(out) < count:
+            perms.append(rng.permutation(2 * ctx.N ** 2)[:keep])
+        xi0, xi2, _, _, regular = _w_fibers(xs, chain, ctx, polys)
+        xs, perms = np.array(xs), np.array(perms)
+        xi0, xi2 = (np.take_along_axis(z.reshape(len(xs), -1), perms, axis=1)
+                    for z in (xi0, xi2))
+        kept = regular[:, None] & (np.abs(xs[:, None] * xi0) > 1e-4)
+        missed = ~kept.any(axis=1)
+        kept &= (misses + np.cumsum(missed) < 200)[:, None]  # none after miss 200
+        misses += int(missed.sum())
+        b, k = (i[:count - have] for i in np.nonzero(kept))
+        out.append(np.array([xs[b], xi0[b, k], xi2[b, k]]))
+        have += len(b)
+    if have < count:
         raise RuntimeError("failed to sample enough regular W points")
-    return out
+    return np.concatenate(out, axis=1)

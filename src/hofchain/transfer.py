@@ -426,10 +426,14 @@ def hofstadter_hamiltonian(ctx: Context, mu, nu, rho, alpha, beta, gamma) -> Ope
         raise ValueError("alpha, beta, gamma must be nonzero")
     N, k = ctx.N, np.arange(ctx.N)
     u, y = ctx.omega_pow(k), ctx.omega_pow(k + 1)   # Z at (k, k), ZX at (k+1, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diags = np.array([mu * (alpha * u + u.conj() / alpha),
+                          nu * beta + rho * (y / gamma),
+                          nu * np.divide(1, beta) + rho * (gamma * y.conj())])
+    if not np.isfinite(diags).all():
+        raise ValueError("the Hamiltonian overflows: an entry is not finite")
     H = np.zeros((N, N), dtype=complex)
-    H[k, k] = mu * (alpha * u + u.conj() / alpha)
-    H[(k + 1) % N, k] = nu * beta + rho * (y / gamma)
-    H[k, (k + 1) % N] = nu * np.divide(1, beta) + rho * (gamma * y.conj())
+    H[k, k], H[(k + 1) % N, k], H[k, (k + 1) % N] = diags
     return Operator(H, N, 1)
 
 

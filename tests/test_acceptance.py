@@ -206,18 +206,19 @@ def test_criterion_09_curve_rank_and_descent():
     chain = HofstadterChain3(SiteParams(*unit_draws(rng, 4)),
                              SiteParams(*unit_draws(rng, 4)))
     rank_pts = draw_w_points(chain, ctx, rng, 2 * 9)
-    ranks = {l: epsilon_rank(l, rank_pts, chain, ctx) for l in range(3)}
+    ranks = {l: epsilon_rank(l, *rank_pts, chain, ctx) for l in range(3)}
     assert all(r == 9 for r in ranks.values())
-    descent_pts = rank_pts + draw_w_points(chain, ctx, rng, 6)
-    assert len(descent_pts) >= 20
-    worst = max(descended_t_residual(p, chain, ctx) for p in descent_pts)
+    descent_pts = np.concatenate([rank_pts, draw_w_points(chain, ctx, rng, 6)],
+                                 axis=1)
+    assert descent_pts.shape[1] >= 20
+    worst = max(descended_t_residual(chain, *p, ctx) for p in descent_pts.T)
     elapsed = time.time() - t0
     assert worst < 1e-8
     assert elapsed < 30.0
     report("criterion 9 (evaluation rank and descent)",
-           f"ranks {sorted(ranks.values())} == [9, 9, 9] with {len(rank_pts)} "
+           f"ranks {sorted(ranks.values())} == [9, 9, 9] with {rank_pts.shape[1]} "
            f"points, descended residual {worst:.2e} < 1e-8 on "
-           f"{len(descent_pts)} points, {elapsed:.2f}s")
+           f"{descent_pts.shape[1]} points, {elapsed:.2f}s")
 
 
 def test_criterion_10_butterfly_sanity():

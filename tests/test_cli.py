@@ -709,10 +709,10 @@ class TestFailingN:
     def test_curves_runtime_error_is_recorded(self, tmp_path, monkeypatch):
         real = cli.descended_t_residual
 
-        def residual(p, chain, ctx):
+        def residual(chain, x, xi0, xi2, ctx):
             if ctx.N == 5:
                 raise RuntimeError("forced failure")
-            return real(p, chain, ctx)
+            return real(chain, x, xi0, xi2, ctx)
 
         monkeypatch.setattr(cli, "descended_t_residual", residual)
         out = tmp_path / "curves.json"
@@ -834,6 +834,23 @@ def test_non_finite_butterfly_parameter_refused(tmp_path, capsys, flag, value):
     assert (f"error: {flag[2:]} must be finite"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args,says", [
+    (["--mu", "1e308", "--nu", "1e308"], "the Hamiltonian overflows"),
+    (["--alpha", "1e-320"], "the Hamiltonian overflows"),
+    (["--rho", "1e308"], "butterfly at N=3: an energy overflows")])
+def test_overflowing_butterfly_parameters_refused(tmp_path, capsys, args, says):
+    # finite parameters whose Hamiltonian entries, or whose energies, are not
+    # finite: refused by name, with no warning, no CSV and no sidecar
+    import warnings
+    out = tmp_path / "b.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["butterfly", "--N", "3", *args, "--out", str(out)]) == 2
+    assert f"error: {says}" in capsys.readouterr().err
+    assert not out.exists()
+    assert not Path(str(out) + ".meta.json").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -1096,13 +1113,16 @@ class TestCurvesBatched:
 
         def counting(name, real):
             def wrapped(*args, **kwargs):
-                calls.append((name, kwargs.get("convention", "descent")
-                              if name == "rows" else None))
+                # averaged_baxter(x, xi0, xi2, chain, ctx, convention)
+                conv = (args[5] if len(args) > 5
+                        else kwargs.get("convention", "descent"))
+                calls.append((name, conv if name == "rows" else None))
                 return real(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(curves, "_averaged_rows",
-                            counting("rows", curves._averaged_rows))
+        for module in (cli, curves):
+            monkeypatch.setattr(module, "averaged_baxter",
+                                counting("rows", curves.averaged_baxter))
         monkeypatch.setattr(curves, "transfer_apply",
                             counting("apply", curves.transfer_apply))
         out = tmp_path / "curves.json"
@@ -1183,8 +1203,8 @@ class TestNaNResidual:
         if where == "descent":
             real = cli.descended_t_residual
 
-            def residual(points, chain, ctx):
-                out = real(points, chain, ctx)
+            def residual(chain, x, xi0, xi2, ctx):
+                out = real(chain, x, xi0, xi2, ctx)
                 out[1] = np.nan          # the second point's residual
                 return out
 
@@ -1251,7 +1271,7 @@ class TestMemoryError:
 
     @pytest.mark.parametrize("command", ["solve", "curves"])
     def test_recorded_not_retried(self, command, tmp_path, monkeypatch, capsys):
-        name = {"solve": "solve_L3", "curves": "evaluation_vectors"}[command]
+        name = {"solve": "solve_L3", "curves": "evaluation_ranks"}[command]
         real, calls = getattr(cli, name), []
 
         def refuse(*args):
@@ -1431,6 +1451,39 @@ class TestButterflySize:
         cli._refuse_oversized("butterfly", [1831])
         with pytest.raises(ValueError, match="N=1847"):
             cli._refuse_oversized("butterfly", [1831, 1847])
+
+    def test_formatting_peak_under_the_counted_rows(self, tmp_path,
+                                                    monkeypatch):
+        # at N = 401 the 160,400 rows are formatted BUTTERFLY_BLOCK at a time,
+        # so the traced peak stays under the 80 B a row of LARGEST_ARRAY; the
+        # eigensolve gives way to H's sorted diagonal, as many floats of the
+        # same type (LAPACK's work arrays are not traced in any case)
+        import tracemalloc
+        monkeypatch.setattr(cli, "_spectrum",
+                            lambda H, hermitian: np.sort(H.diagonal().real))
+        tracemalloc.start()
+        try:
+            assert cli.cmd_butterfly(cli.RunConfig([401], out=str(
+                tmp_path / "b.csv")), 1.0, 1.0, 0.0, 1, 1, 1) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows, cols = cli.LARGEST_ARRAY["butterfly"](401)
+        assert 16 * rows * cols == 401 * 400 * 80
+        assert peak < 401 * 400 * 80
+
+    @pytest.mark.parametrize("block", [1, 7, 53])
+    def test_csv_does_not_depend_on_the_block(self, block, tmp_path,
+                                              monkeypatch):
+        # 1, 7 and 53 rows at a time write the bytes of one block per N
+        n_list, params = [3, 7, 9], (0.7, 1.1, 0.3, 1.0, 1.5j, 1.0)
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        assert cli.cmd_butterfly(cli.RunConfig(n_list, out=str(want)),
+                                 *params) == 0
+        monkeypatch.setattr(cli, "BUTTERFLY_BLOCK", block)
+        assert cli.cmd_butterfly(cli.RunConfig(n_list, out=str(got)),
+                                 *params) == 0
+        assert got.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize("params,hermitian", [
         ((1.3, 0.8, 0.5, np.exp(0.4j), np.exp(0.7j), np.exp(-2.1j)), True),

@@ -10,9 +10,10 @@ the path-entry table behind T(x), and the Theorem 1 check forms no e or o
 vector: (i) is one weight row on the node rows that the (ii) plus rows read.
 The curve's A, B, C, D are one y-coefficient array that `curves` evaluates
 with no polynomial objects and no import from the Bethe solver.  A point of
-the rational curve is two arrays x and l, taken alike by both Baxter checks.
-The (N, L) geometry tables behind T(x) are cached, and every cache is
-bounded."""
+the rational curve is two arrays x and l, taken alike by both Baxter checks,
+and a set of points of the curve W is three arrays x, xi0 and xi2, whose one
+fiber average is `averaged_baxter`.  The (N, L) geometry tables behind T(x)
+are cached, and every cache is bounded."""
 
 import ast
 import inspect
@@ -300,3 +301,16 @@ def test_rational_points_are_plain_arrays():
         ["chain", "x", "l", "ctx"]] * 2
     assert list(inspect.signature(baxter.delta_pm).parameters)[:3] == [
         "x", "l", "sign"]
+
+
+def test_curve_points_are_plain_arrays():
+    # a set of W points is three arrays x, xi0, xi2 that broadcast, with no
+    # point class, no restacking and no second fiber average; the descended
+    # check takes them as the rational-curve checks take (x, l)
+    for path in MODULES + TESTS:
+        assert not _names(path) & {"WPoint", "_stack", "_averaged_rows",
+                                   "evaluation_vectors"}, path.name
+    assert list(inspect.signature(curves.descended_t_residual).parameters) \
+        == ["chain", "x", "xi0", "xi2", "ctx"]
+    for fn in (curves.averaged_baxter, curves.descended_delta, curves.tau_W):
+        assert list(inspect.signature(fn).parameters)[:3] == ["x", "xi0", "xi2"]

@@ -148,9 +148,8 @@ class TestSampleW:
         chain = hof_chain(rng)
         x = 0.5 * unit_draws(rng, 1)[0]
         pts = sample_W(x, chain, ctx3)
-        assert len(pts) == 2 * 9
-        for p in pts:
-            assert max(p.residuals) < 1e-9
+        assert pts.shape == (3, 2 * 9) and np.all(pts[0] == x)
+        assert np.max(w_residuals(*pts, chain, ctx3)) < 1e-9
 
     def test_fiber_depends_only_on_powers(self, ctx3, rng):
         # x and omega x give identical sets of (xi0^N, xi2^N)
@@ -158,11 +157,11 @@ class TestSampleW:
         x = 0.6 * unit_draws(rng, 1)[0]
         a = sample_W(x, chain, ctx3)
         b = sample_W(ctx3.omega * x, chain, ctx3)
-        pows_a = sorted((round(abs(p.xi0), 9), round(abs(p.xi2), 9)) for p in a)
-        pows_b = sorted((round(abs(p.xi0), 9), round(abs(p.xi2), 9)) for p in b)
+        pows_a = sorted((round(abs(xi0), 9), round(abs(xi2), 9)) for _, xi0, xi2 in a.T)
+        pows_b = sorted((round(abs(xi0), 9), round(abs(xi2), 9)) for _, xi0, xi2 in b.T)
         assert pows_a == pows_b
-        na = sorted(np.round([p.xi0**3 for p in a], 8).tolist(), key=abs)
-        nb = sorted(np.round([p.xi0**3 for p in b], 8).tolist(), key=abs)
+        na = sorted(np.round([xi0**3 for xi0 in a[1]], 8).tolist(), key=abs)
+        nb = sorted(np.round([xi0**3 for xi0 in b[1]], 8).tolist(), key=abs)
         assert np.allclose(sorted(na, key=lambda z: (z.real, z.imag)),
                            sorted(nb, key=lambda z: (z.real, z.imag)), atol=1e-6)
 
@@ -171,7 +170,7 @@ class TestSampleW:
         chain = HofstadterChain3(SiteParams(0.9, 1.1, 0.8, 1.2),
                                  SiteParams(1.3, 0.7, 1.05, 0.95))
         pts = sample_W(0.5, chain, ctx3)
-        coords = [(p.xi0, p.xi2) for p in pts]
+        coords = list(zip(pts[1], pts[2]))
         for (x0, x2) in coords:
             best = min(abs(x0 - np.conj(a)) + abs(x2 - np.conj(b))
                        for (a, b) in coords)
@@ -188,26 +187,36 @@ class TestDrawWPoints:
         # more than 200 draws; only draws that add nothing may end the search
         chain = hof_chain(rng)
         pts = draw_w_points(chain, ctx3, rng, 700)
-        assert len(pts) == 700
-        assert all(max(p.residuals) < 1e-9 for p in pts)
+        assert pts.shape == (3, 700)
+        assert np.max(w_residuals(*pts, chain, ctx3)) < 1e-9
+
+    def test_no_points(self, ctx3, rng):
+        # an empty (3, 0) array, and no draw taken from the generator
+        chain = hof_chain(rng)
+        state = rng.bit_generator.state
+        pts = draw_w_points(chain, ctx3, rng, 0)
+        assert pts.shape == (3, 0) and pts.dtype == complex
+        assert rng.bit_generator.state == state
+        assert averaged_baxter(*pts, chain, ctx3).shape == (0, 27)
 
 
 class TestAveragedBaxter:
     def test_nonzero_and_finite(self, ctx3, rng):
         chain = hof_chain(rng)
         pts = draw_w_points(chain, ctx3, rng, 4)
-        for p in pts:
-            for conv in ("descent", "evaluation"):
-                v = averaged_baxter(p, chain, ctx3, convention=conv)
+        for conv in ("descent", "evaluation"):
+            assert averaged_baxter(*pts, chain, ctx3, conv).shape == (4, 27)
+            for p in pts.T:
+                v = averaged_baxter(*p, chain, ctx3, convention=conv)
                 assert v.shape == (27,)
                 assert np.all(np.isfinite(v))
                 assert np.max(np.abs(v)) > 1e-10
 
     def test_unknown_convention(self, ctx3, rng):
         chain = hof_chain(rng)
-        p = draw_w_points(chain, ctx3, rng, 1)[0]
+        p = draw_w_points(chain, ctx3, rng, 1)[:, 0]
         with pytest.raises(ValueError):
-            averaged_baxter(p, chain, ctx3, convention="bogus")
+            averaged_baxter(*p, chain, ctx3, convention="bogus")
 
 
 def scalar_null_vector(h, x, xi, xip, ctx):
@@ -222,18 +231,18 @@ def scalar_null_vector(h, x, xi, xip, ctx):
     return v
 
 
-def lift_by_lift(p, chain, ctx, convention):
+def lift_by_lift(x, xi0_p, xi2, chain, ctx, convention):
     """(1/N) sum_s weight_s v0_s (x) v1_s (x) v2_s, one kron per lift."""
     acc = np.zeros(ctx.N ** 3, dtype=complex)
     for s in range(ctx.N):
         if convention == "descent":
-            xi0, xi1, weight = p.xi0, ctx.omega_pow(s) / p.xi0, ctx.q_pow(-s * (s + 1))
+            xi0, xi1, weight = xi0_p, ctx.omega_pow(s) / xi0_p, ctx.q_pow(-s * (s + 1))
         else:
-            xi0 = ctx.q_pow(s) * p.xi0
+            xi0 = ctx.q_pow(s) * xi0_p
             xi1, weight = 1.0 / xi0, ctx.q_pow(s * s)
-        v0 = scalar_null_vector(chain.h0, p.x, xi0, xi1, ctx)
-        v1 = scalar_null_vector(chain.h1, p.x, xi1, p.xi2, ctx)
-        v2 = scalar_null_vector(chain.h2, p.x, p.xi2, xi0, ctx)
+        v0 = scalar_null_vector(chain.h0, x, xi0, xi1, ctx)
+        v1 = scalar_null_vector(chain.h1, x, xi1, xi2, ctx)
+        v2 = scalar_null_vector(chain.h2, x, xi2, xi0, ctx)
         acc += np.kron(np.kron(v0, v1), v2) * weight
     return acc / ctx.N
 
@@ -244,17 +253,18 @@ class TestBatchedAverages:
     @pytest.mark.parametrize("N", [3, 5, 7])
     @pytest.mark.parametrize("convention", ["descent", "evaluation"])
     def test_matches_lift_by_lift(self, N, convention, rng):
-        from hofchain.curves import _averaged_rows
         ctx = make_context(N)
         chain = hof_chain(rng)
         pts = draw_w_points(chain, ctx, rng, 6)
-        rows = _averaged_rows(pts, chain, ctx, convention)
+        rows = averaged_baxter(*pts, chain, ctx, convention)
         assert rows.shape == (6, N ** 3)
-        for p, row in zip(pts, rows):
-            ref = lift_by_lift(p, chain, ctx, convention)
+        assert np.array_equal(averaged_baxter(*pts.reshape(3, 2, 3), chain, ctx,
+                                              convention), rows.reshape(2, 3, -1))
+        for p, row in zip(pts.T, rows):
+            ref = lift_by_lift(*p, chain, ctx, convention)
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(row - ref)) / scale < 1e-13
-            single = averaged_baxter(p, chain, ctx, convention=convention)
+            single = averaged_baxter(*p, chain, ctx, convention=convention)
             assert np.max(np.abs(single - ref)) / scale < 1e-13
 
     def test_one_lift_on_a_pole_raises(self, ctx5, rng):
@@ -275,61 +285,57 @@ class TestBatchedAverages:
     def test_one_point_on_a_pole_raises(self, ctx3, rng):
         # an off-curve point whose xi_2 puts site 1 on its pole, among regular
         # points: the batch raises as the point alone does
-        from hofchain.curves import WPoint, evaluation_vectors
         chain = hof_chain(rng)
         pts = draw_w_points(chain, ctx3, rng, 4)
-        h1, x = chain.h1, pts[0].x
-        bad = WPoint(x, pts[0].xi0, h1.d / (x * h1.c * ctx3.omega_pow(1)),
-                     (0.0, 0.0))
-        evaluation_vectors(pts, chain, ctx3)
-        for batch in ([bad], pts[:2] + [bad] + pts[2:]):
+        h1, x = chain.h1, pts[0, 0]
+        bad = [x, pts[1, 0], h1.d / (x * h1.c * ctx3.omega_pow(1))]
+        averaged_baxter(*pts, chain, ctx3, "evaluation")
+        for batch in (bad, np.insert(pts, 2, bad, axis=1)):
             with pytest.raises(PoleError):
-                evaluation_vectors(batch, chain, ctx3)
+                averaged_baxter(*batch, chain, ctx3, "evaluation")
 
 
 class TestDescendedRelation:
     def test_residual_small(self, ctx3, rng):
         chain = hof_chain(rng)
         pts = draw_w_points(chain, ctx3, rng, 8)
-        for p in pts:
-            assert descended_t_residual(p, chain, ctx3) < 1e-8
+        for p in pts.T:
+            assert descended_t_residual(chain, *p, ctx3) < 1e-8
 
     def test_negative_control(self, ctx3, rng):
-        from dataclasses import replace
         chain = hof_chain(rng)
-        p = draw_w_points(chain, ctx3, rng, 1)[0]
-        bad = replace(p, xi0=p.xi0 * (1 + 1e-3))
+        bad = draw_w_points(chain, ctx3, rng, 1)[:, 0]
+        bad[1] *= 1 + 1e-3
+        x, xi0, xi2 = bad
         # the perturbed point is off-curve; bypass the tau validation by
         # rebuilding the two sides directly
-        from hofchain.curves import WPoint, descended_delta
+        from hofchain.curves import descended_delta
         from hofchain.transfer import transfer_T
-        T = transfer_T(chain.chain_params(), bad.x, ctx3)
-        lhs = (T.mat @ averaged_baxter(bad, chain, ctx3)) / bad.x**2
-        tm = WPoint(ctx3.q_pow(-1) * bad.x, ctx3.q_pow(-1) * bad.xi0,
-                    ctx3.q_pow(-1) * bad.xi2, (0.0, 0.0))
-        tp = WPoint(ctx3.q_pow(1) * bad.x, ctx3.q_pow(-1) * bad.xi0,
-                    ctx3.q_pow(-1) * bad.xi2, (0.0, 0.0))
-        rhs = averaged_baxter(tm, chain, ctx3) * descended_delta(bad, -1, chain, ctx3) \
-            + averaged_baxter(tp, chain, ctx3) * descended_delta(bad, +1, chain, ctx3)
+        T = transfer_T(chain.chain_params(), x, ctx3)
+        lhs = (T.mat @ averaged_baxter(*bad, chain, ctx3)) / x**2
+        tm = (ctx3.q_pow(-1) * x, ctx3.q_pow(-1) * xi0, ctx3.q_pow(-1) * xi2)
+        tp = (ctx3.q_pow(1) * x, ctx3.q_pow(-1) * xi0, ctx3.q_pow(-1) * xi2)
+        rhs = averaged_baxter(*tm, chain, ctx3) * descended_delta(*bad, -1, chain, ctx3) \
+            + averaged_baxter(*tp, chain, ctx3) * descended_delta(*bad, +1, chain, ctx3)
         scale = max(1.0, np.max(np.abs(lhs)))
         assert np.max(np.abs(lhs - rhs)) / scale > 1e-4
 
     def test_tau_stays_on_curve(self, ctx3, rng):
         chain = hof_chain(rng)
-        p = draw_w_points(chain, ctx3, rng, 1)[0]
+        p = draw_w_points(chain, ctx3, rng, 1)[:, 0]
         for sign in (-1, +1):
-            q = tau_W(p, sign, chain, ctx3)
-            assert max(w_residuals(q.x, q.xi0, q.xi2, chain, ctx3)) < 1e-9
+            q = tau_W(*p, sign, chain, ctx3)
+            assert max(w_residuals(*q, chain, ctx3)) < 1e-9
 
 
 class TestSpectralCurveAction:
     """The two-term transfer action on the full curve, site by site."""
 
     def _curve_point(self, chain, ctx, rng):
-        p = draw_w_points(chain, ctx, rng, 1)[0]
+        x, xi0, xi2 = draw_w_points(chain, ctx, rng, 1)[:, 0]
         s = int(rng.integers(ctx.N))
-        xi1 = ctx.omega_pow(s) / p.xi0
-        return p.x, (p.xi0, xi1, p.xi2)
+        xi1 = ctx.omega_pow(s) / xi0
+        return x, (xi0, xi1, xi2)
 
     def _deltas(self, chain, x, xis, ctx):
         sites = chain.chain_params().sites
@@ -369,25 +375,36 @@ class TestEpsilonRank:
         chain = hof_chain(rng)
         pts = draw_w_points(chain, ctx3, rng, 12)
         for l in range(3):
-            assert epsilon_rank(l, pts, chain, ctx3) == 9
+            assert epsilon_rank(l, *pts, chain, ctx3) == 9
 
     def test_duplicates_do_not_inflate(self, ctx3, rng):
         chain = hof_chain(rng)
         pts = draw_w_points(chain, ctx3, rng, 9)
-        assert epsilon_rank(0, pts + pts, chain, ctx3) <= 9
+        twice = np.concatenate([pts, pts], axis=1)
+        assert twice.shape == (3, 18)
+        assert epsilon_rank(0, *twice, chain, ctx3) <= 9
 
     def test_monotone_in_points(self, ctx3, rng):
         chain = hof_chain(rng)
         pts = draw_w_points(chain, ctx3, rng, 14)
-        r1 = epsilon_rank(1, pts[:9], chain, ctx3)
-        r2 = epsilon_rank(1, pts, chain, ctx3)
+        r1 = epsilon_rank(1, *pts[:, :9], chain, ctx3)
+        r2 = epsilon_rank(1, *pts, chain, ctx3)
         assert r1 <= r2 <= 9
 
-    def test_too_few_points(self, ctx3, rng):
+    def test_too_few_points(self, ctx3, rng, monkeypatch):
+        # refused on the count, before any fiber average is formed
+        from hofchain import curves
         chain = hof_chain(rng)
-        pts = draw_w_points(chain, ctx3, rng, 5)
-        with pytest.raises(ValueError):
-            epsilon_rank(0, pts, chain, ctx3)
+        pts = draw_w_points(chain, ctx3, rng, 8)
+
+        def average(*args):
+            raise AssertionError("averaged_baxter called")
+
+        monkeypatch.setattr(curves, "averaged_baxter", average)
+        with pytest.raises(ValueError, match="N\\^2 = 9 points, got 8"):
+            epsilon_rank(0, *pts, chain, ctx3)
+        with pytest.raises(ValueError, match="got 1"):
+            epsilon_rank(0, *pts[:, 0], chain, ctx3)
 
 
 def scatter_ranks(vecs, ctx):
@@ -409,7 +426,7 @@ class TestEvaluationRanks:
 
     @pytest.mark.parametrize("N", [3, 5, 7])
     def test_matches_scatter(self, N, rng):
-        from hofchain.curves import _averaged_rows, evaluation_ranks
+        from hofchain.curves import evaluation_ranks
         ctx = make_context(N)
         chain = hof_chain(rng)
         pts = draw_w_points(chain, ctx, rng, 2 * N * N)
@@ -418,8 +435,8 @@ class TestEvaluationRanks:
                       + 1j * rng.normal(size=(2 * N * N, k)))
                      @ (rng.normal(size=(k, N ** 3))
                         + 1j * rng.normal(size=(k, N ** 3))))
-        for vecs, want in ((_averaged_rows(pts, chain, ctx, "evaluation"), N * N),
-                           (_averaged_rows(pts, chain, ctx, "descent"), N),
+        for vecs, want in ((averaged_baxter(*pts, chain, ctx, "evaluation"), N * N),
+                           (averaged_baxter(*pts, chain, ctx, "descent"), N),
                            (deficient, k)):
             ranks = evaluation_ranks(vecs, ctx)
             assert ranks == scatter_ranks(vecs, ctx) == [want] * N
@@ -427,8 +444,9 @@ class TestEvaluationRanks:
 
 
 def sample_W_loop(x, chain, ctx):
-    """One root choice at a time, each checked with a scalar residual call."""
-    from hofchain.curves import W_TOL, WPoint
+    """One root choice at a time, each checked with a scalar residual call;
+    the points as (x, xi0, xi2) tuples."""
+    from hofchain.curves import W_TOL
     from hofchain.weylcore import POLE_TOL
     N, h2 = ctx.N, chain.h2
     y = x**N
@@ -447,7 +465,7 @@ def sample_W_loop(x, chain, ctx):
                 res = w_residuals(x, xi0, xi2, chain, ctx)
                 if max(res) > W_TOL:
                     raise RuntimeError(f"inconsistent W point: {res}")
-                points.append(WPoint(x, xi0, xi2, res))
+                points.append((x, xi0, xi2))
     return points
 
 
@@ -460,13 +478,15 @@ def draw_w_points_loop(chain, ctx, rng, count):
         x = (0.5, 2.0)[attempts % 2] * unit_draws(rng, 1)[0]
         pts = sample_W_loop(x, chain, ctx)
         for i in rng.permutation(len(pts))[:max(2, ctx.N)]:
-            if abs(pts[i].x * pts[i].xi0) > 1e-4 and len(out) < count:
+            if abs(x * pts[i][1]) > 1e-4 and len(out) < count:
                 out.append(pts[i])
     return out
 
 
 def coords(points):
-    return [(complex(p.x), complex(p.xi0), complex(p.xi2)) for p in points]
+    """The points, from (x, xi0, xi2) tuples or the columns of a (3, B)
+    array, as tuples of Python complex numbers."""
+    return [tuple(complex(z) for z in p) for p in points]
 
 
 class TestSampleWArrays:
@@ -479,9 +499,10 @@ class TestSampleWArrays:
         for r in (0.5, 2.0, 0.5, 2.0):
             x = r * unit_draws(rng, 1)[0]
             pts, ref = sample_W(x, chain, ctx), sample_W_loop(x, chain, ctx)
-            assert coords(pts) == coords(ref)
-            assert np.allclose([p.residuals for p in pts],
-                               [p.residuals for p in ref], rtol=0, atol=1e-15)
+            assert coords(pts.T) == coords(ref)
+            assert np.allclose(np.transpose(w_residuals(*pts, chain, ctx)),
+                               [w_residuals(*p, chain, ctx) for p in ref],
+                               rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("N", [3, 5, 7])
     def test_draw_w_points_same_points(self, N):
@@ -492,7 +513,8 @@ class TestSampleWArrays:
         rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
         pts = draw_w_points(chain, ctx, rng, 2 * N * N)
         ref = draw_w_points_loop(chain, ctx, ref_rng, 2 * N * N)
-        assert coords(pts) == coords(ref)
+        assert pts.shape == (3, 2 * N * N)
+        assert coords(pts.T) == coords(ref)
         assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
 
     def test_fibers_mask_one_pole(self, ctx5, rng):
@@ -510,10 +532,10 @@ class TestSampleWArrays:
         assert regular.tolist() == [True, False, True, True]
         for b in (0, 2, 3):
             pts = sample_W(xs[b], chain, ctx5)
-            assert coords(pts) == [(xs[b], a, c) for a, c in
-                                   zip(xi0[b].ravel(), xi2[b].ravel())]
-            assert [p.residuals for p in pts] == list(
-                zip(r1[b].ravel().tolist(), r2[b].ravel().tolist()))
+            assert coords(pts.T) == [(xs[b], a, c) for a, c in
+                                     zip(xi0[b].ravel(), xi2[b].ravel())]
+            assert [r.tolist() for r in w_residuals(*pts, chain, ctx5)] == [
+                r1[b].ravel().tolist(), r2[b].ravel().tolist()]
 
     @pytest.mark.parametrize("coord", ["xi2", "xi0"])
     def test_one_pole_in_an_array_raises(self, coord, ctx5, rng):
@@ -539,17 +561,23 @@ class TestDescendedBatch:
     def test_batch_equals_per_point(self, ctx5, rng):
         chain = hof_chain(rng)
         pts = draw_w_points(chain, ctx5, rng, 12)
-        batch = descended_t_residual(pts, chain, ctx5)
-        single = [descended_t_residual(p, chain, ctx5) for p in pts]
+        batch = descended_t_residual(chain, *pts, ctx5)
+        single = [descended_t_residual(chain, *p, ctx5) for p in pts.T]
         assert all(type(r) is float for r in single)
         assert batch.shape == (12,) and batch.tolist() == single
         assert np.max(batch) < 1e-8
+        # the coordinates broadcast: one x against its fiber, a (3, 4) grid
+        grid = descended_t_residual(chain, *pts.reshape(3, 3, 4), ctx5)
+        assert grid.shape == (3, 4) and grid.ravel().tolist() == single
+        fiber = sample_W(pts[0, 0], chain, ctx5)
+        assert descended_t_residual(chain, pts[0, 0], *fiber[1:], ctx5).tolist() \
+            == descended_t_residual(chain, *fiber, ctx5).tolist()
 
     def test_one_bad_point_raises(self, ctx3, rng):
         # an off-curve point among regular ones: its tau image is checked
-        from dataclasses import replace
         chain = hof_chain(rng)
         pts = draw_w_points(chain, ctx3, rng, 4)
-        bad = replace(pts[1], xi0=pts[1].xi0 * (1 + 1e-3))
+        descended_t_residual(chain, *pts, ctx3)
+        pts[1, 1] *= 1 + 1e-3
         with pytest.raises(RuntimeError, match="tau image left the curve"):
-            descended_t_residual(pts[:1] + [bad] + pts[2:], chain, ctx3)
+            descended_t_residual(chain, *pts, ctx3)
