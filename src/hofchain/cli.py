@@ -27,11 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .weylcore import (GenericityError, make_context, sector_orbits,
-                       unit_draws, with_generic_redraw, worst)
+from .weylcore import (GenericityError, flux_roots, make_context,
+                       sector_orbits, unit_draws, with_generic_redraw, worst)
 from .transfer import (ChainParams, SiteParams, commutant_reduction,
-                       commutator_residual, hofstadter_hamiltonian,
-                       rll_residual)
+                       commutator_residual, fill_hamiltonian, flux_diagonals,
+                       hamiltonian_params, rll_residual)
 from .baxter import (DegenerateChain, draw_regular_x, plus_pairing_coeffs,
                      t_action_residual, theorem1_residual)
 from .bethe import EIGEN_GAP, solve_L1, solve_L2, solve_L3
@@ -78,6 +78,9 @@ class RunConfig:
     out: str = None
 
     def __post_init__(self):
+        if not isinstance(self.n_list, (list, tuple)):
+            raise ValueError("n_list must be a list or tuple of N, got "
+                             f"{self.n_list!r}")
         if not self.n_list:
             raise ValueError("n_list is empty: give at least one N")
         twice = sorted({N for N in self.n_list if self.n_list.count(N) > 1})
@@ -441,22 +444,37 @@ def _spectrum(H: np.ndarray, hermitian: bool) -> np.ndarray:
     return evals[np.lexsort((evals.imag, evals.real))]
 
 
+def _energies(N: int, fluxes: list, params: tuple,
+              hermitian: bool) -> np.ndarray:
+    """The (flux, level) energies at N.  The diagonals come max(1,
+    BUTTERFLY_BLOCK // N) fluxes at a time, and each flux's are written
+    into one N x N buffer, freed on return, before its eigensolve."""
+    H = np.zeros((N, N), dtype=complex)     # only the diagonals change
+    evals = np.empty((len(fluxes), N), float if hermitian else complex)
+    step = max(1, BUTTERFLY_BLOCK // N)
+    for start in range(0, len(fluxes), step):
+        diags = flux_diagonals(flux_roots(N, fluxes[start:start + step]),
+                               params)
+        for i, d in enumerate(diags, start):
+            evals[i] = _spectrum(fill_hamiltonian(H, d), hermitian)
+    return evals
+
+
 def cmd_butterfly(config: RunConfig, mu, nu, rho, alpha, beta, gamma) -> int:
     """Write every N's spectra, one row per (P, level), formatted
     BUTTERFLY_BLOCK rows at a time.  An N whose rows would pass
-    DENSE_BYTES_MAX is refused first."""
+    DENSE_BYTES_MAX is refused first, then the parameters, once."""
     # H is Hermitian for real mu, nu, rho and unit alpha, beta, gamma; 4 eps
     # admits exp(2 pi i r), which rounds one ulp off the unit circle
     hermitian = (all(complex(v).imag == 0 for v in (mu, nu, rho)) and all(
         abs(abs(v) - 1) <= 4 * np.finfo(float).eps for v in (alpha, beta, gamma)))
     meta = _meta(config, "butterfly")
     _refuse_oversized("butterfly", config.n_list)
+    params = hamiltonian_params(mu, nu, rho, alpha, beta, gamma)
     blocks = ["N,P,index,energy_re,energy_im\r\n"]
     for N in sorted(config.n_list):
-        fluxes = _fluxes(N)
-        evals = np.array([_spectrum(hofstadter_hamiltonian(
-            make_context(N, P), mu, nu, rho, alpha, beta, gamma).mat,
-            hermitian) for P in fluxes]).ravel()        # row r: flux r // N
+        fluxes = _fluxes(N)     # energy r below belongs to flux r // N
+        evals = _energies(N, fluxes, params, hermitian).ravel()
         if not np.isfinite(evals).all():
             raise ValueError(f"butterfly at N={N}: an energy overflows")
         for start in range(0, evals.size, BUTTERFLY_BLOCK):

@@ -407,34 +407,63 @@ def heisenberg_UV(ctx: Context) -> dict:
             "D_half": D_half, "D_mhalf": D_mhalf}
 
 
+def hamiltonian_params(mu, nu, rho, alpha, beta, gamma) -> tuple:
+    """The flux Hamiltonian's six coefficients, as given, refused unless each
+    is finite and alpha, beta, gamma are nonzero."""
+    params = (mu, nu, rho, alpha, beta, gamma)
+    for name, value in zip(("mu", "nu", "rho", "alpha", "beta", "gamma"),
+                           params):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if alpha == 0 or beta == 0 or gamma == 0:
+        raise ValueError("alpha, beta, gamma must be nonzero")
+    return params
+
+
+def flux_diagonals(roots: np.ndarray, params: tuple) -> np.ndarray:
+    """The three nonzero cyclic diagonals of the flux Hamiltonian, (F, 3, N),
+    for F fluxes of one N: row f of roots is omega_f^k, k in [0, N), and
+    params is what `hamiltonian_params` returns.  Per flux: U on the main
+    diagonal, V and W^H = ZX below it, V^H and W above (see
+    `hofstadter_hamiltonian`).  Each entry is the dense sum's expression in
+    numpy arithmetic (np.divide: Python's complex division rounds
+    differently), and an entry that is not finite is refused.
+    """
+    mu, nu, rho, alpha, beta, gamma = params
+    u, y = roots, np.roll(roots, -1, axis=-1)   # Z at (k, k), ZX at (k+1, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diags = np.stack([mu * (alpha * u + u.conj() / alpha),
+                          nu * beta + rho * (y / gamma),
+                          nu * np.divide(1, beta) + rho * (gamma * y.conj())],
+                         axis=-2)
+    if not np.isfinite(diags).all():
+        raise ValueError("the Hamiltonian overflows: an entry is not finite")
+    return diags
+
+
+def fill_hamiltonian(H: np.ndarray, diags: np.ndarray) -> np.ndarray:
+    """Write one flux's (3, N) `flux_diagonals` into the N x N array H, in
+    place, and return H; its other entries are left as they are."""
+    N = len(H)
+    k = np.arange(N)
+    H[k, k], H[(k + 1) % N, k], H[k, (k + 1) % N] = diags
+    return H
+
+
 def hofstadter_hamiltonian(ctx: Context, mu, nu, rho, alpha, beta, gamma) -> Operator:
     """The N x N flux Hamiltonian mu(aU + 1/(aU)) + nu(bV + ..) + rho(cW + ..).
 
     Canonical Weyl triple on C^N: U = Z, V = X, W = (ZX)^{-1}, which
     satisfies UV = omega VU, VW = omega WV, WU = omega UW and the N-th
     power identities.  Hermitian for real mu, nu, rho and unit-modulus
-    alpha, beta, gamma.  U, V, W are unitary, so (aU)^{-1} = U^H / a.  H has
-    three nonzero cyclic diagonals: U on the main one, V and W^H = ZX below,
-    V^H and W above.  Each entry is the dense sum's expression in numpy
-    arithmetic (np.divide: Python's complex division rounds differently).
+    alpha, beta, gamma.  U, V, W are unitary, so (aU)^{-1} = U^H / a.  H is
+    the one-flux case of `flux_diagonals`, scattered into zeros.
     """
-    for name, value in zip(("mu", "nu", "rho", "alpha", "beta", "gamma"),
-                           (mu, nu, rho, alpha, beta, gamma)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if alpha == 0 or beta == 0 or gamma == 0:
-        raise ValueError("alpha, beta, gamma must be nonzero")
-    N, k = ctx.N, np.arange(ctx.N)
-    u, y = ctx.omega_pow(k), ctx.omega_pow(k + 1)   # Z at (k, k), ZX at (k+1, k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        diags = np.array([mu * (alpha * u + u.conj() / alpha),
-                          nu * beta + rho * (y / gamma),
-                          nu * np.divide(1, beta) + rho * (gamma * y.conj())])
-    if not np.isfinite(diags).all():
-        raise ValueError("the Hamiltonian overflows: an entry is not finite")
-    H = np.zeros((N, N), dtype=complex)
-    H[k, k], H[(k + 1) % N, k], H[k, (k + 1) % N] = diags
-    return Operator(H, N, 1)
+    (diags,) = flux_diagonals(ctx.omega_pow(np.arange(ctx.N))[None],
+                              hamiltonian_params(mu, nu, rho, alpha, beta,
+                                                 gamma))
+    H = fill_hamiltonian(np.zeros((ctx.N, ctx.N), dtype=complex), diags)
+    return Operator(H, ctx.N, 1)
 
 
 def hofstadter_sector_factor(ctx: Context, l: int) -> complex:

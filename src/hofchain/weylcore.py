@@ -64,6 +64,15 @@ class Context:
         return self._roots[(self.M + 1) ** 2 * e % self.N]
 
 
+def flux_roots(N: int, P) -> np.ndarray:
+    """exp(2 pi i P j / N) for j in [0, N), shape np.shape(P) + (N,): one row
+    of roots of unity per flux.  The argument is ((2 pi P) j) / N in floats,
+    as Python's complex arithmetic forms 2j pi P j / N, so each root keeps
+    the bits of the one-flux expression."""
+    theta = (2 * np.pi * np.asarray(P))[..., None] * np.arange(N) / N
+    return np.exp(1j * theta)
+
+
 def make_context(N: int, P: int = 1) -> Context:
     """Build the arithmetic context for odd N >= 3 and gcd(P, N) = 1."""
     if N % 2 == 0 or N < 3:
@@ -71,8 +80,7 @@ def make_context(N: int, P: int = 1) -> Context:
     if math.gcd(P, N) != 1:
         raise ValueError(f"P must be coprime to N, got gcd({P}, {N}) != 1")
     M = (N - 1) // 2
-    # arguments in Python arithmetic: numpy's complex division rounds differently
-    roots = np.exp([2j * np.pi * P * j / N for j in range(N)])
+    roots = flux_roots(N, P)
     roots.flags.writeable = False
     return Context(N=N, P=P, M=M, omega=roots[1 % N], q=roots[(M + 1) % N],
                    q_half=roots[((M + 1) * (M + 1)) % N], _roots=roots)

@@ -591,6 +591,42 @@ class TestButterfly:
                      for i, e in enumerate(evals)]
         assert data == "".join(line + "\r\n" for line in want).encode("utf-8")
 
+    @pytest.mark.parametrize("params", [
+        (1.3, 0.8, 0.5, np.exp(0.4j), np.exp(0.7j), np.exp(-2.1j)),
+        (1.0, 1.0, 0.0, 2.0, 1.0, 1.0)])
+    def test_no_context_or_operator_per_flux(self, monkeypatch, tmp_path,
+                                             params):
+        # one parameter check per call, one block of diagonals per N (5 and
+        # 9 fluxes fit in BUTTERFLY_BLOCK), and one _spectrum call per
+        # coprime flux on one buffer per N; no Context and no Operator
+        config = cli.RunConfig([5, 9], out=str(tmp_path / "b.csv"))
+        counts, buffers = Counter(), []
+
+        def count(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for module in (cli, weylcore):
+            monkeypatch.setattr(module, "make_context",
+                                count("make_context", module.make_context))
+        monkeypatch.setattr(weylcore.Operator, "__post_init__", count(
+            "Operator", weylcore.Operator.__post_init__))
+        for name in ("hamiltonian_params", "flux_diagonals"):
+            monkeypatch.setattr(cli, name, count(name, getattr(cli, name)))
+
+        def spectrum(H, hermitian):
+            buffers.append(H)
+            return real_spectrum(H, hermitian)
+
+        real_spectrum = cli._spectrum
+        monkeypatch.setattr(cli, "_spectrum", spectrum)
+        assert cli.cmd_butterfly(config, *params) == 0
+        assert counts == {"hamiltonian_params": 1, "flux_diagonals": 2}
+        assert [H.shape for H in buffers] == [(5, 5)] * 4 + [(9, 9)] * 6
+        assert len({id(H) for H in buffers}) == 2
+
 
 class TestCurvesCmd:
     def test_default_ranks(self, tmp_path, capsys):
@@ -900,11 +936,19 @@ def test_negative_seed_refused(tmp_path, capsys, argv):
      "tolerance 'rll' must be positive and finite, got True"),
     ({"n_list": [3], "tolerances": [("rll", 1e-3)]},
      "tolerances must map names to values, got [('rll', 0.001)]"),
-    ({"n_list": [3], "out": 5}, "out must be a path, got 5")])
+    ({"n_list": [3], "out": 5}, "out must be a path, got 5"),
+    ({"n_list": 5}, "n_list must be a list or tuple of N, got 5"),
+    ({"n_list": np.array([5])},
+     "n_list must be a list or tuple of N, got array([5])"),
+    ({"n_list": {5: 1}}, "n_list must be a list or tuple of N, got {5: 1}"),
+    ({"n_list": np.array([5, 7])},
+     "n_list must be a list or tuple of N, got array([5, 7])")])
 def test_non_integer_config_refused(kwargs, says):
-    # the CLI parses these flags as int, float and str; a library caller would
-    # otherwise meet a TypeError from math.gcd, numpy, < or os.path, or run
-    # seed True as seed 1 and tolerance True as 1.0
+    # the CLI parses these flags as int, float and str and collects --N in a
+    # list; a library caller would otherwise meet a TypeError from math.gcd,
+    # numpy, <, os.path or iteration, an AttributeError from count() or
+    # numpy's ambiguous truth value, or run seed True as seed 1 and
+    # tolerance True as 1.0
     with pytest.raises(ValueError) as err:
         cli.RunConfig(**kwargs)
     assert str(err.value) == says
@@ -918,7 +962,7 @@ def test_unusable_out_refused(tmp_path, capsys, monkeypatch, argv):
         raise AssertionError("a suite or solver ran")
 
     monkeypatch.setattr(cli, "VERIFY_SUITES", [("rll", spy)])
-    for name in ("solve_L3", "hofstadter_hamiltonian", "draw_w_points"):
+    for name in ("solve_L3", "flux_diagonals", "draw_w_points"):
         monkeypatch.setattr(cli, name, spy)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "dir").mkdir()
@@ -1436,7 +1480,7 @@ class TestButterflySize:
         def refuse(*args):
             raise AssertionError("Hamiltonian built")
 
-        monkeypatch.setattr(cli, "hofstadter_hamiltonian", refuse)
+        monkeypatch.setattr(cli, "flux_diagonals", refuse)
         out = tmp_path / "b.csv"
         assert main(["butterfly", "--N", "5", "--N", "1847",
                      "--out", str(out)]) == 2

@@ -13,12 +13,13 @@ from hofchain import (ChainParams, PoleError, SiteParams, commutator_residual,
 from hofchain import cli, transfer, weylcore
 from hofchain.baxter import DegenerateChain
 from hofchain.curves import HofstadterChain3
-from hofchain.transfer import (chain_L, hofstadter_sector_factor, path_table,
-                               sector_pencil, sector_spectrum, t2_formula_L3,
-                               transfer_apply)
-from hofchain.weylcore import (Operator, identity_op, sector_basis,
-                               sector_monomial, sector_orbits, sector_project,
-                               unit_draws)
+from hofchain.transfer import (chain_L, fill_hamiltonian, flux_diagonals,
+                               hamiltonian_params, hofstadter_sector_factor,
+                               path_table, sector_pencil, sector_spectrum,
+                               t2_formula_L3, transfer_apply)
+from hofchain.weylcore import (Operator, flux_roots, identity_op,
+                               sector_basis, sector_monomial, sector_orbits,
+                               sector_project, unit_draws)
 
 from conftest import draw_chain, draw_site
 
@@ -546,6 +547,28 @@ class TestHofstadterHamiltonian:
                 H = hofstadter_hamiltonian(ctx, mu, nu, rho, alpha, beta, gamma).mat
                 assert np.array_equal(H, expect)
                 assert not np.any(H[~band])
+
+    @pytest.mark.parametrize("N", [3, 5, 9, 31])
+    def test_flux_block_equals_weyl_sums(self, N):
+        # one block of every coprime flux, each written into one reused
+        # buffer, against the dense Weyl-matrix sum of its own context
+        rng = np.random.default_rng(N)
+        mu, nu, rho = (float(v) for v in rng.normal(size=3))
+        alpha, beta, gamma = (complex(z) for z in unit_draws(rng, 3))
+        params = hamiltonian_params(mu, nu, rho, alpha, beta, gamma)
+        fluxes = [p for p in range(1, N) if np.gcd(p, N) == 1]
+        diags = flux_diagonals(flux_roots(N, np.array(fluxes)), params)
+        assert diags.shape == (len(fluxes), 3, N)
+        H = np.zeros((N, N), dtype=complex)
+        fill_hamiltonian(H, np.full((3, N), np.nan))    # each flux overwrites
+        for P, d in zip(fluxes, diags):
+            w = weyl_matrices(make_context(N, P))
+            U, V, W = w["Z"].mat, w["X"].mat, w["Y"].mat.conj().T
+            expect = (mu * (alpha * U + U.conj().T / alpha)
+                      + nu * (beta * V + V.conj().T / beta)
+                      + rho * (gamma * W + W.conj().T / gamma))
+            assert fill_hamiltonian(H, d) is H
+            assert np.array_equal(H, expect), P
 
     def test_zero_coefficient_rejected(self, ctx3):
         with pytest.raises(ValueError):

@@ -6,8 +6,9 @@ import pytest
 from hofchain import (GenericityError, TagMismatchError, global_shift_D,
                       kron, make_context, pochhammer, sector_basis,
                       weyl_matrices)
-from hofchain.weylcore import (Operator, identity_op, relative_defect,
-                               weyl_monomial, with_generic_redraw, worst)
+from hofchain.weylcore import (Operator, flux_roots, identity_op,
+                               relative_defect, weyl_monomial,
+                               with_generic_redraw, worst)
 
 
 class TestContext:
@@ -64,6 +65,20 @@ class TestContext:
                 ref = [np.exp(2j * np.pi * P * j / N) for j in range(N)]
                 got = make_context(N, P).omega_pow(np.arange(N))
                 assert got.tobytes() == np.array(ref).tobytes(), (N, P)
+
+    def test_flux_roots_match_the_list_expression(self):
+        # bit for bit the one-flux list expression that make_context used,
+        # for an array of every coprime P and for each P alone: every odd
+        # N <= 201, and N = 401 and 1001
+        for N in [*range(3, 202, 2), 401, 1001]:
+            fluxes = [p for p in range(1, N) if math.gcd(p, N) == 1]
+            table = flux_roots(N, np.array(fluxes))
+            assert table.shape == (len(fluxes), N)
+            for P, row in zip(fluxes, table):
+                ref = np.exp([2j * np.pi * P * j / N for j in range(N)])
+                assert row.tobytes() == ref.tobytes(), (N, P)
+                if N <= 201:
+                    assert flux_roots(N, P).tobytes() == ref.tobytes()
 
     def test_equality_hash_and_read_only_table(self):
         ctx = make_context(7, 3)
