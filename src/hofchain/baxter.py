@@ -11,6 +11,7 @@ action into the polynomial Bethe equation, whose two shift polynomials
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,9 @@ class DegenerateChain:
     c: tuple
 
     def __post_init__(self):
+        for j, cj in enumerate(self.c):
+            if not cmath.isfinite(cj):
+                raise ValueError(f"c_{j} must be finite, got {cj!r}")
         if any(cj == 0 for cj in self.c):
             raise ValueError("all c_j must be nonzero")
 

@@ -9,12 +9,12 @@ is solved in closed form for L = 1, by a one-dimensional null-space solve
 at the admissible eigenvalues for L = 2, and through the banded NxN matrix
 whose eigenvalues are the admissible x^2 coefficients for L = 3.  The N
 solutions of an L = 3 sector are solved as one stack (one SVD, one root
-eigensolve), with the same floating-point operations, and so the same bits,
-as one solution at a time.  The two shift polynomials come from
-`baxter.shift_polys`, built once per solve.  The solvers check no
-solution against diagonalization at run time: the tests and `perfbench`
-compare them with `oracle_spectrum`, the brute-force spectrum of the
-transfer pencil restricted to the shift-operator sectors.
+eigensolve, array residuals, records from its rows) with the same floating-
+point operations, and so the same bits, as one solution at a time.  The
+shift polynomials come from `baxter.shift_polys`, built once per solve.  The
+solvers check no solution against diagonalization at run time: the tests
+and `perfbench` compare them with `oracle_spectrum`, the brute-force
+spectrum of the transfer pencil restricted to the shift-operator sectors.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .weylcore import Context, GenericityError, PoleError, worst
+from .weylcore import Context, GenericityError, PoleError, is_int, worst
 from .baxter import DegenerateChain, shift_polys
 from .transfer import ChainParams, sector_pencil
 
@@ -83,16 +83,17 @@ def _rbeq_residuals(lam_rows: np.ndarray, q_rows: np.ndarray, m: int,
     circle with more points than deg(LHS), normalized by the largest
     coefficient magnitude of the left-hand side.
     """
-    pm, pp = shifts
     lhs_coeffs = np.array([np.convolve(a, b) for a, b in zip(lam_rows, q_rows)])
     npts = lhs_coeffs.shape[1] + chain.L + 2
     xs = 0.9 * np.exp(2j * np.pi * np.arange(npts) / npts)
     scale = np.maximum(1.0, np.max(np.abs(lhs_coeffs), axis=1))
-    # np.polyval over coefficient columns, one entry per row: the same steps
-    lam_p, q_p = (rows.T[::-1, :, None] for rows in (lam_rows, q_rows))
-    lhs = np.polyval(lam_p, xs) * np.polyval(q_p, xs)
-    rhs = ctx.q_pow(-m) * np.polyval(pm[::-1], xs) * np.polyval(q_p, xs * ctx.q_pow(-1)) \
-        + ctx.q_pow(m) * np.polyval(pp[::-1], xs) * np.polyval(q_p, xs * ctx.q_pow(1))
+    # np.polyval over coefficient columns, one entry per row and grid point:
+    # the same steps; Q once on the stacked grid (x, x/q, qx)
+    grid = np.array([xs, xs * ctx.q_pow(-1), xs * ctx.q_pow(1)])
+    q_x, q_m, q_p = np.polyval(q_rows.T[::-1, :, None, None], grid).swapaxes(0, 1)
+    pm_x, pp_x = np.polyval(np.array(shifts).T[::-1, :, None], xs)
+    lhs = np.polyval(lam_rows.T[::-1, :, None], xs) * q_x
+    rhs = ctx.q_pow(-m) * pm_x * q_m + ctx.q_pow(m) * pp_x * q_p
     return np.max(np.abs(lhs - rhs), axis=1) / scale
 
 
@@ -115,9 +116,10 @@ def _coefficient_matrix(Lam: ComplexPolynomial, m: int, chain: DegenerateChain,
     G = np.zeros((deg + max(chain.L, Lam.degree) + 1, deg + 1), dtype=complex)
     for i, a in enumerate(Lam.coeffs):
         G[k + i, k] += a
-    for i in range(chain.L + 1):
-        G[k + i, k] -= ctx.q_pow(-m) * pm[i] * ctx.q_pow(-k) \
-            + ctx.q_pow(m) * pp[i] * ctx.q_pow(k)
+    # all L + 1 diagonals at once; q^-m pm_i, q^m pp_i as scalar products for their bits
+    i = np.arange(chain.L + 1)[:, None]
+    G[k + i, k] -= np.array([ctx.q_pow(-m) * a for a in pm])[:, None] * ctx.q_pow(-k) \
+        + np.array([ctx.q_pow(m) * a for a in pp])[:, None] * ctx.q_pow(k)
     return G
 
 
@@ -168,18 +170,21 @@ def _ansatz_residuals(z, m: int, chain: DegenerateChain,
     q = ctx.q_pow(1)
     pref = ctx.q_pow(chain.L + 2 * m + z.shape[1])
     den_c = q * z - c
-    off = ~np.eye(z.shape[1], dtype=bool)     # the product over n skips n = l
-    den_z = np.where(off, z - q * zt, 1.0)
-    hit_c = np.argwhere(np.abs(den_c) < 1e-12)
-    hit_z = np.argwhere(off & (np.abs(den_z) < 1e-12))
-    if len(hit_c) and (not len(hit_z) or hit_c[0, 0] <= hit_z[0, 0]):
-        raise PoleError(f"Bethe-ansatz pole: q z_l = c_j at root {hit_c[0, 1]}")
-    if len(hit_z):
+    diag = np.arange(z.shape[1])    # the product over n skips n = l
+    den_z = z - q * zt
+    den_z[:, diag, diag] = 1.0
+    hit_c = np.abs(den_c) < 1e-12
+    hit_z = np.abs(den_z) < 1e-12
+    if hit_c.any() or hit_z.any():
+        hit_c, hit_z = np.argwhere(hit_c), np.argwhere(hit_z)
+        if len(hit_c) and (not len(hit_z) or hit_c[0, 0] <= hit_z[0, 0]):
+            raise PoleError(f"Bethe-ansatz pole: q z_l = c_j at root {hit_c[0, 1]}")
         raise PoleError("Bethe-ansatz pole: z_l = q z_n at roots "
                         f"{hit_z[0, 1]},{hit_z[0, 2]}")
     num = np.prod((z + c) / den_c, axis=2)
-    rhs = np.prod(np.where(off, (q * z - zt) / den_z, 1.0), axis=2)
-    return np.abs(pref * num - rhs)
+    ratio = (q * z - zt) / den_z
+    ratio[:, diag, diag] = 1.0
+    return np.abs(pref * num - np.prod(ratio, axis=2))
 
 
 def _solution(m: int, lams, Q: np.ndarray, chain: DegenerateChain,
@@ -196,19 +201,32 @@ def _solution(m: int, lams, Q: np.ndarray, chain: DegenerateChain,
     ansatz = _ansatz_residuals(roots, m, chain, ctx)
     if error is not None:
         raise error
-    Lams = [_lambda_poly(lam, m, ctx) for lam in lams]
-    rbeq = _rbeq_residuals(np.array([Lam.coeffs for Lam in Lams]), Q, m, chain,
-                           ctx, shifts)
-    return [BetheSolution(m, lam, Lam, ComplexPolynomial.from_array(q), tuple(zs),
-                          float(r), tuple(a.tolist()))
-            for lam, Lam, q, zs, r, a in zip(lams, Lams, Q, roots, rbeq, ansatz)]
+    # rows of Lambda = q^m + q^-m + lam x^2, L = 1's lam = 0 trimmed like _lambda_poly
+    lams = np.asarray(lams)
+    lam_rows = np.zeros((len(lams), 3 if lams.any() else 1), dtype=complex)
+    lam_rows[:, 0] = ctx.q_pow(m) + ctx.q_pow(-m)
+    lam_rows[:, 2:] = lams[:, None]
+    rbeq = _rbeq_residuals(lam_rows, Q, m, chain, ctx, shifts)
+    # Q rows need no trim: solve_L1's is trimmed, the others passed |Q_deg| >= 1e-8
+    rows = zip(lams.tolist(), lam_rows.tolist(), Q.tolist(), roots.tolist(),
+               rbeq.tolist(), ansatz.tolist())
+    return [BetheSolution(m, lam, ComplexPolynomial(tuple(lam_row)),
+                          ComplexPolynomial(tuple(q)), tuple(zs), r, tuple(a))
+            for lam, lam_row, q, zs, r, a in rows]
+
+
+def _check_sector(name: str, m, M=None):
+    """Refuse a sector that is not an integer, or not in [0, M] if M is given."""
+    if not is_int(m):
+        raise ValueError(f"sector {name} must be an integer, got {m!r}")
+    if M is not None and not 0 <= m <= M:
+        raise ValueError(f"sector {name} must be in [0, {M}], got {m}")
 
 
 def solve_L1(m: int, c0: complex, ctx: Context) -> BetheSolution:
     """Closed-form single-site solution: Lambda = q^m + q^{-m}, deg Q = M - m."""
     M = ctx.M
-    if not 0 <= m <= M:
-        raise ValueError(f"sector m must be in [0, {M}]")
+    _check_sector("m", m, M)
     if c0 == 0:
         raise ValueError("c0 must be nonzero")
     coeffs = [1.0 + 0.0j]
@@ -228,8 +246,8 @@ def solve_L2(m: int, mp: int, c0: complex, c1: complex,
              ctx: Context) -> BetheSolution:
     """Two-site solve: Lambda fixed by (m, m'), Q of exact degree M - m + m'."""
     M = ctx.M
-    if not (0 <= m <= M and 0 <= mp <= M):
-        raise ValueError(f"sectors must be in [0, {M}]")
+    _check_sector("m", m, M)
+    _check_sector("m'", mp, M)
     lam = ctx.q_half_pow(1) * (ctx.q_pow(mp - 1) + ctx.q_pow(-mp - 2)) * c0 * c1
     chain = DegenerateChain((c0, c1))
     shifts = shift_polys(chain, ctx)
@@ -242,21 +260,26 @@ def matrix_A(m: int, c, ctx: Context, shifts=None) -> np.ndarray:
     lambda_m: row i (1-indexed from the top) carries diagonal delta'_{N-i},
     superdiagonal u'_{N-i}, subdiagonal v'_{N-i}, sub-subdiagonal w'_{N-i}.
     `shifts` is `shift_polys` of c, if already built."""
+    _check_sector("m", m)
     if len(c) != 3:
         raise ValueError("matrix_A takes exactly three chain parameters")
     s1, s2, s3 = (shifts or shift_polys(DegenerateChain(tuple(c)), ctx))[1][1:]
     qh = ctx.q_half_pow
-    k = np.arange(ctx.N)[::-1]      # row r carries k = N - 1 - r
+    N = ctx.N
+    k = np.arange(N)[::-1]      # row r carries k = N - 1 - r
+    q_k, q_mk1 = ctx.q_pow(k), ctx.q_pow(-k - 1) * qh(-1)      # q^k, q^{-k-3/2}
     # w'_k = q^{k+3/2} + q^{-k-3/2} - q^m - q^{-m}
-    w = ctx.q_pow(k + 1) * qh(1) + ctx.q_pow(-k - 1) * qh(-1) \
-        - ctx.q_pow(m) - ctx.q_pow(-m)
+    w = ctx.q_pow(k + 1) * qh(1) + q_mk1 - ctx.q_pow(m) - ctx.q_pow(-m)
     # v'_k = (q^{k+1/2} - q^{-k-3/2}) s1
-    v = (ctx.q_pow(k) * qh(1) - ctx.q_pow(-k - 1) * qh(-1)) * s1
+    v = (q_k * qh(1) - q_mk1) * s1
     # delta'_k = (q^{k-1/2} + q^{-k-3/2}) s2
-    d = (ctx.q_pow(k) * qh(-1) + ctx.q_pow(-k - 1) * qh(-1)) * s2
+    d = (q_k * qh(-1) + q_mk1) * s2
     # u'_k = (q^{k-3/2} - q^{-k-3/2}) s3
-    u = (ctx.q_pow(k - 1) * qh(-1) - ctx.q_pow(-k - 1) * qh(-1)) * s3
-    return np.diag(d) + np.diag(u[:-1], 1) + np.diag(v[1:], -1) + np.diag(w[2:], -2)
+    u = (ctx.q_pow(k - 1) * qh(-1) - q_mk1) * s3
+    A = np.zeros((N, N), dtype=complex)    # bands added to it: 0 + x turns -0 to +0
+    for start, band in ((0, d), (1, u[:-1]), (N, v[1:]), (2 * N, w[2:])):
+        A.reshape(-1)[start::N + 1] += band
+    return A
 
 
 def solve_L3(m: int, c, ctx: Context) -> list:
@@ -269,13 +292,12 @@ def solve_L3(m: int, c, ctx: Context) -> list:
     that has one.
     """
     M = ctx.M
-    if not 0 <= m <= M:
-        raise ValueError(f"sector m must be in [0, {M}]")
+    _check_sector("m", m, M)
     chain = DegenerateChain(tuple(c))
     shifts = shift_polys(chain, ctx)
     lams = np.linalg.eigvals(matrix_A(m, c, ctx, shifts))
     lams = lams[np.lexsort((lams.imag, lams.real))]
-    if np.triu(np.abs(lams[:, None] - lams) < EIGEN_GAP, 1).any():
+    if np.count_nonzero(np.abs(lams[:, None] - lams) < EIGEN_GAP) > len(lams):
         raise GenericityError("matrix_A has near-degenerate eigenvalues")
     Q, error = _solve_null_Q(lams, m, chain, 3 * M - m, ctx, shifts)
     return _solution(m, lams, Q, chain, ctx, shifts, error)

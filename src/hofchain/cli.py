@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .weylcore import (GenericityError, flux_roots, make_context,
+from .weylcore import (GenericityError, flux_roots, is_int, make_context,
                        sector_orbits, unit_draws, with_generic_redraw, worst)
 from .transfer import (ChainParams, SiteParams, commutant_reduction,
                        commutator_residual, fill_hamiltonian, flux_diagonals,
@@ -64,11 +64,6 @@ BUTTERFLY_BLOCK = 1024  # CSV rows formatted at once: bounds the objects held
 EIGVEC_GATE = 1e-10  # largest ||B^T v - mu v|| / max|B| of a divisibility pair
 
 
-def _is_int(value) -> bool:
-    """An integer, and not a bool, which Python counts as one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass
 class RunConfig:
     n_list: list
@@ -88,7 +83,7 @@ class RunConfig:
             raise ValueError(f"N given more than once: {twice}")
         for name, value in [("N", N) for N in self.n_list] + [
                 ("P", self.P), ("seed", self.seed)]:
-            if not _is_int(value):
+            if not is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for N in self.n_list:
             make_context(N, self.P)     # odd N >= 3 and gcd(P, N) = 1
@@ -376,11 +371,11 @@ def _solution_record(sol) -> dict:
 def cmd_solve(config: RunConfig, L: int, m_arg) -> int:
     """Solve the sectors at every N; an N that raises fails on its own record."""
     t0 = time.time()
-    if not _is_int(L) or L not in (1, 2, 3):
+    if not is_int(L) or L not in (1, 2, 3):
         raise ValueError(f"L must be 1, 2 or 3, got {L!r}")
     if m_arg != "all":
         try:    # the CLI passes the flag's text; a library caller, an int
-            if not isinstance(m_arg, str) and not _is_int(m_arg):
+            if not isinstance(m_arg, str) and not is_int(m_arg):
                 raise ValueError
             m_arg = int(m_arg)
         except ValueError:

@@ -11,6 +11,7 @@ exponents reduced mod N.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
@@ -33,6 +34,11 @@ class GenericityError(RuntimeError):
     Callers are expected to redraw parameters and retry; see
     `with_generic_redraw`.
     """
+
+
+def is_int(value) -> bool:
+    """An integer, and not a bool, which Python counts as one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -285,10 +285,24 @@ class TestSolveL3:
                 assert multiset_match(lams, [v for v, _ in clusters]) < 1e-8
 
 
+def rbeq_formula(Q, Lam, m, chain, ctx):
+    """Reference rbeq residual of one solution, written out with np.convolve
+    and np.polyval and independent of bethe's stacked residual."""
+    pm, pp = bethe.shift_polys(chain, ctx)
+    lhs_coeffs = np.convolve(Lam.array(), Q.array())
+    npts = len(lhs_coeffs) + chain.L + 2
+    xs = 0.9 * np.exp(2j * np.pi * np.arange(npts) / npts)
+    scale = max(1.0, float(np.max(np.abs(lhs_coeffs))))
+    rhs = ctx.q_pow(-m) * np.polyval(pm[::-1], xs) * Q(xs * ctx.q_pow(-1)) \
+        + ctx.q_pow(m) * np.polyval(pp[::-1], xs) * Q(xs * ctx.q_pow(1))
+    return float(np.max(np.abs(Lam(xs) * Q(xs) - rhs))) / scale
+
+
 def per_solution_L3(m, c, ctx):
     """Reference: solve_L3 one eigenvalue at a time, each with its own
     coefficient matrix, SVD and np.roots, checks in the same order (the
-    degree check reads the top coefficient before trimming)."""
+    degree check reads the top coefficient before trimming), and the rbeq
+    residual from the written-out formula."""
     chain = DegenerateChain(tuple(c))
     lams = np.linalg.eigvals(matrix_A(m, c, ctx))
     lams = lams[np.lexsort((lams.imag, lams.real))]
@@ -314,7 +328,7 @@ def per_solution_L3(m, c, ctx):
         Q = ComplexPolynomial.from_array(v)
         sol = BetheSolution(m=m, lam=lam, Lambda_poly=Lam, Q=Q,
                             roots=tuple(np.roots(Q.array())),
-                            rbeq_residual=rbeq_residual(Q, Lam, m, chain, ctx))
+                            rbeq_residual=rbeq_formula(Q, Lam, m, chain, ctx))
         sols.append((sol, bethe_ansatz_residuals(sol, c, ctx)))
     return sols
 
@@ -362,8 +376,11 @@ class TestStackedSolve:
 
     def test_one_svd_one_shift_build_two_eigensolves(self, ctx5, rng,
                                                      monkeypatch):
-        # one sector is one stack: no per-eigenvalue loop of LAPACK calls
-        calls = {"svd": 0, "eigvals": 0, "shift_polys": 0}
+        # one sector is one stack: no per-eigenvalue loop of LAPACK calls,
+        # and no Lambda or Q polynomial built per solution on the way (the
+        # records wrap the stacked rows), so the counts do not grow with N
+        calls = dict.fromkeys(["svd", "eigvals", "shift_polys", "_lambda_poly",
+                               "from_array"], 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -376,8 +393,15 @@ class TestStackedSolve:
                             counted("eigvals", np.linalg.eigvals))
         monkeypatch.setattr(bethe, "shift_polys",
                             counted("shift_polys", bethe.shift_polys))
-        assert len(solve_L3(1, unit_draws(rng, 3), ctx5)) == 5
-        assert calls == {"svd": 1, "eigvals": 2, "shift_polys": 1}
+        monkeypatch.setattr(bethe, "_lambda_poly",
+                            counted("_lambda_poly", bethe._lambda_poly))
+        monkeypatch.setattr(ComplexPolynomial, "from_array", classmethod(
+            counted("from_array", ComplexPolynomial.from_array.__func__)))
+        for ctx in (ctx5, make_context(9)):
+            calls.update(dict.fromkeys(calls, 0))
+            assert len(solve_L3(1, unit_draws(rng, 3), ctx)) == ctx.N
+            assert calls == {"svd": 1, "eigvals": 2, "shift_polys": 1,
+                             "_lambda_poly": 1, "from_array": 1}
 
     def test_zero_top_coefficient_is_a_degree_defect(self, ctx5, rng,
                                                      monkeypatch):
@@ -398,20 +422,25 @@ class TestStackedSolve:
 
     def test_rbeq_residual_matches_polyval_formula(self, ctx5, rng):
         # the row-wise residual makes the same floating-point operations as
-        # np.convolve and np.polyval on one solution
+        # np.convolve and np.polyval on one solution, up to deg 21 = 3M at
+        # N = 15, and a stack of rows gives each row's single-row value
         chain = DegenerateChain(tuple(unit_draws(rng, 3)))
-        pm, pp = bethe.shift_polys(chain, ctx5)
-        for deg in (0, 1, 2, 6):
+        shifts = bethe.shift_polys(chain, ctx5)
+        for deg in (0, 1, 2, 6, 21):
             Q = ComplexPolynomial.from_array(unit_draws(rng, deg + 1))
             Lam = _lambda_poly(unit_draws(rng, 1)[0], 1, ctx5)
-            lhs_coeffs = np.convolve(Lam.array(), Q.array())
-            npts = len(lhs_coeffs) + 5
-            xs = 0.9 * np.exp(2j * np.pi * np.arange(npts) / npts)
-            scale = max(1.0, float(np.max(np.abs(lhs_coeffs))))
-            rhs = ctx5.q_pow(-1) * np.polyval(pm[::-1], xs) * Q(xs * ctx5.q_pow(-1)) \
-                + ctx5.q_pow(1) * np.polyval(pp[::-1], xs) * Q(xs * ctx5.q_pow(1))
-            expect = float(np.max(np.abs(Lam(xs) * Q(xs) - rhs))) / scale
+            expect = rbeq_formula(Q, Lam, 1, chain, ctx5)
             assert rbeq_residual(Q, Lam, 1, chain, ctx5) == expect
+            Qs = [ComplexPolynomial.from_array(unit_draws(rng, deg + 1))
+                  for _ in range(4)]
+            Lams = [_lambda_poly(lam, 1, ctx5) for lam in unit_draws(rng, 4)]
+            stacked = bethe._rbeq_residuals(
+                np.array([L.array() for L in Lams]),
+                np.array([q.array() for q in Qs]), 1, chain, ctx5, shifts)
+            assert stacked.tolist() == [
+                rbeq_residual(q, L, 1, chain, ctx5) for q, L in zip(Qs, Lams)]
+            assert stacked.tolist() == [
+                rbeq_formula(q, L, 1, chain, ctx5) for q, L in zip(Qs, Lams)]
 
 
 class TestBetheAnsatz:
