@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .weylcore import Context, GenericityError, PoleError, is_int, worst
+from .weylcore import Context, GenericityError, PoleError, is_int
 from .baxter import DegenerateChain, shift_polys
 from .transfer import ChainParams, sector_pencil
 
@@ -259,8 +259,9 @@ def matrix_A(m: int, c, ctx: Context, shifts=None) -> np.ndarray:
     """Banded N x N matrix of sector m whose eigenvalues are the admissible
     lambda_m: row i (1-indexed from the top) carries diagonal delta'_{N-i},
     superdiagonal u'_{N-i}, subdiagonal v'_{N-i}, sub-subdiagonal w'_{N-i}.
-    `shifts` is `shift_polys` of c, if already built."""
-    _check_sector("m", m)
+    `shifts` is `shift_polys` of c, if already built.  m is in [0, M]: A
+    depends on m through q^m + q^-m alone, so sector N - m reads A(m)."""
+    _check_sector("m", m, ctx.M)
     if len(c) != 3:
         raise ValueError("matrix_A takes exactly three chain parameters")
     s1, s2, s3 = (shifts or shift_polys(DegenerateChain(tuple(c)), ctx))[1][1:]
@@ -303,39 +304,6 @@ def solve_L3(m: int, c, ctx: Context) -> list:
     return _solution(m, lams, Q, chain, ctx, shifts, error)
 
 
-def bethe_ansatz_residuals(sol: BetheSolution, c, ctx: Context) -> list:
-    """Per-root defect of q^{m+3/2} prod (z+c_j)/(qz-c_j) = prod (qz-z_n)/(z-q z_n)."""
-    if len(c) != 3:
-        raise ValueError("the product relation is over three sites")
-    chain = DegenerateChain(tuple(c))
-    expected = 3 * ctx.M - sol.m
-    if len(sol.roots) != expected:
-        raise ValueError(f"expected {expected} roots, got {len(sol.roots)}")
-    return _ansatz_residuals([sol.roots], sol.m, chain, ctx)[0].tolist()
-
-
-def lambda_M_from_roots(roots, c, ctx: Context) -> complex:
-    """Sector-M eigenvalue from the symmetric functions of the root reciprocals.
-
-    s1, s2 are the first and second elementary symmetric polynomials of
-    (c_0, c_1, c_2), the x and x^2 coefficients of Delta_+(x, 0).  The x
-    coefficient carries (q^{-3/2} - q^{1/2}); the x^2-coefficient
-    comparison of the Bethe equation fixes this sign.
-    """
-    if len(c) != 3:
-        raise ValueError("three chain parameters required")
-    z = np.asarray(roots, dtype=complex)
-    if len(z) != 2 * ctx.M:
-        raise ValueError(f"sector M has 2M = {2 * ctx.M} roots, got {len(z)}")
-    s1, s2 = shift_polys(DegenerateChain(tuple(c)), ctx)[1][1:3]
-    e1 = complex(np.sum(z))
-    e2 = complex((np.sum(z)**2 - np.sum(z * z)) / 2.0)
-    qh = ctx.q_half_pow
-    return ((qh(-1) + ctx.q_pow(-1) * qh(-1)) * s2
-            + (ctx.q_pow(-1) * qh(-1) - qh(1)) * s1 * e1
-            + (ctx.q_pow(1) * qh(1) + ctx.q_pow(-1) * qh(-1) - qh(1) - qh(-1)) * e2)
-
-
 def oracle_spectrum(chain: ChainParams, l: int, ctx: Context) -> np.ndarray:
     """Brute-force eigenvalues of the x^2 pencil coefficient on sector l.
 
@@ -371,19 +339,3 @@ def cluster_eigenvalues(values) -> list:
             clusters.append([v, 1])
     return [(s / k, k) for s, k in clusters]
 
-
-def multiset_match(a, b) -> float:
-    """Greedy nearest-neighbor matching distance between equal-size multisets.
-
-    Returns the largest matched distance, NaN if any is NaN; raises if
-    sizes differ.  Callers compare the result against their own tolerance.
-    """
-    a = list(a)
-    b = list(b)
-    if len(a) != len(b):
-        raise ValueError(f"multiset sizes differ: {len(a)} vs {len(b)}")
-    dists = []
-    for va in a:
-        j = int(np.argmin([abs(va - vb) for vb in b]))
-        dists.append(abs(va - b.pop(j)))
-    return worst(dists)

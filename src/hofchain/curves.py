@@ -70,9 +70,13 @@ def abcd_polys(chain: ChainParams, ctx: Context) -> np.ndarray:
                                 dtype=complex), -1, 0)
 
 
-def _eta_roots(y, P: np.ndarray):
-    """`eta_roots` without its check: the roots, shape y.shape + (2,), and the
-    mask of the y where C(y) degenerates (their roots mean nothing)."""
+def eta_roots(y, P: np.ndarray) -> tuple:
+    """(roots, degenerate): the roots of C(y) eta^2 + (A(y) - D(y)) eta - B(y)
+    = 0 at each entry of y, shape y.shape + (2,), read off the product
+    m = (-A, B; C, -D) at y of the `abcd_polys` array P, and the mask, shape
+    y.shape, of the y where C(y) degenerates, whose roots mean nothing.  One
+    stacked eigvals of np.roots' companion matrices, so each pair has
+    np.roots' bits wherever C(y) does not degenerate and B(y) != 0."""
     y = np.asarray(y, dtype=complex)
     m = np.polyval(P[::-1], y[..., None, None])
     Cv, mid, Bv = m[..., 1, 0], m[..., 1, 1] - m[..., 0, 0], m[..., 0, 1]
@@ -84,19 +88,6 @@ def _eta_roots(y, P: np.ndarray):
                        / np.where(degenerate, 1.0, Cv)[..., None])
     comp[..., 1, 0] = 1.0
     return np.linalg.eigvals(comp), degenerate
-
-
-def eta_roots(y, P: np.ndarray) -> np.ndarray:
-    """Roots of C(y) eta^2 + (A(y) - D(y)) eta - B(y) = 0 at each entry of y,
-    shape y.shape + (2,), read off the product m = (-A, B; C, -D) at y of the
-    `abcd_polys` array P: one stacked eigvals of np.roots' companion
-    matrices, so each pair has np.roots' bits wherever B(y) != 0."""
-    roots, degenerate = _eta_roots(y, P)
-    if np.any(degenerate):
-        raise PoleError("leading coefficient C(y) degenerates at y="
-                        f"{np.asarray(y)[degenerate]}; the fiber quadratic "
-                        "has a single root")
-    return roots
 
 
 def _w_defects(x, xi0, xi2, chain: HofstadterChain3, ctx: Context) -> tuple:
@@ -138,7 +129,7 @@ def _w_fibers(xs, chain: HofstadterChain3, ctx: Context, polys: np.ndarray):
     N, h2 = ctx.N, chain.h2
     xs = np.asarray(xs, dtype=complex)
     y = xs**N
-    etas, pole = _eta_roots(y, polys)
+    etas, pole = eta_roots(y, polys)
     powers = np.ones(etas.shape + (2,), dtype=complex)   # (B, branch, [eta, xi2N])
     for b in np.flatnonzero(~pole):
         for k, eta in enumerate(etas[b]):
@@ -194,15 +185,6 @@ def _site_null_vector(h: SiteParams, x, xi, xip, ctx: Context) -> np.ndarray:
     for k in range(1, N):
         v[..., k] = v[..., k - 1] * num[..., k - 1] / den[..., k - 1]
     return v
-
-
-def spectral_baxter(chain: HofstadterChain3, x: complex, xi0: complex,
-                    xi1: complex, xi2: complex, ctx: Context) -> np.ndarray:
-    """Baxter vector at a point of the full spectral curve (all four coords)."""
-    v0 = _site_null_vector(chain.h0, x, xi0, xi1, ctx)
-    v1 = _site_null_vector(chain.h1, x, xi1, xi2, ctx)
-    v2 = _site_null_vector(chain.h2, x, xi2, xi0, ctx)
-    return np.kron(np.kron(v0, v1), v2)
 
 
 def averaged_baxter(x, xi0, xi2, chain: HofstadterChain3, ctx: Context,

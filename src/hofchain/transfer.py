@@ -1,21 +1,22 @@
-"""L-operators, R-matrix, transfer matrices, and the L=3 Heisenberg algebra.
+"""L-operators, R-matrix, transfer matrices and flux Hamiltonians.
 
 The local L-operator for a projective site parameter h = [a:b:c:d] is the
 2x2 block matrix (aY, xbX; xcZ, d) acting on aux (2-dim) x quantum (N-dim).
 Chains multiply in the auxiliary space and tensor in the quantum space;
 the transfer matrix is the auxiliary trace, read everywhere as the sum
 over the Weyl paths of `path_table`, and forms a commuting family in x.
+The product of dense local L-operators, the independent reference the tests
+hold T(x) to, is `tests/oracle.py`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
-from .weylcore import (Context, Operator, PoleError, global_shift_D,
-                       identity_op, kron, read_only, sector_basis,
+from .weylcore import (Context, Operator, PoleError, read_only, sector_basis,
                        sector_monomial, sector_project, weyl_matrices,
                        weyl_monomial)
 
@@ -50,44 +51,6 @@ class ChainParams:
     @property
     def L(self) -> int:
         return len(self.sites)
-
-
-@dataclass(frozen=True)
-class BlockOperator2x2:
-    """2x2 auxiliary-space matrix with Operator entries of equal dimension."""
-
-    blocks: tuple  # ((b11, b12), (b21, b22))
-
-    def __post_init__(self):
-        tags = {b.ctx_tag for row in self.blocks for b in row}
-        if len(tags) != 1:
-            raise ValueError(f"block tags differ: {tags}")
-
-    def __getitem__(self, ij):
-        return self.blocks[ij[0]][ij[1]]
-
-    def aux_product(self, other: "BlockOperator2x2") -> "BlockOperator2x2":
-        """Matrix product on aux indices, tensor product on quantum spaces."""
-        a, b = self.blocks, other.blocks
-        return BlockOperator2x2(tuple(
-            tuple(kron([a[i][0], b[0][j]]) + kron([a[i][1], b[1][j]])
-                  for j in range(2)) for i in range(2)))
-
-    def trace_aux(self) -> Operator:
-        return self.blocks[0][0] + self.blocks[1][1]
-
-
-def local_L(h: SiteParams, x: complex, ctx: Context) -> BlockOperator2x2:
-    """Single-site L-operator (aY, xbX; xcZ, d)."""
-    w = weyl_matrices(ctx)
-    I = identity_op(ctx)
-    return BlockOperator2x2(((h.a * w["Y"], (x * h.b) * w["X"]),
-                             ((x * h.c) * w["Z"], h.d * I)))
-
-
-def chain_L(chain: ChainParams, x: complex, ctx: Context) -> BlockOperator2x2:
-    return reduce(BlockOperator2x2.aux_product,
-                  (local_L(h, x, ctx) for h in chain.sites))
 
 
 def r_matrix(x: complex, ctx: Context) -> np.ndarray:
@@ -129,31 +92,6 @@ def rll_residual(h, x, xp, ctx: Context):
                   np.eye(N)).reshape(L1.shape)
     out = np.max(np.abs(R @ L1 @ L2 - L2 @ L1 @ R), axis=(1, 2))
     return float(out[0]) if single else out
-
-
-def f_op(h: SiteParams, x: complex, xi: complex, xip: complex, ctx: Context) -> Operator:
-    """F_h(x, xi, xi') = xi' a Y - x b X + xi' xi x c Z - xi d."""
-    w = weyl_matrices(ctx)
-    I = identity_op(ctx)
-    return (xip * h.a) * w["Y"] - (x * h.b) * w["X"] \
-        + (xip * xi * x * h.c) * w["Z"] - (xi * h.d) * I
-
-
-def gauge_L(h: SiteParams, x: complex, xi: complex, xip: complex,
-            ctx: Context) -> BlockOperator2x2:
-    """Gauge-transformed local operator A_j L_h(x) A_{j+1}^{-1}, in F-form."""
-    return BlockOperator2x2((
-        (f_op(h, x, xi - 1, xip, ctx), -1 * f_op(h, x, xi - 1, xip - 1, ctx)),
-        (f_op(h, x, xi, xip, ctx), -1 * f_op(h, x, xi, xip - 1, ctx)),
-    ))
-
-
-def gauge_chain_L(chain: ChainParams, x: complex, xis, ctx: Context) -> BlockOperator2x2:
-    """Ordered aux-product of gauge-transformed site operators; xis is cyclic."""
-    L = chain.L
-    return reduce(BlockOperator2x2.aux_product,
-                  (gauge_L(chain.sites[j], x, xis[j], xis[(j + 1) % L], ctx)
-                   for j in range(L)))
 
 
 @lru_cache(maxsize=4)      # L = 1-3
@@ -202,7 +140,8 @@ def _path_entries(chain: ChainParams, ctx: Context) -> tuple:
 
 def transfer_T(chain: ChainParams, x: complex, ctx: Context) -> Operator:
     """Transfer matrix T(x), dense: the `_path_entries` scattered into one
-    N^L x N^L matrix.  Tests hold it to chain_L(chain, x, ctx).trace_aux()."""
+    N^L x N^L matrix.  Tests hold it to chain_L(chain, x, ctx).trace_aux()
+    of `tests/oracle.py`."""
     N, L = ctx.N, chain.L
     cols, weights, phases, degree = _path_entries(chain, ctx)
     T = np.zeros((N ** L, N ** L), dtype=complex)
@@ -368,45 +307,6 @@ def commutator_residual(chain: ChainParams, x: complex, xp: complex,
     return float(np.max(np.abs(C)))
 
 
-def t2_formula_L3(chain: ChainParams, ctx: Context) -> Operator:
-    """The x^2 coefficient of the L=3 transfer matrix, written termwise."""
-    if chain.L != 3:
-        raise ValueError("termwise T_2 formula is specific to L = 3")
-    w = weyl_matrices(ctx)
-    X, Z, Y = w["X"], w["Z"], w["Y"]
-    I = identity_op(ctx)
-    (h0, h1, h2) = chain.sites
-    return (h0.b * h1.c * h2.a * kron([X, Z, Y])
-            + h0.a * h1.b * h2.c * kron([Y, X, Z])
-            + h0.c * h1.a * h2.b * kron([Z, Y, X])
-            + h0.c * h1.b * h2.d * kron([Z, X, I])
-            + h0.d * h1.c * h2.b * kron([I, Z, X])
-            + h0.b * h1.d * h2.c * kron([X, I, Z]))
-
-
-def heisenberg_UV(ctx: Context) -> dict:
-    """The L=3 Heisenberg generators U, V (and D, W) on C^{N^3}.
-
-    U = D^{-1/2} Z(x)X(x)I and V = D^{-1/2} X(x)I(x)Z satisfy UV = omega VU
-    and U^N = V^N = I.  D^{-1/2} means D^{N-(M+1)}, the canonical in-lattice
-    half power (D^N = I).  W = q D^{-1/2} V^{-1} U^{-1} completes the Weyl
-    triple appearing in the Hofstadter form of the transfer matrix.
-    """
-    N, M = ctx.N, ctx.M
-    w = weyl_matrices(ctx)
-    X, Z = w["X"], w["Z"]
-    I = identity_op(ctx)
-    D = global_shift_D(ctx, 3)
-    D_half = Operator(np.linalg.matrix_power(D.mat, (M + 1) % N), N, 3)
-    D_mhalf = Operator(np.linalg.matrix_power(D.mat, (N - (M + 1)) % N), N, 3)
-    U = D_mhalf @ kron([Z, X, I])
-    V = D_mhalf @ kron([X, I, Z])
-    # U and V are unitary, so their inverses are adjoints
-    W = ctx.q * (D_mhalf @ Operator(V.mat.conj().T @ U.mat.conj().T, N, 3))
-    return {"U": U, "V": V, "D": D, "W": W,
-            "D_half": D_half, "D_mhalf": D_mhalf}
-
-
 def hamiltonian_params(mu, nu, rho, alpha, beta, gamma) -> tuple:
     """The flux Hamiltonian's six coefficients, as given, refused unless each
     is finite and alpha, beta, gamma are nonzero."""
@@ -464,15 +364,6 @@ def hofstadter_hamiltonian(ctx: Context, mu, nu, rho, alpha, beta, gamma) -> Ope
                                                  gamma))
     H = fill_hamiltonian(np.zeros((ctx.N, ctx.N), dtype=complex), diags)
     return Operator(H, ctx.N, 1)
-
-
-def hofstadter_sector_factor(ctx: Context, l: int) -> complex:
-    """gamma for which the sector-l restriction of q D^{-1/2} T_2 is H_FK.
-
-    On the q^l eigenspace of D the W-term coefficient of the L=3
-    degenerate transfer matrix reduces to gamma_l = (q^{-1} q^{l/2})^{-1}.
-    """
-    return 1.0 / (ctx.q_pow(-1) * ctx.q_half_pow(l))
 
 
 def sector_spectrum(op: Operator, ctx: Context, L: int, l: int) -> np.ndarray:

@@ -135,10 +135,6 @@ class Operator:
             raise TagMismatchError(f"tags differ: {self.ctx_tag} vs {other.ctx_tag}")
 
 
-def identity_op(ctx: Context) -> Operator:
-    return Operator(np.eye(ctx.N, dtype=complex), ctx.N, 1)
-
-
 def weyl_matrices(ctx: Context) -> dict:
     """The Weyl pair and their product on C^N.
 
@@ -184,14 +180,6 @@ def pochhammer(a, rho: complex, n):
     out = np.take_along_axis(np.broadcast_to(table, shape + (top + 1,)),
                              np.broadcast_to(n, shape)[..., None], axis=-1)[..., 0]
     return complex(out) if out.ndim == 0 else out
-
-
-def global_shift_D(ctx: Context, L: int) -> Operator:
-    """D = q^{-L} (tensor power of Y); unitary, D^N = I, spectrum {q^l}."""
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    Y = weyl_matrices(ctx)["Y"]
-    return ctx.q_pow(-L) * kron([Y] * L)
 
 
 def sector_orbits(ctx: Context, L: int, l) -> tuple:

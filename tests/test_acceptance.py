@@ -12,19 +12,18 @@ import numpy as np
 import pytest
 
 from hofchain import (ChainParams, DegenerateChain, HofstadterChain3,
-                      SiteParams, bethe_ansatz_residuals,
-                      commutator_residual, hofstadter_hamiltonian,
-                      lambda_M_from_roots, make_context, matrix_A,
-                      oracle_spectrum, rll_residual, sector_vectors,
-                      solve_L1, solve_L2, solve_L3, t_action_residual,
-                      theorem1_residual)
+                      SiteParams, commutator_residual, hofstadter_hamiltonian,
+                      make_context, matrix_A, oracle_spectrum, rll_residual,
+                      sector_vectors, solve_L1, solve_L2, solve_L3,
+                      t_action_residual, theorem1_residual)
 from hofchain.baxter import draw_regular_x, u_weight
-from hofchain.bethe import cluster_eigenvalues, multiset_match
+from hofchain.bethe import cluster_eigenvalues
 from hofchain.cli import main
 from hofchain.curves import descended_t_residual, draw_w_points, epsilon_rank
 from hofchain.weylcore import unit_draws
 
 from conftest import strip_timing
+from oracle import lambda_M_from_roots, multiset_match
 
 
 def report(name, detail):
@@ -184,8 +183,7 @@ def test_criterion_08_bethe_ansatz():
         c = unit_draws(rng, 3)
         for m in range(ctx.M + 1):
             for sol in solve_L3(m, c, ctx):
-                worst_root = max(worst_root,
-                                 max(bethe_ansatz_residuals(sol, c, ctx)))
+                worst_root = max(worst_root, max(sol.ansatz_residuals))
                 if m == ctx.M:
                     lam = lambda_M_from_roots(sol.roots, c, ctx)
                     worst_lam = max(worst_lam, abs(lam - sol.lam))

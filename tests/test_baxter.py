@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from hofchain import (DegenerateChain, PoleError, baxter_vector, delta_pm,
-                      f_op, make_context, pochhammer, sector_vectors,
+                      make_context, pochhammer, sector_vectors,
                       t_action_residual, theorem1_residual)
 from hofchain.baxter import (_regular_rotation, draw_regular_x, f_even, f_odd,
                              plus_pairing_coeffs, shift_polys, u_weight)
-from hofchain.transfer import gauge_chain_L, transfer_pencil
+from hofchain.transfer import transfer_pencil
 from hofchain.weylcore import sector_basis, unit_draws
+
+from oracle import f_op, gauge_chain_L
 
 
 def degenerate_chain(rng, L=3):

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from hofchain import (ChainParams, DegenerateChain, ComplexPolynomial,
-                      GenericityError, PoleError, bethe_ansatz_residuals,
-                      lambda_M_from_roots,
-                      make_context, matrix_A, oracle_spectrum, rbeq_residual,
-                      solve_L1, solve_L2, solve_L3)
+                      GenericityError, PoleError, make_context, matrix_A,
+                      oracle_spectrum, rbeq_residual, solve_L1, solve_L2,
+                      solve_L3)
 from hofchain import bethe
 from hofchain.bethe import (EIGEN_GAP, NULLSPACE_GAP, BetheSolution,
-                            _coefficient_matrix, _lambda_poly,
-                            cluster_eigenvalues, multiset_match)
+                            _ansatz_residuals, _coefficient_matrix,
+                            _lambda_poly, cluster_eigenvalues)
 from hofchain.weylcore import unit_draws
+
+from oracle import lambda_M_from_roots, multiset_match
 
 
 class TestComplexPolynomial:
@@ -329,7 +330,8 @@ def per_solution_L3(m, c, ctx):
         sol = BetheSolution(m=m, lam=lam, Lambda_poly=Lam, Q=Q,
                             roots=tuple(np.roots(Q.array())),
                             rbeq_residual=rbeq_formula(Q, Lam, m, chain, ctx))
-        sols.append((sol, bethe_ansatz_residuals(sol, c, ctx)))
+        sols.append((sol, _ansatz_residuals([sol.roots], m, chain,
+                                            ctx)[0].tolist()))
     return sols
 
 
@@ -450,7 +452,7 @@ class TestBetheAnsatz:
         c = unit_draws(rng, 3)
         for m in range(ctx.M + 1):
             for sol in solve_L3(m, c, ctx):
-                res = bethe_ansatz_residuals(sol, c, ctx)
+                res = sol.ansatz_residuals
                 assert len(res) == 3 * ctx.M - m
                 assert max(res) < 1e-6
 
@@ -461,33 +463,31 @@ class TestBetheAnsatz:
             assert len(sol.roots) == 2  # 3M - M = 2M = 2 at N = 3
 
     def test_negative_control(self, ctx3, rng):
-        from dataclasses import replace
         c = unit_draws(rng, 3)
         sol = solve_L3(1, c, ctx3)[0]
         bad_roots = list(sol.roots)
         bad_roots[0] += 1e-2
-        bad = replace(sol, roots=tuple(bad_roots))
-        res = bethe_ansatz_residuals(bad, c, ctx3)
+        res = _ansatz_residuals([bad_roots], sol.m, DegenerateChain(tuple(c)),
+                                ctx3)[0]
         assert max(res) > 1e-3
 
     def test_pole_checks(self, ctx3, rng):
-        from dataclasses import replace
         from hofchain import PoleError
         c = unit_draws(rng, 3)
+        chain = DegenerateChain(tuple(c))
         sol = solve_L3(1, c, ctx3)[0]
         q = ctx3.q_pow(1)
         z = list(sol.roots)
-        on_c = replace(sol, roots=(c[0] / q, *z[1:]))            # q z_0 = c_0
+        on_c = (c[0] / q, *z[1:])                                # q z_0 = c_0
         with pytest.raises(PoleError, match="q z_l = c_j"):
-            bethe_ansatz_residuals(on_c, c, ctx3)
-        on_root = replace(sol, roots=(q * z[1], *z[1:]))         # z_0 = q z_1
+            _ansatz_residuals([on_c], sol.m, chain, ctx3)
+        on_root = (q * z[1], *z[1:])                             # z_0 = q z_1
         with pytest.raises(PoleError, match="z_l = q z_n"):
-            bethe_ansatz_residuals(on_root, c, ctx3)
+            _ansatz_residuals([on_root], sol.m, chain, ctx3)
 
     def test_matches_scalar_products(self, ctx5, rng):
         # reference: the relation evaluated root by root in Python complex
         # arithmetic, at perturbed roots so that the residuals are O(1)
-        from dataclasses import replace
         c = unit_draws(rng, 3)
         sol = solve_L3(1, c, ctx5)[0]
         z = [r + 0.05 * s for r, s in zip(sol.roots, unit_draws(rng, len(sol.roots)))]
@@ -502,7 +502,7 @@ class TestBetheAnsatz:
                 if n != i:
                     rhs *= (q * zl - zn) / (zl - q * zn)
             ref.append(abs(pref * num - rhs))
-        res = bethe_ansatz_residuals(replace(sol, roots=tuple(z)), c, ctx5)
+        res = _ansatz_residuals([z], sol.m, DegenerateChain(tuple(c)), ctx5)[0]
         assert min(ref) > 1e-3
         assert np.allclose(res, ref, rtol=1e-12, atol=0)
 

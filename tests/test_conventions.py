@@ -5,8 +5,10 @@ and the package's one polynomial fit is the DFT of `baxter.plus_pairing_coeffs`.
 The commutator check reads each dense T(x) as its 2^L shift diagonals and
 multiplies them diagonal by diagonal, never densely.  The dense transfer
 matrix is laid out from the Weyl path table, and the L-operator chain that
-the tests hold it to shares none of that machinery.  Only `transfer` reads
-the path-entry table behind T(x), and the Theorem 1 check forms no e or o
+the tests hold it to, in `tests/oracle.py`, shares none of that machinery.
+The package holds only what a command runs or the benchmark holds: no
+definition under `src/` is reached from the tests alone.  Only `transfer`
+reads the path-entry table behind T(x), and the Theorem 1 check forms no e or o
 vector: (i) is one weight row on the node rows that the (ii) plus rows read.
 The curve's A, B, C, D are one y-coefficient array that `curves` evaluates
 with no polynomial objects and no import from the Bethe solver.  A point of
@@ -17,15 +19,36 @@ are cached, and every cache is bounded."""
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import pytest
 
+import hofchain
+import oracle
 from hofchain import baxter, bethe, cli, curves, transfer, weylcore
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hofchain"
 MODULES = sorted(SRC.glob("*.py"))
 TESTS = sorted((SRC.parent.parent / "tests").glob("*.py"))
+ORACLE = SRC.parent.parent / "tests" / "oracle.py"
+PERFBENCH = sorted((SRC.parent.parent / "perfbench").glob("*.py"))
+RUN_FILES = tuple(SRC / name
+                  for name in ("transfer.py", "weylcore.py", "cli.py"))
+
+# the fast path behind T(x) and the sector blocks: the oracle imports and
+# reaches none of it
+FAST_PATH = frozenset({"path_table", "path_weights", "_path_entries",
+                       "_path_columns", "weyl_monomial", "sector_monomial",
+                       "sector_orbits", "sector_pencil", "transfer_T"})
+
+# reached by no command, but named by perfbench (its wrapped targets and
+# workloads) or called by a name it names; they leave with ROADMAP item 5
+PERFBENCH_HELD = frozenset({
+    "kron", "sector_basis", "sector_project", "TransferPencil",
+    "transfer_pencil", "sector_pencil", "sector_spectrum",
+    "hofstadter_hamiltonian", "baxter_vector", "sector_vectors",
+    "oracle_spectrum", "cluster_eigenvalues", "sample_W", "epsilon_rank"})
 
 
 def _indexed_product(node):
@@ -193,13 +216,13 @@ def test_theorem1_forms_no_e_or_o_vectors():
     assert "sector_vectors" not in reached
 
 
-def _reached(*roots):
-    """Every name referenced from roots across transfer.py, weylcore.py and
-    cli.py, following the functions they name and the methods of the
-    classes."""
+def _reached(*roots, files=RUN_FILES):
+    """Every name referenced from roots across the files (by default
+    transfer.py, weylcore.py and cli.py), following the functions they name
+    and the methods of the classes."""
     defs = {}
-    for module in ("transfer.py", "weylcore.py", "cli.py"):
-        for node in ast.parse((SRC / module).read_text(encoding="utf-8")).body:
+    for path in files:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, ast.FunctionDef):
                 defs[node.name] = [node]
             elif isinstance(node, ast.ClassDef):
@@ -218,16 +241,26 @@ def _reached(*roots):
 
 
 def test_dense_transfer_and_its_oracle_are_independent():
-    # transfer_T lays out the path table; chain_L(...).trace_aux() multiplies
-    # local L-operators, so each checks the other
+    # transfer_T lays out the path table; the oracle's chain_L(...).trace_aux()
+    # multiplies local L-operators, so each checks the other.  The oracle
+    # side is tests/oracle.py with the package modules it imports from
     fast = _reached("transfer_T")
     assert {"path_table", "path_weights", "weyl_monomial"} <= fast
     assert not fast & {"chain_L", "local_L", "kron", "BlockOperator2x2"}
-    oracle = _reached("chain_L", "local_L", "BlockOperator2x2")
-    assert {"kron", "weyl_matrices", "identity_op", "aux_product"} <= oracle
-    assert not oracle & {"path_table", "path_weights", "weyl_monomial",
-                         "sector_monomial", "_path_entries", "sector_orbits",
-                         "sector_pencil", "transfer_T"}
+    tree = ast.parse(ORACLE.read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)]
+    assert not {a.name for node in imports for a in node.names} & FAST_PATH
+    sources = {node.module for node in imports}
+    assert "hofchain.weylcore" in sources and "hofchain.transfer" not in sources
+    files = [ORACLE] + [SRC / f"{module.split('.')[1]}.py" for module in
+                        sorted(sources) if module.startswith("hofchain.")]
+    roots = [node.name for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert {"chain_L", "local_L", "BlockOperator2x2"} <= set(roots)
+    reached = _reached(*roots, files=files)
+    assert {"kron", "weyl_matrices", "identity_op", "aux_product"} <= reached
+    assert not reached & FAST_PATH
 
 
 def test_sector_suites_and_their_oracle_are_independent():
@@ -268,7 +301,7 @@ def test_no_max_or_min_over_a_bare_generator():
 def test_one_worst_reduction():
     from hofchain import cli, weylcore
     assert not hasattr(cli, "_worst")
-    assert cli.worst is weylcore.worst and bethe.worst is weylcore.worst
+    assert cli.worst is weylcore.worst and oracle.worst is weylcore.worst
 
 
 def test_curve_polynomials_are_one_array():
@@ -314,3 +347,77 @@ def test_curve_points_are_plain_arrays():
         == ["chain", "x", "xi0", "xi2", "ctx"]
     for fn in (curves.averaged_baxter, curves.descended_delta, curves.tau_W):
         assert list(inspect.signature(fn).parameters)[:3] == ["x", "xi0", "xi2"]
+
+
+def _package_walk(*roots):
+    """(defs, reached): every top-level function and class of src/hofchain
+    by (module, name), and the (module, name) of every package name reached
+    from the roots, given as (module, name), and from each module's
+    top-level code other than definitions and imports.  A name is followed
+    through its module's `from .x import` aliases to the definition, and a
+    reached definition's whole body is walked."""
+    defs, scopes, todo = {}, {}, []
+    for path in MODULES:
+        module = path.stem
+        scope = scopes[module] = {}
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[module, node.name] = node
+                scope[node.name] = (module, node.name)
+            elif isinstance(node, ast.ImportFrom):
+                if node.level:
+                    scope.update({a.asname or a.name:
+                                  (node.module or "__init__", a.name)
+                                  for a in node.names})
+            elif not isinstance(node, ast.Import):
+                todo.append((module, node))
+                scope.update({t.id: (module, t.id) for t in ast.walk(node)
+                              if isinstance(t, ast.Name)
+                              and isinstance(t.ctx, ast.Store)})
+
+    def resolve(key):
+        while scopes.get(key[0], {}).get(key[1], key) != key:
+            key = scopes[key[0]][key[1]]
+        return key
+
+    todo += [(key[0], defs[key]) for key in roots]
+    reached = set()
+    while todo:
+        module, node = todo.pop()
+        for ref in ast.walk(node):
+            if isinstance(ref, ast.Name) and ref.id in scopes[module]:
+                key = resolve((module, ref.id))
+                if key not in reached:
+                    reached.add(key)
+                    if key in defs:
+                        todo.append((key[0], defs[key]))
+    return defs, reached
+
+
+def test_the_package_holds_only_what_runs():
+    # every definition under src/ is reached from a command or held by
+    # perfbench; what only the tests reach lives under tests/
+    defs, reached = _package_walk(("cli", "main"))
+    assert len(defs) > 100
+    unreached = {name for _, name in defs.keys() - reached}
+    assert unreached <= PERFBENCH_HELD, sorted(unreached - PERFBENCH_HELD)
+    # the allow-list holds no name that a command reaches, and each of its
+    # names is named in perfbench or called by one that is
+    reached_names = {name for _, name in reached}
+    assert not reached_names & PERFBENCH_HELD
+    named = {name for name in PERFBENCH_HELD for path in PERFBENCH
+             if re.search(rf"\b{name}\b", path.read_text(encoding="utf-8"))}
+    _, held = _package_walk(*(key for key in defs if key[1] in named))
+    held_names = named | {name for _, name in held}
+    assert PERFBENCH_HELD <= held_names, sorted(PERFBENCH_HELD - held_names)
+    for name in hofchain.__all__:
+        assert hasattr(hofchain, name), name
+        assert name in reached_names | PERFBENCH_HELD, name
+
+
+def test_no_duplicate_ansatz_or_fiber_root_wrappers():
+    # BetheSolution.ansatz_residuals holds what bethe_ansatz_residuals
+    # recomputed, and eta_roots returns its degenerate mask with the roots
+    for path in MODULES + TESTS:
+        assert not _names(path) & {"bethe_ansatz_residuals", "_eta_roots"}, \
+            path.name

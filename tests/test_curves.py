@@ -4,15 +4,26 @@ import pytest
 from hofchain import (HofstadterChain3, PoleError, SiteParams, abcd_polys,
                       averaged_baxter, descended_t_residual, epsilon_rank,
                       eta_roots, make_context, sample_W)
-from hofchain.curves import draw_w_points, tau_W, w_residuals
+from hofchain.curves import (_site_null_vector, draw_w_points, tau_W,
+                            w_residuals)
 from hofchain.transfer import ChainParams
 from hofchain.weylcore import unit_draws
 
 from conftest import draw_chain, draw_site
+from oracle import gauge_chain_L
 
 
 def hof_chain(rng):
     return HofstadterChain3(draw_site(rng), draw_site(rng))
+
+
+def spectral_baxter(chain: HofstadterChain3, x: complex, xi0: complex,
+                    xi1: complex, xi2: complex, ctx) -> np.ndarray:
+    """Baxter vector at a point of the full spectral curve (all four coords)."""
+    v0 = _site_null_vector(chain.h0, x, xi0, xi1, ctx)
+    v1 = _site_null_vector(chain.h1, x, xi1, xi2, ctx)
+    v2 = _site_null_vector(chain.h2, x, xi2, xi0, ctx)
+    return np.kron(np.kron(v0, v1), v2)
 
 
 def at(P, y):
@@ -108,7 +119,7 @@ class TestEtaRoots:
         P = abcd_polys(chain, ctx3)
         y = 1.3 + 0.4j
         m = at(P, y)
-        e1, e2 = eta_roots(y, P)
+        (e1, e2), _ = eta_roots(y, P)
         assert abs(e1 * e2 + m[0, 1] / m[1, 0]) < 1e-10
         assert abs(e1 + e2 + (m[1, 1] - m[0, 0]) / m[1, 0]) < 1e-10
 
@@ -117,30 +128,30 @@ class TestEtaRoots:
         P = abcd_polys(chain, ctx3)
         y = 0.8 + 0.2j
         m = at(P, y)
-        for eta in eta_roots(y, P):
+        for eta in eta_roots(y, P)[0]:
             val = m[1, 0] * eta**2 + (m[1, 1] - m[0, 0]) * eta - m[0, 1]
             assert abs(val) < 1e-9
 
     def test_y_zero_degenerates(self, ctx3, rng):
         # C(y) carries an overall factor of y, so the quadratic drops rank
         chain = draw_chain(rng, 3)
-        with pytest.raises(PoleError):
-            eta_roots(0.0, abcd_polys(chain, ctx3))
+        _, degenerate = eta_roots(0.0, abcd_polys(chain, ctx3))
+        assert degenerate.shape == () and degenerate
 
     def test_array_of_y(self, ctx5, rng):
         # one stacked eigvals gives each y the bits of its own np.roots call
         P = abcd_polys(draw_chain(rng, 3), ctx5)
         y = (rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))) * 4.0
-        roots = eta_roots(y, P)
+        roots, _ = eta_roots(y, P)
         assert roots.shape == (3, 4, 2)
-        assert all(roots[i, j].tolist() == eta_roots(y[i, j], P).tolist()
+        assert all(roots[i, j].tolist() == eta_roots(y[i, j], P)[0].tolist()
                    for i in range(3) for j in range(4))
         m = at(P, y[1, 2])
         assert roots[1, 2].tolist() == np.roots(
             [m[1, 0], m[1, 1] - m[0, 0], -m[0, 1]]).tolist()
         y[2, 1] = 0.0
-        with pytest.raises(PoleError):
-            eta_roots(y, P)
+        _, degenerate = eta_roots(y, P)
+        assert degenerate.tolist() == (y == 0).tolist()
 
 
 class TestSampleW:
@@ -349,8 +360,7 @@ class TestSpectralCurveAction:
         return dm, dp
 
     def test_gauge_blocks_and_transfer_action(self, ctx3, rng):
-        from hofchain.curves import spectral_baxter
-        from hofchain.transfer import gauge_chain_L, transfer_T
+        from hofchain.transfer import transfer_T
         chain = hof_chain(rng)
         x, xis = self._curve_point(chain, ctx3, rng)
         cp = chain.chain_params()
@@ -451,7 +461,10 @@ def sample_W_loop(x, chain, ctx):
     N, h2 = ctx.N, chain.h2
     y = x**N
     points = []
-    for eta in eta_roots(y, abcd_polys(chain.chain_params(), ctx)).tolist():
+    etas, degenerate = eta_roots(y, abcd_polys(chain.chain_params(), ctx))
+    if degenerate:
+        raise PoleError("leading coefficient C(y) degenerates")
+    for eta in etas.tolist():
         den = y * eta * h2.c**N - h2.d**N
         if abs(den) < POLE_TOL:
             raise PoleError("xi_2^N denominator vanishes")

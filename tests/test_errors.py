@@ -60,6 +60,14 @@ def test_non_integer_sector_rejected(solve, args, name):
         solve(*args, make_context(5))
 
 
+@pytest.mark.parametrize("m", [3, -1])
+def test_matrix_A_refuses_a_sector_outside_range(m):
+    # A(3) = A(2) and A(-1) = A(1) at N = 5: m out of range names another sector
+    with pytest.raises(ValueError,
+                       match=rf"^sector m must be in \[0, 2\], got {m}$"):
+        matrix_A(m, (1j, 0.5, 1.0), make_context(5))
+
+
 def test_numpy_integer_sector_accepted():
     ctx = make_context(5)
     c = (1j, 0.5, 1.0)

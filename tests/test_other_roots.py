@@ -7,8 +7,10 @@ from hofchain import (DegenerateChain, make_context,
                       oracle_spectrum, solve_L1, solve_L3, t_action_residual,
                       theorem1_residual)
 from hofchain.baxter import draw_regular_x
-from hofchain.bethe import cluster_eigenvalues, multiset_match
+from hofchain.bethe import cluster_eigenvalues
 from hofchain.weylcore import unit_draws
+
+from oracle import multiset_match
 
 
 @pytest.mark.parametrize("N,P", [(5, 2), (5, 3), (7, 3), (9, 4)])

@@ -7,21 +7,21 @@ import numpy as np
 import pytest
 
 from hofchain import (ChainParams, PoleError, SiteParams, commutator_residual,
-                      f_op, heisenberg_UV, hofstadter_hamiltonian, kron,
-                      local_L, make_context, r_matrix, rll_residual,
-                      transfer_T, transfer_pencil, weyl_matrices)
+                      hofstadter_hamiltonian, kron, make_context, r_matrix,
+                      rll_residual, transfer_T, transfer_pencil, weyl_matrices)
 from hofchain import cli, transfer, weylcore
 from hofchain.baxter import DegenerateChain
 from hofchain.curves import HofstadterChain3
-from hofchain.transfer import (chain_L, fill_hamiltonian, flux_diagonals,
-                               hamiltonian_params, hofstadter_sector_factor,
-                               path_table, sector_pencil, sector_spectrum,
-                               t2_formula_L3, transfer_apply)
-from hofchain.weylcore import (Operator, flux_roots, identity_op,
-                               sector_basis, sector_monomial, sector_orbits,
-                               sector_project, unit_draws)
+from hofchain.transfer import (fill_hamiltonian, flux_diagonals,
+                               hamiltonian_params, path_table, sector_pencil,
+                               sector_spectrum, transfer_apply)
+from hofchain.weylcore import (Operator, flux_roots, sector_basis,
+                               sector_monomial, sector_orbits, sector_project,
+                               unit_draws)
 
 from conftest import draw_chain, draw_site
+from oracle import (chain_L, f_op, global_shift_D, heisenberg_UV, identity_op,
+                    local_L, t2_formula_L3)
 
 # N <= 7, L <= 4 but not N = 7, L = 4: its dense oracles (2401 wide) would
 # hold about 0.5 GB
@@ -300,7 +300,7 @@ class TestPencil:
 
     def test_degenerate_constant_term_is_shift_plus_one(self, rng):
         # on the rational slice T_0 = D + 1, so Lambda(0) = q^l + 1 per sector
-        from hofchain import DegenerateChain, global_shift_D
+        from hofchain import DegenerateChain
         for N, L in ((3, 3), (5, 2)):
             ctx = make_context(N)
             chain = DegenerateChain(tuple(unit_draws(rng, L)))
@@ -311,7 +311,6 @@ class TestPencil:
     def test_T2_commutes_with_shift(self, ctx3, rng):
         # sector preservation: [T_2, D] = 0 for any chain, since the
         # commuting family forces [T_0, T_2] = 0 and T_0 is affine in D
-        from hofchain import global_shift_D
         chain = draw_chain(rng, 3)
         T2 = transfer_pencil(chain, ctx3).coeffs[1].mat
         D = global_shift_D(ctx3, 3).mat
@@ -396,6 +395,15 @@ class TestCommutingFamily:
     def test_equal_points_l3(self, ctx5, rng):
         x = unit_draws(rng, 1)[0]
         assert commutator_residual(draw_chain(rng, 3), x, x, ctx5) == 0.0
+
+
+def hofstadter_sector_factor(ctx, l: int) -> complex:
+    """gamma for which the sector-l restriction of q D^{-1/2} T_2 is H_FK.
+
+    On the q^l eigenspace of D the W-term coefficient of the L=3
+    degenerate transfer matrix reduces to gamma_l = (q^{-1} q^{l/2})^{-1}.
+    """
+    return 1.0 / (ctx.q_pow(-1) * ctx.q_half_pow(l))
 
 
 class TestHeisenberg:

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from hofchain import (GenericityError, TagMismatchError, global_shift_D,
-                      kron, make_context, pochhammer, sector_basis,
-                      weyl_matrices)
-from hofchain.weylcore import (Operator, flux_roots, identity_op,
-                               relative_defect, weyl_monomial,
-                               with_generic_redraw, worst)
+from hofchain import (GenericityError, TagMismatchError, kron, make_context,
+                      pochhammer, sector_basis, weyl_matrices)
+from hofchain.weylcore import (Operator, flux_roots, relative_defect,
+                               weyl_monomial, with_generic_redraw, worst)
+
+from oracle import global_shift_D, identity_op
 
 
 class TestContext:
