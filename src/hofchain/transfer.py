@@ -288,19 +288,24 @@ def _shift_diagonals(mat: np.ndarray, N: int, L: int) -> tuple:
 
 def commutator_residual(chain: ChainParams, x: complex, xp: complex,
                         ctx: Context) -> float:
-    """max |[T(x), T(x')]| over the entries, from the 2^L shift diagonals of
-    the two dense `transfer_T` matrices; no dense product is formed.
+    """max |[T(x), T(x')]| over the entries, from the 2^L shift diagonals D
+    of one dense `transfer_T(chain, 1)`; no dense product is formed.
 
+    Diagonal s holds one path of the auxiliary trace, whose x-dependence is
+    x^d with d the number of j where s_j != s_(j+1 mod L), so D x^d and
+    D x'^d are the diagonals of A = T(x) and B = T(x').
     [A, B] = sum_u C_u S_u over u in {0,1,2}^L, C_u the sum over s + t = u of
     D^A_s S_s D^B_t S_s^-1 - (A <-> B).  For N >= 3 the S_u are disjoint
     permutations, so max|C| is the dense max-norm.  Each (s, t) term
     subtracts its two products, so x = x' gives exactly 0.0.
     """
     N, L = ctx.N, chain.L
-    cols, A = _shift_diagonals(transfer_T(chain, x, ctx).mat, N, L)
-    _, B = _shift_diagonals(transfer_T(chain, xp, ctx).mat, N, L)
+    cols, D = _shift_diagonals(transfer_T(chain, 1.0, ctx).mat, N, L)
+    pats = np.indices((2,) * L).reshape(L, -1)      # column s is pattern s
+    d = np.count_nonzero(pats != np.roll(pats, -1, axis=0), axis=0)[:, None]
+    A, B = D * x ** d, D * xp ** d
     # s read in base 3: s + t has digits <= 2, so u(s + t) = u(s) + u(t)
-    u = np.ravel_multi_index(np.indices((2,) * L).reshape(L, -1), (3,) * L)
+    u = np.ravel_multi_index(pats, (3,) * L)
     C = np.zeros((3 ** L, N ** L), dtype=complex)
     for s, cs in enumerate(cols):   # every t at once
         C[u[s] + u] += A[s] * B[:, cs] - B[s] * A[:, cs]

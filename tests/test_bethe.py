@@ -285,6 +285,35 @@ class TestSolveL3:
                 assert all(k == N for _, k in clusters)
                 assert multiset_match(lams, [v for v, _ in clusters]) < 1e-8
 
+    @staticmethod
+    def eigenvector_residuals(A, sols, ctx):
+        # w = the coefficients of x^(M-m) .. x^(3M-m) of Q, top first
+        M, m = ctx.M, sols[0].m
+        out = []
+        for sol in sols:
+            w = np.asarray(sol.Q.coeffs)[M - m:3 * M - m + 1][::-1]
+            out.append(np.linalg.norm(A @ w - sol.lam * w)
+                       / (np.linalg.norm(A, 2) * np.linalg.norm(w)))
+        return np.array(out)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("N", [3, 5, 7, 9, 11, 15])
+    def test_top_coefficients_are_a_right_eigenvector(self, N, seed):
+        # Q's top N coefficients solve matrix_A's eigenproblem for its own
+        # lambda: the SVD-solved Q and the paper's banded matrix agree
+        # beyond the shared eigenvalue
+        ctx = make_context(N)
+        c = unit_draws(np.random.default_rng(seed), 3)
+        for m in range(ctx.M + 1):
+            A, sols = matrix_A(m, c, ctx), solve_L3(m, c, ctx)
+            assert self.eigenvector_residuals(A, sols, ctx).max() <= 1e-12
+            # negative control: the sub-subdiagonal w'_k scaled by 1 + 1e-6;
+            # at N = 3, m = 0 its one entry vanishes and the scaling is void
+            band = A.reshape(-1)[2 * N::N + 1]
+            if np.abs(band).max() > 1e-8:
+                band *= 1 + 1e-6
+                assert self.eigenvector_residuals(A, sols, ctx).max() > 1e-12
+
 
 def rbeq_formula(Q, Lam, m, chain, ctx):
     """Reference rbeq residual of one solution, written out with np.convolve

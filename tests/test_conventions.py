@@ -2,10 +2,12 @@
 root-of-unity table, one pole threshold, one polynomial product.  The
 rational-slice shift polynomials have one home too, `baxter.shift_polys`,
 and the package's one polynomial fit is the DFT of `baxter.plus_pairing_coeffs`.
-The commutator check reads each dense T(x) as its 2^L shift diagonals and
-multiplies them diagonal by diagonal, never densely.  The dense transfer
-matrix is laid out from the Weyl path table, and the L-operator chain that
-the tests hold it to, in `tests/oracle.py`, shares none of that machinery.
+The commutator check builds one dense T(1) per call, reads it as its 2^L
+shift diagonals, scales each by x^degree, the degree taken from its shift
+pattern, and multiplies them diagonal by diagonal, never densely.  The
+dense transfer matrix is laid out from the Weyl path table, and the
+L-operator chain that the tests hold it to, in `tests/oracle.py`, shares
+none of that machinery.
 The package holds only what a command runs or the benchmark holds: no
 definition under `src/` is reached from the tests alone.  Only `transfer`
 reads the path-entry table behind T(x), and the Theorem 1 check forms no e or o

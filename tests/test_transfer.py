@@ -344,6 +344,36 @@ class TestCommutingFamily:
             dense = np.max(np.abs(A @ B - B @ A))
             assert abs(commutator_residual(chain, x, xp, ctx) - dense) < 1e-14
 
+    @pytest.mark.parametrize("x,xp", [(0, 0.3 + 2j), (1.7 - 0.4j, 0.3 + 2j),
+                                      (0.2j, -3)])
+    @pytest.mark.parametrize("N,L", itertools.product((3, 5, 7), (1, 2, 3)))
+    def test_off_the_unit_circle(self, N, L, x, xp, rng):
+        # the residual scales each shift diagonal of T(1) by x^degree, which
+        # matches the dense commutator of T(x) and T(x') off the unit circle
+        # only if the degrees are right; x = 0 takes 0^0 = 1 on the constant
+        # paths.  The constant paths (I and Y (x) .. (x) Y) commute with
+        # every T(x), so no commutator sees their degree
+        ctx = make_context(N)
+        chain = draw_chain(rng, L)
+        A = transfer_T(chain, x, ctx).mat
+        B = transfer_T(chain, xp, ctx).mat
+        dense = np.max(np.abs(A @ B - B @ A))
+        assert (abs(commutator_residual(chain, x, xp, ctx) - dense)
+                < 1e-14 * max(1, abs(x), abs(xp)) ** (2 * L))
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_one_dense_transfer_per_call(self, L, rng, monkeypatch):
+        real, calls = transfer.transfer_T, []
+
+        def counted(chain, x, ctx):
+            calls.append(x)
+            return real(chain, x, ctx)
+
+        monkeypatch.setattr(transfer, "transfer_T", counted)
+        x, xp = unit_draws(rng, 2)
+        commutator_residual(draw_chain(rng, L), x, xp, make_context(5))
+        assert calls == [1]
+
     def test_stray_nonzero_is_named(self, tmp_path, monkeypatch, rng):
         # column 2 of row 0 is off every shift diagonal: they lower digits by 0 or 1
         real = transfer.transfer_T
