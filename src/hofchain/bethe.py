@@ -7,12 +7,14 @@ The functional equation
 
 is solved in closed form for L = 1, by a one-dimensional null-space solve
 at the admissible eigenvalues for L = 2, and through the banded NxN matrix
-whose eigenvalues are the admissible x^2 coefficients for L = 3.  The N
-solutions of an L = 3 sector are solved as one stack (one SVD, one root
-eigensolve, array residuals, records from its rows) with the same floating-
-point operations, and so the same bits, as one solution at a time.  The
-shift polynomials come from `baxter.shift_polys`, built once per solve.  The
-solvers check no solution against diagonalization at run time: the tests
+whose eigenvalues are the admissible x^2 coefficients for L = 3.  Lambda
+and Q are ascending coefficient arrays: `_lambda_rows` builds one Lambda row
+per lam and `_coefficient_matrix` one system per row; `ComplexPolynomial` is
+only the record a `BetheSolution` exports.  An L = 3 sector's N solutions
+are one stack (one SVD, one root eigensolve, array residuals) with the same
+floating-point operations, and so the same bits, as one solution at a time.
+The shift polynomials come from `baxter.shift_polys`, once per solve.  No
+solver checks a solution against diagonalization at run time: the tests
 and `perfbench` compare them with `oracle_spectrum`, the brute-force
 spectrum of the transfer pencil restricted to the shift-operator sectors.
 """
@@ -34,28 +36,13 @@ CLUSTER_GAP = 1e-6        # oracle eigenvalues closer than this form one cluster
 
 @dataclass(frozen=True)
 class ComplexPolynomial:
-    """Dense complex polynomial, coefficients ascending in degree."""
+    """The exported Lambda or Q of a `BetheSolution`, coefficients ascending."""
 
     coeffs: tuple
-
-    @classmethod
-    def from_array(cls, arr) -> "ComplexPolynomial":
-        a = np.asarray(arr, dtype=complex)
-        n = len(a)
-        while n > 1 and a[n - 1] == 0:
-            n -= 1
-        return cls(tuple(a[:n]))
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        """Horner evaluation at a scalar or elementwise over an array."""
-        return np.polyval(self.coeffs[::-1], x)
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -69,10 +56,14 @@ class BetheSolution:
     ansatz_residuals: tuple = field(default=())
 
 
-def _lambda_poly(lam: complex, m: int, ctx: Context) -> ComplexPolynomial:
-    # from_array trims the trailing zero, so lam = 0 gives the constant
-    lam0 = ctx.q_pow(m) + ctx.q_pow(-m)
-    return ComplexPolynomial.from_array([lam0, 0.0, lam])
+def _lambda_rows(lams, m: int, ctx: Context) -> np.ndarray:
+    """Ascending rows of Lambda = q^m + q^-m + lam x^2, one per lam; the
+    constant column alone when every lam is 0 (L = 1)."""
+    lams = np.asarray(lams)
+    rows = np.zeros((len(lams), 3 if lams.any() else 1), dtype=complex)
+    rows[:, 0] = ctx.q_pow(m) + ctx.q_pow(-m)
+    rows[:, 2:] = lams[:, None]
+    return rows
 
 
 def _rbeq_residuals(lam_rows: np.ndarray, q_rows: np.ndarray, m: int,
@@ -97,28 +88,31 @@ def _rbeq_residuals(lam_rows: np.ndarray, q_rows: np.ndarray, m: int,
     return np.max(np.abs(lhs - rhs), axis=1) / scale
 
 
-def rbeq_residual(Q: ComplexPolynomial, Lambda: ComplexPolynomial, m: int,
-                  chain: DegenerateChain, ctx: Context) -> float:
-    """Sampled defect of the rational-degenerate Bethe equation; see `_rbeq_residuals`."""
-    return float(_rbeq_residuals(Lambda.array()[None], Q.array()[None], m,
+def rbeq_residual(Q, Lambda, m: int, chain: DegenerateChain, ctx: Context) -> float:
+    """Sampled defect of the rational-degenerate Bethe equation for one Q and
+    Lambda, each an ascending coefficient array; see `_rbeq_residuals`."""
+    return float(_rbeq_residuals(np.asarray(Lambda, dtype=complex)[None],
+                                 np.asarray(Q, dtype=complex)[None], m,
                                  chain, ctx, shift_polys(chain, ctx))[0])
 
 
-def _coefficient_matrix(Lam: ComplexPolynomial, m: int, chain: DegenerateChain,
-                        deg: int, ctx: Context, shifts=None) -> np.ndarray:
-    """Exact coefficient-matching system G Q = 0 including top-degree rows.
+def _coefficient_matrix(Lam, m: int, chain: DegenerateChain, deg: int,
+                        ctx: Context, shifts=None) -> np.ndarray:
+    """Exact coefficient-matching systems G Q = 0 including top-degree rows,
+    one per row of Lam, the ascending coefficients of a Lambda.
 
     Column k holds the coefficients of Lambda x^k - q^{-m-k} Delta_- x^k
     - q^{m+k} Delta_+ x^k, one shifted diagonal per polynomial coefficient.
     """
+    Lam = np.atleast_2d(Lam)
     pm, pp = shifts or shift_polys(chain, ctx)
     k = np.arange(deg + 1)
-    G = np.zeros((deg + max(chain.L, Lam.degree) + 1, deg + 1), dtype=complex)
-    for i, a in enumerate(Lam.coeffs):
-        G[k + i, k] += a
+    G = np.zeros((len(Lam), deg + max(chain.L, Lam.shape[1] - 1) + 1, deg + 1),
+                 dtype=complex)
+    G[:, k + np.arange(Lam.shape[1])[:, None], k] += Lam[:, :, None]
     # all L + 1 diagonals at once; q^-m pm_i, q^m pp_i as scalar products for their bits
     i = np.arange(chain.L + 1)[:, None]
-    G[k + i, k] -= np.array([ctx.q_pow(-m) * a for a in pm])[:, None] * ctx.q_pow(-k) \
+    G[:, k + i, k] -= np.array([ctx.q_pow(-m) * a for a in pm])[:, None] * ctx.q_pow(-k) \
         + np.array([ctx.q_pow(m) * a for a in pp])[:, None] * ctx.q_pow(k)
     return G
 
@@ -131,10 +125,7 @@ def _solve_null_Q(lams, m: int, chain: DegenerateChain, deg: int,
     Returns the Q rows (ascending) before the first lam that fails a check,
     and that lam's GenericityError, or None.
     """
-    k = np.arange(deg + 1)
-    G = _coefficient_matrix(_lambda_poly(0.0, m, ctx), m, chain, deg, ctx, shifts)
-    G = np.repeat(G[None], len(lams), axis=0)
-    G[:, k + 2, k] += np.asarray(lams)[:, None]
+    G = _coefficient_matrix(_lambda_rows(lams, m, ctx), m, chain, deg, ctx, shifts)
     _, s, vt = np.linalg.svd(G, full_matrices=False)
     v = vt[:, -1].conj()
     q0 = np.abs(v[:, 0]) < 1e-10
@@ -153,7 +144,7 @@ def _solve_null_Q(lams, m: int, chain: DegenerateChain, deg: int,
         return v, None
     i = bad[0]
     msg = list(checks)[np.argmax(fails[:, i])]
-    return v[:i], GenericityError(msg.format(_lambda_poly(lams[i], m, ctx).array()))
+    return v[:i], GenericityError(msg.format(_lambda_rows(lams[i:i + 1], m, ctx)[0]))
 
 
 def _ansatz_residuals(z, m: int, chain: DegenerateChain,
@@ -201,15 +192,13 @@ def _solution(m: int, lams, Q: np.ndarray, chain: DegenerateChain,
     ansatz = _ansatz_residuals(roots, m, chain, ctx)
     if error is not None:
         raise error
-    # rows of Lambda = q^m + q^-m + lam x^2, L = 1's lam = 0 trimmed like _lambda_poly
-    lams = np.asarray(lams)
-    lam_rows = np.zeros((len(lams), 3 if lams.any() else 1), dtype=complex)
-    lam_rows[:, 0] = ctx.q_pow(m) + ctx.q_pow(-m)
-    lam_rows[:, 2:] = lams[:, None]
+    lam_rows = _lambda_rows(lams, m, ctx)
     rbeq = _rbeq_residuals(lam_rows, Q, m, chain, ctx, shifts)
-    # Q rows need no trim: solve_L1's is trimmed, the others passed |Q_deg| >= 1e-8
-    rows = zip(lams.tolist(), lam_rows.tolist(), Q.tolist(), roots.tolist(),
-               rbeq.tolist(), ansatz.tolist())
+    # Q rows need no trim: solve_L1's x^i coefficient is c0^i times factors
+    # q^(m+i-1) - q^(-m-i), each nonzero as 1 <= 2m+2i-1 <= N-2 and q is
+    # primitive; the others passed |Q_deg| >= 1e-8
+    rows = zip(np.asarray(lams).tolist(), lam_rows.tolist(), Q.tolist(),
+               roots.tolist(), rbeq.tolist(), ansatz.tolist())
     return [BetheSolution(m, lam, ComplexPolynomial(tuple(lam_row)),
                           ComplexPolynomial(tuple(q)), tuple(zs), r, tuple(a))
             for lam, lam_row, q, zs, r, a in rows]
@@ -238,8 +227,8 @@ def solve_L1(m: int, c0: complex, ctx: Context) -> BetheSolution:
         prod *= (ctx.q_pow(m + i - 1) - ctx.q_pow(-m - i)) / den
         coeffs.append(prod * c0**i)
     chain = DegenerateChain((c0,))
-    Q = ComplexPolynomial.from_array(coeffs).array()[None]
-    return _solution(m, [0.0], Q, chain, ctx, shift_polys(chain, ctx))[0]
+    return _solution(m, [0.0], np.array([coeffs]), chain, ctx,
+                     shift_polys(chain, ctx))[0]
 
 
 def solve_L2(m: int, mp: int, c0: complex, c1: complex,

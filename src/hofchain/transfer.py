@@ -11,6 +11,7 @@ hold T(x) to, is `tests/oracle.py`.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,6 +37,9 @@ class SiteParams:
     d: complex
 
     def __post_init__(self):
+        for name, value in zip("abcd", (self.a, self.b, self.c, self.d)):
+            if not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0:
             raise ValueError("all of a, b, c, d are zero")
 

@@ -8,22 +8,28 @@ from hofchain import (ChainParams, DegenerateChain, ComplexPolynomial,
 from hofchain import bethe
 from hofchain.bethe import (EIGEN_GAP, NULLSPACE_GAP, BetheSolution,
                             _ansatz_residuals, _coefficient_matrix,
-                            _lambda_poly, cluster_eigenvalues)
+                            _lambda_rows, cluster_eigenvalues)
 from hofchain.weylcore import unit_draws
 
 from oracle import lambda_M_from_roots, multiset_match
 
 
 class TestComplexPolynomial:
-    def test_trim_and_degree(self):
-        p = ComplexPolynomial.from_array([1.0, 2.0, 0.0, 0.0])
-        assert p.degree == 1
-        assert p(2.0) == 5.0
+    def test_record(self):
+        # the exported Lambda or Q: its coefficients as given, no trim
+        p = ComplexPolynomial((1.0, 2.0, 0.0))
+        assert p.degree == 2
+        assert ComplexPolynomial((0.0,)).degree == 0
+        assert p == ComplexPolynomial((1.0 + 0j, 2.0, 0.0))
+        assert p != ComplexPolynomial((1.0, 2.0))
 
-    def test_zero(self):
-        p = ComplexPolynomial.from_array([0.0])
-        assert p.degree == 0
-        assert p(1.3) == 0
+
+class TestLambdaRows:
+    def test_constant_when_every_lam_is_zero(self, ctx5):
+        lam0 = ctx5.q_pow(1) + ctx5.q_pow(-1)
+        assert _lambda_rows([0.0], 1, ctx5).tolist() == [[lam0]]
+        rows = _lambda_rows([0.0, 2j], 1, ctx5)
+        assert rows.tolist() == [[lam0, 0, 0], [lam0, 0, 2j]]
 
 
 class TestRbeqResidual:
@@ -34,18 +40,18 @@ class TestRbeqResidual:
         chain = DegenerateChain((c0,))
         for m in range(ctx.M + 1):
             sol = solve_L1(m, c0, ctx)
-            assert rbeq_residual(sol.Q, sol.Lambda_poly, m, chain, ctx) < 1e-10
+            assert rbeq_residual(sol.Q.coeffs, sol.Lambda_poly.coeffs, m,
+                                 chain, ctx) < 1e-10
 
     def test_zero_polynomial(self, ctx3, rng):
         chain = DegenerateChain(tuple(unit_draws(rng, 3)))
-        zero = ComplexPolynomial.from_array([0.0])
-        lam = _lambda_poly(0.3 + 0.1j, 1, ctx3)
-        assert rbeq_residual(zero, lam, 1, chain, ctx3) == 0.0
+        lam = _lambda_rows([0.3 + 0.1j], 1, ctx3)[0]
+        assert rbeq_residual([0.0], lam, 1, chain, ctx3) == 0.0
 
     def test_negative_control(self, ctx3, rng):
         chain = DegenerateChain(tuple(unit_draws(rng, 3)))
-        Q = ComplexPolynomial.from_array(unit_draws(rng, 4))
-        lam = _lambda_poly(unit_draws(rng, 1)[0], 1, ctx3)
+        Q = unit_draws(rng, 4)
+        lam = _lambda_rows(unit_draws(rng, 1), 1, ctx3)[0]
         assert rbeq_residual(Q, lam, 1, chain, ctx3) > 1e-3
 
 
@@ -56,7 +62,7 @@ class TestCoefficientMatrix:
         # - q^m Delta_+ Q(qx), here for a degree-4 Lambda at L = 4
         ctx = make_context(N)
         chain = DegenerateChain(tuple(unit_draws(rng, 4)))
-        Lam = ComplexPolynomial.from_array(unit_draws(rng, 5))
+        Lam = unit_draws(rng, 5)
         q, m, deg = ctx.q, 1, 6
         Q = unit_draws(rng, deg + 1)
         dm = dp = np.array([1.0 + 0.0j])
@@ -64,18 +70,23 @@ class TestCoefficientMatrix:
             dm = np.convolve(dm, [1.0, -cj / q])
             dp = np.convolve(dp, [1.0, cj])
         k = np.arange(deg + 1)
-        ref = (np.convolve(Lam.array(), Q)
+        ref = (np.convolve(Lam, Q)
                - q**-m * np.convolve(dm, Q * q**-k)
                - q**m * np.convolve(dp, Q * q**k))
-        G = _coefficient_matrix(Lam, m, chain, deg, ctx)
+        (G,) = _coefficient_matrix(Lam, m, chain, deg, ctx)
         assert G.shape == (deg + 5, deg + 1)
         assert np.max(np.abs(G @ Q - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # one system per Lambda row
+        Gs = _coefficient_matrix([Lam, 2 * Lam], m, chain, deg, ctx)
+        assert np.array_equal(Gs[0], G)
+        assert np.array_equal(Gs[1], _coefficient_matrix(2 * Lam, m, chain,
+                                                         deg, ctx)[0])
 
     def test_row_count_follows_lambda(self, ctx5, rng):
         # a constant Lambda at L = 3 keeps the L + 1 shift rows
         chain = DegenerateChain(tuple(unit_draws(rng, 3)))
-        G = _coefficient_matrix(_lambda_poly(0.0, 1, ctx5), 1, chain, 4, ctx5)
-        assert G.shape == (4 + 3 + 1, 5)
+        G = _coefficient_matrix(_lambda_rows([0.0], 1, ctx5), 1, chain, 4, ctx5)
+        assert G.shape == (1, 4 + 3 + 1, 5)
 
 
 class TestSolveL1:
@@ -84,7 +95,7 @@ class TestSolveL1:
         sol = solve_L1(ctx5.M, c0, ctx5)
         assert sol.Q.degree == 0
         assert sol.Q.coeffs[0] == 1
-        assert abs(sol.Lambda_poly(0.0)
+        assert abs(sol.Lambda_poly.coeffs[0]
                    - (ctx5.q_pow(ctx5.M) + ctx5.q_pow(-ctx5.M))) < 1e-14
 
     def test_n3_m0_explicit(self, ctx3, rng):
@@ -101,6 +112,8 @@ class TestSolveL1:
         c0 = unit_draws(rng, 1)[0]
         for m in range(ctx.M + 1):
             sol = solve_L1(m, c0, ctx)
+            # untrimmed: the closed form's top coefficient is nonzero
+            assert sol.Q.coeffs[-1] != 0
             assert sol.Q.degree == ctx.M - m
             assert sol.rbeq_residual < 1e-10
 
@@ -251,7 +264,7 @@ class TestSolveL3:
                 assert sol.Q.degree == 3 * ctx.M - m
                 assert abs(sol.Q.coeffs[0] - 1) < 1e-12
                 assert sol.rbeq_residual < 1e-8
-                assert abs(sol.Lambda_poly(0.0)
+                assert abs(sol.Lambda_poly.coeffs[0]
                            - (ctx.q_pow(m) + ctx.q_pow(-m))) < 1e-12
 
     def test_near_degenerate_eigenvalues_refused(self, ctx5, rng, monkeypatch):
@@ -316,23 +329,27 @@ class TestSolveL3:
 
 
 def rbeq_formula(Q, Lam, m, chain, ctx):
-    """Reference rbeq residual of one solution, written out with np.convolve
-    and np.polyval and independent of bethe's stacked residual."""
+    """Reference rbeq residual of one solution, Q and Lam ascending arrays,
+    written out with np.convolve and np.polyval and independent of bethe's
+    stacked residual."""
+    def at(p, x):
+        return np.polyval(p[::-1], x)
+
     pm, pp = bethe.shift_polys(chain, ctx)
-    lhs_coeffs = np.convolve(Lam.array(), Q.array())
+    Q, Lam = np.asarray(Q, dtype=complex), np.asarray(Lam, dtype=complex)
+    lhs_coeffs = np.convolve(Lam, Q)
     npts = len(lhs_coeffs) + chain.L + 2
     xs = 0.9 * np.exp(2j * np.pi * np.arange(npts) / npts)
     scale = max(1.0, float(np.max(np.abs(lhs_coeffs))))
-    rhs = ctx.q_pow(-m) * np.polyval(pm[::-1], xs) * Q(xs * ctx.q_pow(-1)) \
-        + ctx.q_pow(m) * np.polyval(pp[::-1], xs) * Q(xs * ctx.q_pow(1))
-    return float(np.max(np.abs(Lam(xs) * Q(xs) - rhs))) / scale
+    rhs = ctx.q_pow(-m) * at(pm, xs) * at(Q, xs * ctx.q_pow(-1)) \
+        + ctx.q_pow(m) * at(pp, xs) * at(Q, xs * ctx.q_pow(1))
+    return float(np.max(np.abs(at(Lam, xs) * at(Q, xs) - rhs))) / scale
 
 
 def per_solution_L3(m, c, ctx):
     """Reference: solve_L3 one eigenvalue at a time, each with its own
-    coefficient matrix, SVD and np.roots, checks in the same order (the
-    degree check reads the top coefficient before trimming), and the rbeq
-    residual from the written-out formula."""
+    coefficient matrix, SVD and np.roots, checks in the same order, and
+    the rbeq residual from the written-out formula."""
     chain = DegenerateChain(tuple(c))
     lams = np.linalg.eigvals(matrix_A(m, c, ctx))
     lams = lams[np.lexsort((lams.imag, lams.real))]
@@ -340,14 +357,13 @@ def per_solution_L3(m, c, ctx):
         raise GenericityError("matrix_A has near-degenerate eigenvalues")
     sols = []
     for lam in lams:
-        Lam = _lambda_poly(lam, m, ctx)
+        Lam = _lambda_rows([lam], m, ctx)[0]
         _, s, vt = np.linalg.svd(_coefficient_matrix(Lam, m, chain,
-                                                     3 * ctx.M - m, ctx))
+                                                     3 * ctx.M - m, ctx)[0])
         if s[-1] > 1e-8 * max(s[0], 1.0):
-            raise GenericityError(f"no polynomial solution at Lambda={Lam.array()}")
+            raise GenericityError(f"no polynomial solution at Lambda={Lam}")
         if s[-2] < NULLSPACE_GAP * s[0]:
-            raise GenericityError("null space not one-dimensional at "
-                                  f"Lambda={Lam.array()}")
+            raise GenericityError(f"null space not one-dimensional at Lambda={Lam}")
         v = vt[-1].conj()
         if abs(v[0]) < 1e-10:
             raise GenericityError("Q(0) vanishes; cannot normalize")
@@ -355,10 +371,11 @@ def per_solution_L3(m, c, ctx):
         v[0] = 1.0
         if abs(v[-1]) < 1e-8:
             raise GenericityError("leading coefficient vanished; degree defect")
-        Q = ComplexPolynomial.from_array(v)
-        sol = BetheSolution(m=m, lam=lam, Lambda_poly=Lam, Q=Q,
-                            roots=tuple(np.roots(Q.array())),
-                            rbeq_residual=rbeq_formula(Q, Lam, m, chain, ctx))
+        sol = BetheSolution(m=m, lam=lam,
+                            Lambda_poly=ComplexPolynomial(tuple(Lam)),
+                            Q=ComplexPolynomial(tuple(v)),
+                            roots=tuple(np.roots(v)),
+                            rbeq_residual=rbeq_formula(v, Lam, m, chain, ctx))
         sols.append((sol, _ansatz_residuals([sol.roots], m, chain,
                                             ctx)[0].tolist()))
     return sols
@@ -408,10 +425,9 @@ class TestStackedSolve:
     def test_one_svd_one_shift_build_two_eigensolves(self, ctx5, rng,
                                                      monkeypatch):
         # one sector is one stack: no per-eigenvalue loop of LAPACK calls,
-        # and no Lambda or Q polynomial built per solution on the way (the
-        # records wrap the stacked rows), so the counts do not grow with N
-        calls = dict.fromkeys(["svd", "eigvals", "shift_polys", "_lambda_poly",
-                               "from_array"], 0)
+        # and Lambda's rows built once for the systems and once for the
+        # records, so the counts do not grow with N
+        calls = dict.fromkeys(["svd", "eigvals", "shift_polys", "_lambda_rows"], 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -424,15 +440,13 @@ class TestStackedSolve:
                             counted("eigvals", np.linalg.eigvals))
         monkeypatch.setattr(bethe, "shift_polys",
                             counted("shift_polys", bethe.shift_polys))
-        monkeypatch.setattr(bethe, "_lambda_poly",
-                            counted("_lambda_poly", bethe._lambda_poly))
-        monkeypatch.setattr(ComplexPolynomial, "from_array", classmethod(
-            counted("from_array", ComplexPolynomial.from_array.__func__)))
+        monkeypatch.setattr(bethe, "_lambda_rows",
+                            counted("_lambda_rows", bethe._lambda_rows))
         for ctx in (ctx5, make_context(9)):
             calls.update(dict.fromkeys(calls, 0))
             assert len(solve_L3(1, unit_draws(rng, 3), ctx)) == ctx.N
             assert calls == {"svd": 1, "eigvals": 2, "shift_polys": 1,
-                             "_lambda_poly": 1, "from_array": 1}
+                             "_lambda_rows": 2}
 
     def test_zero_top_coefficient_is_a_degree_defect(self, ctx5, rng,
                                                      monkeypatch):
@@ -458,16 +472,13 @@ class TestStackedSolve:
         chain = DegenerateChain(tuple(unit_draws(rng, 3)))
         shifts = bethe.shift_polys(chain, ctx5)
         for deg in (0, 1, 2, 6, 21):
-            Q = ComplexPolynomial.from_array(unit_draws(rng, deg + 1))
-            Lam = _lambda_poly(unit_draws(rng, 1)[0], 1, ctx5)
+            Q = unit_draws(rng, deg + 1)
+            Lam = _lambda_rows(unit_draws(rng, 1), 1, ctx5)[0]
             expect = rbeq_formula(Q, Lam, 1, chain, ctx5)
             assert rbeq_residual(Q, Lam, 1, chain, ctx5) == expect
-            Qs = [ComplexPolynomial.from_array(unit_draws(rng, deg + 1))
-                  for _ in range(4)]
-            Lams = [_lambda_poly(lam, 1, ctx5) for lam in unit_draws(rng, 4)]
-            stacked = bethe._rbeq_residuals(
-                np.array([L.array() for L in Lams]),
-                np.array([q.array() for q in Qs]), 1, chain, ctx5, shifts)
+            Qs = np.array([unit_draws(rng, deg + 1) for _ in range(4)])
+            Lams = _lambda_rows(unit_draws(rng, 4), 1, ctx5)
+            stacked = bethe._rbeq_residuals(Lams, Qs, 1, chain, ctx5, shifts)
             assert stacked.tolist() == [
                 rbeq_residual(q, L, 1, chain, ctx5) for q, L in zip(Qs, Lams)]
             assert stacked.tolist() == [

@@ -17,7 +17,8 @@ with no polynomial objects and no import from the Bethe solver.  A point of
 the rational curve is two arrays x and l, taken alike by both Baxter checks,
 and a set of points of the curve W is three arrays x, xi0 and xi2, whose one
 fiber average is `averaged_baxter`.  The (N, L) geometry tables behind T(x)
-are cached, and every cache is bounded."""
+are cached, and every cache is bounded.  The Bethe solver holds Lambda and Q
+as ascending arrays; `ComplexPolynomial` is only the record it exports."""
 
 import ast
 import inspect
@@ -349,6 +350,27 @@ def test_curve_points_are_plain_arrays():
         == ["chain", "x", "xi0", "xi2", "ctx"]
     for fn in (curves.averaged_baxter, curves.descended_delta, curves.tau_W):
         assert list(inspect.signature(fn).parameters)[:3] == ["x", "xi0", "xi2"]
+
+
+def test_the_bethe_record_stays_a_record():
+    # bethe computes on coefficient arrays: ComplexPolynomial is the
+    # exported Lambda or Q of a BetheSolution, made in _solution alone
+    (cls,) = [node for node in ast.parse((SRC / "bethe.py").read_text(
+        encoding="utf-8")).body if isinstance(node, ast.ClassDef)
+        and node.name == "ComplexPolynomial"]
+    assert [node.name for node in cls.body
+            if isinstance(node, ast.FunctionDef)] == ["degree"]
+    makers = set()
+    for path in MODULES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "ComplexPolynomial" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    makers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert makers == {"bethe._solution"}
+    for path in MODULES + TESTS:
+        assert not _names(path) & {"_lambda_poly", "from_array"}, path.name
 
 
 def _package_walk(*roots):

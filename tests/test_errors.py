@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from hofchain import (ChainParams, DegenerateChain, SiteParams, kron,
-                      make_context, matrix_A, solve_L1, solve_L2, solve_L3,
-                      t_action_residual, weyl_matrices)
+from hofchain import (ChainParams, DegenerateChain, SiteParams, baxter_vector,
+                      delta_pm, kron, make_context, matrix_A, solve_L1,
+                      solve_L2, solve_L3, t_action_residual, theorem1_residual,
+                      weyl_matrices)
 from hofchain.cli import main
 from hofchain.weylcore import Operator
 
@@ -13,6 +14,16 @@ from hofchain.weylcore import Operator
 def test_all_zero_site_rejected():
     with pytest.raises(ValueError):
         SiteParams(0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1, np.inf)])
+@pytest.mark.parametrize("i", range(4))
+def test_non_finite_site_parameter_rejected(bad, i):
+    # named by its field, before rll_residual or commutator_residual reads NaN
+    values = [0.5, 1j, 1.0, 2.0]
+    values[i] = bad
+    with pytest.raises(ValueError, match=rf"^{'abcd'[i]} must be finite"):
+        SiteParams(*values)
 
 
 def test_empty_chain_rejected():
@@ -58,6 +69,31 @@ def test_non_integer_sector_rejected(solve, args, name):
     # refused by name before q_pow's indexing can raise IndexError or TypeError
     with pytest.raises(ValueError, match=f"^sector {name} must be an integer"):
         solve(*args, make_context(5))
+
+
+@pytest.mark.parametrize("l", [2.5, -0.5, 1.5, 1.0, True, np.array([True, False]),
+                               np.array([0.0, 1.0]), np.arange(2, dtype=np.uint8)])
+@pytest.mark.parametrize("check", [
+    lambda l, chain, ctx: baxter_vector(0.7, l, chain, ctx),
+    lambda l, chain, ctx: t_action_residual(chain, 0.7, l, ctx),
+    lambda l, chain, ctx: theorem1_residual(chain, 0.7, l, ctx),
+    lambda l, chain, ctx: delta_pm(0.7, l, 1, chain, ctx),
+], ids=["baxter_vector", "t_action_residual", "theorem1_residual", "delta_pm"])
+def test_non_integer_label_rejected(check, l):
+    # int(2.5) would run the l = 2 vector, 1.5 or a bool array would reach
+    # numpy's IndexError or TypeError, and an unsigned -l wraps mod 256, not
+    # mod N: refused by name first
+    chain = DegenerateChain((0.7, 1.1, 0.9))
+    with pytest.raises(ValueError, match="^sector l must be an integer"):
+        check(l, chain, make_context(5))
+
+
+def test_integer_labels_accepted():
+    ctx, chain = make_context(5), DegenerateChain((0.7, 1.1, 0.9))
+    assert np.array_equal(baxter_vector(0.7, np.int64(2), chain, ctx),
+                          baxter_vector(0.7, 2, chain, ctx))
+    assert theorem1_residual(chain, 0.7, np.arange(5, dtype=np.int8), ctx) \
+        == theorem1_residual(chain, 0.7, np.arange(5), ctx)
 
 
 @pytest.mark.parametrize("m", [3, -1])
