@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weylcore import (POLE_TOL, Context, PoleError, pochhammer,
+from .weylcore import (POLE_TOL, Context, PoleError, check_int, pochhammer,
                        relative_defect, unit_draws, worst)
 from .transfer import ChainParams, SiteParams, transfer_apply
 
@@ -44,17 +44,10 @@ class DegenerateChain:
                                  for cj in self.c))
 
 
-def _check_label(l):
-    """Refuse a sector label l, or an array of them, not of a signed integer
-    dtype: a float or bool would be truncated or misread, and an unsigned -l wraps."""
-    if np.asarray(l).dtype.kind != "i":
-        raise ValueError(f"sector l must be an integer, got {l!r}")
-
-
 def delta_pm(x, l, sign: int, chain: DegenerateChain, ctx: Context):
     """Delta_- = prod(1 - x c_j q^l); Delta_+ = prod (1-x^2 c_j^2)/(1 - x c_j q^{-l});
     x and l broadcast: a complex for one point, an array for a stack."""
-    _check_label(l)
+    check_int("sector l", l)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     x, c = np.asarray(x, dtype=complex)[..., None], np.asarray(chain.c)
@@ -104,7 +97,7 @@ def baxter_vector(x, l, chain: DegenerateChain, ctx: Context) -> np.ndarray:
     Multi-indices k run over (Z_N)^L with non-negative representatives;
     the vector is the tensor product of the per-site columns.
     """
-    _check_label(l)
+    check_int("sector l", l)
     return _baxter_rows([x], [int(l)], chain, ctx)[0]
 
 
@@ -115,7 +108,7 @@ def t_action_residual(chain: DegenerateChain, x, l, ctx: Context):
     stays meaningful when components grow near pole loci.  x and l
     broadcast: a float for one point, an array of defects for a stack.
     """
-    _check_label(l)
+    check_int("sector l", l)
     x, l = np.broadcast_arrays(x, l)
     xs = [x, ctx.q_pow(-1) * x, ctx.q_pow(1) * x]
     ls = [l, (l - 1) % ctx.N, (l - 1) % ctx.N]
@@ -198,7 +191,7 @@ def theorem1_residual(chain: DegenerateChain, x, l, ctx: Context) -> float:
     T(x)|x>_l^+ = |q^{-1}x>_l^+ D_-(x,-1) + |qx>_l^+ D_+(x,0), at one x or an
     array, one sector l or an array, each (x, l) on its own scale.  (i) is one
     weight row at x, e's u(qx) less o's q^l u(x), on (ii)'s node rows."""
-    _check_label(l)
+    check_int("sector l", l)
     x, l = np.asarray(x), np.atleast_1d(l)
     xs = np.array([x, ctx.q_pow(-1) * x, ctx.q_pow(1) * x])[..., None]
     w, rows = _plus_weights(xs, l, chain, ctx), _node_rows(xs, chain, ctx)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .weylcore import Context, GenericityError, PoleError, is_int
+from .weylcore import Context, GenericityError, PoleError, check_int
 from .baxter import DegenerateChain, shift_polys
 from .transfer import ChainParams, sector_pencil
 
@@ -204,18 +204,10 @@ def _solution(m: int, lams, Q: np.ndarray, chain: DegenerateChain,
             for lam, lam_row, q, zs, r, a in rows]
 
 
-def _check_sector(name: str, m, M=None):
-    """Refuse a sector that is not an integer, or not in [0, M] if M is given."""
-    if not is_int(m):
-        raise ValueError(f"sector {name} must be an integer, got {m!r}")
-    if M is not None and not 0 <= m <= M:
-        raise ValueError(f"sector {name} must be in [0, {M}], got {m}")
-
-
 def solve_L1(m: int, c0: complex, ctx: Context) -> BetheSolution:
     """Closed-form single-site solution: Lambda = q^m + q^{-m}, deg Q = M - m."""
     M = ctx.M
-    _check_sector("m", m, M)
+    check_int("sector m", m, M)
     if c0 == 0:
         raise ValueError("c0 must be nonzero")
     coeffs = [1.0 + 0.0j]
@@ -235,8 +227,8 @@ def solve_L2(m: int, mp: int, c0: complex, c1: complex,
              ctx: Context) -> BetheSolution:
     """Two-site solve: Lambda fixed by (m, m'), Q of exact degree M - m + m'."""
     M = ctx.M
-    _check_sector("m", m, M)
-    _check_sector("m'", mp, M)
+    check_int("sector m", m, M)
+    check_int("sector m'", mp, M)
     lam = ctx.q_half_pow(1) * (ctx.q_pow(mp - 1) + ctx.q_pow(-mp - 2)) * c0 * c1
     chain = DegenerateChain((c0, c1))
     shifts = shift_polys(chain, ctx)
@@ -250,7 +242,7 @@ def matrix_A(m: int, c, ctx: Context, shifts=None) -> np.ndarray:
     superdiagonal u'_{N-i}, subdiagonal v'_{N-i}, sub-subdiagonal w'_{N-i}.
     `shifts` is `shift_polys` of c, if already built.  m is in [0, M]: A
     depends on m through q^m + q^-m alone, so sector N - m reads A(m)."""
-    _check_sector("m", m, ctx.M)
+    check_int("sector m", m, ctx.M)
     if len(c) != 3:
         raise ValueError("matrix_A takes exactly three chain parameters")
     s1, s2, s3 = (shifts or shift_polys(DegenerateChain(tuple(c)), ctx))[1][1:]
@@ -282,7 +274,7 @@ def solve_L3(m: int, c, ctx: Context) -> list:
     that has one.
     """
     M = ctx.M
-    _check_sector("m", m, M)
+    check_int("sector m", m, M)
     chain = DegenerateChain(tuple(c))
     shifts = shift_polys(chain, ctx)
     lams = np.linalg.eigvals(matrix_A(m, c, ctx, shifts))

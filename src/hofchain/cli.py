@@ -27,8 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .weylcore import (GenericityError, flux_roots, is_int, make_context,
-                       sector_orbits, unit_draws, with_generic_redraw, worst)
+from .weylcore import (GenericityError, check_context, check_int, flux_roots,
+                       is_int, make_context, sector_orbits, unit_draws,
+                       with_generic_redraw, worst)
 from .transfer import (ChainParams, SiteParams, commutant_reduction,
                        commutator_residual, fill_hamiltonian, flux_diagonals,
                        hamiltonian_params, rll_residual)
@@ -81,12 +82,11 @@ class RunConfig:
         twice = sorted({N for N in self.n_list if self.n_list.count(N) > 1})
         if twice:   # each would run, and write its records, once per mention
             raise ValueError(f"N given more than once: {twice}")
-        for name, value in [("N", N) for N in self.n_list] + [
-                ("P", self.P), ("seed", self.seed)]:
-            if not is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         for N in self.n_list:
-            make_context(N, self.P)     # odd N >= 3 and gcd(P, N) = 1
+            check_context(N, self.P)    # builds no root table: N may be huge
+        if not is_int(self.seed):   # numpy takes a sequence, the report no array
+            check_int("seed", self.seed)
+            raise ValueError(f"seed must be one integer, got {self.seed!r}")
         if self.seed < 0:   # numpy's generators take no negative seed
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not isinstance(self.tolerances, Mapping):

@@ -4,8 +4,11 @@ Everything downstream is built on an odd integer N, a primitive N-th root
 of unity omega = exp(2*pi*i*P/N), and the canonical in-lattice square
 roots q = omega**(M+1), q_half = q**(M+1) (N = 2M+1).  Keeping every
 scalar inside the cyclic group generated by omega avoids branch cuts:
-all powers are computed from a single table of exp(2*pi*i*P*j/N), with
-exponents reduced mod N.
+all powers are computed from a single table of exp(2*pi*i*(P mod N)*j/N),
+with exponents reduced mod N.  `is_int` and its refusal `check_int` decide
+every integer the package takes (N, P, seeds, sectors, labels, orders):
+signed integers only, since a bool is not one and an unsigned one's
+negation wraps.
 """
 
 from __future__ import annotations
@@ -37,8 +40,19 @@ class GenericityError(RuntimeError):
 
 
 def is_int(value) -> bool:
-    """An integer, and not a bool, which Python counts as one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """An integer but not a bool, nor an unsigned one: its negation wraps."""
+    return isinstance(value, numbers.Integral) and not isinstance(
+        value, (bool, np.unsignedinteger))
+
+
+def check_int(name: str, value, top=None):
+    """Refuse all but an integer (`is_int`) or an array, list or 0-d array of
+    a signed-integer dtype; with top, one integer in [0, top]."""
+    arrays = top is None and isinstance(value, (np.ndarray, list, tuple))
+    if not (np.asarray(value).dtype.kind == "i" if arrays else is_int(value)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if top is not None and not 0 <= value <= top:
+        raise ValueError(f"{name} must be in [0, {top}], got {value}")
 
 
 @dataclass(frozen=True)
@@ -79,14 +93,24 @@ def flux_roots(N: int, P) -> np.ndarray:
     return np.exp(1j * theta)
 
 
-def make_context(N: int, P: int = 1) -> Context:
-    """Build the arithmetic context for odd N >= 3 and gcd(P, N) = 1."""
+def check_context(N: int, P: int = 1):
+    """Refuse what `make_context` refuses, building nothing."""
+    for name, value in (("N", N), ("P", P)):
+        if not is_int(value):   # one each: check_int would pass an array
+            check_int(name, value)
+            raise ValueError(f"{name} must be one integer, got {value!r}")
     if N % 2 == 0 or N < 3:
         raise ValueError(f"N must be odd and >= 3, got {N}")
     if math.gcd(P, N) != 1:
         raise ValueError(f"P must be coprime to N, got gcd({P}, {N}) != 1")
+
+
+def make_context(N: int, P: int = 1) -> Context:
+    """Build the arithmetic context for odd N >= 3 and gcd(P, N) = 1; the
+    roots come from P mod N, exact at any P."""
+    check_context(N, P)
     M = (N - 1) // 2
-    roots = flux_roots(N, P)
+    roots = flux_roots(N, P % N)
     roots.flags.writeable = False
     return Context(N=N, P=P, M=M, omega=roots[1 % N], q=roots[(M + 1) % N],
                    q_half=roots[((M + 1) * (M + 1)) % N], _roots=roots)
@@ -167,6 +191,7 @@ def pochhammer(a, rho: complex, n):
     multiplication and the partial products by `cumprod`, in the order a
     scalar loop would take.
     """
+    check_int("pochhammer order", n)
     a = np.asarray(a, dtype=complex)
     n = np.asarray(n)
     if np.any(n < 0):
@@ -203,6 +228,7 @@ def _digits(N: int, L: int) -> np.ndarray:
 
 def _orbit_exponents(ctx: Context, L: int, l) -> tuple:
     """(orbit, e): `sector_orbits` with amp = N^{-1/2} omega^e, 0 at t = 0."""
+    check_int("sector l", l)
     N, M = ctx.N, ctx.M
     digits = _digits(N, L)
     t = digits[0]

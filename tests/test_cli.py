@@ -924,6 +924,36 @@ def test_negative_seed_refused(tmp_path, capsys, argv):
     assert not Path(str(out) + ".meta.json").exists()
 
 
+def test_huge_n_refused_before_a_root_table(tmp_path, capsys):
+    # RunConfig built make_context(N) for each N, a 10^7-entry root table
+    # (about 400 MB traced) before the size refusal
+    import tracemalloc
+    out = tmp_path / "v.json"
+    tracemalloc.start()
+    try:
+        cli.RunConfig(n_list=[10_000_001])
+        config_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert main(["verify", "--N", "10000001", "--out", str(out)]) == 2
+        main_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert config_peak < 2**20 and main_peak < 2**24
+    assert "error: verify at N=10000001 needs dense" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_large_P_keeps_the_roots_exact(tmp_path):
+    # P = 10^15 + 1 is coprime to 5 and reads as P = 1; before the root
+    # table came from P mod N, every suite failed with exit 1
+    out = tmp_path / "v.json"
+    assert main(["verify", "--N", "5", "--P", "1000000000000001",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["meta"]["P"] == 1000000000000001
+
+
 @pytest.mark.parametrize("kwargs,says", [
     ({"n_list": [3.0]}, "N must be an integer, got 3.0"),
     ({"n_list": [3], "P": 1.5}, "P must be an integer, got 1.5"),
@@ -942,13 +972,23 @@ def test_negative_seed_refused(tmp_path, capsys, argv):
      "n_list must be a list or tuple of N, got array([5])"),
     ({"n_list": {5: 1}}, "n_list must be a list or tuple of N, got {5: 1}"),
     ({"n_list": np.array([5, 7])},
-     "n_list must be a list or tuple of N, got array([5, 7])")])
+     "n_list must be a list or tuple of N, got array([5, 7])"),
+    ({"n_list": [np.uint8(5)]}, "N must be an integer, got np.uint8(5)"),
+    ({"n_list": [True]}, "N must be an integer, got True"),
+    ({"n_list": [5], "P": np.uint64(2)},
+     "P must be an integer, got np.uint64(2)"),
+    ({"n_list": [5], "seed": np.uint8(3)},
+     "seed must be an integer, got np.uint8(3)"),
+    ({"n_list": [np.array(5)]}, "N must be one integer, got array(5)"),
+    ({"n_list": [5], "seed": [3]}, "seed must be one integer, got [3]")])
 def test_non_integer_config_refused(kwargs, says):
     # the CLI parses these flags as int, float and str and collects --N in a
     # list; a library caller would otherwise meet a TypeError from math.gcd,
     # numpy, <, os.path or iteration, an AttributeError from count() or
     # numpy's ambiguous truth value, or run seed True as seed 1 and
-    # tolerance True as 1.0
+    # tolerance True as 1.0; an unsigned N passed and every command then
+    # died with numpy's OverflowError, and a Context and a report hold one
+    # N, P and seed each
     with pytest.raises(ValueError) as err:
         cli.RunConfig(**kwargs)
     assert str(err.value) == says

@@ -18,7 +18,8 @@ the rational curve is two arrays x and l, taken alike by both Baxter checks,
 and a set of points of the curve W is three arrays x, xi0 and xi2, whose one
 fiber average is `averaged_baxter`.  The (N, L) geometry tables behind T(x)
 are cached, and every cache is bounded.  The Bethe solver holds Lambda and Q
-as ascending arrays; `ComplexPolynomial` is only the record it exports."""
+as ascending arrays; `ComplexPolynomial` is only the record it exports.
+What an integer is, `weylcore` alone decides: `check_int` refuses the rest."""
 
 import ast
 import inspect
@@ -445,3 +446,24 @@ def test_no_duplicate_ansatz_or_fiber_root_wrappers():
     for path in MODULES + TESTS:
         assert not _names(path) & {"bethe_ansatz_residuals", "_eta_roots"}, \
             path.name
+
+
+def test_one_integer_rule():
+    # is_int and check_int in weylcore decide every integer the package
+    # takes: no other module tests a type or a dtype for one, and RunConfig
+    # checks N and P with check_context, which builds no root table
+    for path in MODULES:
+        tests = {node.attr for node in ast.walk(ast.parse(
+            path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and (
+                node.attr in ("Integral", "unsignedinteger") or node.attr
+                == "kind" and getattr(node.value, "attr", None) == "dtype")}
+        assert not tests or path.name == "weylcore.py", (path.name, tests)
+    for path in MODULES + TESTS:
+        assert not _names(path) & {"_check_label", "_check_sector"}, path.name
+    (post_init,) = [node for node in ast.walk(ast.parse(
+        (SRC / "cli.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"]
+    called = {getattr(node.func, "id", None) for node in ast.walk(post_init)
+              if isinstance(node, ast.Call)}
+    assert "check_context" in called and "make_context" not in called

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from hofchain import (ChainParams, DegenerateChain, SiteParams, baxter_vector,
-                      delta_pm, kron, make_context, matrix_A, solve_L1,
-                      solve_L2, solve_L3, t_action_residual, theorem1_residual,
-                      weyl_matrices)
+                      delta_pm, kron, make_context, matrix_A, pochhammer,
+                      sector_basis, solve_L1, solve_L2, solve_L3,
+                      t_action_residual, theorem1_residual, weyl_matrices)
 from hofchain.cli import main
-from hofchain.weylcore import Operator
+from hofchain.transfer import commutant_reduction
+from hofchain.weylcore import Operator, sector_orbits
 
 
 def test_all_zero_site_rejected():
@@ -64,9 +65,16 @@ def test_non_finite_parameter_refused_by_both_callers():
     (solve_L2, (1.0, 1, 1.0, 2.0), "m"),
     (solve_L2, (1, 0.5, 1.0, 2.0), "m'"),
     (matrix_A, (1.5, (1j, 0.5, 1.0)), "m"),
+    *[row for u in (np.uint8(1), np.uint64(1)) for row in [
+        (solve_L1, (u, 0.7), "m"), (solve_L2, (u, 1, 1.0, 2.0), "m"),
+        (solve_L2, (1, u, 1.0, 2.0), "m'"),
+        (solve_L3, (u, (1j, 0.5, 1.0)), "m"),
+        (matrix_A, (u, (1j, 0.5, 1.0)), "m")]],
 ])
 def test_non_integer_sector_rejected(solve, args, name):
-    # refused by name before q_pow's indexing can raise IndexError or TypeError
+    # refused by name before q_pow's indexing can raise IndexError or
+    # TypeError, and before q_pow(-m) negates an unsigned m, which wraps mod
+    # 2^bits: uint8 1 read Q's x coefficient 0.35000000000000003 for 0.35
     with pytest.raises(ValueError, match=f"^sector {name} must be an integer"):
         solve(*args, make_context(5))
 
@@ -78,11 +86,15 @@ def test_non_integer_sector_rejected(solve, args, name):
     lambda l, chain, ctx: t_action_residual(chain, 0.7, l, ctx),
     lambda l, chain, ctx: theorem1_residual(chain, 0.7, l, ctx),
     lambda l, chain, ctx: delta_pm(0.7, l, 1, chain, ctx),
-], ids=["baxter_vector", "t_action_residual", "theorem1_residual", "delta_pm"])
+    lambda l, chain, ctx: sector_orbits(ctx, 3, l),
+    lambda l, chain, ctx: sector_basis(ctx, 3, l),
+    lambda l, chain, ctx: commutant_reduction(chain.site_params(ctx), ctx, l),
+], ids=["baxter_vector", "t_action_residual", "theorem1_residual", "delta_pm",
+        "sector_orbits", "sector_basis", "commutant_reduction"])
 def test_non_integer_label_rejected(check, l):
     # int(2.5) would run the l = 2 vector, 1.5 or a bool array would reach
-    # numpy's IndexError or TypeError, and an unsigned -l wraps mod 256, not
-    # mod N: refused by name first
+    # numpy's IndexError or TypeError, True ran sector 1, and an unsigned -l
+    # wraps mod 256, not mod N: refused by name first
     chain = DegenerateChain((0.7, 1.1, 0.9))
     with pytest.raises(ValueError, match="^sector l must be an integer"):
         check(l, chain, make_context(5))
@@ -109,6 +121,31 @@ def test_numpy_integer_sector_accepted():
     c = (1j, 0.5, 1.0)
     assert solve_L3(np.int64(1), c, ctx)[0].Q == solve_L3(1, c, ctx)[0].Q
     assert np.array_equal(matrix_A(np.int32(2), c, ctx), matrix_A(2, c, ctx))
+
+
+@pytest.mark.parametrize("N, P, name", [
+    (np.uint8(5), 1, "N"), (5.0, 1, "N"), (True, 1, "N"),
+    (5, np.uint64(2), "P"), (5, 2.0, "P"), (5, True, "P")])
+def test_non_integer_context_rejected(N, P, name):
+    # math.gcd raised TypeError on a float and took a bool or an unsigned
+    # integer, and bool N read as 1
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        make_context(N, P)
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, True, np.uint8(2),
+                               np.array([1.0, 2.0])])
+def test_non_integer_pochhammer_order_rejected(n):
+    with pytest.raises(ValueError,
+                       match="^pochhammer order must be an integer"):
+        pochhammer(0.5, 0.3, n)
+
+
+def test_integer_orders_and_labels_accepted():
+    ctx = make_context(5)
+    assert pochhammer(0.5, 0.3, np.int8(2)) == pochhammer(0.5, 0.3, 2)
+    assert np.array_equal(sector_basis(ctx, 2, np.int32(3)),
+                          sector_basis(ctx, 2, 3))
 
 
 def test_kron_empty_rejected():

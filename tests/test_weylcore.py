@@ -66,6 +66,17 @@ class TestContext:
                 got = make_context(N, P).omega_pow(np.arange(N))
                 assert got.tobytes() == np.array(ref).tobytes(), (N, P)
 
+    @pytest.mark.parametrize("N", [3, 5, 7, 11])
+    def test_root_table_from_P_mod_N(self, N):
+        # exp(2 pi i P j / N) in floats loses the root at large P: at N = 5,
+        # |omega^5 - 1| read 6.1e-7 at P = 10^9 + 1 and 0.26 at 10^15 + 1
+        for P in (p for p in range(1, N) if math.gcd(p, N) == 1):
+            want = make_context(N, P)
+            for k in (10**9 // N, 10**15 // N, 10**18 // N, -1, -3):
+                got = make_context(N, P + k * N)
+                assert got._roots.tobytes() == want._roots.tobytes(), (P, k)
+                assert got.P == P + k * N
+
     def test_flux_roots_match_the_list_expression(self):
         # bit for bit the one-flux list expression that make_context used,
         # for an array of every coprime P and for each P alone: every odd
