@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weylcore import (POLE_TOL, Context, PoleError, check_int, pochhammer,
-                       relative_defect, unit_draws, worst)
+from .weylcore import (POLE_TOL, Context, PoleError, check_int, is_int,
+                       pochhammer, relative_defect, unit_draws, worst)
 from .transfer import ChainParams, SiteParams, transfer_apply
 
 
@@ -97,7 +97,9 @@ def baxter_vector(x, l, chain: DegenerateChain, ctx: Context) -> np.ndarray:
     Multi-indices k run over (Z_N)^L with non-negative representatives;
     the vector is the tensor product of the per-site columns.
     """
-    check_int("sector l", l)
+    if not is_int(l):   # one label: check_int would pass an array
+        check_int("sector l", l)
+        raise ValueError(f"sector l must be one integer, got {l!r}")
     return _baxter_rows([x], [int(l)], chain, ctx)[0]
 
 

@@ -52,13 +52,18 @@ DEFAULT_TOLERANCES = {
 
 # a command refuses, before its first N runs, an N whose largest complex array
 # would pass this: verify's one dense N^3 x N^3 transfer matrix (the commutator
-# suite holds one at a time), curves' fiber-average outer product, solve
-# --L 3's N (3M+4) x (3M+1) coefficient systems of sector 0 beside their
-# SVD's U of the same shape, and butterfly's one 5-column CSV row per flux and
-# level, whose text sets its peak (N x N Hamiltonians are far smaller)
+# suite holds one at a time), curves' fiber-average outer product, solve's
+# largest at its L (--L 1: the M x M root companion of sector 0's degree-M
+# Q; --L 2 and 3, each beside its SVD's U of the same shape: the (N+2) x N
+# null system of m = 0, m' = M, whose Q has degree 2M, and sector 0's N
+# (3M+4) x (3M+1) coefficient systems), and butterfly's one 5-column CSV row
+# per flux and level, whose text sets its peak (N x N Hamiltonians are far
+# smaller)
 DENSE_BYTES_MAX = 2**28
 LARGEST_ARRAY = {"verify": lambda N: (N**3, N**3),                 # N <= 15
                  "curves": lambda N: (2 * N * N, N, N, N),         # N <= 23
+                 "solve --L 1": lambda N: ((N - 1) // 2,) * 2,     # N <= 8193
+                 "solve --L 2": lambda N: (N + 2, 2 * N),          # N <= 2895
                  "solve": lambda N: (N, (3 * N + 5) // 2, 3 * N - 1),   # 153
                  "butterfly": lambda N: (len(_fluxes(N)) * N, 5)}  # N <= 1845
 BUTTERFLY_BLOCK = 1024  # CSV rows formatted at once: bounds the objects held
@@ -369,7 +374,9 @@ def _solution_record(sol) -> dict:
 
 
 def cmd_solve(config: RunConfig, L: int, m_arg) -> int:
-    """Solve the sectors at every N; an N that raises fails on its own record."""
+    """Solve the sectors at every N; an N that raises fails on its own record.
+
+    An N whose arrays at this L would pass DENSE_BYTES_MAX is refused first."""
     t0 = time.time()
     if not is_int(L) or L not in (1, 2, 3):
         raise ValueError(f"L must be 1, 2 or 3, got {L!r}")
@@ -385,8 +392,7 @@ def cmd_solve(config: RunConfig, L: int, m_arg) -> int:
         M = (N - 1) // 2
         if m_arg != "all" and not 0 <= m_arg <= M:
             raise ValueError(f"m={m_arg} outside [0, {M}] at N={N}")
-    if L == 3:
-        _refuse_oversized("solve", config.n_list)
+    _refuse_oversized("solve" if L == 3 else f"solve --L {L}", config.n_list)
     report = {"meta": _meta(config, "solve"), "L": L, "chains": [],
               "pass": True}
     for N in config.n_list:

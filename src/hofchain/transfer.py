@@ -290,30 +290,48 @@ def _shift_diagonals(mat: np.ndarray, N: int, L: int) -> tuple:
     return cols, D
 
 
+@lru_cache(maxsize=4)      # L = 1-3
+def _commutator_pairs(L: int) -> tuple:
+    """(d, s, t, starts) for `commutator_residual`: d[s] the x-degree of
+    shift pattern s in `np.indices` order, the number of j where s_j !=
+    s_(j+1 mod L); s and t the pattern pairs with d_s != d_t, sorted by
+    their monomial u(s) + u(t), s read in base 3; starts the first pair of
+    each monomial's run.  Read-only."""
+    pats = np.indices((2,) * L).reshape(L, -1)      # column s is pattern s
+    d = np.count_nonzero(pats != np.roll(pats, -1, axis=0), axis=0)
+    # s + t has digits <= 2, so u(s + t) = u(s) + u(t)
+    u = np.ravel_multi_index(pats, (3,) * L)
+    s, t = np.nonzero(d[:, None] != d)
+    mono = u[s] + u[t]
+    order = np.argsort(mono, kind="stable")
+    return read_only(d, s[order], t[order],
+                     np.flatnonzero(np.diff(mono[order], prepend=-1)))
+
+
 def commutator_residual(chain: ChainParams, x: complex, xp: complex,
                         ctx: Context) -> float:
     """max |[T(x), T(x')]| over the entries, from the 2^L shift diagonals D
     of one dense `transfer_T(chain, 1)`; no dense product is formed.
 
     Diagonal s holds one path of the auxiliary trace, whose x-dependence is
-    x^d with d the number of j where s_j != s_(j+1 mod L), so D x^d and
-    D x'^d are the diagonals of A = T(x) and B = T(x').
-    [A, B] = sum_u C_u S_u over u in {0,1,2}^L, C_u the sum over s + t = u of
-    D^A_s S_s D^B_t S_s^-1 - (A <-> B).  For N >= 3 the S_u are disjoint
-    permutations, so max|C| is the dense max-norm.  Each (s, t) term
-    subtracts its two products, so x = x' gives exactly 0.0.
+    x^d_s, so D_s x^d_s and D_s x'^d_s are the diagonals of A = T(x) and
+    B = T(x').  [A, B] = sum_u C_u S_u over u in {0,1,2}^L, C_u the sum over
+    s + t = u of A_s S_s B_t S_s^-1 - B_s S_s A_t S_s^-1, that is of
+    (x^d_s x'^d_t - x'^d_s x^d_t) D_s D_t[cols_s], whose factor is exactly
+    0 where d_s = d_t: only the `_commutator_pairs` are formed, and each
+    run of equal u is summed.  For N >= 3 the S_u are disjoint
+    permutations, so max|C| is the dense max-norm.  The factor is a b - a b
+    with the same operands at x = x', which gives exactly 0.0.
     """
     N, L = ctx.N, chain.L
     cols, D = _shift_diagonals(transfer_T(chain, 1.0, ctx).mat, N, L)
-    pats = np.indices((2,) * L).reshape(L, -1)      # column s is pattern s
-    d = np.count_nonzero(pats != np.roll(pats, -1, axis=0), axis=0)[:, None]
-    A, B = D * x ** d, D * xp ** d
-    # s read in base 3: s + t has digits <= 2, so u(s + t) = u(s) + u(t)
-    u = np.ravel_multi_index(pats, (3,) * L)
-    C = np.zeros((3 ** L, N ** L), dtype=complex)
-    for s, cs in enumerate(cols):   # every t at once
-        C[u[s] + u] += A[s] * B[:, cs] - B[s] * A[:, cs]
-    return float(np.max(np.abs(C)))
+    d, s, t, starts = _commutator_pairs(L)
+    px, pxp = x ** d, xp ** d
+    terms = D[s] * D[t[:, None], cols[s]]
+    terms *= (px[s] * pxp[t] - pxp[s] * px[t])[:, None]
+    # no pairs at L = 1, where every path has degree 0
+    return float(np.max(np.abs(np.add.reduceat(terms, starts, axis=0)),
+                        initial=0.0))
 
 
 def hamiltonian_params(mu, nu, rho, alpha, beta, gamma) -> tuple:

@@ -944,6 +944,25 @@ def test_huge_n_refused_before_a_root_table(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("L,shape", [("1", "100000 x 100000"),
+                                     ("2", "200003 x 400002")])
+def test_solve_refuses_every_L_by_size(tmp_path, capsys, L, shape):
+    # only --L 3 was sized: --L 1 ran sector 0 until numpy's MemoryError for
+    # its (100000, 100000) root companion and exited 1 with a report
+    import tracemalloc
+    out = tmp_path / "s.json"
+    tracemalloc.start()
+    try:
+        assert main(["solve", "--L", L, "--N", "200001", "--out", str(out)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**24
+    assert f"error: solve --L {L} at N=200001 needs dense {shape}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_large_P_keeps_the_roots_exact(tmp_path):
     # P = 10^15 + 1 is coprime to 5 and reads as P = 1; before the root
     # table came from P mod N, every suite failed with exit 1
@@ -1112,6 +1131,8 @@ class TestInputCheckedFirst:
     @pytest.mark.parametrize("argv,largest,refused", [
         (["curves"], 23, "N=25 needs dense 1250 x 25 x 25 x 25"),
         (["solve", "--L", "3"], 153, "N=155 needs dense 155 x 235 x 464"),
+        (["solve", "--L", "1"], 8193, "--L 1 at N=8195 needs dense 4097 x 4097"),
+        (["solve", "--L", "2"], 2895, "--L 2 at N=2897 needs dense 2899 x 5794"),
     ])
     def test_oversized_curves_and_solve(self, tmp_path, monkeypatch, capsys,
                                         argv, largest, refused):

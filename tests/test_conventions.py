@@ -3,8 +3,8 @@ root-of-unity table, one pole threshold, one polynomial product.  The
 rational-slice shift polynomials have one home too, `baxter.shift_polys`,
 and the package's one polynomial fit is the DFT of `baxter.plus_pairing_coeffs`.
 The commutator check builds one dense T(1) per call, reads it as its 2^L
-shift diagonals, scales each by x^degree, the degree taken from its shift
-pattern, and multiplies them diagonal by diagonal, never densely.  The
+shift diagonals, and forms, diagonal by diagonal and never densely, only
+the pairs whose x-degrees differ, the degree taken from the shift pattern.  The
 dense transfer matrix is laid out from the Weyl path table, and the
 L-operator chain that the tests hold it to, in `tests/oracle.py`, shares
 none of that machinery.
@@ -19,7 +19,9 @@ and a set of points of the curve W is three arrays x, xi0 and xi2, whose one
 fiber average is `averaged_baxter`.  The (N, L) geometry tables behind T(x)
 are cached, and every cache is bounded.  The Bethe solver holds Lambda and Q
 as ascending arrays; `ComplexPolynomial` is only the record it exports.
-What an integer is, `weylcore` alone decides: `check_int` refuses the rest."""
+What an integer is, `weylcore` alone decides: `check_int` refuses the rest.
+Every command sizes every branch it runs before its first N: its size
+refusal sits under no `if`."""
 
 import ast
 import inspect
@@ -467,3 +469,16 @@ def test_one_integer_rule():
     called = {getattr(node.func, "id", None) for node in ast.walk(post_init)
               if isinstance(node, ast.Call)}
     assert "check_context" in called and "make_context" not in called
+
+
+def test_every_command_refuses_before_it_runs():
+    # each cmd_* calls _refuse_oversized as a statement of its own body, so
+    # no branch of it (solve's --L 1 and 2 were unsized) runs unsized
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    commands = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("cmd_")]
+    assert len(commands) == 4, [fn.name for fn in commands]
+    for fn in commands:
+        top = {ast.unparse(stmt.value.func) for stmt in fn.body
+               if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)}
+        assert "_refuse_oversized" in top, fn.name

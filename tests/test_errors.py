@@ -100,6 +100,14 @@ def test_non_integer_label_rejected(check, l):
         check(l, chain, make_context(5))
 
 
+@pytest.mark.parametrize("l", [np.array([1, 2]), [1, 2], np.array(2)])
+def test_array_label_refused_by_baxter_vector(l):
+    # one vector, one label: int(l) raised numpy's or Python's TypeError on
+    # the integer array or list that check_int passes
+    with pytest.raises(ValueError, match="^sector l must be one integer, got "):
+        baxter_vector(0.7, l, DegenerateChain((0.7, 1.1)), make_context(5))
+
+
 def test_integer_labels_accepted():
     ctx, chain = make_context(5), DegenerateChain((0.7, 1.1, 0.9))
     assert np.array_equal(baxter_vector(0.7, np.int64(2), chain, ctx),

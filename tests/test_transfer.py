@@ -230,7 +230,8 @@ class TestGeometryCaches:
     shared by every reader of T(x): a reader can neither write into them nor
     see a result that depends on what the caches held before."""
 
-    CACHES = (weylcore._digits, path_table, transfer._path_columns)
+    CACHES = (weylcore._digits, path_table, transfer._path_columns,
+              transfer._commutator_pairs)
 
     @staticmethod
     def readers(N, L):
@@ -244,13 +245,15 @@ class TestGeometryCaches:
         results = (T, transfer_apply(chain, [x, xp, 0.5], ctx, v),
                    *sector_monomial(ctx, np.arange(N), a, b),
                    *sector_orbits(ctx, L, np.arange(N)),
-                   *transfer._shift_diagonals(T, N, L))
+                   *transfer._shift_diagonals(T, N, L),
+                   *transfer._commutator_pairs(L))
         return [hashlib.sha256(np.ascontiguousarray(r).tobytes()).hexdigest()
                 + f"{r.dtype}{r.shape}" for r in results]
 
     def test_tables_are_read_only(self):
         for table in (weylcore._digits(5, 3), *path_table(3),
-                      *transfer._path_columns(5, 3)):
+                      *transfer._path_columns(5, 3),
+                      *transfer._commutator_pairs(3)):
             with pytest.raises(ValueError, match="read-only"):
                 table[(0,) * table.ndim] = 0
 
@@ -425,6 +428,36 @@ class TestCommutingFamily:
     def test_equal_points_l3(self, ctx5, rng):
         x = unit_draws(rng, 1)[0]
         assert commutator_residual(draw_chain(rng, 3), x, x, ctx5) == 0.0
+
+    @pytest.mark.parametrize("L,count", [(1, 0), (2, 8), (3, 24), (4, 104)])
+    def test_pairs_are_those_of_unequal_degree(self, L, count):
+        # the (s, t) term carries x^d_s x'^d_t - x'^d_s x^d_t, which is 0
+        # where d_s = d_t; the kept pairs, grouped by u(s) + u(t) in base 3
+        d, s, t, starts = transfer._commutator_pairs(L)
+        patterns = np.indices((2,) * L).reshape(L, -1).T
+        assert np.array_equal(d, [np.count_nonzero(p != np.roll(p, -1))
+                                  for p in patterns])
+        want = {(i, j) for i in range(2 ** L) for j in range(2 ** L)
+                if d[i] != d[j]}
+        assert len(s) == len(want) == count
+        assert set(zip(s.tolist(), t.tolist())) == want
+        u = patterns @ 3 ** np.arange(L)[::-1]
+        mono = u[s] + u[t]
+        assert np.all(np.diff(mono) >= 0)
+        assert np.array_equal(starts, np.flatnonzero(
+            np.r_[True, mono[1:] != mono[:-1]]) if count else [])
+
+    @pytest.mark.parametrize("N,L", itertools.product((3, 5, 7, 9), (1, 2, 3)))
+    def test_pairs_match_the_dense_product(self, N, L, rng):
+        ctx = make_context(N)
+        for _ in range(10):
+            chain = draw_chain(rng, L)
+            x, xp = unit_draws(rng, 2)
+            A = transfer_T(chain, x, ctx).mat
+            B = transfer_T(chain, xp, ctx).mat
+            dense = np.max(np.abs(A @ B - B @ A))
+            assert abs(commutator_residual(chain, x, xp, ctx) - dense) < 1e-14
+            assert commutator_residual(chain, x, x, ctx) == 0.0
 
 
 def hofstadter_sector_factor(ctx, l: int) -> complex:
